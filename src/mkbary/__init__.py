@@ -12,6 +12,7 @@ from .costs import (
     relaxed_constants,
 )
 from .errors import (
+    CertificateViolation,
     ConstructionFailed,
     EmptySupport,
     ImageOutsideSpace,
@@ -68,6 +69,9 @@ from .transport import (
     brute_force_transport,
     glue,
     interpolation_cost,
+    solve_lp_batch,
     solve_transport,
+    solve_transport_batch,
     transport_cost,
+    transport_costs,
 )

@@ -28,7 +28,7 @@ from .errors import (
     NumericalFailure,
 )
 from .measures import DiscreteMeasure, GroundSpace, canonicalize, measure_from_json, measure_to_json
-from .transport import _LP_OPTIONS, solve_transport
+from .transport import _LP_OPTIONS, transport_costs
 
 GAP_TOL = 1e-9
 
@@ -118,9 +118,8 @@ class BarycenterResult:
 
 def objective(nu: DiscreteMeasure, problem: BarycenterProblem) -> float:
     """The Frechet functional sum_i lambda_i J(mu_i, nu)."""
-    return float(
-        sum(lam * solve_transport(m, nu, problem.cost).objective for m, lam in problem.inputs)
-    )
+    costs = transport_costs([(m, nu) for m, _ in problem.inputs], problem.cost)
+    return float(sum(lam * j for (_, lam), j in zip(problem.inputs, costs)))
 
 
 # ---------------------------------------------------------------------------

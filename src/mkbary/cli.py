@@ -188,7 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite", choices=["convexity", "triangle", "q-triangle",
                                      "criterion", "lln", "perturb"])
     p.add_argument("--config", default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted and ignored: suites run in one thread")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_verify)

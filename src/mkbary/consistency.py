@@ -15,7 +15,6 @@ from __future__ import annotations
 import csv
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 import numpy as np
 
@@ -27,7 +26,7 @@ from .barycenter import (
 )
 from .costs import CostSpec
 from .measures import DiscreteMeasure, GroundSpace, canonicalize, measure_from_json
-from .transport import solve_lp_matrix, transport_cost
+from .transport import solve_lp_batch, solve_lp_matrix, transport_costs
 
 
 @dataclass(frozen=True)
@@ -70,13 +69,17 @@ class MetaDistribution:
         return self.atoms[0].space
 
 
+def _cost_table(rows, cols, cost: CostSpec) -> np.ndarray:
+    """The matrix of J(a, b) over measures a in ``rows``, b in ``cols``, as one batch."""
+    values = transport_costs([(a, b) for a in rows for b in cols], cost)
+    return np.array(values).reshape(len(rows), len(cols))
+
+
 def meta_distance(P: MetaDistribution, Q: MetaDistribution, cost: CostSpec) -> float:
     """Outer transport cost between distributions of measures, ground cost J."""
     if not P.space.same_as(Q.space):
         raise ValueError("meta-distributions live on different ground spaces")
-    M = np.array(
-        [[transport_cost(a, b, cost) for b in Q.atoms] for a in P.atoms]
-    )
+    M = _cost_table(P.atoms, Q.atoms, cost)
     _, value, _, _, _ = solve_lp_matrix(M, P.probs, Q.probs)
     return value
 
@@ -151,16 +154,16 @@ def lln_experiment(
     the empirical barycenter on the same constraint set, and record the
     distance to the nearest population-barycenter representative together
     with the lifted distance between the empirical and true populations.
-    Fixed seeds make the run bit-reproducible; seeds are independent work
-    units merged in seed order.
+    Fixed seeds make the run bit-reproducible; seeds run one after another
+    and are merged in seed order.  ``jobs`` is accepted and ignored: a
+    thread pool over seeds made runs slower, since the work holds the GIL
+    between short LP calls.
     """
     n_grid = sorted(int(n) for n in n_grid)
     seeds = list(seeds)
     pop_result, reps = _population_barycenter(population, constraint, cost, solver)
     K = len(population.atoms)
-    j_pop = np.array(
-        [[transport_cost(a, b, cost) for b in population.atoms] for a in population.atoms]
-    )
+    j_pop = _cost_table(population.atoms, population.atoms, cost)
 
     def run_seed(seed: int):
         rng = np.random.default_rng(seed)
@@ -184,20 +187,20 @@ def lln_experiment(
                     emp = barycenter_free_support(problem)
                 else:
                     emp = barycenter_fixed_support(problem)
-                j_bar = min(transport_cost(emp.measure, rep, cost) for rep in reps)
-                _, meta_j, _, _, _ = solve_lp_matrix(
-                    j_pop[sel][:, :], counts[sel] / n, population.probs
+                # the J(emp, rep) LPs and the lifted-distance LP as one batch
+                C = cost.bound_to(emp.measure.space).matrix
+                sols = solve_lp_batch(
+                    [(C(emp.measure, rep), emp.measure.weights, rep.weights) for rep in reps]
+                    + [(j_pop[sel], counts[sel] / n, population.probs)]
                 )
+                j_bar = min(sol[1] for sol in sols[:-1])
+                meta_j = sols[-1][1]
                 rows.append((n, seed, j_bar, meta_j, time.perf_counter() - t0))
             except Exception as exc:  # record the hole, keep the report partial
                 errs.append((n, seed, repr(exc)))
         return rows, errs
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(run_seed, seeds))
-    else:
-        outcomes = [run_seed(s) for s in seeds]
+    outcomes = [run_seed(s) for s in seeds]
 
     records, errors = [], []
     for rows, errs in outcomes:
@@ -265,7 +268,7 @@ def perturbation_experiment(
             [(m, p) for m, p in zip(P_delta.atoms, P_delta.probs)], constraint, cost
         )
         emp = barycenter_fixed_support(problem)
-        j_bar = min(transport_cost(emp.measure, rep, cost) for rep in reps)
+        j_bar = min(transport_costs([(emp.measure, rep) for rep in reps], cost))
         rows.append((delta, meta_j, j_bar, time.perf_counter() - t0))
 
     # largest delta up to which the barycenter stays usc_eps-close: recorded,

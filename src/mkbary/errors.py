@@ -40,6 +40,10 @@ class NumericalFailure(MKError):
     """LP solver failed to close the duality gap."""
 
 
+class CertificateViolation(MKError):
+    """A transport plan fails its marginal, sign, objective or dual check."""
+
+
 class TooLarge(MKError):
     """Problem exceeds the brute-force size cap."""
 

@@ -26,6 +26,31 @@ MASS_TOL = 1e-9
 ATOM_MERGE_TOL = 1e-12
 
 
+# Byte budget of one slab of the finite-space triangle check.  A slab holds
+# at least one z layer (n*n floats, the size of rho itself).
+TRIANGLE_SLAB_BYTES = 4 * 2**20
+
+
+def _violates_triangle(rho: np.ndarray) -> bool:
+    """Whether rho[x, y] > rho[x, z] + rho[z, y] + 1e-12 for some x, y, z.
+
+    Runs over z in slabs of about TRIANGLE_SLAB_BYTES instead of
+    allocating n**3 floats.
+    """
+    n = rho.shape[0]
+    k = min(n, max(1, TRIANGLE_SLAB_BYTES // (8 * n * n)))
+    padded = rho.T + 1e-12  # padded[z, x] = rho[x, z] + tolerance
+    bound = np.empty((k, n, n))  # bound[z, x, y] = rho[x, z] + rho[z, y] + tolerance
+    mask = np.empty((k, n, n), dtype=bool)
+    for z0 in range(0, n, k):
+        z1 = min(z0 + k, n)
+        out, hit = bound[: z1 - z0], mask[: z1 - z0]
+        np.add(padded[z0:z1, :, None], rho[z0:z1, None, :], out=out)
+        if np.greater(rho[None, :, :], out, out=hit).any():
+            return True
+    return False
+
+
 @dataclass(frozen=True)
 class GroundSpace:
     """Euclidean R^d (``kind='euclidean'``) or a finite metric space.
@@ -57,8 +82,7 @@ class GroundSpace:
             off = rho[~np.eye(n, dtype=bool)]
             if off.size and np.any(off <= 0):
                 raise ValueError("rho(i,j) must be positive for i != j")
-            # triangle inequality over all index triples
-            if np.any(rho[:, None, :] > rho[:, :, None] + rho[None, :, :] + 1e-12):
+            if _violates_triangle(rho):
                 raise ValueError("distance matrix violates the triangle inequality")
             object.__setattr__(self, "rho", rho)
             object.__setattr__(self, "dim", n)
@@ -217,9 +241,7 @@ def canonicalize(raw_atoms, raw_weights, space: GroundSpace) -> DiscreteMeasure:
 
 def dirac(space: GroundSpace, x) -> DiscreteMeasure:
     """The unit mass at a single point."""
-    p = _as_point(space, x)
-    atoms = [p] if space.kind == "euclidean" else [p]
-    return canonicalize(atoms, [1.0], space)
+    return canonicalize([_as_point(space, x)], [1.0], space)
 
 
 def pushforward(measure: DiscreteMeasure, mapping: Callable) -> DiscreteMeasure:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .costs import CostSpec
 from .measures import ATOM_MERGE_TOL, DiscreteMeasure, _as_point, canonicalize
-from .transport import TransportPlan, solve_lp_matrix, solve_transport
+from .transport import TransportPlan, solve_lp_batch, solve_lp_matrix
 
 VERDICT_TOL = 1e-6
 
@@ -32,16 +32,20 @@ class SequenceDiagnostics:
     verdict: str
 
 
-def weak_proxy_distance(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
-    """Transport cost under the bounded ground metric min(rho, 1)."""
+def _weak_proxy_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
+    """The bounded ground metric min(rho, 1) between the atoms of mu and nu."""
     space = mu.space
     if space.kind == "euclidean":
         diff = mu.atoms[:, None, :] - nu.atoms[None, :, :]
         rho = np.sqrt(np.sum(diff**2, axis=-1))
     else:
         rho = space.rho[np.ix_(mu.atoms.astype(int), nu.atoms.astype(int))]
-    C = np.minimum(rho, 1.0)
-    _, value, _, _, _ = solve_lp_matrix(C, mu.weights, nu.weights)
+    return np.minimum(rho, 1.0)
+
+
+def weak_proxy_distance(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
+    """Transport cost under the bounded ground metric min(rho, 1)."""
+    _, value, _, _, _ = solve_lp_matrix(_weak_proxy_matrix(mu, nu), mu.weights, nu.weights)
     return value
 
 
@@ -80,13 +84,18 @@ def check_convergence(
     """
     if not sequence:
         raise ValueError("sequence must be nonempty")
-    ref_limit = solve_transport(reference, limit, cost).objective
-    fwd, bwd, proxy, ref = [], [], [], []
+    C = cost.bound_to(limit.space).matrix
+    problems = [(C(reference, limit), reference.weights, limit.weights)]
     for nu_n in sequence:
-        fwd.append(solve_transport(limit, nu_n, cost).objective)
-        bwd.append(solve_transport(nu_n, limit, cost).objective)
-        proxy.append(weak_proxy_distance(nu_n, limit))
-        ref.append(solve_transport(reference, nu_n, cost).objective)
+        problems += [
+            (C(limit, nu_n), limit.weights, nu_n.weights),
+            (C(nu_n, limit), nu_n.weights, limit.weights),
+            (_weak_proxy_matrix(nu_n, limit), nu_n.weights, limit.weights),
+            (C(reference, nu_n), reference.weights, nu_n.weights),
+        ]
+    values = [sol[1] for sol in solve_lp_batch(problems)]
+    ref_limit = values[0]
+    fwd, bwd, proxy, ref = (values[1 + k::4] for k in range(4))
     ref_err = [abs(v - ref_limit) for v in ref]
 
     proxy_small = _strictly_small(proxy, tol)

@@ -6,6 +6,10 @@ marginal constraints and certifies optimality with a feasible dual pair
 ``brute_force_transport`` recomputes the optimum for tiny instances by
 enumerating every basis of the transportation polytope; it shares no code
 path with the LP and serves as the independent oracle.
+
+Every transport LP goes through ``solve_lp_batch``: a sparse marginal
+system (two nonzeros per column) and block-diagonal HiGHS calls that solve
+many independent small LPs at once.
 """
 
 from __future__ import annotations
@@ -17,12 +21,18 @@ from typing import Optional
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.sparse import csc_array
 
 from .costs import CostSpec
-from .errors import MarginalMismatch, NumericalFailure, TooLarge
+from .errors import CertificateViolation, MarginalMismatch, NumericalFailure, TooLarge
 from .measures import DiscreteMeasure, mixture
 
 GAP_TOL = 1e-9
+# Cap on the LP variables of one block-diagonal HiGHS call.  HiGHS memory
+# grows with the number of blocks, so an uncapped batch of thousands of tiny
+# LPs costs megabytes; near a thousand variables the per-call overhead is
+# already amortized.
+MAX_BATCH_VARS = 1024
 _LP_OPTIONS = {
     "primal_feasibility_tolerance": 1e-10,
     "dual_feasibility_tolerance": 1e-10,
@@ -41,27 +51,63 @@ class TransportPlan:
     gap: Optional[float] = None
 
     def check(self, cost_matrix: Optional[np.ndarray] = None, tol: float = 1e-9) -> None:
-        """Assert the marginal, objective, and dual-feasibility invariants."""
-        assert np.allclose(self.coupling.sum(axis=1), self.source.weights, atol=tol)
-        assert np.allclose(self.coupling.sum(axis=0), self.target.weights, atol=tol)
-        assert np.all(self.coupling >= -tol)
+        """Check the marginal, objective, and dual-feasibility invariants.
+
+        Raises CertificateViolation naming the first invariant that fails;
+        unlike ``assert`` this also runs under ``python -O``.
+        """
+        def require(ok, what: str) -> None:
+            if not ok:
+                raise CertificateViolation(f"transport plan fails its {what} check")
+
+        require(np.allclose(self.coupling.sum(axis=1), self.source.weights, atol=tol),
+                "source marginal")
+        require(np.allclose(self.coupling.sum(axis=0), self.target.weights, atol=tol),
+                "target marginal")
+        require(np.all(self.coupling >= -tol), "nonnegativity")
         if cost_matrix is not None:
-            assert abs(float((self.coupling * cost_matrix).sum()) - self.objective) <= tol
+            require(abs(float((self.coupling * cost_matrix).sum()) - self.objective) <= tol,
+                    "objective")
             if self.duals is not None:
                 u, v = self.duals
-                assert np.all(u[:, None] + v[None, :] <= cost_matrix + tol)
+                require(np.all(u[:, None] + v[None, :] <= cost_matrix + tol), "dual feasibility")
                 dual_obj = float(self.source.weights @ u + self.target.weights @ v)
-                assert self.objective - dual_obj <= tol * (1.0 + abs(self.objective))
+                require(self.objective - dual_obj <= tol * (1.0 + abs(self.objective)),
+                        "duality gap")
 
 
-def _marginal_system(m: int, n: int):
-    """Equality rows (all m row sums, first n-1 column sums) over mn variables."""
-    A = np.zeros((m + n - 1, m * n))
-    for i in range(m):
-        A[i, i * n : (i + 1) * n] = 1.0
-    for j in range(n - 1):
-        A[m + j, j::n] = 1.0
+@lru_cache(maxsize=64)
+def _marginal_system(m: int, n: int) -> csc_array:
+    """Sparse equality rows (all m row sums, first n-1 column sums) over mn variables.
+
+    Column k = i*n + j holds a 1 in row i and, unless j = n-1, a 1 in row
+    m + j: m*n + m*(n-1) nonzeros in all.  Cached per shape, so its arrays
+    are read-only.
+    """
+    i, j = np.divmod(np.arange(m * n), n)
+    has_col_row = j < n - 1
+    indptr = np.zeros(m * n + 1, dtype=np.int64)
+    np.cumsum(1 + has_col_row, out=indptr[1:])
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    indices[indptr[:-1]] = i
+    indices[indptr[:-1][has_col_row] + 1] = m + j[has_col_row]
+    A = csc_array((np.ones(len(indices)), indices, indptr), shape=(m + n - 1, m * n))
+    for arr in (A.data, A.indices, A.indptr):
+        arr.flags.writeable = False
     return A
+
+
+def _block_system(shapes) -> csc_array:
+    """Block-diagonal stack of the marginal systems of ``shapes``, in order."""
+    if len(shapes) == 1:
+        return _marginal_system(*shapes[0])
+    blocks = [_marginal_system(m, n) for m, n in shapes]
+    row_off = np.cumsum([0] + [A.shape[0] for A in blocks])
+    nnz_off = np.cumsum([0] + [A.nnz for A in blocks])
+    indices = np.concatenate([A.indices + r for A, r in zip(blocks, row_off)])
+    indptr = np.concatenate([[0]] + [A.indptr[1:] + z for A, z in zip(blocks, nnz_off)])
+    shape = (int(row_off[-1]), sum(A.shape[1] for A in blocks))
+    return csc_array((np.ones(len(indices)), indices, indptr), shape=shape)
 
 
 def _cancel_cycles(x: np.ndarray, C: np.ndarray, tol: float = 1e-12) -> np.ndarray:
@@ -130,65 +176,132 @@ def _cancel_cycles(x: np.ndarray, C: np.ndarray, tol: float = 1e-12) -> np.ndarr
                 x[i, j] = 0.0
 
 
-def solve_lp_matrix(C: np.ndarray, a: np.ndarray, b: np.ndarray):
-    """Solve the transportation LP for a given cost matrix.
+def _pack(sizes, cap: int):
+    """Split consecutive problem indices into runs of at most ``cap`` variables.
 
-    Returns (coupling, objective, u, v, gap); raises NumericalFailure when
-    the solver does not terminate optimally or the certificate gap stays
-    open.
+    A problem larger than ``cap`` gets a run of its own.
     """
-    C = np.asarray(C, dtype=float)
-    m, n = C.shape
-    if m == 1:
-        x = b[None, :].copy()
-        u = np.zeros(1)
-        v = C[0].copy()
-    elif n == 1:
-        x = a[:, None].copy()
-        u = C[:, 0].copy()
-        v = np.zeros(1)
-    else:
-        A = _marginal_system(m, n)
-        rhs = np.concatenate([a, b[:-1]])
-        res = linprog(
-            C.ravel(), A_eq=A, b_eq=rhs, bounds=(0, None), method="highs",
-            options=_LP_OPTIONS,
-        )
-        if res.status != 0:
-            raise NumericalFailure(f"transport LP failed: {res.message}")
-        x = np.clip(res.x.reshape(m, n), 0.0, None)
-        x = _cancel_cycles(x, C)
-        y = res.eqlin.marginals
-        u = np.asarray(y[:m], dtype=float)
-        v = np.append(y[m:], 0.0)
-        # polish the potentials so feasibility holds exactly
-        v = np.min(C - u[:, None], axis=0)
-        u = np.min(C - v[None, :], axis=1)
+    runs, run, total = [], [], 0
+    for k, size in enumerate(sizes):
+        if run and total + size > cap:
+            runs.append(run)
+            run, total = [], 0
+        run.append(k)
+        total += size
+    if run:
+        runs.append(run)
+    return runs
+
+
+def _certify(k: int, x: np.ndarray, C: np.ndarray, a: np.ndarray, b: np.ndarray, u, v):
     objective = float((x * C).sum())
     dual = float(a @ u + b @ v)
     gap = max(0.0, objective - dual)
     if gap > GAP_TOL * (1.0 + abs(objective)):
-        raise NumericalFailure(f"duality gap {gap:.3e} not closed")
+        raise NumericalFailure(f"transport LP block {k}: duality gap {gap:.3e} not closed")
     return x, objective, u, v, gap
+
+
+def solve_lp_batch(problems) -> list:
+    """Solve independent transportation LPs given as ``(C, a, b)`` triples.
+
+    Returns one ``(coupling, objective, u, v, gap)`` tuple per problem, in
+    order.  1xn and nx1 problems have a single feasible plan and skip the
+    solver.  The others are packed in order into block-diagonal HiGHS calls
+    of at most ``MAX_BATCH_VARS`` variables; a larger problem is solved
+    alone.  Each block's primal and equality duals are split back out,
+    cleaned of support cycles, polished by a c-transform and certified by
+    its own duality gap.  Raises NumericalFailure, naming the block, when
+    the solver does not terminate optimally or a gap stays open.
+    """
+    problems = [(np.asarray(C, dtype=float), np.asarray(a, dtype=float),
+                 np.asarray(b, dtype=float)) for C, a, b in problems]
+    out = [None] * len(problems)
+    pending = []
+    for k, (C, a, b) in enumerate(problems):
+        m, n = C.shape
+        if m == 1:
+            out[k] = _certify(k, b[None, :].copy(), C, a, b, np.zeros(1), C[0].copy())
+        elif n == 1:
+            out[k] = _certify(k, a[:, None].copy(), C, a, b, C[:, 0].copy(), np.zeros(1))
+        else:
+            pending.append(k)
+
+    for run in _pack([problems[k][0].size for k in pending], MAX_BATCH_VARS):
+        ks = [pending[r] for r in run]
+        shapes = [problems[k][0].shape for k in ks]
+        c_vec = np.concatenate([problems[k][0].ravel() for k in ks])
+        rhs = np.concatenate([np.concatenate([problems[k][1], problems[k][2][:-1]])
+                              for k in ks])
+        res = linprog(
+            c_vec, A_eq=_block_system(shapes), b_eq=rhs, bounds=(0, None),
+            method="highs", options=_LP_OPTIONS,
+        )
+        if res.status != 0:
+            raise NumericalFailure(
+                f"transport LP blocks {ks[0]}..{ks[-1]} failed: {res.message}"
+            )
+        col, row = 0, 0
+        for k, (m, n) in zip(ks, shapes):
+            C, a, b = problems[k]
+            x = np.clip(res.x[col:col + m * n].reshape(m, n), 0.0, None)
+            x = _cancel_cycles(x, C)
+            u = np.asarray(res.eqlin.marginals[row:row + m], dtype=float)
+            # polish the potentials so feasibility holds exactly
+            v = np.min(C - u[:, None], axis=0)
+            u = np.min(C - v[None, :], axis=1)
+            out[k] = _certify(k, x, C, a, b, u, v)
+            col += m * n
+            row += m + n - 1
+    return out
+
+
+def solve_lp_matrix(C: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """Solve one transportation LP: ``solve_lp_batch`` on a batch of one."""
+    return solve_lp_batch([(C, a, b)])[0]
+
+
+def solve_transport_batch(pairs, cost: CostSpec) -> list:
+    """Optimal plans for independent ``(mu, nu)`` pairs, solved as one batch."""
+    pairs = list(pairs)
+    matrices = [cost.bound_to(mu.space).matrix(mu, nu) for mu, nu in pairs]
+    sols = solve_lp_batch(
+        [(C, mu.weights, nu.weights) for C, (mu, nu) in zip(matrices, pairs)]
+    )
+    return [
+        TransportPlan(source=mu, target=nu, coupling=x, objective=objective,
+                      duals=(u, v), gap=gap)
+        for (mu, nu), (x, objective, u, v, gap) in zip(pairs, sols)
+    ]
 
 
 def solve_transport(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec) -> TransportPlan:
     """Optimal transport plan between two measures; objective equals J(mu, nu)."""
-    cost = cost.bound_to(mu.space)
-    C = cost.matrix(mu, nu)
-    x, objective, u, v, gap = solve_lp_matrix(C, mu.weights, nu.weights)
-    return TransportPlan(
-        source=mu, target=nu, coupling=x, objective=objective, duals=(u, v), gap=gap
-    )
+    return solve_transport_batch([(mu, nu)], cost)[0]
+
+
+def transport_costs(pairs, cost: CostSpec) -> list:
+    """J(mu, nu) for each pair, solved as one batch."""
+    return [plan.objective for plan in solve_transport_batch(pairs, cost)]
 
 
 def transport_cost(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec) -> float:
     return solve_transport(mu, nu, cost).objective
 
 
+def _dense_marginal_rows(m: int, n: int) -> np.ndarray:
+    """The oracle's own dense copy of the marginal rows (tiny shapes only)."""
+    E = np.zeros((m + n - 1, m * n))
+    for i in range(m):
+        E[i, i * n : (i + 1) * n] = 1.0
+    for j in range(n - 1):
+        E[m + j, j::n] = 1.0
+    return E
+
+
 @lru_cache(maxsize=32)
 def _bases_for_shape(m: int, n: int):
-    E = _marginal_system(m, n)
+    E = _dense_marginal_rows(m, n)
     r = m + n - 1
     subsets = np.array(list(combinations(range(m * n), r)), dtype=int)
     bases = np.transpose(E[:, subsets], (1, 0, 2))  # (K, r, r)
@@ -268,10 +381,11 @@ def interpolation_cost(mu0, mu1, t: float, tp: float, cost: CostSpec):
     """J(mu_t, mu_tp) along the mixture segment and its bound (tp-t) J(mu0, mu1)."""
     if not 0.0 <= t <= tp <= 1.0:
         raise ValueError("need 0 <= t <= t' <= 1")
-    base = transport_cost(mu0, mu1, cost)
     if t == tp:
         return 0.0, 0.0
-    value = transport_cost(mixture(mu0, mu1, t), mixture(mu0, mu1, tp), cost)
+    base, value = transport_costs(
+        [(mu0, mu1), (mixture(mu0, mu1, t), mixture(mu0, mu1, tp))], cost
+    )
     return value, (tp - t) * base
 
 

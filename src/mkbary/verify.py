@@ -22,7 +22,7 @@ from .consistency import (
 from .costs import CostSpec, cost_from_json, growth_constants
 from .measures import GroundSpace, canonicalize, dirac, mixture, truncate_to_ball
 from .topology import check_convergence
-from .transport import glue, solve_transport, transport_cost
+from .transport import glue, solve_transport_batch, transport_costs
 
 SLACK = 1e-9
 
@@ -57,13 +57,18 @@ def run_convexity(config: dict) -> SuiteResult:
     cost = _cost_from_config(config, {"kind": "norm_power", "p": 2})
     gen = _measure_stream(seed, [-1, -1], [1, 1], int(config.get("max_atoms", 4)))
 
+    quads = [tuple(next(gen) for _ in range(4)) for _ in range(count)]
+    pairs = []
+    for mu0, nu0, mu1, nu1 in quads:
+        pairs += [(mu0, nu0), (mu1, nu1)]
+        pairs += [(mixture(mu0, mu1, t), mixture(nu0, nu1, t)) for t in t_grid]
+    costs = iter(transport_costs(pairs, cost))
+
     rows, ok = [], True
     for i in range(count):
-        mu0, nu0, mu1, nu1 = (next(gen) for _ in range(4))
-        j00 = transport_cost(mu0, nu0, cost)
-        j11 = transport_cost(mu1, nu1, cost)
+        j00, j11 = next(costs), next(costs)
         for t in t_grid:
-            lhs = transport_cost(mixture(mu0, mu1, t), mixture(nu0, nu1, t), cost)
+            lhs = next(costs)
             rhs = (1 - t) * j00 + t * j11
             passed = lhs <= rhs + SLACK
             ok &= passed
@@ -84,15 +89,18 @@ def run_triangle(config: dict) -> SuiteResult:
     A, B = gc.A, gc.B
     gen = _measure_stream(seed, [-1, -1], [1, 1], int(config.get("max_atoms", 4)))
 
+    triples = [tuple(next(gen) for _ in range(3)) for _ in range(count)]
+    plans = iter(solve_transport_batch(
+        [pair for mu, nu, lam in triples
+         for pair in ((mu, nu), (mu, lam), (nu, lam), (lam, mu), (lam, nu))],
+        cost,
+    ))
+
     rows, ok = [], True
     for i in range(count):
-        mu, nu, lam = (next(gen) for _ in range(3))
-        j_mn = transport_cost(mu, nu, cost)
-        g1 = solve_transport(mu, lam, cost)
-        g2 = solve_transport(nu, lam, cost)
-        j_ml, j_nl = g1.objective, g2.objective
-        j_lm = transport_cost(lam, mu, cost)
-        j_ln = transport_cost(lam, nu, cost)
+        p_mn, g1, g2, p_lm, p_ln = (next(plans) for _ in range(5))
+        j_mn, j_ml, j_nl = p_mn.objective, g1.objective, g2.objective
+        j_lm, j_ln = p_lm.objective, p_ln.objective
         bounds = [
             A + B * (j_ml + j_nl),
             A + B * (j_ml + j_ln),
@@ -132,10 +140,15 @@ def run_q_triangle(config: dict) -> SuiteResult:
     for p in ps:
         cost = CostSpec.norm_power(float(p))
         q = float(q_override) if q_override is not None else growth_constants(cost).q
-        for i in range(count):
-            mu, nu, lam = (next(gen) for _ in range(3))
-            lhs = transport_cost(mu, nu, cost) ** (1.0 / q)
-            rhs = transport_cost(mu, lam, cost) ** (1.0 / q) + transport_cost(lam, nu, cost) ** (1.0 / q)
+        triples = [tuple(next(gen) for _ in range(3)) for _ in range(count)]
+        costs = iter(transport_costs(
+            [pair for mu, nu, lam in triples for pair in ((mu, nu), (mu, lam), (lam, nu))],
+            cost,
+        ))
+        for i, (mu, nu, lam) in enumerate(triples):
+            j_mn, j_ml, j_ln = next(costs), next(costs), next(costs)
+            lhs = j_mn ** (1.0 / q)
+            rhs = j_ml ** (1.0 / q) + j_ln ** (1.0 / q)
             passed = lhs <= rhs + SLACK
             ok &= passed
             rows.append([p, q, i, lhs, rhs, int(passed),

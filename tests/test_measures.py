@@ -232,3 +232,37 @@ def test_finite_space_validation():
         GroundSpace.finite([[0.0, 5.0, 1.0], [5.0, 0.0, 1.0], [1.0, 1.0, 0.0]])  # triangle
     sp = GroundSpace.finite([[0.0, 1.0], [1.0, 0.0]])
     assert sp.n_points == 2
+
+
+def test_triangle_violation_in_last_slab_rejected(monkeypatch):
+    import mkbary.measures as measures
+
+    # every distance is 1 except rho(0,1) = 2 and the short legs through
+    # point 4, so the only violating triple is (0, 4, 1)
+    n = 5
+    rho = np.ones((n, n)) - np.eye(n)
+    rho[0, 1] = rho[1, 0] = 2.0
+    rho[0, 4] = rho[4, 0] = rho[1, 4] = rho[4, 1] = 0.5
+    # two z values per slab: slabs {0, 1}, {2, 3}, {4}
+    monkeypatch.setattr(measures, "TRIANGLE_SLAB_BYTES", 2 * 8 * n * n)
+    with pytest.raises(ValueError, match="triangle"):
+        GroundSpace.finite(rho)
+    rho[0, 1] = rho[1, 0] = 1.0
+    assert GroundSpace.finite(rho).n_points == n
+
+
+def test_thousand_point_finite_space_bounded_memory():
+    import tracemalloc
+
+    rng = np.random.default_rng(3)
+    pts = rng.uniform(size=(1000, 2))
+    rho = np.hypot(pts[:, None, 0] - pts[None, :, 0], pts[:, None, 1] - pts[None, :, 1])
+    tracemalloc.start()
+    try:
+        sp = GroundSpace.finite(rho)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sp.n_points == 1000
+    # n**3 floats would be 8 GB; rho itself is 8 MB
+    assert peak < 64 * 2**20
