@@ -12,6 +12,7 @@ import mkbary.transport as transport
 from mkbary import (
     CostSpec,
     GroundSpace,
+    NumericalFailure,
     brute_force_transport,
     canonicalize,
     dirac,
@@ -117,6 +118,22 @@ def test_transport_batch_plans_pass_their_certificates(linprog_calls):
         plan.check(sq.matrix(mu, nu))
     _, single, _, _, _ = solve_lp_matrix(sq.matrix(*big), big[0].weights, big[1].weights)
     assert abs(plans[60].objective - single) <= 1e-9 * (1 + abs(single))
+
+
+def test_failures_name_the_block(monkeypatch):
+    from types import SimpleNamespace
+
+    C = np.array([[0.0, 1.0], [1.0, 0.0]])
+    half = np.array([0.5, 0.5])
+    problems = [(np.zeros((1, 2)), np.ones(1), half), (C, half, half), (C, half, half)]
+    monkeypatch.setattr(transport, "GAP_TOL", -1.0)
+    with pytest.raises(NumericalFailure, match="block 0"):
+        solve_lp_batch(problems)
+    monkeypatch.setattr(transport, "GAP_TOL", 1e-9)
+    monkeypatch.setattr(transport, "linprog",
+                        lambda c, **kw: SimpleNamespace(status=4, message="forced"))
+    with pytest.raises(NumericalFailure, match="blocks 1..2 failed: forced"):
+        solve_lp_batch(problems)
 
 
 def test_plan_check_raises_under_python_O():
