@@ -7,7 +7,6 @@ from .costs import (
     GrowthConstants,
     RelaxedConstants,
     consistency_check,
-    cost_matrix,
     growth_constants,
     relaxed_constants,
 )

@@ -28,9 +28,7 @@ from .errors import (
     NumericalFailure,
 )
 from .measures import DiscreteMeasure, GroundSpace, canonicalize, measure_from_json, measure_to_json
-from .transport import _LP_OPTIONS, transport_costs
-
-GAP_TOL = 1e-9
+from .transport import _LP_OPTIONS, GAP_TOL, transport_costs
 
 
 @dataclass(frozen=True)
@@ -138,41 +136,30 @@ def _candidate_cost(cost: CostSpec, measure: DiscreteMeasure, S: np.ndarray) -> 
 
 
 def _joint_lp_system(inputs, cost: CostSpec, S: np.ndarray):
-    """Assemble the joint LP over (coupling blocks, candidate weights)."""
+    """Assemble the joint LP over (coupling blocks, candidate weights).
+
+    Input i adds its n_i x K coupling and n_i + K rows: the row marginals
+    sum_k gamma_jk = mu_j, then the ties sum_j gamma_jk - w_k = 0.  The last
+    row sums the weights w to 1.
+    """
     K = len(S)
-    sizes = [m.n_atoms for m, _ in inputs]
-    n_gamma = sum(s * K for s in sizes)
-    n_var = n_gamma + K
-    c_vec = np.zeros(n_var)
-    rows, cols, vals, rhs = [], [], [], []
-    r = 0
-    off = 0
-    for (m, lam), sz in zip(inputs, sizes):
-        Ci = _candidate_cost(cost, m, S)
-        c_vec[off : off + sz * K] = lam * Ci.ravel()
-        for j in range(sz):  # row marginal: sum_k gamma_jk = mu_j
-            rows.extend([r] * K)
-            cols.extend(range(off + j * K, off + (j + 1) * K))
-            vals.extend([1.0] * K)
-            rhs.append(float(m.weights[j]))
-            r += 1
-        for k in range(K):  # column ties to shared weights: sum_j gamma_jk - w_k = 0
-            rows.extend([r] * sz)
-            cols.extend(range(off + k, off + sz * K, K))
-            vals.extend([1.0] * sz)
-            rows.append(r)
-            cols.append(n_gamma + k)
-            vals.append(-1.0)
-            rhs.append(0.0)
-            r += 1
-        off += sz * K
-    rows.extend([r] * K)
-    cols.extend(range(n_gamma, n_gamma + K))
-    vals.extend([1.0] * K)
-    rhs.append(1.0)
-    r += 1
-    A = sparse.csr_matrix((vals, (rows, cols)), shape=(r, n_var))
-    return c_vec, A, np.array(rhs), n_gamma, K
+    n_gamma = K * sum(m.n_atoms for m, _ in inputs)
+    w_cols = n_gamma + np.arange(K)
+    c_parts, rows, cols, rhs = [], [], [], []
+    r = off = 0
+    for m, lam in inputs:
+        sz = m.n_atoms
+        c_parts.append(lam * _candidate_cost(cost, m, S).ravel())
+        gamma = off + np.arange(sz * K)
+        rows += [r + np.repeat(np.arange(sz), K), r + sz + np.tile(np.arange(K), sz),
+                 r + sz + np.arange(K)]
+        cols += [gamma, gamma, w_cols]
+        rhs += [m.weights, np.zeros(K)]
+        r, off = r + sz + K, off + sz * K
+    rows, cols = np.concatenate(rows + [np.full(K, r)]), np.concatenate(cols + [w_cols])
+    vals = np.where((cols >= n_gamma) & (rows < r), -1.0, 1.0)  # -w_k in the ties
+    A = sparse.csr_matrix((vals, (rows, cols)), shape=(r + 1, n_gamma + K))
+    return np.concatenate(c_parts + [np.zeros(K)]), A, np.concatenate(rhs + [[1.0]]), n_gamma, K
 
 
 def _split_gammas(x: np.ndarray, inputs, K: int):
@@ -274,20 +261,7 @@ def _atom_update(cost: CostSpec, points: np.ndarray, masses: np.ndarray, start: 
     if cost.kind == "norm_power" and cost.p == 2.0:
         return mean
     if points.shape[1] == 1:
-        lo = float(points.min())
-        hi = float(points.max())
-
-        def phi(m):
-            return float(sum(w * cost.evaluate(x, np.array([m])) for x, w in zip(points, masses)))
-
-        while hi - lo > 1e-12:
-            m1 = lo + (hi - lo) / 3.0
-            m2 = hi - (hi - lo) / 3.0
-            if phi(m1) <= phi(m2):
-                hi = m2
-            else:
-                lo = m1
-        return np.array([(lo + hi) / 2.0])
+        return np.array([_convex_argmin_1d(cost, points[:, 0], masses)])
 
     def phi_vec(m):
         return float(sum(w * cost.evaluate(x, m) for x, w in zip(points, masses)))
@@ -363,6 +337,27 @@ def barycenter_free_support(
 # Exact 1-D quantile construction
 # ---------------------------------------------------------------------------
 
+def _convex_argmin_1d(cost: CostSpec, xs: np.ndarray, ws: np.ndarray) -> float:
+    """argmin_m sum_i ws_i g(xs_i - m) on the line, by ternary search.
+
+    The search runs on [min xs, max xs] until the bracket is 1e-12 wide
+    and returns its midpoint.
+    """
+    lo, hi = float(xs.min()), float(xs.max())
+
+    def phi(m):
+        return float(sum(w * cost.evaluate(np.array([x]), np.array([m])) for x, w in zip(xs, ws)))
+
+    while hi - lo > 1e-12:
+        m1 = lo + (hi - lo) / 3.0
+        m2 = hi - (hi - lo) / 3.0
+        if phi(m1) <= phi(m2):
+            hi = m2
+        else:
+            lo = m1
+    return (lo + hi) / 2.0
+
+
 def _segment_argmin(cost: CostSpec, xs: np.ndarray, lams: np.ndarray) -> float:
     if cost.kind == "norm_power" and cost.p == 2.0:
         return float((lams * xs).sum() / lams.sum())
@@ -374,19 +369,7 @@ def _segment_argmin(cost: CostSpec, xs: np.ndarray, lams: np.ndarray) -> float:
         lo = xs_s[idx]
         hi = xs_s[idx + 1] if (abs(cum[idx] - 0.5) <= 1e-15 and idx + 1 < len(xs_s)) else lo
         return float((lo + hi) / 2.0)
-    lo, hi = float(xs.min()), float(xs.max())
-
-    def phi(m):
-        return float(sum(w * cost.evaluate(np.array([x]), np.array([m])) for x, w in zip(xs, lams)))
-
-    while hi - lo > 1e-12:
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if phi(m1) <= phi(m2):
-            hi = m2
-        else:
-            lo = m1
-    return float((lo + hi) / 2.0)
+    return _convex_argmin_1d(cost, xs, lams)
 
 
 def barycenter_quantile_1d(problem: BarycenterProblem) -> BarycenterResult:

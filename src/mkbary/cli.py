@@ -133,7 +133,7 @@ def cmd_verify(args) -> int:
     config = _load_json(args.config) if args.config else {}
     if args.seed is not None:
         config.setdefault("seed", args.seed)
-    result = run_suite(args.suite, config, jobs=args.jobs)
+    result = run_suite(args.suite, config)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{result.name}.csv"

@@ -146,7 +146,6 @@ def lln_experiment(
     cost: CostSpec,
     solver: str = "fixed",
     stratified: bool = False,
-    jobs: int = 1,
 ) -> ExperimentReport:
     """Empirical barycenters of i.i.d. draws against the population barycenter.
 
@@ -154,10 +153,7 @@ def lln_experiment(
     the empirical barycenter on the same constraint set, and record the
     distance to the nearest population-barycenter representative together
     with the lifted distance between the empirical and true populations.
-    Fixed seeds make the run bit-reproducible; seeds run one after another
-    and are merged in seed order.  ``jobs`` is accepted and ignored: a
-    thread pool over seeds made runs slower, since the work holds the GIL
-    between short LP calls.
+    Fixed seeds make the run bit-reproducible.
     """
     n_grid = sorted(int(n) for n in n_grid)
     seeds = list(seeds)
@@ -165,9 +161,9 @@ def lln_experiment(
     K = len(population.atoms)
     j_pop = _cost_table(population.atoms, population.atoms, cost)
 
-    def run_seed(seed: int):
+    records, errors = [], []
+    for seed in seeds:
         rng = np.random.default_rng(seed)
-        rows, errs = [], []
         for n in n_grid:
             t0 = time.perf_counter()
             try:
@@ -195,17 +191,9 @@ def lln_experiment(
                 )
                 j_bar = min(sol[1] for sol in sols[:-1])
                 meta_j = sols[-1][1]
-                rows.append((n, seed, j_bar, meta_j, time.perf_counter() - t0))
+                records.append((n, seed, j_bar, meta_j, time.perf_counter() - t0))
             except Exception as exc:  # record the hole, keep the report partial
-                errs.append((n, seed, repr(exc)))
-        return rows, errs
-
-    outcomes = [run_seed(s) for s in seeds]
-
-    records, errors = [], []
-    for rows, errs in outcomes:
-        records.extend(rows)
-        errors.extend(errs)
+                errors.append((n, seed, repr(exc)))
     records.sort(key=lambda r: (r[0], r[1]))
 
     med_j = {n: float(np.median([r[2] for r in records if r[0] == n])) for n in n_grid}

@@ -178,10 +178,6 @@ class CostSpec:
         raise SpaceMismatch(f"{self.kind} cost needs a euclidean space")
 
 
-def cost_matrix(cost: CostSpec, mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
-    return cost.matrix(mu, nu)
-
-
 # ---------------------------------------------------------------------------
 # Growth constants
 # ---------------------------------------------------------------------------

@@ -168,7 +168,10 @@ class DiscreteMeasure:
 
 
 def _sort_and_merge(space: GroundSpace, atoms: np.ndarray, weights: np.ndarray):
-    """Sort atoms lexicographically and merge duplicates by weight addition."""
+    """Sort atoms lexicographically and merge duplicates by weight addition.
+
+    ``weights`` may also be a matrix; the rows of merged atoms are added.
+    """
     if space.kind == "euclidean":
         order = np.lexsort(atoms.T[::-1])
     else:

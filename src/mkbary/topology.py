@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .costs import CostSpec
-from .measures import ATOM_MERGE_TOL, DiscreteMeasure, _as_point, canonicalize
+from .measures import DiscreteMeasure, _as_point, _sort_and_merge, canonicalize
 from .transport import TransportPlan, solve_lp_batch, solve_lp_matrix
 
 VERDICT_TOL = 1e-6
@@ -130,27 +130,6 @@ def diagnostics_to_csv(diag: SequenceDiagnostics, path) -> None:
 # Plan truncation
 # ---------------------------------------------------------------------------
 
-def _merge_rows(space, atoms: np.ndarray, rows: np.ndarray):
-    """Sort atoms and add together coupling rows of coinciding atoms."""
-    if space.kind == "euclidean":
-        order = np.lexsort(atoms.T[::-1])
-    else:
-        order = np.argsort(atoms, kind="stable")
-    atoms, rows = atoms[order], rows[order]
-    out_atoms, out_rows = [atoms[0]], [rows[0].copy()]
-    for a, r in zip(atoms[1:], rows[1:]):
-        if space.kind == "euclidean":
-            dup = np.max(np.abs(a - out_atoms[-1])) <= ATOM_MERGE_TOL
-        else:
-            dup = a == out_atoms[-1]
-        if dup:
-            out_rows[-1] += r
-        else:
-            out_atoms.append(a)
-            out_rows.append(r.copy())
-    return np.asarray(out_atoms), np.asarray(out_rows)
-
-
 def truncate_plan(gamma: TransportPlan, x0, R: float, cost: CostSpec):
     """Collapse far-field plan mass onto the target diagonal.
 
@@ -182,7 +161,7 @@ def truncate_plan(gamma: TransportPlan, x0, R: float, cost: CostSpec):
     else:
         atoms = np.concatenate([mu.atoms, nu.atoms]).astype(int)
     stacked = np.concatenate([top, diag], axis=0)
-    atoms, rows = _merge_rows(mu.space, atoms, stacked)
+    atoms, rows = _sort_and_merge(mu.space, atoms, stacked)
     mass = rows.sum(axis=1)
     keep = mass > 0
     atoms, rows, mass = atoms[keep], rows[keep], mass[keep]

@@ -110,72 +110,6 @@ def _block_system(shapes) -> csc_array:
     return csc_array((np.ones(len(indices)), indices, indptr), shape=shape)
 
 
-def _cancel_cycles(x: np.ndarray, C: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Remove support cycles so the plan has at most m+n-1 positive entries.
-
-    At an optimum every support cycle has zero cost, so cancelling keeps
-    the objective; the non-increasing direction is chosen regardless.
-    """
-    m, n = x.shape
-    x = x.copy()
-    while True:
-        rows = [list(np.nonzero(x[i] > tol)[0]) for i in range(m)]
-        cols = [list(np.nonzero(x[:, j] > tol)[0]) for j in range(n)]
-        # DFS on the bipartite support graph; nodes 0..m-1 rows, m..m+n-1 cols
-        parent = {}
-        cycle = None
-        for start in range(m):
-            if cycle or start in parent:
-                continue
-            if not rows[start]:
-                continue
-            parent[start] = None
-            stack = [start]
-            while stack and cycle is None:
-                node = stack.pop()
-                if node < m:
-                    nbrs = [m + j for j in rows[node]]
-                else:
-                    nbrs = list(cols[node - m])
-                for nb in nbrs:
-                    if nb == parent[node]:
-                        continue
-                    if nb in parent:
-                        # reconstruct the cycle from both ancestries
-                        path_a, p = [node], node
-                        while p is not None:
-                            p = parent[p]
-                            if p is not None:
-                                path_a.append(p)
-                        path_b, p = [nb], nb
-                        while p is not None:
-                            p = parent[p]
-                            if p is not None:
-                                path_b.append(p)
-                        common = next(c for c in path_a if c in set(path_b))
-                        cyc = path_a[: path_a.index(common) + 1]
-                        cyc += list(reversed(path_b[: path_b.index(common)]))
-                        cycle = cyc
-                        break
-                    parent[nb] = node
-                    stack.append(nb)
-        if cycle is None:
-            return x
-        cells = []
-        for a, b in zip(cycle, cycle[1:] + [cycle[0]]):
-            i, j = (a, b - m) if a < m else (b, a - m)
-            cells.append((i, j))
-        signs = np.array([1.0 if k % 2 == 0 else -1.0 for k in range(len(cells))])
-        unit_cost = float(sum(s * C[i, j] for s, (i, j) in zip(signs, cells)))
-        if unit_cost > 0:
-            signs = -signs
-        theta = min(x[i, j] for s, (i, j) in zip(signs, cells) if s < 0)
-        for s, (i, j) in zip(signs, cells):
-            x[i, j] += s * theta
-            if x[i, j] < tol:
-                x[i, j] = 0.0
-
-
 def _pack(sizes, cap: int):
     """Split consecutive problem indices into runs of at most ``cap`` variables.
 
@@ -194,6 +128,15 @@ def _pack(sizes, cap: int):
 
 
 def _certify(k: int, x: np.ndarray, C: np.ndarray, a: np.ndarray, b: np.ndarray, u, v):
+    # a simplex vertex of the transportation polytope has at most m+n-1
+    # positive entries, so a larger support means the solver left a cycle
+    m, n = x.shape
+    support = int(np.count_nonzero(x > 1e-12))
+    if support > m + n - 1:
+        raise NumericalFailure(
+            f"transport LP block {k}: plan has {support} positive entries, "
+            f"more than the {m + n - 1} of a vertex"
+        )
     objective = float((x * C).sum())
     dual = float(a @ u + b @ v)
     gap = max(0.0, objective - dual)
@@ -210,9 +153,10 @@ def solve_lp_batch(problems) -> list:
     solver.  The others are packed in order into block-diagonal HiGHS calls
     of at most ``MAX_BATCH_VARS`` variables; a larger problem is solved
     alone.  Each block's primal and equality duals are split back out,
-    cleaned of support cycles, polished by a c-transform and certified by
-    its own duality gap.  Raises NumericalFailure, naming the block, when
-    the solver does not terminate optimally or a gap stays open.
+    polished by a c-transform and certified by a vertex check and its own
+    duality gap.  Raises NumericalFailure, naming the block, when the
+    solver does not terminate optimally, a plan is not a vertex or a gap
+    stays open.
     """
     problems = [(np.asarray(C, dtype=float), np.asarray(a, dtype=float),
                  np.asarray(b, dtype=float)) for C, a, b in problems]
@@ -245,7 +189,6 @@ def solve_lp_batch(problems) -> list:
         for k, (m, n) in zip(ks, shapes):
             C, a, b = problems[k]
             x = np.clip(res.x[col:col + m * n].reshape(m, n), 0.0, None)
-            x = _cancel_cycles(x, C)
             u = np.asarray(res.eqlin.marginals[row:row + m], dtype=float)
             # polish the potentials so feasibility holds exactly
             v = np.min(C - u[:, None], axis=0)

@@ -206,15 +206,13 @@ DEFAULT_LLN_CONFIG = {
 }
 
 
-def run_lln(config: dict, jobs: int = 1) -> SuiteResult:
+def run_lln(config: dict) -> SuiteResult:
     """Empirical barycenters approach the population barycenter as n grows."""
     cfg = {**DEFAULT_LLN_CONFIG, **config}
     population = population_from_json(cfg["population"])
     constraint = constraint_from_json(cfg["constraint"])
     cost = cost_from_json(cfg["cost"])
-    report = lln_experiment(
-        population, cfg["n_grid"], cfg["seeds"], constraint, cost, jobs=jobs
-    )
+    report = lln_experiment(population, cfg["n_grid"], cfg["seeds"], constraint, cost)
     med_j = report.summary["median_j"]
     med_meta = report.summary["median_meta_j"]
     n_lo, n_hi = min(med_j), max(med_j)
@@ -279,13 +277,10 @@ SUITES = {
 }
 
 
-def run_suite(name: str, config: dict | None = None, jobs: int = 1) -> SuiteResult:
+def run_suite(name: str, config: dict | None = None) -> SuiteResult:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    config = config or {}
-    if name == "lln":
-        return run_lln(config, jobs=jobs)
-    return SUITES[name](config)
+    return SUITES[name](config or {})
 
 
 def run_interpolation(config: dict) -> SuiteResult:

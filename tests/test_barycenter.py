@@ -23,6 +23,7 @@ LINE = GroundSpace.euclidean(1)
 PLANE = GroundSpace.euclidean(2)
 SQ = CostSpec.norm_power(2)
 ABS = CostSpec.norm_power(1)
+QUARTIC = CostSpec.norm_power(4)  # no closed-form 1-D minimizer: the ternary search runs
 
 D0 = dirac(LINE, [0.0])
 D1 = dirac(LINE, [1.0])
@@ -83,6 +84,13 @@ def test_free_support_midpoint():
         assert res.certificate.kind == "local_stationary"
 
 
+def test_free_support_quartic_midpoint():
+    prob = two_dirac_problem(Constraint.free(1), QUARTIC)
+    res = barycenter_free_support(prob, k=1)
+    assert res.measure.same_as(dirac(LINE, [0.5]), atol=1e-9)
+    assert res.objective == pytest.approx(0.5**4, abs=1e-12)
+
+
 def test_free_support_fixed_point():
     m = canonicalize([[0.0], [1.0], [3.0]], [0.2, 0.3, 0.5], LINE)
     prob = BarycenterProblem.make([(m, 1.0)], Constraint.free(3), SQ)
@@ -135,24 +143,55 @@ def test_quantile_rejects_wrong_inputs():
         barycenter_quantile_1d(two_dirac_problem(Constraint.quantile_1d(), CostSpec.metric_power(0.5)))
 
 
-def test_quantile_matches_fixed_support_lp():
+def _assert_quantile_matches_lp(seed, cost):
     # the LP on (quantile atoms + input atoms) must reproduce the objective
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(2, 5))
+    inputs = [
+        (generate_random_measure(seed * 50 + i, [-2.0], [2.0], 5), float(rng.uniform(0.2, 1)))
+        for i in range(k)
+    ]
+    prob = BarycenterProblem.make(inputs, Constraint.quantile_1d(), cost)
+    qres = barycenter_quantile_1d(prob)
+    grid = np.concatenate([qres.measure.atoms] + [m.atoms for m, _ in prob.inputs])
+    grid = np.unique(np.round(grid, 12), axis=0)
+    lp = barycenter_fixed_support(
+        BarycenterProblem.make(list(prob.inputs), Constraint.simplex_over(grid), cost)
+    )
+    assert abs(qres.objective - lp.objective) <= 1e-7
+
+
+def test_quantile_matches_fixed_support_lp():
     for seed in range(20):
-        rng = np.random.default_rng(seed)
-        k = int(rng.integers(2, 5))
-        inputs = [
-            (generate_random_measure(seed * 50 + i, [-2.0], [2.0], 5), float(rng.uniform(0.2, 1)))
-            for i in range(k)
-        ]
-        cost = SQ if seed % 2 == 0 else ABS
-        prob = BarycenterProblem.make(inputs, Constraint.quantile_1d(), cost)
-        qres = barycenter_quantile_1d(prob)
-        grid = np.concatenate([qres.measure.atoms] + [m.atoms for m, _ in prob.inputs])
-        grid = np.unique(np.round(grid, 12), axis=0)
-        lp = barycenter_fixed_support(
-            BarycenterProblem.make(list(prob.inputs), Constraint.simplex_over(grid), cost)
-        )
-        assert abs(qres.objective - lp.objective) <= 1e-7
+        _assert_quantile_matches_lp(seed, SQ if seed % 2 == 0 else ABS)
+
+
+def test_quantile_quartic_matches_fixed_support_lp():
+    for seed in range(6):
+        _assert_quantile_matches_lp(seed, QUARTIC)
+
+
+def test_joint_lp_system_by_hand():
+    from mkbary.barycenter import _joint_lp_system
+
+    wide = canonicalize([[0.0], [2.0]], [0.25, 0.75], LINE)
+    prob = BarycenterProblem.make([(D0, 1.0), (wide, 3.0)], Constraint.quantile_1d(), SQ)
+    c, A, rhs, n_gamma, K = _joint_lp_system(prob.inputs, SQ, np.array([[0.0], [1.0]]))
+    # columns: gamma of D0 (1x2), gamma of wide (2x2, row-major), w (2)
+    expected = [
+        [1, 1, 0, 0, 0, 0, 0, 0],   # D0 marginal
+        [1, 0, 0, 0, 0, 0, -1, 0],  # D0 tie to w_0
+        [0, 1, 0, 0, 0, 0, 0, -1],  # D0 tie to w_1
+        [0, 0, 1, 1, 0, 0, 0, 0],   # wide marginal, atom 0
+        [0, 0, 0, 0, 1, 1, 0, 0],   # wide marginal, atom 2
+        [0, 0, 1, 0, 1, 0, -1, 0],  # wide tie to w_0
+        [0, 0, 0, 1, 0, 1, 0, -1],  # wide tie to w_1
+        [0, 0, 0, 0, 0, 0, 1, 1],   # w on the simplex
+    ]
+    assert (n_gamma, K) == (6, 2)
+    np.testing.assert_array_equal(A.toarray(), expected)
+    np.testing.assert_array_equal(c, [0.0, 0.25, 0.0, 0.75, 3.0, 0.75, 0.0, 0.0])
+    np.testing.assert_array_equal(rhs, [1.0, 0.0, 0.0, 0.25, 0.75, 0.0, 0.0, 1.0])
 
 
 def test_translation_equivariance_quadratic():

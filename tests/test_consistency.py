@@ -90,15 +90,6 @@ def test_lln_bit_reproducible():
     assert not r1.incomplete
 
 
-def test_lln_jobs_merge_in_seed_order():
-    pop = random_population(3, 9, [0.0, 0.0], [1.0, 1.0], 3)
-    serial = lln_experiment(pop, [2, 4], [0, 1, 2, 3], GRID5, SQ, jobs=1)
-    threaded = lln_experiment(pop, [2, 4], [0, 1, 2, 3], GRID5, SQ, jobs=4)
-    a = [(n, s, j, m) for n, s, j, m, _ in serial.records]
-    b = [(n, s, j, m) for n, s, j, m, _ in threaded.records]
-    assert a == b
-
-
 def test_perturbation_zero_delta_and_monotone_meta():
     pop = MetaDistribution.dirac(generate_random_measure(8, [0.0, 0.0], [1.0, 1.0], 4))
     report = perturbation_experiment(pop, [0.0, 0.01, 0.05, 0.1], GRID5, SQ)

@@ -8,7 +8,6 @@ from mkbary import (
     UnboundedRatio,
     canonicalize,
     consistency_check,
-    cost_matrix,
     growth_constants,
     relaxed_constants,
 )
@@ -28,10 +27,10 @@ def test_cost_matrix_examples():
     d0 = canonicalize([[0.0]], [1.0], LINE)
     m = canonicalize([[0.0], [1.0]], [0.5, 0.5], LINE)
     n = canonicalize([[2.0]], [1.0], LINE)
-    assert cost_matrix(CostSpec.norm_power(1), d0, d0).tolist() == [[0.0]]
-    assert cost_matrix(CostSpec.norm_power(1), m, n).tolist() == [[2.0], [1.0]]
+    assert CostSpec.norm_power(1).matrix(d0, d0).tolist() == [[0.0]]
+    assert CostSpec.norm_power(1).matrix(m, n).tolist() == [[2.0], [1.0]]
     both = canonicalize([[0.0], [1.0]], [0.5, 0.5], LINE)
-    assert cost_matrix(CostSpec.norm_power(2), m, both).tolist() == [[0.0, 1.0], [1.0, 0.0]]
+    assert CostSpec.norm_power(2).matrix(m, both).tolist() == [[0.0, 1.0], [1.0, 0.0]]
 
 
 def test_growth_constants_norm_powers():

@@ -136,6 +136,24 @@ def test_failures_name_the_block(monkeypatch):
         solve_lp_batch(problems)
 
 
+def test_non_vertex_plan_names_its_block(monkeypatch):
+    # zero costs make the dense 2x2 plan optimal with a closed gap, so only
+    # the vertex check can reject it
+    real_linprog = transport.linprog
+
+    def dense_second_block(c, **kw):
+        res = real_linprog(c, **kw)
+        res.x[4:8] = 0.25
+        return res
+
+    half = np.array([0.5, 0.5])
+    problems = [(np.array([[0.0, 1.0], [1.0, 0.0]]), half, half), (np.zeros((2, 2)), half, half)]
+    solve_lp_batch(problems)
+    monkeypatch.setattr(transport, "linprog", dense_second_block)
+    with pytest.raises(NumericalFailure, match="block 1: plan has 4 positive entries"):
+        solve_lp_batch(problems)
+
+
 def test_plan_check_raises_under_python_O():
     src = Path(__file__).resolve().parents[1] / "src"
     script = (

@@ -129,28 +129,6 @@ def test_plan_sparsity_at_larger_sizes():
         assert (plan.coupling > 1e-12).sum() <= mu.n_atoms + nu.n_atoms - 1
 
 
-def test_cycle_cancellation_direct():
-    from mkbary.transport import _cancel_cycles
-
-    # fully dense 2x2 coupling carries a support cycle; cancelling it keeps
-    # the marginals and cannot increase the cost
-    x = np.array([[0.25, 0.25], [0.25, 0.25]])
-    C = np.array([[0.0, 1.0], [1.0, 0.0]])
-    out = _cancel_cycles(x, C)
-    np.testing.assert_allclose(out.sum(axis=0), x.sum(axis=0), atol=1e-12)
-    np.testing.assert_allclose(out.sum(axis=1), x.sum(axis=1), atol=1e-12)
-    assert (out > 1e-12).sum() <= 3
-    assert (out * C).sum() <= (x * C).sum() + 1e-12
-
-    # zero-cost cycle on a 3x3 doubly stochastic coupling
-    x3 = np.full((3, 3), 1.0 / 9)
-    C3 = np.zeros((3, 3))
-    out3 = _cancel_cycles(x3, C3)
-    np.testing.assert_allclose(out3.sum(axis=0), np.full(3, 1 / 3), atol=1e-12)
-    np.testing.assert_allclose(out3.sum(axis=1), np.full(3, 1 / 3), atol=1e-12)
-    assert (out3 > 1e-12).sum() <= 5
-
-
 def test_identity_and_positivity():
     for seed in range(10):
         m = rand_measure(seed)
