@@ -36,7 +36,7 @@ class Constraint:
     """Feasible set for the barycenter: free (atom budget), a candidate
     simplex, or the 1-D quantile route."""
 
-    kind: str  # free | simplex_over | fixed_support | quantile_1d
+    kind: str  # free | simplex_over | quantile_1d
     atoms: Optional[np.ndarray] = None
     k: Optional[int] = None
 
@@ -124,17 +124,6 @@ def objective(nu: DiscreteMeasure, problem: BarycenterProblem) -> float:
 # Fixed-support joint LP
 # ---------------------------------------------------------------------------
 
-def _candidate_cost(cost: CostSpec, measure: DiscreteMeasure, S: np.ndarray) -> np.ndarray:
-    space = measure.space
-    if space.kind == "euclidean":
-        return cost.pair_matrix(measure.atoms, S)
-    idx = S.astype(int).ravel()
-    table = cost.bound_to(space)
-    if table.kind == "finite_matrix":
-        return table.values[np.ix_(measure.atoms.astype(int), idx)]
-    return space.rho[np.ix_(measure.atoms.astype(int), idx)] ** table.p
-
-
 def _joint_lp_system(inputs, cost: CostSpec, S: np.ndarray):
     """Assemble the joint LP over (coupling blocks, candidate weights).
 
@@ -149,7 +138,7 @@ def _joint_lp_system(inputs, cost: CostSpec, S: np.ndarray):
     r = off = 0
     for m, lam in inputs:
         sz = m.n_atoms
-        c_parts.append(lam * _candidate_cost(cost, m, S).ravel())
+        c_parts.append(lam * cost.table(m.space, m.atoms, S).ravel())
         gamma = off + np.arange(sz * K)
         rows += [r + np.repeat(np.arange(sz), K), r + sz + np.tile(np.arange(K), sz),
                  r + sz + np.arange(K)]
@@ -217,7 +206,7 @@ def _fixed_support_lp(inputs, cost: CostSpec, S: np.ndarray, tie_break: bool = T
 
 def barycenter_fixed_support(problem: BarycenterProblem) -> BarycenterResult:
     """Solve the barycenter LP on the simplex over the candidate atoms."""
-    if problem.constraint.kind not in ("simplex_over", "fixed_support"):
+    if problem.constraint.kind != "simplex_over":
         raise ValueError("fixed-support solver needs a candidate atom set")
     S = problem.constraint.atoms
     if problem.space.kind == "finite":
@@ -264,7 +253,7 @@ def _atom_update(cost: CostSpec, points: np.ndarray, masses: np.ndarray, start: 
         return np.array([_convex_argmin_1d(cost, points[:, 0], masses)])
 
     def phi_vec(m):
-        return float(sum(w * cost.evaluate(x, m) for x, w in zip(points, masses)))
+        return float(masses @ cost.pair_matrix(points, [m])[:, 0])
 
     res = minimize(phi_vec, x0=start, method="Powell", options={"xtol": 1e-10, "ftol": 1e-12})
     return np.asarray(res.x, dtype=float)
@@ -346,7 +335,7 @@ def _convex_argmin_1d(cost: CostSpec, xs: np.ndarray, ws: np.ndarray) -> float:
     lo, hi = float(xs.min()), float(xs.max())
 
     def phi(m):
-        return float(sum(w * cost.evaluate(np.array([x]), np.array([m])) for x, w in zip(xs, ws)))
+        return ws @ cost.pair_matrix(xs[:, None], [[m]])[:, 0]
 
     while hi - lo > 1e-12:
         m1 = lo + (hi - lo) / 3.0

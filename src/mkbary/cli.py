@@ -32,7 +32,7 @@ from .barycenter import (
     result_to_json,
 )
 from .costs import cost_from_json, growth_constants
-from .errors import MKError, NumericalFailure
+from .errors import MKError, NotConvexCost, NotOneDimensional, NumericalFailure
 from .measures import measure_from_json
 from .transport import plan_to_json, solve_transport
 from .verify import run_suite
@@ -102,8 +102,8 @@ def cmd_barycenter(args) -> int:
     problem = problem_from_json(_load_json(args.problem))
     method = args.method
     if method is None:
-        method = {"simplex_over": "fixed", "fixed_support": "fixed",
-                  "free": "free", "quantile_1d": "quantile1d"}[problem.constraint.kind]
+        method = {"simplex_over": "fixed", "free": "free",
+                  "quantile_1d": "quantile1d"}[problem.constraint.kind]
     if method == "quantile1d":
         if problem.space.kind != "euclidean" or problem.space.dim != 1:
             raise UsageError("--method quantile1d needs one-dimensional measures")
@@ -111,7 +111,7 @@ def cmd_barycenter(args) -> int:
     elif method == "free":
         result = barycenter_free_support(problem, init_seed=args.seed)
     elif method == "fixed":
-        if problem.constraint.kind not in ("simplex_over", "fixed_support"):
+        if problem.constraint.kind != "simplex_over":
             raise UsageError("--method fixed needs a candidate atom set in the problem file")
         result = barycenter_fixed_support(problem)
     else:
@@ -206,7 +206,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, NotConvexCost, NotOneDimensional) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 4
     except ParseError as exc:

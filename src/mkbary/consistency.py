@@ -22,7 +22,6 @@ from .barycenter import (
     BarycenterProblem,
     Constraint,
     barycenter_fixed_support,
-    barycenter_free_support,
 )
 from .costs import CostSpec
 from .measures import DiscreteMeasure, GroundSpace, canonicalize, measure_from_json
@@ -124,14 +123,11 @@ class ExperimentReport:
 
 
 def _population_barycenter(population: MetaDistribution, constraint: Constraint,
-                           cost: CostSpec, solver: str = "fixed"):
+                           cost: CostSpec):
     problem = BarycenterProblem.make(
         [(m, p) for m, p in zip(population.atoms, population.probs)], constraint, cost
     )
-    if solver == "free":
-        result = barycenter_free_support(problem)
-    else:
-        result = barycenter_fixed_support(problem)
+    result = barycenter_fixed_support(problem)
     reps = [result.measure]
     if result.alt_measure is not None:
         reps.append(result.alt_measure)
@@ -144,7 +140,6 @@ def lln_experiment(
     seeds,
     constraint: Constraint,
     cost: CostSpec,
-    solver: str = "fixed",
     stratified: bool = False,
 ) -> ExperimentReport:
     """Empirical barycenters of i.i.d. draws against the population barycenter.
@@ -157,7 +152,7 @@ def lln_experiment(
     """
     n_grid = sorted(int(n) for n in n_grid)
     seeds = list(seeds)
-    pop_result, reps = _population_barycenter(population, constraint, cost, solver)
+    pop_result, reps = _population_barycenter(population, constraint, cost)
     K = len(population.atoms)
     j_pop = _cost_table(population.atoms, population.atoms, cost)
 
@@ -179,12 +174,9 @@ def lln_experiment(
                     (population.atoms[i], counts[i] / n) for i in range(K) if sel[i]
                 ]
                 problem = BarycenterProblem.make(emp_inputs, constraint, cost)
-                if solver == "free":
-                    emp = barycenter_free_support(problem)
-                else:
-                    emp = barycenter_fixed_support(problem)
+                emp = barycenter_fixed_support(problem)
                 # the J(emp, rep) LPs and the lifted-distance LP as one batch
-                C = cost.bound_to(emp.measure.space).matrix
+                C = cost.matrix
                 sols = solve_lp_batch(
                     [(C(emp.measure, rep), emp.measure.weights, rep.weights) for rep in reps]
                     + [(j_pop[sel], counts[sel] / n, population.probs)]
@@ -211,7 +203,7 @@ def lln_experiment(
         config={
             "n_grid": n_grid,
             "seeds": seeds,
-            "solver": solver,
+            "solver": "fixed",
             "stratified": stratified,
         },
         records=records,

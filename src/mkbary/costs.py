@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -66,7 +66,6 @@ class CostSpec:
     g_dim: int = 1
     values: Optional[np.ndarray] = None
     declared: Optional[dict] = None
-    space: Optional[GroundSpace] = None  # bound finite space for metric_power
 
     # -- constructors ---------------------------------------------------------
     @staticmethod
@@ -104,12 +103,6 @@ class CostSpec:
         return CostSpec(kind="finite_matrix", values=vals, declared=_check_declared(declared))
 
     # -- evaluation -----------------------------------------------------------
-    def bound_to(self, space: GroundSpace) -> "CostSpec":
-        """Bind a metric_power cost to a finite space so single points evaluate."""
-        if self.kind == "metric_power" and space.kind == "finite" and self.space is None:
-            return replace(self, space=space)
-        return self
-
     @property
     def is_convex_translation(self) -> bool:
         if self.kind == "norm_power":
@@ -128,11 +121,9 @@ class CostSpec:
         return True
 
     def evaluate(self, x, y) -> float:
-        """c(x, y) for two points of the ground space."""
+        """c(x, y) for two euclidean points, or two indices of a finite_matrix table."""
         if self.kind == "finite_matrix":
             return float(self.values[int(x), int(y)])
-        if self.kind == "metric_power" and self.space is not None:
-            return float(self.space.rho[int(x), int(y)] ** self.p)
         xv = np.atleast_1d(np.asarray(x, dtype=float))
         yv = np.atleast_1d(np.asarray(y, dtype=float))
         if xv.shape != yv.shape:
@@ -142,40 +133,47 @@ class CostSpec:
         sq = float(np.sum((xv - yv) ** 2))
         return sq ** (self.p / 2.0)
 
+    def table(self, space: GroundSpace, X, Y) -> np.ndarray:
+        """c(x, y) for every point x of X and y of Y, both points of ``space``.
+
+        Euclidean points are rows of (m, d) and (n, d) arrays, finite-space
+        points are indices.  A cost kind that cannot score points of the
+        space raises ``SpaceMismatch``.
+        """
+        if space.kind == "euclidean":
+            X = np.atleast_2d(np.asarray(X, dtype=float))
+            Y = np.atleast_2d(np.asarray(Y, dtype=float))
+            if X.shape[1] != space.dim or Y.shape[1] != space.dim:
+                raise SpaceMismatch(f"points do not fit R^{space.dim}")
+            if self.kind == "translation":
+                out = np.empty((X.shape[0], Y.shape[0]))
+                for i in range(X.shape[0]):
+                    for j in range(Y.shape[0]):
+                        out[i, j] = float(self.g(X[i] - Y[j]))
+                return out
+            if self.kind in ("metric_power", "norm_power"):
+                sq = np.sum((X[:, None, :] - Y[None, :, :]) ** 2, axis=-1)
+                return sq ** (self.p / 2.0)
+            raise SpaceMismatch(f"{self.kind} cost cannot score euclidean points")
+        ix = np.ix_(np.asarray(X).astype(int).ravel(), np.asarray(Y).astype(int).ravel())
+        if self.kind == "finite_matrix":
+            if self.values.shape[0] != space.n_points:
+                raise SpaceMismatch("cost matrix size disagrees with the space")
+            return self.values[ix]
+        if self.kind == "metric_power":
+            return space.rho[ix] ** self.p
+        raise SpaceMismatch(f"{self.kind} cost needs a euclidean space")
+
     def pair_matrix(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        """Cost table between two euclidean point arrays (m, d) x (n, d)."""
+        """``table`` between two euclidean point arrays (m, d) x (n, d)."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        Y = np.atleast_2d(np.asarray(Y, dtype=float))
-        if self.kind == "translation":
-            out = np.empty((X.shape[0], Y.shape[0]))
-            for i in range(X.shape[0]):
-                for j in range(Y.shape[0]):
-                    out[i, j] = float(self.g(X[i] - Y[j]))
-            return out
-        if self.kind in ("metric_power", "norm_power"):
-            sq = np.sum((X[:, None, :] - Y[None, :, :]) ** 2, axis=-1)
-            return sq ** (self.p / 2.0)
-        raise SpaceMismatch(f"{self.kind} cost cannot score euclidean points")
+        return self.table(GroundSpace.euclidean(X.shape[1]), X, Y)
 
     def matrix(self, mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
         """Entrywise costs between the atoms of two measures."""
         if not mu.space.same_as(nu.space):
             raise SpaceMismatch("measures live on different ground spaces")
-        space = mu.space
-        if space.kind == "euclidean":
-            if self.kind == "finite_matrix":
-                raise SpaceMismatch("finite_matrix cost on a euclidean space")
-            return self.pair_matrix(mu.atoms, nu.atoms)
-        # finite space
-        ai = mu.atoms.astype(int)
-        aj = nu.atoms.astype(int)
-        if self.kind == "finite_matrix":
-            if self.values.shape[0] != space.n_points:
-                raise SpaceMismatch("cost matrix size disagrees with the space")
-            return self.values[np.ix_(ai, aj)]
-        if self.kind == "metric_power":
-            return space.rho[np.ix_(ai, aj)] ** self.p
-        raise SpaceMismatch(f"{self.kind} cost needs a euclidean space")
+        return self.table(mu.space, mu.atoms, nu.atoms)
 
 
 # ---------------------------------------------------------------------------
@@ -195,14 +193,6 @@ def _q_from_B(B: float) -> tuple[float, float]:
     q0 = math.log(2.0 * B) / math.log(2.0)
     q = max(3.0 * B, q0, 1.0)
     return q, q0
-
-
-def _finite_cost_table(cost: CostSpec) -> np.ndarray:
-    if cost.kind == "finite_matrix":
-        return cost.values
-    if cost.kind == "metric_power" and cost.space is not None:
-        return cost.space.rho ** cost.p
-    raise SpaceMismatch("cost has no finite table")
 
 
 def _enumerate_B_finite(c: np.ndarray, cap: float) -> float:
@@ -257,7 +247,7 @@ def growth_constants(cost: CostSpec, cap: float = RATIO_CAP,
         return GrowthConstants(A=0.0, B=B, q=q, q0=q0, provenance="analytic")
 
     if cost.kind == "finite_matrix":
-        B = _enumerate_B_finite(_finite_cost_table(cost), cap)
+        B = _enumerate_B_finite(cost.values, cap)
         q, q0 = _q_from_B(B)
         return GrowthConstants(A=0.0, B=B, q=q, q0=q0, provenance="analytic")
 
@@ -320,20 +310,19 @@ def relaxed_constants(
 
     For subadditive costs the pair (0, 1) is returned; for convex
     translation costs the doubling construction C_eps = B**(k+1) with the
-    smallest k making 2**(-k) B < eps; for finite tables the exact sup is
-    enumerated.  The result is always re-verified on the deterministic
-    grid (or all triples of a finite space) and a violation raises
-    ``ConstructionFailed`` with the witness triple.
+    smallest k making 2**(-k) B < eps; for finite_matrix tables the exact
+    sup is enumerated (a metric power on a finite space enters as
+    ``CostSpec.finite_matrix(space.rho ** p)``).  The result is always
+    re-verified on the deterministic grid (or all triples of a finite
+    space) and a violation raises ``ConstructionFailed`` with the witness
+    triple.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
 
-    finite_like = cost.kind == "finite_matrix" or (
-        cost.kind == "metric_power" and cost.space is not None
-    )
-    if finite_like:
+    if cost.kind == "finite_matrix":
         # exact enumeration over all index triples (x, y, z)
-        c = _finite_cost_table(cost)
+        c = cost.values
         n = c.shape[0]
         cxy = np.broadcast_to(c[:, :, None], (n, n, n))
         cxz = np.broadcast_to(c[:, None, :], (n, n, n))
@@ -404,11 +393,18 @@ class ConsistencyReport:
 
 
 def consistency_check(cost: CostSpec, sample: list) -> ConsistencyReport:
-    """Diagnostic for c(x,y)=0 iff x=y and co-vanishing of c along shrinking steps."""
+    """Diagnostic for c(x,y)=0 iff x=y and co-vanishing of c along shrinking steps.
+
+    Integer sample points are finite-space indices; a metric power on a
+    finite space enters as ``CostSpec.finite_matrix(space.rho ** p)``.
+    """
     if not sample:
         raise ValueError("sample must be nonempty")
     failures = []
     finite_points = isinstance(sample[0], (int, np.integer))
+    if finite_points and cost.kind == "metric_power":
+        raise SpaceMismatch("metric_power cannot score finite-space indices; "
+                            "pass finite_matrix(rho ** p)")
 
     for x in sample:
         for y in sample:

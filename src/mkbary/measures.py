@@ -294,14 +294,10 @@ def mixture(mu0: DiscreteMeasure, mu1: DiscreteMeasure, t: float) -> DiscreteMea
     return canonicalize(atoms, weights, mu0.space)
 
 
-def ball_cutoff(cost, x0, R: float) -> Callable:
-    """Piecewise-linear cutoff: 1 on the cost-ball of radius R around x0,
-    0 outside radius R+1, linear in between."""
-
-    def f(x):
-        return float(np.clip(R + 1.0 - cost.evaluate(x0, x), 0.0, 1.0))
-
-    return f
+def _cutoff(measure: DiscreteMeasure, x0, R: float, cost) -> np.ndarray:
+    """Piecewise-linear cutoff at each atom: 1 on the cost-ball of radius R
+    around the point x0, 0 outside radius R+1, linear in between."""
+    return np.clip(R + 1.0 - cost.table(measure.space, [x0], measure.atoms)[0], 0.0, 1.0)
 
 
 def truncate_to_ball(nu: DiscreteMeasure, x0, R: float, cost) -> DiscreteMeasure:
@@ -311,9 +307,7 @@ def truncate_to_ball(nu: DiscreteMeasure, x0, R: float, cost) -> DiscreteMeasure
     at ``x0``; the result always has total mass 1.
     """
     x0 = _as_point(nu.space, x0)
-    f = ball_cutoff(cost, x0, R)
-    vals = np.array([f(nu.atom(i)) for i in range(nu.n_atoms)], dtype=float)
-    masses = vals * nu.weights
+    masses = _cutoff(nu, x0, R, cost) * nu.weights
     m = float(masses.sum())
     if nu.space.kind == "euclidean":
         atoms = np.concatenate([nu.atoms, np.asarray(x0, dtype=float)[None, :]])
@@ -327,12 +321,8 @@ def tail_cost(nu: DiscreteMeasure, x0, R: float, cost) -> float:
     """Cost mass outside the radius-R cost ball: sum of c(x, x0) w(x) over
     atoms with c(x0, x) > R."""
     x0 = _as_point(nu.space, x0)
-    total = 0.0
-    for i in range(nu.n_atoms):
-        x = nu.atom(i)
-        if cost.evaluate(x0, x) > R:
-            total += cost.evaluate(x, x0) * float(nu.weights[i])
-    return total
+    far = cost.table(nu.space, [x0], nu.atoms)[0] > R
+    return float(cost.table(nu.space, nu.atoms[far], [x0])[:, 0] @ nu.weights[far])
 
 
 # ---------------------------------------------------------------------------

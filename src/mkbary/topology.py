@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .costs import CostSpec
-from .measures import DiscreteMeasure, _as_point, _sort_and_merge, canonicalize
+from .measures import DiscreteMeasure, _as_point, _cutoff, _sort_and_merge, canonicalize
 from .transport import TransportPlan, solve_lp_batch, solve_lp_matrix
 
 VERDICT_TOL = 1e-6
@@ -34,13 +34,7 @@ class SequenceDiagnostics:
 
 def _weak_proxy_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
     """The bounded ground metric min(rho, 1) between the atoms of mu and nu."""
-    space = mu.space
-    if space.kind == "euclidean":
-        diff = mu.atoms[:, None, :] - nu.atoms[None, :, :]
-        rho = np.sqrt(np.sum(diff**2, axis=-1))
-    else:
-        rho = space.rho[np.ix_(mu.atoms.astype(int), nu.atoms.astype(int))]
-    return np.minimum(rho, 1.0)
+    return np.minimum(CostSpec.metric_power(1).matrix(mu, nu), 1.0)
 
 
 def weak_proxy_distance(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
@@ -84,7 +78,7 @@ def check_convergence(
     """
     if not sequence:
         raise ValueError("sequence must be nonempty")
-    C = cost.bound_to(limit.space).matrix
+    C = cost.matrix
     problems = [(C(reference, limit), reference.weights, limit.weights)]
     for nu_n in sequence:
         problems += [
@@ -140,14 +134,9 @@ def truncate_plan(gamma: TransportPlan, x0, R: float, cost: CostSpec):
     K(gamma) - K(f_R|gamma).  Returns (nu_tilde, plan, cost_drop).
     """
     mu, nu = gamma.source, gamma.target
-    cost = cost.bound_to(mu.space)
     x0p = _as_point(mu.space, x0)
-    phi_x = np.array(
-        [np.clip(R + 1.0 - cost.evaluate(x0p, mu.atom(i)), 0.0, 1.0) for i in range(mu.n_atoms)]
-    )
-    phi_y = np.array(
-        [np.clip(R + 1.0 - cost.evaluate(x0p, nu.atom(j)), 0.0, 1.0) for j in range(nu.n_atoms)]
-    )
+    phi_x = _cutoff(mu, x0p, R, cost)
+    phi_y = _cutoff(nu, x0p, R, cost)
     lam = gamma.coupling * phi_x[:, None] * phi_y[None, :]
     C = cost.matrix(mu, nu)
     k_gamma = float((gamma.coupling * C).sum())
@@ -166,7 +155,7 @@ def truncate_plan(gamma: TransportPlan, x0, R: float, cost: CostSpec):
     keep = mass > 0
     atoms, rows, mass = atoms[keep], rows[keep], mass[keep]
     nu_tilde = canonicalize(atoms, mass, mu.space)
-    C_new = cost.bound_to(mu.space).matrix(nu_tilde, nu)
+    C_new = cost.matrix(nu_tilde, nu)
     plan = TransportPlan(
         source=nu_tilde,
         target=nu,

@@ -207,7 +207,7 @@ def solve_lp_matrix(C: np.ndarray, a: np.ndarray, b: np.ndarray):
 def solve_transport_batch(pairs, cost: CostSpec) -> list:
     """Optimal plans for independent ``(mu, nu)`` pairs, solved as one batch."""
     pairs = list(pairs)
-    matrices = [cost.bound_to(mu.space).matrix(mu, nu) for mu, nu in pairs]
+    matrices = [cost.matrix(mu, nu) for mu, nu in pairs]
     sols = solve_lp_batch(
         [(C, mu.weights, nu.weights) for C, (mu, nu) in zip(matrices, pairs)]
     )
@@ -258,7 +258,6 @@ def brute_force_transport(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSp
 
     Independent of the LP path; limited to supports of size at most 4x4.
     """
-    cost = cost.bound_to(mu.space)
     C = cost.matrix(mu, nu)
     m, n = C.shape
     if m > 4 or n > 4:
@@ -298,7 +297,7 @@ class GluedCoupling:
 
     def projected_xy_cost(self, cost: CostSpec) -> float:
         """K of the (x, y) projection; an upper bound for J(first, second)."""
-        C = cost.bound_to(self.first.space).matrix(self.first, self.second)
+        C = cost.matrix(self.first, self.second)
         return float((self.marginal_xy() * C).sum())
 
 

@@ -95,6 +95,27 @@ def test_barycenter_quantile_rejects_2d(tmp_path, capsys):
     assert rc == 4
 
 
+def test_barycenter_wrong_method_is_usage_error(tmp_path, capsys):
+    finite = {"space": {"kind": "finite", "rho": [[0.0, 1.0], [1.0, 0.0]]},
+              "atoms": [0, 1], "weights": [0.5, 0.5]}
+    problem = {"inputs": [{"measure": finite, "lambda": 1.0}],
+               "constraint": {"kind": "simplex_over", "atoms": [0, 1]},
+               "cost": {"kind": "metric_power", "p": 1}}
+    pf = write(tmp_path / "finite.json", problem)
+    rc = main(["barycenter", pf, "--method", "free", "--out-dir", str(tmp_path)])
+    assert rc == 4
+    assert "usage error" in capsys.readouterr().err
+    # a metric power is not a convex translation cost, so no quantile route
+    problem = {"inputs": [{"measure": MEASURE_01, "lambda": 1.0}],
+               "constraint": {"kind": "quantile_1d"},
+               "cost": {"kind": "metric_power", "p": 2}}
+    pf = write(tmp_path / "line.json", problem)
+    rc = main(["barycenter", pf, "--out-dir", str(tmp_path)])
+    assert rc == 4
+    assert "usage error" in capsys.readouterr().err
+    assert not (tmp_path / "barycenter.json").exists()
+
+
 def test_constants_output(tmp_path, capsys):
     cost = write(tmp_path / "c.json", COST_SQ)
     rc = main(["constants", cost, "--out-dir", str(tmp_path)])

@@ -5,6 +5,7 @@ from mkbary import (
     ConstructionFailed,
     CostSpec,
     GroundSpace,
+    SpaceMismatch,
     UnboundedRatio,
     canonicalize,
     consistency_check,
@@ -31,6 +32,38 @@ def test_cost_matrix_examples():
     assert CostSpec.norm_power(1).matrix(m, n).tolist() == [[2.0], [1.0]]
     both = canonicalize([[0.0], [1.0]], [0.5, 0.5], LINE)
     assert CostSpec.norm_power(2).matrix(m, both).tolist() == [[0.0, 1.0], [1.0, 0.0]]
+
+    # table agrees with the scalar evaluate on every (cost kind, space kind)
+    # pair that scores points, and refuses the others
+    rng = np.random.default_rng(5)
+    rho = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.5], [2.0, 1.5, 0.0]])
+    finite = GroundSpace.finite(rho)
+
+    def skew(u):  # convex and asymmetric: 2u on the right, -u on the left
+        return float(2.0 * max(u[0], 0.0) - min(u[0], 0.0) + np.sum(u[1:] ** 2))
+
+    skews = {1: CostSpec.translation(skew, dim=1), 2: CostSpec.translation(skew, dim=2)}
+    table3 = CostSpec.finite_matrix([[0.0, 1.0, 3.0], [2.0, 0.0, 1.0], [1.0, 2.0, 0.0]])
+    for space in (LINE, PLANE):
+        X = rng.normal(size=(4, space.dim))
+        Y = rng.normal(size=(3, space.dim))
+        for cost in (CostSpec.metric_power(3), CostSpec.norm_power(1), CostSpec.norm_power(2),
+                     skews[space.dim]):
+            expect = [[cost.evaluate(x, y) for y in Y] for x in X]
+            np.testing.assert_allclose(cost.table(space, X, Y), expect, rtol=1e-14, atol=0.0)
+        with pytest.raises(SpaceMismatch):
+            table3.table(space, X, Y)
+    with pytest.raises(SpaceMismatch):
+        CostSpec.norm_power(2).table(LINE, [[0.0]], [[0.0, 1.0]])
+    ix, iy = [0, 2, 1, 2], [1, 0, 2]
+    for cost, scalar in ((table3, table3),
+                         (CostSpec.metric_power(2), CostSpec.finite_matrix(rho ** 2))):
+        expect = [[scalar.evaluate(x, y) for y in iy] for x in ix]
+        assert cost.table(finite, ix, iy).tolist() == expect
+    for cost in (CostSpec.norm_power(1), skews[1],
+                 CostSpec.finite_matrix([[0.0, 1.0], [1.0, 0.0]])):
+        with pytest.raises(SpaceMismatch):
+            cost.table(finite, ix, iy)
 
 
 def test_growth_constants_norm_powers():
@@ -138,6 +171,13 @@ def test_consistency_check_passes_builtin():
     rng = np.random.default_rng(3)
     sample2 = [rng.normal(size=2) for _ in range(4)]
     assert consistency_check(CostSpec.norm_power(4), sample2).passed
+
+
+def test_consistency_check_refuses_indices_for_metric_power():
+    with pytest.raises(SpaceMismatch):
+        consistency_check(CostSpec.metric_power(1), [0, 1, 2])
+    rho = np.array([[0.0, 10.0, 10.0], [10.0, 0.0, 10.0], [10.0, 10.0, 0.0]])
+    assert consistency_check(CostSpec.finite_matrix(rho ** 1), [0, 1, 2]).passed
 
 
 def test_consistency_check_fails_zero_off_diagonal():

@@ -205,6 +205,26 @@ def test_tail_cost_examples():
     assert tail_cost(m, [0.0], 100.0, SQ) == 0.0
 
 
+TRI = GroundSpace.finite([[0.0, 10.0, 10.0], [10.0, 0.0, 10.0], [10.0, 10.0, 0.0]])
+
+
+def test_finite_metric_power_tail_cost():
+    nu = canonicalize([0, 1, 2], [1 / 3, 1 / 3, 1 / 3], TRI)
+    assert tail_cost(nu, 0, 5.0, CostSpec.metric_power(1)) == pytest.approx(20 / 3, abs=1e-12)
+    assert tail_cost(nu, 0, 50.0, CostSpec.metric_power(2)) == pytest.approx(200 / 3, abs=1e-12)
+    assert tail_cost(nu, 0, 10.0, CostSpec.metric_power(1)) == 0.0
+
+
+def test_finite_metric_power_truncate_to_ball():
+    nu = canonicalize([0, 1, 2], [1 / 3, 1 / 3, 1 / 3], TRI)
+    assert truncate_to_ball(nu, 0, 5.0, CostSpec.metric_power(1)).same_as(dirac(TRI, 0))
+    # f_R = clamp(10.5 - 10) = 0.5 at points 1 and 2: half their mass moves to 0
+    out = truncate_to_ball(nu, 0, 9.5, CostSpec.metric_power(1))
+    assert out.atoms.tolist() == [0, 1, 2]
+    np.testing.assert_allclose(out.weights, [2 / 3, 1 / 6, 1 / 6], atol=1e-12)
+    assert truncate_to_ball(nu, 0, 10.0, CostSpec.metric_power(1)).same_as(nu)
+
+
 def test_tail_cost_nonincreasing_in_R():
     rng = np.random.default_rng(2)
     m = canonicalize(rng.uniform(-3, 3, size=(5, 1)), rng.dirichlet(np.ones(5)), LINE)

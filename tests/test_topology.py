@@ -114,7 +114,7 @@ def test_truncate_plan_split_support():
     plan = solve_transport(mu, nu, ABS)
     nu_t, new_plan, drop = truncate_plan(plan, [0.0], 1.0, ABS)
     # phi = 1 on {0, 0.5}, 0 on {4, 4.5}: only the near pair is removed
-    C = ABS.bound_to(LINE).matrix(plan.source, plan.target)
+    C = ABS.matrix(plan.source, plan.target)
     k_gamma = float((plan.coupling * C).sum())
     assert drop == pytest.approx(k_gamma - 0.5 * 0.5, abs=1e-12)
     # target marginal is preserved exactly
@@ -134,6 +134,28 @@ def test_truncate_plan_marginal_identity_random():
         np.testing.assert_allclose(new_plan.coupling.sum(axis=1), nu_t.weights, atol=1e-9)
         assert new_plan.objective == pytest.approx(drop, abs=1e-9)
         assert transport_cost(nu_t, nu, SQ) <= drop + 1e-9
+
+
+TRI = GroundSpace.finite([[0.0, 10.0, 10.0], [10.0, 0.0, 10.0], [10.0, 10.0, 0.0]])
+
+
+def test_truncate_plan_finite_metric_power():
+    # three points 10 apart: phi is 1 at point 0 and 0 at points 1 and 2,
+    # so only the 0 -> 0 mass is cut and the 1 -> 2 cost of 5 drops out
+    mu = canonicalize([0, 1], [0.5, 0.5], TRI)
+    nu = canonicalize([0, 2], [0.5, 0.5], TRI)
+    plan = solve_transport(mu, nu, CostSpec.metric_power(1))
+    nu_t, new_plan, drop = truncate_plan(plan, 0, 5.0, CostSpec.metric_power(1))
+    assert drop == pytest.approx(5.0, abs=1e-12)
+    assert nu_t.same_as(mu)
+    assert new_plan.objective == pytest.approx(5.0, abs=1e-12)
+
+
+def test_finite_metric_power_tail_radius():
+    # the tail is scored by rho, not by the point indices
+    nu = canonicalize([0, 1, 2], [0.5, 0.25, 0.25], TRI)
+    assert uniform_tail_radius([nu], 0, CostSpec.metric_power(1), 1e-9) == 16.0
+    assert uniform_tail_radius([nu], 0, CostSpec.metric_power(2), 1e-9) == 128.0
 
 
 def test_uniform_tail_radius():
