@@ -4,8 +4,8 @@ Three routes:
 
 * ``barycenter_fixed_support``: one joint LP over couplings and candidate
   weights; globally optimal on the simplex over a candidate atom set,
-  with a duality-gap certificate and a deterministic lexicographic
-  tie-break among optimal vertices.
+  with a duality-gap certificate and a deterministic tie-break: the
+  optimal vertex of least graded weight sum_k k w_k over the candidates.
 * ``barycenter_free_support``: alternating minimization over atom
   locations and the fixed-support LP; local certificate only.
 * ``barycenter_quantile_1d``: exact solution on the line for convex
@@ -14,6 +14,7 @@ Three routes:
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from typing import Optional
 
@@ -29,6 +30,14 @@ from .errors import (
 )
 from .measures import DiscreteMeasure, GroundSpace, canonicalize, measure_from_json, measure_to_json
 from .transport import _LP_OPTIONS, GAP_TOL, transport_costs
+
+log = logging.getLogger("mkbary")
+
+# A column belongs to the optimal face when its reduced cost is at most
+# FACE_TOL * (1 + max |c|); HiGHS solves to dual feasibility 1e-10, so the
+# face's own reduced costs sit far below this and the objective check in
+# _face_tie_break rejects a face that lets in a costly column.
+FACE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -165,12 +174,59 @@ def _clip_dust(w: np.ndarray, rel: float = 1e-12) -> np.ndarray:
     return w
 
 
+def _face_tie_break(c_vec, A, rhs, h, value, y):
+    """The lo/hi graded-weight LPs (minimize, then maximize h.x) on the optimal face.
+
+    For an optimal dual y the optimal face is {x >= 0 : Ax = rhs, x_j = 0
+    wherever c_j - (A^T y)_j > 0} (complementary slackness), so both LPs run
+    on the columns of zero reduced cost, with no pin row.  Returns the two
+    solutions scattered back to full length, or None when an LP fails or its
+    c.x misses ``value``.
+    """
+    d = c_vec - A.T @ y
+    face = np.flatnonzero(d <= FACE_TOL * (1.0 + np.abs(c_vec).max()))
+    A_face = A.tocsc()[:, face]
+    out = []
+    for sign in (1.0, -1.0):
+        r = linprog(sign * h[face], A_eq=A_face, b_eq=rhs, bounds=(0, None), method="highs",
+                    options=_LP_OPTIONS)
+        if r.status != 0 or abs(c_vec[face] @ r.x - value) > GAP_TOL * (1.0 + abs(value)):
+            return None
+        x = np.zeros_like(c_vec)
+        x[face] = r.x
+        out.append(x)
+    return out
+
+
+def _pinned_tie_break(c_vec, A, rhs, h, value):
+    """The lo/hi graded-weight LPs on the full system plus the row c.x = value.
+
+    Returns the two solutions, or None when either LP fails.
+    """
+    A_pin = sparse.vstack([A, sparse.csr_matrix(c_vec[None, :])])
+    rhs_pin = np.append(rhs, value)
+    lo = linprog(h, A_eq=A_pin, b_eq=rhs_pin, bounds=(0, None), method="highs",
+                 options=_LP_OPTIONS)
+    hi = linprog(-h, A_eq=A_pin, b_eq=rhs_pin, bounds=(0, None), method="highs",
+                 options=_LP_OPTIONS)
+    if lo.status != 0 or hi.status != 0:
+        return None
+    return lo.x, hi.x
+
+
 def _fixed_support_lp(inputs, cost: CostSpec, S: np.ndarray, tie_break: bool = True):
     """Globally optimal candidate weights for a fixed atom set.
 
     Returns (weights, value, gap, alt_weights, gammas): alt_weights is a
     second optimal vertex when one exists (None otherwise) and gammas are
     the per-input coupling blocks of the reported solution.
+
+    With ``tie_break`` the reported vertex minimizes the graded weight
+    sum_k k w_k over the optimal face, and alt_weights comes from maximizing
+    it.  Both LPs run on the face's columns; if that route is rejected they
+    run on the full system pinned to the optimal value, and if those fail
+    too the main LP's vertex is returned untie-broken.  Each fallback logs
+    a warning on the ``mkbary`` logger.
     """
     c_vec, A, rhs, n_gamma, K = _joint_lp_system(inputs, cost, S)
     res = linprog(c_vec, A_eq=A, b_eq=rhs, bounds=(0, None), method="highs",
@@ -186,22 +242,22 @@ def _fixed_support_lp(inputs, cost: CostSpec, S: np.ndarray, tie_break: bool = T
     if not tie_break:
         return w, value, gap, None, _split_gammas(res.x, inputs, K)
 
-    # pin the optimal face with an equality row, then order vertices by a
-    # graded weight on atoms (smallest = the lexicographic representative)
     h = np.zeros_like(c_vec)
     h[n_gamma:] = np.arange(1, K + 1, dtype=float)
-    A_pin = sparse.vstack([A, sparse.csr_matrix(c_vec[None, :])])
-    rhs_pin = np.append(rhs, value)
-    lo = linprog(h, A_eq=A_pin, b_eq=rhs_pin, bounds=(0, None), method="highs",
-                 options=_LP_OPTIONS)
-    hi = linprog(-h, A_eq=A_pin, b_eq=rhs_pin, bounds=(0, None), method="highs",
-                 options=_LP_OPTIONS)
-    if lo.status != 0 or hi.status != 0:
+    sols = _face_tie_break(c_vec, A, rhs, h, value, res.eqlin.marginals)
+    if sols is None:
+        log.warning("barycenter tie-break: face-restricted LPs rejected; "
+                    "solving the pinned LPs on the full system")
+        sols = _pinned_tie_break(c_vec, A, rhs, h, value)
+    if sols is None:
+        log.warning("barycenter tie-break: pinned LPs failed; "
+                    "returning the main LP vertex without tie-break")
         return w, value, gap, None, _split_gammas(res.x, inputs, K)
-    w_lo = _clip_dust(np.clip(lo.x[n_gamma:], 0.0, None))
-    w_hi = _clip_dust(np.clip(hi.x[n_gamma:], 0.0, None))
+    x_lo, x_hi = sols
+    w_lo = _clip_dust(np.clip(x_lo[n_gamma:], 0.0, None))
+    w_hi = _clip_dust(np.clip(x_hi[n_gamma:], 0.0, None))
     alt = w_hi if np.max(np.abs(w_lo - w_hi)) > 1e-7 else None
-    return w_lo, value, gap, alt, _split_gammas(lo.x, inputs, K)
+    return w_lo, value, gap, alt, _split_gammas(x_lo, inputs, K)
 
 
 def barycenter_fixed_support(problem: BarycenterProblem) -> BarycenterResult:

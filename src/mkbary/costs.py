@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.stats import qmc
 
 from .errors import ConstructionFailed, SpaceMismatch, UnboundedRatio
 from .measures import DiscreteMeasure, GroundSpace
@@ -34,12 +33,34 @@ DEFAULT_GRID_SIZE = 10_000
 RATIO_CAP = 1e6
 
 
+def _first_primes(d: int) -> list:
+    primes: list = []
+    k = 2
+    while len(primes) < d:
+        if all(k % p for p in primes):
+            primes.append(k)
+        k += 1
+    return primes
+
+
 def halton_sample(n: int, d: int, lo, hi) -> np.ndarray:
-    """Deterministic low-discrepancy sample of n points in the box [lo, hi]^d."""
+    """Deterministic low-discrepancy sample of n points in the box [lo, hi]^d.
+
+    The unscrambled Halton sequence from index 0: coordinate j of point i is
+    the radical inverse of i in the j-th prime base, with its digits summed
+    from the most significant one (the order of scipy's
+    ``qmc.Halton(scramble=False)``, whose points these equal bit for bit).
+    """
     lo = np.broadcast_to(np.asarray(lo, dtype=float), (d,))
     hi = np.broadcast_to(np.asarray(hi, dtype=float), (d,))
-    eng = qmc.Halton(d=d, scramble=False, seed=0)
-    pts = eng.random(n)
+    idx = np.arange(n)
+    pts = np.zeros((n, d))
+    for j, base in enumerate(_first_primes(d)):
+        q, scale = idx.copy(), 1.0 / base
+        while q.any():
+            pts[:, j] += (q % base) * scale
+            scale /= base
+            q //= base
     return lo + pts * (hi - lo)
 
 
@@ -287,16 +308,24 @@ class RelaxedConstants:
 
 
 def _check_relaxed_on_triples(cost: CostSpec, eps, A_eps, C_eps, X, Y, Z):
-    """Both argument-order variants of the relaxed inequality on point triples."""
-    for x, y, z in zip(X, Y, Z):
-        cxy = cost.evaluate(x, y)
-        slack = 1e-9 * (1.0 + cxy)
-        lhs1 = A_eps + (1.0 + eps) * cost.evaluate(x, z) + C_eps * cost.evaluate(y, z)
-        lhs2 = A_eps + (1.0 + eps) * cost.evaluate(z, y) + C_eps * cost.evaluate(z, x)
-        if cxy > lhs1 + slack or cxy > lhs2 + slack:
-            raise ConstructionFailed(
-                f"relaxed inequality fails at eps={eps}", (x, y, z)
-            )
+    """Both argument-order variants of the relaxed inequality on point triples.
+
+    A violation raises ``ConstructionFailed`` naming the first failing
+    triple in input order.
+    """
+    origin = np.zeros((1, X.shape[1]))
+
+    def c(P, Q):  # c(p_i, q_i) row by row; euclidean costs are translation invariant
+        return cost.pair_matrix(P - Q, origin)[:, 0]
+
+    cxy = c(X, Y)
+    slack = 1e-9 * (1.0 + cxy)
+    lhs1 = A_eps + (1.0 + eps) * c(X, Z) + C_eps * c(Y, Z)
+    lhs2 = A_eps + (1.0 + eps) * c(Z, Y) + C_eps * c(Z, X)
+    bad = np.flatnonzero((cxy > lhs1 + slack) | (cxy > lhs2 + slack))
+    if bad.size:
+        i = bad[0]
+        raise ConstructionFailed(f"relaxed inequality fails at eps={eps}", (X[i], Y[i], Z[i]))
 
 
 def relaxed_constants(

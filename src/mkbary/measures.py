@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .errors import (
     EmptySupport,
@@ -170,27 +171,45 @@ class DiscreteMeasure:
 def _sort_and_merge(space: GroundSpace, atoms: np.ndarray, weights: np.ndarray):
     """Sort atoms lexicographically and merge duplicates by weight addition.
 
+    Walking in that order, an atom within ATOM_MERGE_TOL (sup-norm) of an
+    atom already kept merges into the first such one, neighbour in the
+    order or not; finite-space atoms merge when equal.  No two kept atoms
+    are within the tolerance.  Merged weights are added in sorted order.
     ``weights`` may also be a matrix; the rows of merged atoms are added.
     """
     if space.kind == "euclidean":
         order = np.lexsort(atoms.T[::-1])
+        tol = ATOM_MERGE_TOL
     else:
         order = np.argsort(atoms, kind="stable")
+        tol = 0
     atoms = atoms[order]
     weights = weights[order]
-    keep = [0]
-    for i in range(1, len(weights)):
-        prev = atoms[keep[-1]]
-        if space.kind == "euclidean":
-            dup = np.max(np.abs(atoms[i] - prev)) <= ATOM_MERGE_TOL
-        else:
-            dup = atoms[i] == prev
-        if dup:
-            weights[keep[-1]] += weights[i]
-        else:
-            keep.append(i)
-    idx = np.array(keep, dtype=int)
-    return atoms[idx], weights[idx]
+    n = len(atoms)
+    pts = atoms.reshape(n, -1)
+    # atoms within the tolerance have leading coordinates within twice the
+    # tolerance (twice, so that rounding in a subtraction drops no pair)
+    if not np.any(np.diff(pts[:, 0]) <= 2 * tol):
+        return atoms, weights
+    # equal atoms are neighbours: each starts out owned by the first of its run
+    head = np.ones(n, dtype=bool)
+    head[1:] = np.any(pts[1:] != pts[:-1], axis=1)
+    owner = np.maximum.accumulate(np.where(head, np.arange(n), 0))
+    heads = np.flatnonzero(head)
+    if tol > 0 and len(heads) > 1:
+        pairs = cKDTree(pts[heads]).query_pairs(2 * tol, p=np.inf, output_type="ndarray")
+        for j in np.unique(pairs[:, 1]):  # pairs (i, j) of heads have i < j
+            cand = heads[np.sort(pairs[pairs[:, 1] == j, 0])]
+            cand = cand[(owner[cand] == cand)
+                        & (np.max(np.abs(pts[cand] - pts[heads[j]]), axis=1) <= tol)]
+            if cand.size:
+                owner[heads[j]] = cand[0]
+        owner = owner[owner]
+    keep = owner == np.arange(n)
+    merged = np.flatnonzero(~keep)
+    out = weights[keep]
+    np.add.at(out, np.cumsum(keep)[owner[merged]] - 1, weights[merged])
+    return atoms[keep], out
 
 
 def canonicalize(raw_atoms, raw_weights, space: GroundSpace) -> DiscreteMeasure:

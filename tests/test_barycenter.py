@@ -235,3 +235,106 @@ def test_problem_weights_normalized():
         BarycenterProblem.make([], Constraint.quantile_1d(), SQ)
     with pytest.raises(ValueError):
         BarycenterProblem.make([(D0, -1.0)], Constraint.quantile_1d(), SQ)
+
+
+def _tie_instances():
+    """Seeded fixed-support problems built with ties: the all-ties pair of
+    Diracs, and inputs next to their mirror images on symmetric grids."""
+    yield two_dirac_problem(Constraint.simplex_over([[0.0], [1.0]]), ABS)
+    line_grid = np.linspace(-1.0, 1.0, 5)[:, None]
+    k = 4
+    plane_grid = np.array([[x, y] for x in np.linspace(-1, 1, k) for y in np.linspace(-1, 1, k)])
+    for seed in range(6):
+        m = generate_random_measure(1000 + seed, [-1.0], [1.0], 3)
+        mirror = pushforward(m, lambda x: -x)
+        yield BarycenterProblem.make([(m, 1.0), (mirror, 1.0)],
+                                     Constraint.simplex_over(line_grid), ABS)
+        p = generate_random_measure(1100 + seed, [-1, -1], [1, 1], 3)
+        flip = pushforward(p, lambda x: x * np.array([-1.0, 1.0]))
+        for cost in (ABS, SQ):
+            yield BarycenterProblem.make([(p, 1.0), (flip, 1.0)],
+                                         Constraint.simplex_over(plane_grid), cost)
+
+
+def _pinned_only(monkeypatch, problem):
+    from mkbary import barycenter
+
+    with monkeypatch.context() as mp:
+        mp.setattr(barycenter, "_face_tie_break", lambda *args: None)
+        return barycenter._fixed_support_lp(problem.inputs, problem.cost, problem.constraint.atoms)
+
+
+def test_face_route_matches_pinned_route(monkeypatch):
+    from scipy.optimize import linprog
+    from scipy import sparse
+
+    from mkbary.barycenter import _fixed_support_lp, _joint_lp_system
+
+    n_multiple = 0
+    for prob in _tie_instances():
+        S = prob.constraint.atoms
+        w, value, _, alt, _ = _fixed_support_lp(prob.inputs, prob.cost, S)
+        w_pin, value_pin, _, alt_pin, _ = _pinned_only(monkeypatch, prob)
+        assert value == value_pin
+        np.testing.assert_allclose(w, w_pin, rtol=0, atol=1e-9)
+        assert (alt is None) == (alt_pin is None)
+        if alt is not None:
+            n_multiple += 1
+            np.testing.assert_allclose(alt, alt_pin, rtol=0, atol=1e-9)
+
+        # no vertex of the optimal face has a smaller graded weight
+        c, A, rhs, n_gamma, K = _joint_lp_system(prob.inputs, prob.cost, S)
+        h = np.zeros_like(c)
+        h[n_gamma:] = np.arange(1, K + 1)
+        lo = linprog(h, A_eq=sparse.vstack([A, sparse.csr_matrix(c[None, :])]),
+                     b_eq=np.append(rhs, value), bounds=(0, None), method="highs")
+        assert lo.status == 0
+        assert h[n_gamma:] @ w <= lo.fun + 1e-9
+    assert n_multiple >= 3  # the instances do exercise ties
+
+
+def test_tie_break_fallbacks_are_logged(monkeypatch, caplog):
+    from mkbary import barycenter
+
+    m = generate_random_measure(1200, [-1, -1], [1, 1], 3)
+    flip = pushforward(m, lambda x: x * np.array([-1.0, 1.0]))
+    grid = np.array([[x, y] for x in np.linspace(-1, 1, 4) for y in np.linspace(-1, 1, 4)])
+    prob = BarycenterProblem.make([(m, 1.0), (flip, 1.0)], Constraint.simplex_over(grid), ABS)
+    n_full = len(barycenter._joint_lp_system(prob.inputs, prob.cost, grid)[0])
+    expected = _pinned_only(monkeypatch, prob)
+    real = barycenter.linprog
+
+    def doubled_on_face(c, **kw):  # the face LPs come back with twice the optimal cost
+        res = real(c, **kw)
+        if len(c) < n_full:
+            res.x = 2.0 * res.x
+        return res
+
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="mkbary"), monkeypatch.context() as mp:
+        mp.setattr(barycenter, "linprog", doubled_on_face)
+        got = barycenter._fixed_support_lp(prob.inputs, prob.cost, grid)
+    assert got[0].tolist() == expected[0].tolist()
+    assert (got[3] is None) == (expected[3] is None)
+    assert got[3] is None or got[3].tolist() == expected[3].tolist()
+    assert [r.getMessage() for r in caplog.records if r.name == "mkbary"] == [
+        "barycenter tie-break: face-restricted LPs rejected; solving the pinned LPs "
+        "on the full system"]
+
+    calls = []
+
+    def tie_breaks_fail(c, **kw):  # every LP after the main one fails
+        res = real(c, **kw)
+        calls.append(res)
+        if len(calls) > 1:
+            res.status = 2
+        return res
+
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="mkbary"), monkeypatch.context() as mp:
+        mp.setattr(barycenter, "linprog", tie_breaks_fail)
+        got = barycenter._fixed_support_lp(prob.inputs, prob.cost, grid)
+    untied = barycenter._fixed_support_lp(prob.inputs, prob.cost, grid, tie_break=False)
+    assert got[0].tolist() == untied[0].tolist() and got[3] is None
+    messages = [r.getMessage() for r in caplog.records if r.name == "mkbary"]
+    assert len(messages) == 2 and "pinned LPs failed" in messages[1]

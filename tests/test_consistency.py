@@ -130,3 +130,13 @@ def test_meta_distribution_validation():
         MetaDistribution.make([], [])
     merged = MetaDistribution.make([d0, d0], [0.5, 0.5])
     assert len(merged.atoms) == 1 and merged.probs[0] == 1.0
+
+
+def test_lln_and_perturb_defaults_take_the_face_route(caplog):
+    # every tie-break of the default `verify lln` and `verify perturb` runs
+    # on the optimal face; a fallback would log a warning
+    from mkbary.verify import run_suite
+
+    with caplog.at_level("WARNING", logger="mkbary"):
+        assert run_suite("lln").passed and run_suite("perturb").passed
+    assert [r.getMessage() for r in caplog.records if r.name == "mkbary"] == []

@@ -209,3 +209,42 @@ def test_cost_json_roundtrip():
         assert again.kind == c.kind
     with pytest.raises(ValueError):
         cost_to_json(CostSpec.translation(lambda u: float(abs(u[0])), dim=1))
+
+
+def test_halton_matches_scipy_unscrambled():
+    from scipy.stats import qmc
+
+    for d in (1, 2, 3, 6):
+        for n in (0, 1, 2, 97, 10_000):
+            ref = qmc.Halton(d=d, scramble=False).random(n)
+            got = halton_sample(n, d, 0.0, 1.0)
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+def _first_scalar_violation(cost, eps, A_eps, C_eps, X, Y, Z):
+    for x, y, z in zip(X, Y, Z):
+        cxy = cost.evaluate(x, y)
+        slack = 1e-9 * (1.0 + cxy)
+        lhs1 = A_eps + (1.0 + eps) * cost.evaluate(x, z) + C_eps * cost.evaluate(y, z)
+        lhs2 = A_eps + (1.0 + eps) * cost.evaluate(z, y) + C_eps * cost.evaluate(z, x)
+        if cxy > lhs1 + slack or cxy > lhs2 + slack:
+            return x, y, z
+    return None
+
+
+def test_relaxed_check_names_the_scalar_loops_triple():
+    from mkbary.costs import _check_relaxed_on_triples
+
+    quartic = CostSpec.translation(lambda u: float(np.sum(u**4)), dim=2)
+    for cost, dim, C_eps in ((CostSpec.norm_power(2), 1, 1.0), (CostSpec.norm_power(3), 2, 1.5),
+                             (CostSpec.metric_power(2), 3, 2.0), (quartic, 2, 4.0)):
+        pts = halton_sample(2000, 3 * dim, -1.0, 1.0)
+        X, Y, Z = pts[:, :dim], pts[:, dim : 2 * dim], pts[:, 2 * dim :]
+        ref = _first_scalar_violation(cost, 0.5, 0.0, C_eps, X, Y, Z)
+        assert ref is not None
+        with pytest.raises(ConstructionFailed) as err:
+            _check_relaxed_on_triples(cost, 0.5, 0.0, C_eps, X, Y, Z)
+        assert all(np.array_equal(a, b) for a, b in zip(err.value.args[1], ref))
+        # the constructed constant passes both the loop and the vectorized check
+        good = relaxed_constants(cost, 0.5, dim=dim)
+        assert _first_scalar_violation(cost, 0.5, good.A_eps, good.C_eps, X, Y, Z) is None

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mkbary import (
     CostSpec,
@@ -29,6 +31,55 @@ def test_canonicalize_merges_duplicates():
     m = canonicalize([[0.0], [0.0], [1.0]], [0.25, 0.25, 0.5], LINE)
     assert m.atoms.ravel().tolist() == [0.0, 1.0]
     assert m.weights.tolist() == [0.5, 0.5]
+
+
+def test_canonicalize_merges_non_neighbours():
+    # (1e-13, 5) is within ATOM_MERGE_TOL of (0, 5), but (5e-14, 0) sits
+    # between them in lexsort order
+    m = canonicalize([[0.0, 5.0], [1e-13, 5.0], [5e-14, 0.0]], [0.25, 0.25, 0.5],
+                     GroundSpace.euclidean(2))
+    assert m.atoms.tolist() == [[0.0, 5.0], [5e-14, 0.0]]
+    assert m.weights.tolist() == [0.5, 0.5]
+
+
+_near_atoms = st.integers(1, 3).flatmap(lambda d: st.lists(
+    st.tuples(st.lists(st.sampled_from([0.0, 1.0, 5.0]), min_size=d, max_size=d),
+              st.lists(st.integers(-15, 15), min_size=d, max_size=d),
+              st.floats(0.01, 1.0)),
+    min_size=1, max_size=12))
+
+
+@given(_near_atoms)
+@settings(max_examples=300, deadline=None)
+def test_sort_and_merge_separates_atoms_and_keeps_mass(rows):
+    from mkbary.measures import ATOM_MERGE_TOL, _sort_and_merge
+
+    # base points a few units apart, moved by multiples of ATOM_MERGE_TOL / 10
+    atoms = np.array([np.array(base) + np.array(steps) * ATOM_MERGE_TOL / 10
+                      for base, steps, _ in rows])
+    weights = np.array([w for _, _, w in rows])
+    space = GroundSpace.euclidean(atoms.shape[1])
+    out_atoms, out_weights = _sort_and_merge(space, atoms.copy(), weights.copy())
+    assert out_weights.sum() == pytest.approx(weights.sum(), rel=1e-14)
+    gaps = np.max(np.abs(out_atoms[:, None, :] - out_atoms[None, :, :]), axis=-1)
+    np.fill_diagonal(gaps, np.inf)
+    assert gaps.min() > ATOM_MERGE_TOL
+    # every input atom went to a kept atom within the tolerance
+    assert np.all(np.abs(atoms[:, None, :] - out_atoms[None, :, :]).max(axis=-1).min(axis=1)
+                  <= ATOM_MERGE_TOL)
+    m = canonicalize(atoms, weights / weights.sum(), space)
+    assert m.atoms.tolist() == out_atoms.tolist()
+    # the plain loop: in lexsort order, join the first kept atom within the tolerance
+    order = np.lexsort(atoms.T[::-1])
+    kept, sums = [], []
+    for i in order:
+        near = [k for k, a in enumerate(kept) if np.max(np.abs(atoms[i] - a)) <= ATOM_MERGE_TOL]
+        if near:
+            sums[near[0]] += weights[i]
+        else:
+            kept.append(atoms[i])
+            sums.append(weights[i])
+    assert out_atoms.tolist() == np.array(kept).tolist() and out_weights.tolist() == sums
 
 
 def test_canonicalize_identity():
