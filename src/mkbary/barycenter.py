@@ -5,7 +5,8 @@ Three routes:
 * ``barycenter_fixed_support``: one joint LP over couplings and candidate
   weights; globally optimal on the simplex over a candidate atom set,
   with a duality-gap certificate and a deterministic tie-break: the
-  optimal vertex of least graded weight sum_k k w_k over the candidates.
+  optimal vertex of least graded weight sum_k k w_k over the candidates,
+  found by one LP on the optimal face cut from the gap tolerance.
 * ``barycenter_free_support``: alternating minimization over atom
   locations and the fixed-support LP; local certificate only.
 * ``barycenter_quantile_1d``: exact solution on the line for convex
@@ -28,16 +29,17 @@ from .errors import (
     NotOneDimensional,
     NumericalFailure,
 )
-from .measures import DiscreteMeasure, GroundSpace, canonicalize, measure_from_json, measure_to_json
+from .measures import (
+    DiscreteMeasure,
+    GroundSpace,
+    canonicalize,
+    measure_from_json,
+    measure_to_json,
+    merge_equal_measures,
+)
 from .transport import _LP_OPTIONS, GAP_TOL, transport_costs
 
 log = logging.getLogger("mkbary")
-
-# A column belongs to the optimal face when its reduced cost is at most
-# FACE_TOL * (1 + max |c|); HiGHS solves to dual feasibility 1e-10, so the
-# face's own reduced costs sit far below this and the objective check in
-# _face_tie_break rejects a face that lets in a costly column.
-FACE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -88,17 +90,7 @@ class BarycenterProblem:
         if np.any(lams <= 0):
             raise ValueError("input weights must be positive")
         lams = lams / lams.sum()
-        space = inputs[0][0].space
-        merged: list = []
-        for (m, _), lam in zip(inputs, lams):
-            if not m.space.same_as(space):
-                raise ValueError("all inputs must share a ground space")
-            for idx, (m2, l2) in enumerate(merged):
-                if m.same_as(m2):
-                    merged[idx] = (m2, l2 + lam)
-                    break
-            else:
-                merged.append((m, lam))
+        merged = merge_equal_measures([(m, lam) for (m, _), lam in zip(inputs, lams)])
         return BarycenterProblem(inputs=tuple(merged), constraint=constraint, cost=cost)
 
     @property
@@ -174,44 +166,34 @@ def _clip_dust(w: np.ndarray, rel: float = 1e-12) -> np.ndarray:
     return w
 
 
-def _face_tie_break(c_vec, A, rhs, h, value, y):
+def _face_tie_break(c_vec, A, rhs, h, value, y, n_inputs: int):
     """The lo/hi graded-weight LPs (minimize, then maximize h.x) on the optimal face.
 
-    For an optimal dual y the optimal face is {x >= 0 : Ax = rhs, x_j = 0
-    wherever c_j - (A^T y)_j > 0} (complementary slackness), so both LPs run
-    on the columns of zero reduced cost, with no pin row.  Returns the two
-    solutions scattered back to full length, or None when an LP fails or its
-    c.x misses ``value``.
+    For a feasible x, c.x = rhs.y + d.x with reduced costs d = c - A^T y, and
+    x carries mass n_inputs + 1 (each coupling and the weights sum to 1).  So
+    keeping the columns with d <= GAP_TOL (1 + |value|) / (n_inputs + 1) keeps
+    every point of the face within the gap tolerance of the optimum, and
+    complementary slackness says the optimal vertices live on it.  Both LPs
+    run as one block-diagonal call on those columns, with no pin row.
+    Returns the two solutions scattered back to full length, or None when
+    the call fails or either half's c.x misses ``value``.
     """
-    d = c_vec - A.T @ y
-    face = np.flatnonzero(d <= FACE_TOL * (1.0 + np.abs(c_vec).max()))
+    tol = GAP_TOL * (1.0 + abs(value))
+    face = np.flatnonzero(c_vec - A.T @ y <= tol / (n_inputs + 1))
     A_face = A.tocsc()[:, face]
+    r = linprog(np.concatenate([h[face], -h[face]]), A_eq=sparse.block_diag((A_face, A_face)),
+                b_eq=np.concatenate([rhs, rhs]), bounds=(0, None), method="highs",
+                options=_LP_OPTIONS)
+    if r.status != 0:
+        return None
     out = []
-    for sign in (1.0, -1.0):
-        r = linprog(sign * h[face], A_eq=A_face, b_eq=rhs, bounds=(0, None), method="highs",
-                    options=_LP_OPTIONS)
-        if r.status != 0 or abs(c_vec[face] @ r.x - value) > GAP_TOL * (1.0 + abs(value)):
+    for x_face in np.split(r.x, 2):
+        if abs(c_vec[face] @ x_face - value) > tol:
             return None
         x = np.zeros_like(c_vec)
-        x[face] = r.x
+        x[face] = x_face
         out.append(x)
     return out
-
-
-def _pinned_tie_break(c_vec, A, rhs, h, value):
-    """The lo/hi graded-weight LPs on the full system plus the row c.x = value.
-
-    Returns the two solutions, or None when either LP fails.
-    """
-    A_pin = sparse.vstack([A, sparse.csr_matrix(c_vec[None, :])])
-    rhs_pin = np.append(rhs, value)
-    lo = linprog(h, A_eq=A_pin, b_eq=rhs_pin, bounds=(0, None), method="highs",
-                 options=_LP_OPTIONS)
-    hi = linprog(-h, A_eq=A_pin, b_eq=rhs_pin, bounds=(0, None), method="highs",
-                 options=_LP_OPTIONS)
-    if lo.status != 0 or hi.status != 0:
-        return None
-    return lo.x, hi.x
 
 
 def _fixed_support_lp(inputs, cost: CostSpec, S: np.ndarray, tie_break: bool = True):
@@ -223,10 +205,9 @@ def _fixed_support_lp(inputs, cost: CostSpec, S: np.ndarray, tie_break: bool = T
 
     With ``tie_break`` the reported vertex minimizes the graded weight
     sum_k k w_k over the optimal face, and alt_weights comes from maximizing
-    it.  Both LPs run on the face's columns; if that route is rejected they
-    run on the full system pinned to the optimal value, and if those fail
-    too the main LP's vertex is returned untie-broken.  Each fallback logs
-    a warning on the ``mkbary`` logger.
+    it; ``_face_tie_break`` solves both in one call.  If that call is
+    rejected, the main LP's vertex is returned untie-broken and a warning
+    goes to the ``mkbary`` logger.
     """
     c_vec, A, rhs, n_gamma, K = _joint_lp_system(inputs, cost, S)
     res = linprog(c_vec, A_eq=A, b_eq=rhs, bounds=(0, None), method="highs",
@@ -244,13 +225,9 @@ def _fixed_support_lp(inputs, cost: CostSpec, S: np.ndarray, tie_break: bool = T
 
     h = np.zeros_like(c_vec)
     h[n_gamma:] = np.arange(1, K + 1, dtype=float)
-    sols = _face_tie_break(c_vec, A, rhs, h, value, res.eqlin.marginals)
+    sols = _face_tie_break(c_vec, A, rhs, h, value, res.eqlin.marginals, len(inputs))
     if sols is None:
-        log.warning("barycenter tie-break: face-restricted LPs rejected; "
-                    "solving the pinned LPs on the full system")
-        sols = _pinned_tie_break(c_vec, A, rhs, h, value)
-    if sols is None:
-        log.warning("barycenter tie-break: pinned LPs failed; "
+        log.warning("barycenter tie-break: face LP rejected; "
                     "returning the main LP vertex without tie-break")
         return w, value, gap, None, _split_gammas(res.x, inputs, K)
     x_lo, x_hi = sols

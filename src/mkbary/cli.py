@@ -85,14 +85,20 @@ def cmd_transport(args) -> int:
     nu = measure_from_json(_load_json(args.nu))
     cost = cost_from_json(_load_json(args.cost))
     plan = solve_transport(mu, nu, cost)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
     if args.plan:
-        with open(args.plan, "w") as fh:
+        try:
+            fh = open(args.plan, "w")
+        except OSError as exc:
+            raise UsageError(f"cannot write --plan: {exc}") from exc
+        with fh:
             json.dump(plan_to_json(plan), fh, indent=2, sort_keys=True)
             fh.write("\n")
         outputs.append(args.plan)
     print(_fmt(plan.objective))
-    _write_manifest(Path(args.out_dir), "transport", [args.mu, args.nu, args.cost],
+    _write_manifest(out_dir, "transport", [args.mu, args.nu, args.cost],
                     outputs, {"plan": args.plan}, started)
     return 0
 
@@ -105,8 +111,6 @@ def cmd_barycenter(args) -> int:
         method = {"simplex_over": "fixed", "free": "free",
                   "quantile_1d": "quantile1d"}[problem.constraint.kind]
     if method == "quantile1d":
-        if problem.space.kind != "euclidean" or problem.space.dim != 1:
-            raise UsageError("--method quantile1d needs one-dimensional measures")
         result = barycenter_quantile_1d(problem)
     elif method == "free":
         result = barycenter_free_support(problem, init_seed=args.seed)

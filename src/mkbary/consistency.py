@@ -24,7 +24,13 @@ from .barycenter import (
     barycenter_fixed_support,
 )
 from .costs import CostSpec
-from .measures import DiscreteMeasure, GroundSpace, canonicalize, measure_from_json
+from .measures import (
+    DiscreteMeasure,
+    GroundSpace,
+    canonicalize,
+    measure_from_json,
+    merge_equal_measures,
+)
 from .transport import solve_lp_batch, solve_lp_matrix, transport_costs
 
 
@@ -44,18 +50,7 @@ class MetaDistribution:
             raise ValueError("probabilities must be positive")
         if abs(p.sum() - 1.0) > 1e-9:
             raise ValueError(f"probabilities sum to {p.sum()!r}")
-        space = measures[0].space
-        merged: list = []
-        for m, pi in zip(measures, p):
-            if not m.space.same_as(space):
-                raise ValueError("atom measures must share a ground space")
-            for idx, (m2, p2) in enumerate(merged):
-                if m.same_as(m2):
-                    merged[idx] = (m2, p2 + pi)
-                    break
-            else:
-                merged.append((m, pi))
-        ms, ps = zip(*merged)
+        ms, ps = zip(*merge_equal_measures(list(zip(measures, p))))
         ps = np.array(ps)
         return MetaDistribution(atoms=tuple(ms), probs=ps / ps.sum())
 

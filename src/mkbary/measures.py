@@ -313,6 +313,27 @@ def mixture(mu0: DiscreteMeasure, mu1: DiscreteMeasure, t: float) -> DiscreteMea
     return canonicalize(atoms, weights, mu0.space)
 
 
+def merge_equal_measures(pairs) -> list:
+    """Merge the (measure, weight) pairs whose measures are ``same_as``.
+
+    A pair equal to one already kept adds its weight to that one, so the
+    first of each group keeps its place.  Every measure must share the
+    first one's ground space.  Takes O(n^2) comparisons.
+    """
+    space = pairs[0][0].space
+    merged: list = []
+    for m, w in pairs:
+        if not m.space.same_as(space):
+            raise ValueError("all measures must share a ground space")
+        for idx, (m2, w2) in enumerate(merged):
+            if m.same_as(m2):
+                merged[idx] = (m2, w2 + w)
+                break
+        else:
+            merged.append((m, w))
+    return merged
+
+
 def _cutoff(measure: DiscreteMeasure, x0, R: float, cost) -> np.ndarray:
     """Piecewise-linear cutoff at each atom: 1 on the cost-ball of radius R
     around the point x0, 0 outside radius R+1, linear in between."""

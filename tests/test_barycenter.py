@@ -256,40 +256,40 @@ def _tie_instances():
                                          Constraint.simplex_over(plane_grid), cost)
 
 
-def _pinned_only(monkeypatch, problem):
-    from mkbary import barycenter
-
-    with monkeypatch.context() as mp:
-        mp.setattr(barycenter, "_face_tie_break", lambda *args: None)
-        return barycenter._fixed_support_lp(problem.inputs, problem.cost, problem.constraint.atoms)
-
-
-def test_face_route_matches_pinned_route(monkeypatch):
-    from scipy.optimize import linprog
+def _pinned_reference(problem, value):
+    """The lo/hi graded-weight LPs solved on the full system plus the row
+    c.x = value; returns their weights and the least graded weight."""
     from scipy import sparse
+    from scipy.optimize import linprog
 
-    from mkbary.barycenter import _fixed_support_lp, _joint_lp_system
+    from mkbary.barycenter import _clip_dust, _joint_lp_system
+
+    c, A, rhs, n_gamma, K = _joint_lp_system(problem.inputs, problem.cost,
+                                             problem.constraint.atoms)
+    h = np.zeros_like(c)
+    h[n_gamma:] = np.arange(1, K + 1)
+    A_pin = sparse.vstack([A, sparse.csr_matrix(c[None, :])])
+    rhs_pin = np.append(rhs, value)
+    lo, hi = (linprog(sign * h, A_eq=A_pin, b_eq=rhs_pin, bounds=(0, None), method="highs")
+              for sign in (1.0, -1.0))
+    assert lo.status == 0 and hi.status == 0
+    return _clip_dust(lo.x[n_gamma:]), _clip_dust(hi.x[n_gamma:]), lo.fun
+
+
+def test_face_route_matches_pinned_route():
+    from mkbary.barycenter import _fixed_support_lp
 
     n_multiple = 0
     for prob in _tie_instances():
-        S = prob.constraint.atoms
-        w, value, _, alt, _ = _fixed_support_lp(prob.inputs, prob.cost, S)
-        w_pin, value_pin, _, alt_pin, _ = _pinned_only(monkeypatch, prob)
-        assert value == value_pin
-        np.testing.assert_allclose(w, w_pin, rtol=0, atol=1e-9)
-        assert (alt is None) == (alt_pin is None)
+        w, value, _, alt, _ = _fixed_support_lp(prob.inputs, prob.cost, prob.constraint.atoms)
+        w_lo, w_hi, least = _pinned_reference(prob, value)
+        np.testing.assert_allclose(w, w_lo, rtol=0, atol=1e-9)
+        assert (alt is None) == (np.max(np.abs(w_lo - w_hi)) <= 1e-7)
         if alt is not None:
             n_multiple += 1
-            np.testing.assert_allclose(alt, alt_pin, rtol=0, atol=1e-9)
-
+            np.testing.assert_allclose(alt, w_hi, rtol=0, atol=1e-9)
         # no vertex of the optimal face has a smaller graded weight
-        c, A, rhs, n_gamma, K = _joint_lp_system(prob.inputs, prob.cost, S)
-        h = np.zeros_like(c)
-        h[n_gamma:] = np.arange(1, K + 1)
-        lo = linprog(h, A_eq=sparse.vstack([A, sparse.csr_matrix(c[None, :])]),
-                     b_eq=np.append(rhs, value), bounds=(0, None), method="highs")
-        assert lo.status == 0
-        assert h[n_gamma:] @ w <= lo.fun + 1e-9
+        assert np.arange(1, len(w) + 1) @ w <= least + 1e-9
     assert n_multiple >= 3  # the instances do exercise ties
 
 
@@ -300,41 +300,75 @@ def test_tie_break_fallbacks_are_logged(monkeypatch, caplog):
     flip = pushforward(m, lambda x: x * np.array([-1.0, 1.0]))
     grid = np.array([[x, y] for x in np.linspace(-1, 1, 4) for y in np.linspace(-1, 1, 4)])
     prob = BarycenterProblem.make([(m, 1.0), (flip, 1.0)], Constraint.simplex_over(grid), ABS)
-    n_full = len(barycenter._joint_lp_system(prob.inputs, prob.cost, grid)[0])
-    expected = _pinned_only(monkeypatch, prob)
+    untied = barycenter._fixed_support_lp(prob.inputs, prob.cost, grid, tie_break=False)
     real = barycenter.linprog
 
-    def doubled_on_face(c, **kw):  # the face LPs come back with twice the optimal cost
-        res = real(c, **kw)
-        if len(c) < n_full:
-            res.x = 2.0 * res.x
-        return res
+    def doubled(res):  # the face solutions come back with twice the optimal cost
+        res.x = 2.0 * res.x
 
+    def failed(res):
+        res.status = 2
+
+    for spoil in (doubled, failed):
+        calls = []
+
+        def spoiled_after_main(c, **kw):
+            res = real(c, **kw)
+            calls.append(res)
+            if len(calls) > 1:
+                spoil(res)
+            return res
+
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="mkbary"), monkeypatch.context() as mp:
+            mp.setattr(barycenter, "linprog", spoiled_after_main)
+            got = barycenter._fixed_support_lp(prob.inputs, prob.cost, grid)
+        assert len(calls) == 2  # the main LP, then one call for both tie-break LPs
+        assert got[0].tolist() == untied[0].tolist() and got[3] is None
+        assert [r.getMessage() for r in caplog.records if r.name == "mkbary"] == [
+            "barycenter tie-break: face LP rejected; returning the main LP vertex "
+            "without tie-break"]
+
+
+def _mkbary_messages(caplog, solve):
     caplog.clear()
-    with caplog.at_level("WARNING", logger="mkbary"), monkeypatch.context() as mp:
-        mp.setattr(barycenter, "linprog", doubled_on_face)
-        got = barycenter._fixed_support_lp(prob.inputs, prob.cost, grid)
-    assert got[0].tolist() == expected[0].tolist()
-    assert (got[3] is None) == (expected[3] is None)
-    assert got[3] is None or got[3].tolist() == expected[3].tolist()
-    assert [r.getMessage() for r in caplog.records if r.name == "mkbary"] == [
-        "barycenter tie-break: face-restricted LPs rejected; solving the pinned LPs "
-        "on the full system"]
+    with caplog.at_level("WARNING", logger="mkbary"):
+        result = solve()
+    return result, [r.getMessage() for r in caplog.records if r.name == "mkbary"]
 
-    calls = []
 
-    def tie_breaks_fail(c, **kw):  # every LP after the main one fails
-        res = real(c, **kw)
-        calls.append(res)
-        if len(calls) > 1:
-            res.status = 2
-        return res
+def test_near_duplicate_candidate_with_far_candidate_ties_cleanly(caplog):
+    # a candidate 1e-8 from the optimum costs 2e-9 more, and the far one
+    # makes max |c| = 1250: the face must still hold only optimal columns
+    prob = BarycenterProblem.make(
+        [(D0, 0.5), (dirac(LINE, [0.8]), 0.5)],
+        Constraint.simplex_over([0.0, 0.25, 0.5, 0.5 + 1e-8, 0.75, 1.0, 50.0]), SQ)
+    res, messages = _mkbary_messages(caplog, lambda: barycenter_fixed_support(prob))
+    assert messages == []
+    assert res.measure.atoms.ravel().tolist() == [0.5]
+    assert res.measure.weights.tolist() == [1.0]
+    assert res.objective == pytest.approx(0.17, abs=1e-12)
+    assert not res.multiple_optima
 
-    caplog.clear()
-    with caplog.at_level("WARNING", logger="mkbary"), monkeypatch.context() as mp:
-        mp.setattr(barycenter, "linprog", tie_breaks_fail)
-        got = barycenter._fixed_support_lp(prob.inputs, prob.cost, grid)
-    untied = barycenter._fixed_support_lp(prob.inputs, prob.cost, grid, tie_break=False)
-    assert got[0].tolist() == untied[0].tolist() and got[3] is None
-    messages = [r.getMessage() for r in caplog.records if r.name == "mkbary"]
-    assert len(messages) == 2 and "pinned LPs failed" in messages[1]
+
+def _near_duplicate_problem(seed):
+    """2-3 inputs of 1-3 atoms in the unit square; candidates are a base
+    grid of 3-7 points, a copy of it moved by 10^U(-10,-5) N(0,1), and (50, 50)."""
+    rng = np.random.default_rng(seed)
+    inputs = []
+    for _ in range(rng.integers(2, 4)):
+        n = rng.integers(1, 4)
+        inputs.append((canonicalize(rng.random((n, 2)), rng.dirichlet(np.ones(n)), PLANE),
+                       rng.random() + 0.1))
+    base = rng.random((rng.integers(3, 8), 2))
+    near = base + 10.0 ** rng.uniform(-10, -5, (len(base), 1)) * rng.standard_normal(base.shape)
+    S = np.vstack([base, near, [[50.0, 50.0]]])
+    return BarycenterProblem.make(inputs, Constraint.simplex_over(S), SQ)
+
+
+def test_near_duplicate_candidates_never_fall_back(caplog):
+    for seed in range(60):
+        prob = _near_duplicate_problem(seed)
+        res, messages = _mkbary_messages(caplog, lambda: barycenter_fixed_support(prob))
+        assert messages == [], seed
+        assert abs(objective(res.measure, prob) - res.objective) <= 1e-9 * (1 + res.objective)

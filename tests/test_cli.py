@@ -38,6 +38,28 @@ def test_transport_worked_example(tmp_path, capsys):
     assert plan["gap"] <= 1e-9 * 2
 
 
+def test_transport_creates_out_dir_for_plan(tmp_path, capsys):
+    mu = write(tmp_path / "mu.json", MEASURE_01)
+    nu = write(tmp_path / "nu.json", MEASURE_12)
+    cost = write(tmp_path / "c.json", COST_ABS)
+    new_dir = tmp_path / "newdir"
+    rc = main(["transport", mu, nu, cost, "--plan", str(new_dir / "plan.json"),
+               "--out-dir", str(new_dir)])
+    assert rc == 0
+    assert json.loads((new_dir / "plan.json").read_text())["objective"] == 1.0
+    assert (new_dir / "manifest.json").is_file()
+
+
+def test_transport_unwritable_plan_is_usage_error(tmp_path, capsys):
+    mu = write(tmp_path / "mu.json", MEASURE_01)
+    cost = write(tmp_path / "c.json", COST_ABS)
+    rc = main(["transport", mu, mu, cost, "--plan", str(tmp_path / "missing" / "plan.json"),
+               "--out-dir", str(tmp_path)])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
 def test_transport_malformed_weights(tmp_path, capsys):
     bad = dict(MEASURE_01, weights=[0.7, 0.2])
     mu = write(tmp_path / "mu.json", MEASURE_01)
