@@ -6,8 +6,9 @@ Subcommands: ``transport`` (cost between two measure files), ``barycenter``
 before computing, writes primary outputs deterministically, and leaves one
 ``manifest.json`` next to them.
 
-Exit codes: 0 success / suite pass, 1 suite fail, 2 parse error,
-3 numerical error, 4 usage error.
+Exit codes: 0 success / suite pass, 1 suite fail, 2 parse error (input
+validation), 3 numerical error (a solver's certificate or marginal check
+failed), 4 usage error.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import platform
 import sys
 import time
@@ -32,7 +34,14 @@ from .barycenter import (
     result_to_json,
 )
 from .costs import cost_from_json, growth_constants
-from .errors import MKError, NotConvexCost, NotOneDimensional, NumericalFailure
+from .errors import (
+    CertificateViolation,
+    MarginalMismatch,
+    MKError,
+    NotConvexCost,
+    NotOneDimensional,
+    NumericalFailure,
+)
 from .measures import measure_from_json
 from .transport import plan_to_json, solve_transport
 from .verify import run_suite
@@ -79,14 +88,30 @@ def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
+def _check_writable(path: str) -> None:
+    """Fail before any solve if ``path`` cannot be written; creates nothing."""
+    target = Path(path)
+    parent = target.parent
+    if not parent.is_dir():
+        raise UsageError(f"cannot write --plan: directory {str(parent)!r} does not exist")
+    if target.is_dir() or not os.access(target if target.exists() else parent, os.W_OK):
+        raise UsageError(f"cannot write --plan: {path!r} is not writable")
+
+
 def cmd_transport(args) -> int:
     started = time.time()
-    mu = measure_from_json(_load_json(args.mu))
-    nu = measure_from_json(_load_json(args.nu))
+    mu_obj = _load_json(args.mu)
+    nu_obj = _load_json(args.nu)
+    mu = measure_from_json(mu_obj)
+    # two measures on one finite space validate its distance matrix once
+    same = isinstance(nu_obj, dict) and nu_obj.get("space") == mu_obj.get("space")
+    nu = measure_from_json(nu_obj, space=mu.space if same else None)
     cost = cost_from_json(_load_json(args.cost))
-    plan = solve_transport(mu, nu, cost)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    if args.plan:
+        _check_writable(args.plan)
+    plan = solve_transport(mu, nu, cost)
     outputs = []
     if args.plan:
         try:
@@ -216,7 +241,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except NumericalFailure as exc:
+    except (NumericalFailure, CertificateViolation, MarginalMismatch) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
     except (MKError, ValueError, KeyError) as exc:

@@ -109,6 +109,8 @@ class GroundSpace:
             return False
         if self.kind == "euclidean":
             return self.dim == other.dim
+        if self.rho is other.rho:
+            return True
         return self.rho.shape == other.rho.shape and np.allclose(
             self.rho, other.rho, atol=1e-12
         )
@@ -395,6 +397,8 @@ def measure_to_json(measure: DiscreteMeasure) -> dict:
     }
 
 
-def measure_from_json(obj: dict) -> DiscreteMeasure:
-    space = space_from_json(obj["space"])
+def measure_from_json(obj: dict, space: Optional[GroundSpace] = None) -> DiscreteMeasure:
+    """Load a measure; a given ``space`` stands in for the file's own, unparsed."""
+    if space is None:
+        space = space_from_json(obj["space"])
     return canonicalize(obj["atoms"], obj["weights"], space)

@@ -10,10 +10,24 @@ path with the LP and serves as the independent oracle.
 Every transport LP goes through ``solve_lp_batch``: a sparse marginal
 system (two nonzeros per column) and block-diagonal HiGHS calls that solve
 many independent small LPs at once.
+
+A problem with more than ``MAX_BATCH_VARS`` variables goes through a
+shortlist instead (Gottschlich & Schuhmacher 2014; Schmitzer 2016).  The
+LP starts on the ``SHORTLIST_K`` cheapest columns of every row and every
+column plus the support of the north-west-corner plan, so it is always
+feasible.  Each round solves the LP on the current columns, prices all
+m*n reduced costs C - u (+) v from its equality duals in one pass and adds
+the columns below the solver's dual tolerance, at most ``SHORTLIST_K`` of
+every row and every column, most violated first.  When none is left, the
+plan is scattered back to m x n and polished and certified over the full
+C, exactly like a plan of the full LP.  After ``SHORTLIST_MAX_ROUNDS``
+rounds the full LP is solved instead, with one warning on the ``mkbary``
+logger.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -37,6 +51,12 @@ _LP_OPTIONS = {
     "primal_feasibility_tolerance": 1e-10,
     "dual_feasibility_tolerance": 1e-10,
 }
+# Start columns per row and per column of a shortlisted problem, and the
+# pricing rounds it gets before the full LP is solved instead.
+SHORTLIST_K = 8
+SHORTLIST_MAX_ROUNDS = 20
+
+log = logging.getLogger("mkbary")
 
 
 @dataclass(frozen=True)
@@ -76,22 +96,29 @@ class TransportPlan:
                         "duality gap")
 
 
-@lru_cache(maxsize=64)
-def _marginal_system(m: int, n: int) -> csc_array:
-    """Sparse equality rows (all m row sums, first n-1 column sums) over mn variables.
+def _marginal_columns(m: int, n: int, cols: np.ndarray) -> csc_array:
+    """Sparse equality rows (all m row sums, first n-1 column sums) on columns ``cols``.
 
-    Column k = i*n + j holds a 1 in row i and, unless j = n-1, a 1 in row
-    m + j: m*n + m*(n-1) nonzeros in all.  Cached per shape, so its arrays
-    are read-only.
+    Flat column k = i*n + j holds a 1 in row i and, unless j = n-1, a 1 in
+    row m + j.  ``cols`` must be increasing.
     """
-    i, j = np.divmod(np.arange(m * n), n)
+    i, j = np.divmod(cols, n)
     has_col_row = j < n - 1
-    indptr = np.zeros(m * n + 1, dtype=np.int64)
+    indptr = np.zeros(len(cols) + 1, dtype=np.int64)
     np.cumsum(1 + has_col_row, out=indptr[1:])
     indices = np.empty(indptr[-1], dtype=np.int32)
     indices[indptr[:-1]] = i
     indices[indptr[:-1][has_col_row] + 1] = m + j[has_col_row]
-    A = csc_array((np.ones(len(indices)), indices, indptr), shape=(m + n - 1, m * n))
+    return csc_array((np.ones(len(indices)), indices, indptr), shape=(m + n - 1, len(cols)))
+
+
+@lru_cache(maxsize=64)
+def _marginal_system(m: int, n: int) -> csc_array:
+    """The marginal rows over all mn variables: m*n + m*(n-1) nonzeros.
+
+    Cached per shape, so its arrays are read-only.
+    """
+    A = _marginal_columns(m, n, np.arange(m * n))
     for arr in (A.data, A.indices, A.indptr):
         arr.flags.writeable = False
     return A
@@ -127,6 +154,15 @@ def _pack(sizes, cap: int):
     return runs
 
 
+def _polish(C: np.ndarray, u: np.ndarray):
+    """Potentials (u, v) by a c-transform of the row duals over all of C.
+
+    Dual feasibility then holds exactly, whatever columns the solver saw.
+    """
+    v = np.min(C - u[:, None], axis=0)
+    return np.min(C - v[None, :], axis=1), v
+
+
 def _certify(k: int, x: np.ndarray, C: np.ndarray, a: np.ndarray, b: np.ndarray, u, v):
     # a simplex vertex of the transportation polytope has at most m+n-1
     # positive entries, so a larger support means the solver left a cycle
@@ -145,57 +181,121 @@ def _certify(k: int, x: np.ndarray, C: np.ndarray, a: np.ndarray, b: np.ndarray,
     return x, objective, u, v, gap
 
 
+def _solve_blocks(problems, ks) -> list:
+    """One block-diagonal HiGHS call over ``problems[k]`` for k in ``ks``.
+
+    Returns the clipped plan and the row duals of each problem, in order.
+    """
+    shapes = [problems[k][0].shape for k in ks]
+    c_vec = np.concatenate([problems[k][0].ravel() for k in ks])
+    rhs = np.concatenate([np.concatenate([problems[k][1], problems[k][2][:-1]]) for k in ks])
+    res = linprog(
+        c_vec, A_eq=_block_system(shapes), b_eq=rhs, bounds=(0, None),
+        method="highs", options=_LP_OPTIONS,
+    )
+    if res.status != 0:
+        raise NumericalFailure(f"transport LP blocks {ks[0]}..{ks[-1]} failed: {res.message}")
+    sols, col, row = [], 0, 0
+    for m, n in shapes:
+        x = np.clip(res.x[col:col + m * n].reshape(m, n), 0.0, None)
+        sols.append((x, np.asarray(res.eqlin.marginals[row:row + m], dtype=float)))
+        col += m * n
+        row += m + n - 1
+    return sols
+
+
+def _cheapest(M: np.ndarray) -> np.ndarray:
+    """Mask of the ``SHORTLIST_K`` smallest entries of every row and every column of M."""
+    m, n = M.shape
+    keep = np.zeros((m, n), dtype=bool)
+    k = min(SHORTLIST_K, n)
+    np.put_along_axis(keep, np.argpartition(M, k - 1, axis=1)[:, :k], True, axis=1)
+    k = min(SHORTLIST_K, m)
+    np.put_along_axis(keep, np.argpartition(M, k - 1, axis=0)[:k], True, axis=0)
+    return keep
+
+
+def _solve_shortlist(k: int, C: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """Plan and row duals of one problem by shortlist column generation.
+
+    The start columns are the cheapest of every row and every column and
+    the north-west-corner staircase, which holds a feasible plan.  Each
+    round solves the LP on the kept columns and prices every column by its
+    reduced cost C - u (+) v (v = 0 on the column whose row is dropped).
+    Of the columns below the solver's dual tolerance, the ``SHORTLIST_K``
+    most violated of every row and every column join.  Returns None, with
+    one warning, when columns are still missing after
+    ``SHORTLIST_MAX_ROUNDS`` rounds.
+    """
+    m, n = C.shape
+    keep = _cheapest(C)
+    # the staircase steps down when row i runs out no later than column j
+    steps = np.concatenate([np.cumsum(a)[:-1], np.cumsum(b)[:-1]])
+    down = np.argsort(steps, kind="stable") < m - 1
+    keep[np.concatenate([[0], np.cumsum(down)]), np.concatenate([[0], np.cumsum(~down)])] = True
+    costs = C.ravel()
+    rhs = np.concatenate([a, b[:-1]])
+    tol = _LP_OPTIONS["dual_feasibility_tolerance"]
+    for _ in range(SHORTLIST_MAX_ROUNDS):
+        cols = np.flatnonzero(keep)
+        res = linprog(
+            costs[cols], A_eq=_marginal_columns(m, n, cols), b_eq=rhs, bounds=(0, None),
+            method="highs", options=_LP_OPTIONS,
+        )
+        if res.status != 0:
+            raise NumericalFailure(
+                f"transport LP block {k} failed on {cols.size} shortlist columns: {res.message}"
+            )
+        u = np.asarray(res.eqlin.marginals[:m], dtype=float)
+        reduced = C - u[:, None]
+        reduced[:, :-1] -= res.eqlin.marginals[m:]
+        missing = (reduced < -tol) & ~keep
+        if not missing.any():
+            x = np.zeros(m * n)
+            x[cols] = np.clip(res.x, 0.0, None)
+            return x.reshape(m, n), u
+        reduced[~missing] = np.inf
+        keep |= missing & _cheapest(reduced)
+    log.warning("transport LP block %d: shortlist still missing columns after %d rounds; "
+                "solving the full LP", k, SHORTLIST_MAX_ROUNDS)
+    return None
+
+
 def solve_lp_batch(problems) -> list:
     """Solve independent transportation LPs given as ``(C, a, b)`` triples.
 
     Returns one ``(coupling, objective, u, v, gap)`` tuple per problem, in
     order.  1xn and nx1 problems have a single feasible plan and skip the
-    solver.  The others are packed in order into block-diagonal HiGHS calls
-    of at most ``MAX_BATCH_VARS`` variables; a larger problem is solved
-    alone.  Each block's primal and equality duals are split back out,
-    polished by a c-transform and certified by a vertex check and its own
-    duality gap.  Raises NumericalFailure, naming the block, when the
-    solver does not terminate optimally, a plan is not a vertex or a gap
-    stays open.
+    solver.  A problem of more than ``MAX_BATCH_VARS`` variables is solved
+    alone by shortlist column generation, or by its full LP when the
+    shortlist hits its round cap.  The others are packed in order into
+    block-diagonal HiGHS calls of at most ``MAX_BATCH_VARS`` variables.
+    Every plan is polished by a c-transform over its full cost matrix and
+    certified by a vertex check and its own duality gap.  Raises
+    NumericalFailure, naming the block, when the solver does not terminate
+    optimally, a plan is not a vertex or a gap stays open.
     """
     problems = [(np.asarray(C, dtype=float), np.asarray(a, dtype=float),
                  np.asarray(b, dtype=float)) for C, a, b in problems]
     out = [None] * len(problems)
-    pending = []
+    small = []
     for k, (C, a, b) in enumerate(problems):
         m, n = C.shape
         if m == 1:
             out[k] = _certify(k, b[None, :].copy(), C, a, b, np.zeros(1), C[0].copy())
         elif n == 1:
             out[k] = _certify(k, a[:, None].copy(), C, a, b, C[:, 0].copy(), np.zeros(1))
+        elif m * n > MAX_BATCH_VARS:
+            sol = _solve_shortlist(k, C, a, b)
+            x, u = sol if sol is not None else _solve_blocks(problems, [k])[0]
+            out[k] = _certify(k, x, C, a, b, *_polish(C, u))
         else:
-            pending.append(k)
+            small.append(k)
 
-    for run in _pack([problems[k][0].size for k in pending], MAX_BATCH_VARS):
-        ks = [pending[r] for r in run]
-        shapes = [problems[k][0].shape for k in ks]
-        c_vec = np.concatenate([problems[k][0].ravel() for k in ks])
-        rhs = np.concatenate([np.concatenate([problems[k][1], problems[k][2][:-1]])
-                              for k in ks])
-        res = linprog(
-            c_vec, A_eq=_block_system(shapes), b_eq=rhs, bounds=(0, None),
-            method="highs", options=_LP_OPTIONS,
-        )
-        if res.status != 0:
-            raise NumericalFailure(
-                f"transport LP blocks {ks[0]}..{ks[-1]} failed: {res.message}"
-            )
-        col, row = 0, 0
-        for k, (m, n) in zip(ks, shapes):
-            C, a, b = problems[k]
-            x = np.clip(res.x[col:col + m * n].reshape(m, n), 0.0, None)
-            u = np.asarray(res.eqlin.marginals[row:row + m], dtype=float)
-            # polish the potentials so feasibility holds exactly
-            v = np.min(C - u[:, None], axis=0)
-            u = np.min(C - v[None, :], axis=1)
-            out[k] = _certify(k, x, C, a, b, u, v)
-            col += m * n
-            row += m + n - 1
+    for run in _pack([problems[k][0].size for k in small], MAX_BATCH_VARS):
+        ks = [small[r] for r in run]
+        for k, (x, u) in zip(ks, _solve_blocks(problems, ks)):
+            out[k] = _certify(k, x, *problems[k], *_polish(problems[k][0], u))
     return out
 
 

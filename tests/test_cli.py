@@ -1,5 +1,7 @@
+import dataclasses
 import json
 
+from mkbary import NumericalFailure, cli, glue, solve_transport
 from mkbary.cli import main
 
 MEASURE_01 = {"space": {"kind": "euclidean", "dim": 1},
@@ -50,14 +52,85 @@ def test_transport_creates_out_dir_for_plan(tmp_path, capsys):
     assert (new_dir / "manifest.json").is_file()
 
 
-def test_transport_unwritable_plan_is_usage_error(tmp_path, capsys):
+def test_transport_unwritable_plan_is_usage_error(tmp_path, capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("the solver ran before the plan path was checked")
+
+    monkeypatch.setattr(cli, "solve_transport", never)
     mu = write(tmp_path / "mu.json", MEASURE_01)
     cost = write(tmp_path / "c.json", COST_ABS)
-    rc = main(["transport", mu, mu, cost, "--plan", str(tmp_path / "missing" / "plan.json"),
-               "--out-dir", str(tmp_path)])
+    plan_path = tmp_path / "missing" / "plan.json"
+    rc = main(["transport", mu, mu, cost, "--plan", str(plan_path), "--out-dir", str(tmp_path)])
     assert rc == 4
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert not plan_path.parent.exists()
+    rc = main(["transport", mu, mu, cost, "--plan", str(tmp_path), "--out-dir", str(tmp_path)])
+    assert rc == 4
+
+
+def test_transport_failed_solve_leaves_no_plan(tmp_path, capsys, monkeypatch):
+    def failing(*args):
+        raise NumericalFailure("forced")
+
+    monkeypatch.setattr(cli, "solve_transport", failing)
+    mu = write(tmp_path / "mu.json", MEASURE_01)
+    cost = write(tmp_path / "c.json", COST_ABS)
+    plan_path = tmp_path / "plan.json"
+    rc = main(["transport", mu, mu, cost, "--plan", str(plan_path), "--out-dir", str(tmp_path)])
+    assert rc == 3
+    assert capsys.readouterr().err == "numerical error: forced\n"
+    assert not plan_path.exists()
+
+
+def test_certificate_violation_is_numerical_error(tmp_path, capsys, monkeypatch):
+    def tampered(mu, nu, cost):
+        plan = solve_transport(mu, nu, cost)
+        bad = dataclasses.replace(plan, coupling=plan.coupling[::-1].copy())
+        bad.check(cost.matrix(mu, nu))
+        return bad
+
+    monkeypatch.setattr(cli, "solve_transport", tampered)
+    mu = write(tmp_path / "mu.json", MEASURE_01)
+    nu = write(tmp_path / "nu.json", dict(MEASURE_12, weights=[0.25, 0.75]))
+    cost = write(tmp_path / "c.json", COST_SQ)
+    rc = main(["transport", mu, nu, cost, "--out-dir", str(tmp_path)])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("numerical error: transport plan fails its")
+
+
+def test_marginal_mismatch_is_numerical_error(tmp_path, capsys, monkeypatch):
+    def glued(mu, nu, cost):
+        return glue(solve_transport(mu, nu, cost), solve_transport(nu, mu, cost))
+
+    monkeypatch.setattr(cli, "solve_transport", glued)
+    mu = write(tmp_path / "mu.json", MEASURE_01)
+    nu = write(tmp_path / "nu.json", MEASURE_12)
+    cost = write(tmp_path / "c.json", COST_ABS)
+    rc = main(["transport", mu, nu, cost, "--out-dir", str(tmp_path)])
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        "numerical error: plans do not share their second marginal\n")
+
+
+def test_transport_validates_a_shared_finite_space_once(tmp_path, capsys, monkeypatch):
+    import mkbary.measures as measures
+
+    checks = []
+    real = measures._violates_triangle
+    monkeypatch.setattr(measures, "_violates_triangle", lambda rho: checks.append(1) or real(rho))
+    space = {"kind": "finite", "n": 3, "rho": [[0.0, 1.0, 2.0], [1.0, 0.0, 1.5], [2.0, 1.5, 0.0]]}
+    mu = write(tmp_path / "mu.json", {"space": space, "atoms": [0, 1], "weights": [0.5, 0.5]})
+    nu = write(tmp_path / "nu.json", {"space": space, "atoms": [2], "weights": [1.0]})
+    cost = write(tmp_path / "c.json", {"kind": "metric_power", "p": 1})
+    assert main(["transport", mu, nu, cost, "--out-dir", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.strip() == "1.75"
+    assert len(checks) == 1
+    other = dict(space, rho=[[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+    nu = write(tmp_path / "nu.json", {"space": other, "atoms": [2], "weights": [1.0]})
+    assert main(["transport", mu, nu, cost, "--out-dir", str(tmp_path)]) == 2
+    assert len(checks) == 3
+    assert "parse error" in capsys.readouterr().err
 
 
 def test_transport_malformed_weights(tmp_path, capsys):

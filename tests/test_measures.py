@@ -337,3 +337,15 @@ def test_thousand_point_finite_space_bounded_memory():
     assert sp.n_points == 1000
     # n**3 floats would be 8 GB; rho itself is 8 MB
     assert peak < 64 * 2**20
+
+
+def test_same_as_skips_the_comparison_for_a_shared_rho(monkeypatch):
+    rho = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.5], [2.0, 1.5, 0.0]])
+    first, second = GroundSpace.finite(rho), GroundSpace.finite(rho)
+    copy = GroundSpace.finite(rho.copy())
+    assert first.rho is second.rho and first.rho is not copy.rho
+    with monkeypatch.context() as mp:
+        mp.setattr(np, "allclose", lambda *a, **k: pytest.fail("rho was compared"))
+        assert first.same_as(second)
+    assert first.same_as(copy)
+    assert not first.same_as(GroundSpace.finite(2 * rho))
