@@ -74,6 +74,24 @@ class Constraint:
         return Constraint(kind="quantile_1d")
 
 
+def constraint_from_json(obj: dict) -> Constraint:
+    """Parse a constraint: ``simplex_over`` (alias ``fixed_support``),
+    ``grid`` (a candidate simplex on a box mesh), ``free`` or ``quantile_1d``."""
+    kind = obj.get("kind")
+    if kind in ("simplex_over", "fixed_support"):
+        return Constraint.simplex_over(obj["atoms"])
+    if kind == "grid":
+        (lo, hi), shape = obj["box"], obj["shape"]
+        axes = [np.linspace(lo[i], hi[i], int(shape[i])) for i in range(len(shape))]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        return Constraint.simplex_over(np.stack([m.ravel() for m in mesh], axis=-1))
+    if kind == "free":
+        return Constraint.free(int(obj["k"]))
+    if kind == "quantile_1d":
+        return Constraint.quantile_1d()
+    raise ValueError(f"unknown constraint kind {kind!r}")
+
+
 @dataclass(frozen=True)
 class BarycenterProblem:
     """Weighted family of input measures, a constraint set, and a cost."""
@@ -444,17 +462,8 @@ def problem_from_json(obj: dict) -> BarycenterProblem:
     from .costs import cost_from_json
 
     inputs = [(measure_from_json(e["measure"]), float(e["lambda"])) for e in obj["inputs"]]
-    cobj = obj["constraint"]
-    kind = cobj.get("kind")
-    if kind in ("simplex_over", "fixed_support"):
-        constraint = Constraint.simplex_over(cobj["atoms"])
-    elif kind == "free":
-        constraint = Constraint.free(int(cobj["k"]))
-    elif kind == "quantile_1d":
-        constraint = Constraint.quantile_1d()
-    else:
-        raise ValueError(f"unknown constraint kind {kind!r}")
-    return BarycenterProblem.make(inputs, constraint, cost_from_json(obj["cost"]))
+    return BarycenterProblem.make(inputs, constraint_from_json(obj["constraint"]),
+                                  cost_from_json(obj["cost"]))
 
 
 def result_to_json(result: BarycenterResult) -> dict:

@@ -12,17 +12,11 @@ fixed direction field scaled by delta so both tracks are deterministic.
 
 from __future__ import annotations
 
-import csv
-import json
 import time
 from dataclasses import dataclass, field
 import numpy as np
 
-from .barycenter import (
-    BarycenterProblem,
-    Constraint,
-    barycenter_fixed_support,
-)
+from .barycenter import BarycenterProblem, Constraint, barycenter_fixed_support
 from .costs import CostSpec
 from .measures import (
     DiscreteMeasure,
@@ -108,9 +102,13 @@ def random_population(
 # Experiment harnesses
 # ---------------------------------------------------------------------------
 
+# J to the base barycenter below which a perturbed barycenter counts as
+# close in the perturbation harness's upper-semicontinuity surrogate
+USC_EPS = 0.05
+
+
 @dataclass
 class ExperimentReport:
-    config: dict
     records: list          # lln: (n, seed, j_to_bary, meta_j, runtime)
     summary: dict
     incomplete: bool = False
@@ -135,7 +133,6 @@ def lln_experiment(
     seeds,
     constraint: Constraint,
     cost: CostSpec,
-    stratified: bool = False,
 ) -> ExperimentReport:
     """Empirical barycenters of i.i.d. draws against the population barycenter.
 
@@ -157,13 +154,8 @@ def lln_experiment(
         for n in n_grid:
             t0 = time.perf_counter()
             try:
-                if stratified:
-                    if n % K != 0 or not np.allclose(population.probs, 1.0 / K):
-                        raise ValueError("stratified mode needs uniform probs and K | n")
-                    counts = np.full(K, n // K)
-                else:
-                    idx = rng.choice(K, size=n, p=population.probs)
-                    counts = np.bincount(idx, minlength=K)
+                idx = rng.choice(K, size=n, p=population.probs)
+                counts = np.bincount(idx, minlength=K)
                 sel = counts > 0
                 emp_inputs = [
                     (population.atoms[i], counts[i] / n) for i in range(K) if sel[i]
@@ -194,18 +186,8 @@ def lln_experiment(
         "population_objective": pop_result.objective,
         "multiple_optima": pop_result.multiple_optima,
     }
-    return ExperimentReport(
-        config={
-            "n_grid": n_grid,
-            "seeds": seeds,
-            "solver": "fixed",
-            "stratified": stratified,
-        },
-        records=records,
-        summary=summary,
-        incomplete=bool(errors),
-        errors=errors,
-    )
+    return ExperimentReport(records=records, summary=summary, incomplete=bool(errors),
+                            errors=errors)
 
 
 def perturbation_experiment(
@@ -214,7 +196,6 @@ def perturbation_experiment(
     constraint: Constraint,
     cost: CostSpec,
     seed: int = 0,
-    usc_eps: float = 0.05,
 ) -> ExperimentReport:
     """Jitter atom measures by a fixed direction field scaled by delta.
 
@@ -246,11 +227,11 @@ def perturbation_experiment(
         j_bar = min(transport_costs([(emp.measure, rep) for rep in reps], cost))
         rows.append((delta, meta_j, j_bar, time.perf_counter() - t0))
 
-    # largest delta up to which the barycenter stays usc_eps-close: recorded,
+    # largest delta up to which the barycenter stays USC_EPS-close: recorded,
     # never claimed universal
     usc_threshold = 0.0
     for delta, _, j_bar, _ in sorted(rows):
-        if j_bar <= usc_eps:
+        if j_bar <= USC_EPS:
             usc_threshold = delta
         else:
             break
@@ -258,15 +239,11 @@ def perturbation_experiment(
         "deltas": deltas,
         "meta_j_track": [r[1] for r in rows],
         "j_track": [r[2] for r in rows],
-        "usc_eps": usc_eps,
+        "usc_eps": USC_EPS,
         "usc_threshold": usc_threshold,
         "multiple_optima": pop_result.multiple_optima,
     }
-    return ExperimentReport(
-        config={"deltas": deltas, "seed": seed},
-        records=rows,
-        summary=summary,
-    )
+    return ExperimentReport(records=rows, summary=summary)
 
 
 # ---------------------------------------------------------------------------
@@ -283,46 +260,3 @@ def population_from_json(obj: dict) -> MetaDistribution:
         )
     measures = [measure_from_json(m) for m in obj["measures"]]
     return MetaDistribution.make(measures, obj["probs"])
-
-
-def constraint_from_json(obj: dict) -> Constraint:
-    kind = obj.get("kind")
-    if kind in ("simplex_over", "fixed_support"):
-        return Constraint.simplex_over(obj["atoms"])
-    if kind == "grid":
-        (lo, hi), shape = obj["box"], obj["shape"]
-        axes = [np.linspace(lo[i], hi[i], int(shape[i])) for i in range(len(shape))]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        atoms = np.stack([m.ravel() for m in mesh], axis=-1)
-        return Constraint.simplex_over(atoms)
-    if kind == "free":
-        return Constraint.free(int(obj["k"]))
-    raise ValueError(f"unknown constraint kind {kind!r}")
-
-
-def lln_report_csv(report: ExperimentReport, path) -> None:
-    # runtime stays out of the CSV so repeated runs are byte-identical
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["n", "seed", "j_to_population_barycenter", "meta_j"])
-        for n, seed, j_bar, meta_j, _ in report.records:
-            wr.writerow([n, seed, repr(float(j_bar)), repr(float(meta_j))])
-
-
-def perturb_report_csv(report: ExperimentReport, path) -> None:
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["delta", "meta_j", "j_to_base_barycenter"])
-        for delta, meta_j, j_bar, _ in report.records:
-            wr.writerow([repr(float(delta)), repr(float(meta_j)), repr(float(j_bar))])
-
-
-def summary_json(report: ExperimentReport, path) -> None:
-    payload = {
-        "config": report.config,
-        "summary": report.summary,
-        "incomplete": report.incomplete,
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=str)
-        fh.write("\n")

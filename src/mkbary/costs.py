@@ -14,7 +14,9 @@ The growth constants are the pair (A, B) making
 variants) hold, the derived exponents q0 = ln(2B)/ln 2 and
 q = max(3B, q0) making c**(1/q) triangle-like, and the epsilon-relaxed
 pair (A_eps, C_eps) with ``c(x, y) <= A_eps + (1+eps) c(x, z) +
-C_eps c(y, z)``.
+C_eps c(y, z)``.  On a finite table both are exact sups over all triples
+(x, y, z), enumerated in slabs of x (``measures._triple_slabs``) so that
+memory stays O(n**2) however large the space.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConstructionFailed, SpaceMismatch, UnboundedRatio
-from .measures import DiscreteMeasure, GroundSpace
+from .measures import DiscreteMeasure, GroundSpace, _triple_slabs
 
 DEFAULT_GRID_SIZE = 10_000
 RATIO_CAP = 1e6
@@ -216,27 +218,34 @@ def _q_from_B(B: float) -> tuple[float, float]:
     return q, q0
 
 
+def _first_triple(mask: np.ndarray, x0: int) -> tuple:
+    """The first (x, y, z) in lexicographic order where a slab mask holds."""
+    i, j, k = np.argwhere(mask)[0]
+    return x0 + int(i), int(j), int(k)
+
+
 def _enumerate_B_finite(c: np.ndarray, cap: float) -> float:
-    """Exact sup over all triples of c(x,y)/denominator, all four variants."""
-    n = c.shape[0]
-    num = c[:, :, None]  # c(x, y) broadcast over z
+    """Exact sup over all triples of c(x,y)/denominator, all four variants.
+
+    The triples are enumerated in slabs of x, so memory stays at the table
+    plus one slab.  A zero denominator under a positive c(x, y) raises
+    ``UnboundedRatio`` naming the first such triple of the first variant
+    that has one.
+    """
     best = 1.0
-    for denom in (
-        c[:, None, :] + c[None, :, :],          # c(x,z) + c(y,z)
-        c[:, None, :] + c.T[None, :, :],        # c(x,z) + c(z,y)
-        c.T[:, None, :] + c[None, :, :],        # c(z,x) + c(y,z)
-        c.T[:, None, :] + c.T[None, :, :],      # c(z,x) + c(z,y)
-    ):
-        pos = num > 1e-15
-        bad = pos & (denom <= 1e-15)
-        if np.any(bad):
-            i, j, k = np.argwhere(bad)[0]
-            raise UnboundedRatio(
-                f"c({i},{j}) > 0 but the triangle denominator through z={k} is 0"
-            )
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.where(pos, num / np.maximum(denom, 1e-300), 0.0)
-        best = max(best, float(ratios.max()) if ratios.size else 1.0)
+    zero_den = [None] * 4
+    for x0, cxy, cxz, czx, cyz, czy in _triple_slabs(c):
+        pos = cxy > 1e-15
+        num = np.where(pos, cxy, 0.0)  # c(x, y) where positive, else 0
+        # denominators c(x,z)+c(y,z), c(x,z)+c(z,y), c(z,x)+c(y,z), c(z,x)+c(z,y)
+        for v, (left, right) in enumerate(((cxz, cyz), (cxz, czy), (czx, cyz), (czx, czy))):
+            denom = left + right
+            bad = pos & (denom <= 1e-15)
+            if zero_den[v] is None and bad.any():
+                zero_den[v] = _first_triple(bad, x0)
+            best = max(best, float((num / np.maximum(denom, 1e-300)).max()))
+    for i, j, k in filter(None, zero_den):
+        raise UnboundedRatio(f"c({i},{j}) > 0 but the triangle denominator through z={k} is 0")
     if best > cap:
         raise UnboundedRatio(f"growth ratio {best:.3g} exceeds cap {cap:.3g}")
     return best
@@ -247,8 +256,8 @@ def growth_constants(cost: CostSpec, cap: float = RATIO_CAP,
     """Structural constants for a cost, analytic where possible.
 
     Built-in powers get closed forms (A=0, B=2**(p-1) for p >= 1, B=1 for
-    p < 1); finite tables are enumerated exactly; custom g is sampled on a
-    deterministic grid and flagged ``sampled_lower_bound``.
+    p < 1); finite tables are enumerated exactly, slab by slab; custom g is
+    sampled on a deterministic grid and flagged ``sampled_lower_bound``.
     """
     if cost.declared is not None:
         A = float(cost.declared.get("A", 0.0))
@@ -340,8 +349,8 @@ def relaxed_constants(
     For subadditive costs the pair (0, 1) is returned; for convex
     translation costs the doubling construction C_eps = B**(k+1) with the
     smallest k making 2**(-k) B < eps; for finite_matrix tables the exact
-    sup is enumerated (a metric power on a finite space enters as
-    ``CostSpec.finite_matrix(space.rho ** p)``).  The result is always
+    sup is enumerated in slabs of x (a metric power on a finite space
+    enters as ``CostSpec.finite_matrix(space.rho ** p)``).  The result is always
     re-verified on the deterministic grid (or all triples of a finite
     space) and a violation raises ``ConstructionFailed`` with the witness
     triple.
@@ -350,39 +359,31 @@ def relaxed_constants(
         raise ValueError("eps must be positive")
 
     if cost.kind == "finite_matrix":
-        # exact enumeration over all index triples (x, y, z)
-        c = cost.values
-        n = c.shape[0]
-        cxy = np.broadcast_to(c[:, :, None], (n, n, n))
-        cxz = np.broadcast_to(c[:, None, :], (n, n, n))
-        cyz = np.broadcast_to(c[None, :, :], (n, n, n))
-        czy = np.broadcast_to(c.T[None, :, :], (n, n, n))
-        czx = np.broadcast_to(c.T[:, None, :], (n, n, n))
-        A_eps = 0.0
-        C_eps = 1.0
-        for need, den in (
-            (cxy - (1.0 + eps) * cxz, cyz),
-            (cxy - (1.0 + eps) * czy, czx),
-        ):
-            dead = (den <= 1e-15) & (need > 1e-12)
-            if np.any(dead):
-                i, j, k = np.argwhere(dead)[0]
-                raise ConstructionFailed(
-                    "no finite C_eps: the multiplied cost vanishes where slack is needed",
-                    (int(i), int(j), int(k)),
-                )
-            ratios = np.where(den > 1e-15, need / np.maximum(den, 1e-300), 0.0)
-            C_eps = max(C_eps, float(ratios.max()))
-        # exhaustive vectorized recheck of both variants
-        slack = 1e-9 * (1.0 + cxy)
-        viol = (cxy > A_eps + (1 + eps) * cxz + C_eps * cyz + slack) | (
-            cxy > A_eps + (1 + eps) * czy + C_eps * czx + slack
-        )
-        if np.any(viol):
-            i, j, k = np.argwhere(viol)[0]
+        # exact enumeration over all index triples (x, y, z), in slabs of x
+        A_eps, C_eps, grow = 0.0, 1.0, 1.0 + eps
+        dead = [None, None]
+        for x0, cxy, cxz, czx, cyz, czy in _triple_slabs(cost.values):
+            for v, (near, den) in enumerate(((cxz, cyz), (czy, czx))):
+                need = cxy - grow * near
+                stuck = (den <= 1e-15) & (need > 1e-12)
+                if dead[v] is None and stuck.any():
+                    dead[v] = _first_triple(stuck, x0)
+                ratios = np.where(den > 1e-15, need / np.maximum(den, 1e-300), 0.0)
+                C_eps = max(C_eps, float(ratios.max()))
+        for witness in filter(None, dead):
             raise ConstructionFailed(
-                f"relaxed inequality fails at eps={eps}", (int(i), int(j), int(k))
+                "no finite C_eps: the multiplied cost vanishes where slack is needed", witness
             )
+        # exhaustive recheck of both variants
+        for x0, cxy, cxz, czx, cyz, czy in _triple_slabs(cost.values):
+            slack = 1e-9 * (1.0 + cxy)
+            viol = (cxy > A_eps + grow * cxz + C_eps * cyz + slack) | (
+                cxy > A_eps + grow * czy + C_eps * czx + slack
+            )
+            if viol.any():
+                raise ConstructionFailed(
+                    f"relaxed inequality fails at eps={eps}", _first_triple(viol, x0)
+                )
         return RelaxedConstants(eps=eps, A_eps=A_eps, C_eps=C_eps)
 
     gc = growth_constants(cost)

@@ -27,29 +27,32 @@ MASS_TOL = 1e-9
 ATOM_MERGE_TOL = 1e-12
 
 
-# Byte budget of one slab of the finite-space triangle check.  A slab holds
-# at least one z layer (n*n floats, the size of rho itself).
+# Byte budget of one slab of a finite-space triple scan.  A slab holds at
+# least one x layer (n*n floats, the size of the table itself).
 TRIANGLE_SLAB_BYTES = 4 * 2**20
 
 
-def _violates_triangle(rho: np.ndarray) -> bool:
-    """Whether rho[x, y] > rho[x, z] + rho[z, y] + 1e-12 for some x, y, z.
+def _triple_slabs(c: np.ndarray):
+    """Every triple (x, y, z) of a square table, in slabs of x.
 
-    Runs over z in slabs of about TRIANGLE_SLAB_BYTES instead of
-    allocating n**3 floats.
+    Yields ``(x0, cxy, cxz, czx, cyz, czy)`` per slab x0 <= x < x0 + k: views
+    that broadcast to shape (k, n, n) indexed [x - x0, y, z], holding
+    c[x, y], c[x, z], c[z, x], c[y, z] and c[z, y].  A slab spans about
+    TRIANGLE_SLAB_BYTES of float64, so a caller's temporaries stay that size
+    instead of n**3 floats.
     """
-    n = rho.shape[0]
-    k = min(n, max(1, TRIANGLE_SLAB_BYTES // (8 * n * n)))
-    padded = rho.T + 1e-12  # padded[z, x] = rho[x, z] + tolerance
-    bound = np.empty((k, n, n))  # bound[z, x, y] = rho[x, z] + rho[z, y] + tolerance
-    mask = np.empty((k, n, n), dtype=bool)
-    for z0 in range(0, n, k):
-        z1 = min(z0 + k, n)
-        out, hit = bound[: z1 - z0], mask[: z1 - z0]
-        np.add(padded[z0:z1, :, None], rho[z0:z1, None, :], out=out)
-        if np.greater(rho[None, :, :], out, out=hit).any():
-            return True
-    return False
+    n = c.shape[0]
+    k = max(1, TRIANGLE_SLAB_BYTES // max(1, 8 * n * n))
+    cT = np.ascontiguousarray(c.T)
+    for x0 in range(0, n, k):
+        x = slice(x0, x0 + k)
+        yield x0, c[x, :, None], c[x, None, :], cT[x, None, :], c[None], cT[None]
+
+
+def _violates_triangle(rho: np.ndarray) -> bool:
+    """Whether rho[x, y] > rho[x, z] + rho[z, y] + 1e-12 for some x, y, z."""
+    return any(np.greater(rxy, (rxz + 1e-12) + rzy).any()
+               for _, rxy, rxz, _, _, rzy in _triple_slabs(rho))
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ uniformly bounded families the harness generates.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 import numpy as np
 
@@ -109,15 +108,6 @@ def check_convergence(
         reference_limit=ref_limit,
         verdict=verdict,
     )
-
-
-def diagnostics_to_csv(diag: SequenceDiagnostics, path) -> None:
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["n", "J_forward", "J_backward", "weak_proxy", "reference_J"])
-        for row in zip(diag.n_values, diag.J_forward, diag.J_backward,
-                       diag.weak_proxy, diag.reference_J):
-            wr.writerow([row[0]] + [repr(v) for v in row[1:]])
 
 
 # ---------------------------------------------------------------------------

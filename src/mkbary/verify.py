@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .barycenter import constraint_from_json
 from .consistency import (
-    constraint_from_json,
     generate_random_measure,
     lln_experiment,
     perturbation_experiment,

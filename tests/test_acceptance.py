@@ -27,7 +27,8 @@ from mkbary import (
     transport_cost,
 )
 from mkbary.cli import main
-from mkbary.consistency import constraint_from_json, random_population
+from mkbary.barycenter import constraint_from_json
+from mkbary.consistency import random_population
 from mkbary.costs import growth_constants
 from mkbary.verify import run_convexity, run_criterion, run_interpolation, run_q_triangle, run_triangle
 

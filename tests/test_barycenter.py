@@ -237,6 +237,26 @@ def test_problem_weights_normalized():
         BarycenterProblem.make([(D0, -1.0)], Constraint.quantile_1d(), SQ)
 
 
+def test_problem_files_take_every_constraint_kind():
+    from mkbary.barycenter import problem_from_json
+    from mkbary.measures import measure_to_json
+
+    def load(constraint):
+        return problem_from_json({"inputs": [{"measure": measure_to_json(D0), "lambda": 1.0}],
+                                  "constraint": constraint,
+                                  "cost": {"kind": "norm_power", "p": 2}}).constraint
+
+    grid = load({"kind": "grid", "box": [[0.0, 0.0], [1.0, 2.0]], "shape": [2, 3]})
+    assert grid.kind == "simplex_over"
+    assert grid.atoms.tolist() == [[0.0, 0.0], [0.0, 1.0], [0.0, 2.0],
+                                   [1.0, 0.0], [1.0, 1.0], [1.0, 2.0]]
+    assert load({"kind": "fixed_support", "atoms": [0.0, 1.0]}).atoms.tolist() == [[0.0], [1.0]]
+    assert load({"kind": "free", "k": 3}).k == 3
+    assert load({"kind": "quantile_1d"}).kind == "quantile_1d"
+    with pytest.raises(ValueError):
+        load({"kind": "lattice"})
+
+
 def _tie_instances():
     """Seeded fixed-support problems built with ties: the all-ties pair of
     Diracs, and inputs next to their mirror images on symmetric grids."""

@@ -14,7 +14,7 @@ from mkbary import (
     tail_cost,
     transport_cost,
 )
-from mkbary.consistency import constraint_from_json
+from mkbary.barycenter import constraint_from_json
 
 LINE = GroundSpace.euclidean(1)
 SQ = CostSpec.norm_power(2)
@@ -72,14 +72,6 @@ def test_lln_single_atom_population():
         assert meta_j <= 1e-12
 
 
-def test_lln_stratified_reproduces_population():
-    pop = random_population(2, 5, [0.0, 0.0], [1.0, 1.0], 3)
-    report = lln_experiment(pop, [4], [0], GRID5, SQ, stratified=True)
-    (_, _, j_bar, meta_j, _) = report.records[0]
-    assert meta_j <= 1e-12  # stratified draw IS the population
-    assert j_bar <= 1e-9    # same problem, same tie-break
-
-
 def test_lln_bit_reproducible():
     pop = random_population(3, 9, [0.0, 0.0], [1.0, 1.0], 3)
     r1 = lln_experiment(pop, [2, 4], [0, 1, 2], GRID5, SQ)
@@ -104,22 +96,6 @@ def test_perturbation_zero_delta_and_monotone_meta():
     for delta, _, j_bar, _ in report.records:
         if delta <= thr:
             assert j_bar <= eps
-
-
-def test_report_writers(tmp_path):
-    from mkbary.consistency import lln_report_csv, perturb_report_csv, summary_json
-
-    pop = random_population(2, 4, [0.0, 0.0], [1.0, 1.0], 3)
-    rep = lln_experiment(pop, [2], [0], GRID5, SQ)
-    lln_report_csv(rep, tmp_path / "lln.csv")
-    summary_json(rep, tmp_path / "lln.json")
-    header = (tmp_path / "lln.csv").read_text().splitlines()[0]
-    assert header == "n,seed,j_to_population_barycenter,meta_j"
-    assert "decay_ratio" in (tmp_path / "lln.json").read_text()
-
-    prep = perturbation_experiment(MetaDistribution.dirac(pop.atoms[0]), [0.0, 0.1], GRID5, SQ)
-    perturb_report_csv(prep, tmp_path / "perturb.csv")
-    assert (tmp_path / "perturb.csv").read_text().startswith("delta,meta_j,j_to_base_barycenter")
 
 
 def test_meta_distribution_validation():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -248,3 +250,137 @@ def test_relaxed_check_names_the_scalar_loops_triple():
         # the constructed constant passes both the loop and the vectorized check
         good = relaxed_constants(cost, 0.5, dim=dim)
         assert _first_scalar_violation(cost, 0.5, good.A_eps, good.C_eps, X, Y, Z) is None
+
+
+
+def _reference_B(c, cap=1e6):
+    """All-triples B with full n**3 temporaries: the formula the slabbed scan keeps."""
+    num = c[:, :, None]
+    best = 1.0
+    for denom in (c[:, None, :] + c[None, :, :], c[:, None, :] + c.T[None, :, :],
+                  c.T[:, None, :] + c[None, :, :], c.T[:, None, :] + c.T[None, :, :]):
+        pos = num > 1e-15
+        bad = pos & (denom <= 1e-15)
+        if np.any(bad):
+            i, j, k = np.argwhere(bad)[0]
+            raise UnboundedRatio(f"c({i},{j}) > 0 but the triangle denominator through z={k} is 0")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = np.where(pos, num / np.maximum(denom, 1e-300), 0.0)
+        best = max(best, float(ratios.max()))
+    if best > cap:
+        raise UnboundedRatio(f"growth ratio {best:.3g} exceeds cap {cap:.3g}")
+    return best
+
+
+def _reference_C_eps(c, eps):
+    """All-triples C_eps with full n**3 temporaries, witnesses included."""
+    n = c.shape[0]
+    cxy, cxz, cyz, czy, czx = (np.broadcast_to(v, (n, n, n)) for v in (
+        c[:, :, None], c[:, None, :], c[None, :, :], c.T[None, :, :], c.T[:, None, :]))
+    C_eps = 1.0
+    for need, den in ((cxy - (1.0 + eps) * cxz, cyz), (cxy - (1.0 + eps) * czy, czx)):
+        dead = (den <= 1e-15) & (need > 1e-12)
+        if np.any(dead):
+            raise ConstructionFailed(
+                "no finite C_eps: the multiplied cost vanishes where slack is needed",
+                tuple(int(v) for v in np.argwhere(dead)[0]))
+        ratios = np.where(den > 1e-15, need / np.maximum(den, 1e-300), 0.0)
+        C_eps = max(C_eps, float(ratios.max()))
+    slack = 1e-9 * (1.0 + cxy)
+    viol = (cxy > 0.0 + (1 + eps) * cxz + C_eps * cyz + slack) | (
+        cxy > 0.0 + (1 + eps) * czy + C_eps * czx + slack)
+    if np.any(viol):
+        raise ConstructionFailed(f"relaxed inequality fails at eps={eps}",
+                                 tuple(int(v) for v in np.argwhere(viol)[0]))
+    return C_eps
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except (UnboundedRatio, ConstructionFailed) as exc:
+        return type(exc), exc.args
+
+
+def _random_tables(seed, planted=0):
+    """Asymmetric and symmetric random cost tables, n from 3 to 60.
+
+    ``planted`` triples each get the two near-zero entries (0 or 5e-16) that
+    make one random denominator variant of B vanish under a positive c(x, y).
+    """
+    rng = np.random.default_rng(seed)
+    for n in (3, 4, 7, 13, 29, 60):
+        vals = rng.uniform(0.0, 2.0, size=(n, n)) ** 3
+        for _ in range(planted):
+            x, y, z = rng.choice(n, size=3, replace=False)
+            v = rng.integers(4)
+            vals[(x, z) if v < 2 else (z, x)] = rng.choice([0.0, 5e-16])
+            vals[(y, z) if v % 2 == 0 else (z, y)] = rng.choice([0.0, 5e-16])
+        np.fill_diagonal(vals, 0.0)
+        yield vals
+        yield np.minimum(vals, vals.T)
+
+
+def _edge_tables():
+    # points 0 and 3 coincide, yet c(0, 1) != c(3, 1): the second relaxed
+    # variant fails in the first slab of two rows, the first one only at x = 5
+    twins = np.ones((6, 6)) - np.eye(6)
+    twins[0, 3] = twins[3, 0] = 0.0
+    twins[0, 1] = twins[5, 0] = 3.0
+    # every cost is below the 1e-15 positivity cut, so no ratio counts
+    tiny = np.array([[0.0, 1e-15, 1e-16], [1e-15, 0.0, 1e-16], [1e-16, 1e-16, 0.0]])
+    return [twins, tiny]
+
+
+def _slabbed(monkeypatch, n, rows):
+    import mkbary.measures as measures
+
+    monkeypatch.setattr(measures, "TRIANGLE_SLAB_BYTES", rows * 8 * n * n)
+
+
+def test_finite_constants_match_full_enumeration_bit_for_bit(monkeypatch):
+    from mkbary.costs import _q_from_B
+
+    for vals in _random_tables(21):
+        _slabbed(monkeypatch, len(vals), rows=3)
+        cost = CostSpec.finite_matrix(vals)
+        g = growth_constants(cost, cap=np.inf)
+        B = _reference_B(vals, cap=np.inf)
+        assert (g.B, (g.q, g.q0)) == (B, _q_from_B(B))
+        for eps in (0.1, 1.0):
+            assert relaxed_constants(cost, eps).C_eps == _reference_C_eps(vals, eps)
+
+
+def test_finite_constants_name_the_full_enumerations_witness(monkeypatch):
+    # planted zeros make several triples fail, in several variants and slabs
+    tables = [vals for seed in range(4) for vals in _random_tables(seed, planted=1 + seed)]
+    late = 0
+    for vals in tables + _edge_tables():
+        _slabbed(monkeypatch, len(vals), rows=2)
+        cost = CostSpec.finite_matrix(vals)
+        ref = _outcome(_reference_B, vals)
+        assert _outcome(lambda: growth_constants(cost).B) == ref
+        named = isinstance(ref, tuple) and re.match(r"c\((\d+),", ref[1][0])
+        late += bool(named) and int(named[1]) > 1
+        for eps in (0.1, 1.0):
+            ref = _outcome(_reference_C_eps, vals, eps)
+            assert _outcome(lambda: relaxed_constants(cost, eps).C_eps) == ref
+            late += isinstance(ref, tuple) and ref[1][1][0] > 1
+    assert late > 10  # many witnesses lie beyond the first x slab
+
+
+def test_finite_constants_bounded_memory():
+    import tracemalloc
+
+    rng = np.random.default_rng(4)
+    pts = rng.uniform(size=(250, 2))
+    cost = CostSpec.finite_matrix(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=-1))
+    for f in (lambda: growth_constants(cost), lambda: relaxed_constants(cost, 0.5)):
+        tracemalloc.start()
+        try:
+            f()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one n**3 temporary would be 125 MB; the table itself is 0.5 MB
+        assert peak < 64 * 2**20

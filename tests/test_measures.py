@@ -314,11 +314,22 @@ def test_triangle_violation_in_last_slab_rejected(monkeypatch):
     rho = np.ones((n, n)) - np.eye(n)
     rho[0, 1] = rho[1, 0] = 2.0
     rho[0, 4] = rho[4, 0] = rho[1, 4] = rho[4, 1] = 0.5
-    # two z values per slab: slabs {0, 1}, {2, 3}, {4}
+    # two x values per slab: slabs {0, 1}, {2, 3}, {4}
     monkeypatch.setattr(measures, "TRIANGLE_SLAB_BYTES", 2 * 8 * n * n)
     with pytest.raises(ValueError, match="triangle"):
         GroundSpace.finite(rho)
     rho[0, 1] = rho[1, 0] = 1.0
+    assert GroundSpace.finite(rho).n_points == n
+
+    # rho(3,4) = 2 with short legs through point 0: the only violating
+    # triples (3, 4, 0) and (4, 3, 0) lie in the last of the x slabs {0, 1, 2}, {3, 4}
+    rho = np.ones((n, n)) - np.eye(n)
+    rho[3, 4] = rho[4, 3] = 2.0
+    rho[3, 0] = rho[0, 3] = rho[4, 0] = rho[0, 4] = 0.5
+    monkeypatch.setattr(measures, "TRIANGLE_SLAB_BYTES", 3 * 8 * n * n)
+    with pytest.raises(ValueError, match="triangle"):
+        GroundSpace.finite(rho)
+    rho[3, 4] = rho[4, 3] = 1.0
     assert GroundSpace.finite(rho).n_points == n
 
 

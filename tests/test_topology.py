@@ -15,7 +15,7 @@ from mkbary import (
     truncate_to_ball,
     weak_proxy_distance,
 )
-from mkbary.topology import diagnostics_to_csv, uniform_tail_radius
+from mkbary.topology import uniform_tail_radius
 
 LINE = GroundSpace.euclidean(1)
 SQ = CostSpec.norm_power(2)
@@ -77,15 +77,6 @@ def test_bounded_weak_to_strong():
     assert max(diag.weak_proxy[-k:]) <= 1e-6
     assert max(diag.J_forward[-k:]) <= 1e-6
     assert max(diag.J_backward[-k:]) <= 1e-6
-
-
-def test_diagnostics_csv(tmp_path):
-    nu = dirac(LINE, [0.0])
-    diag = check_convergence([nu, nu], nu, nu, SQ)
-    path = tmp_path / "diag.csv"
-    diagnostics_to_csv(diag, path)
-    header = path.read_text().splitlines()[0]
-    assert header == "n,J_forward,J_backward,weak_proxy,reference_J"
 
 
 def test_truncate_plan_diagonal_noop():
