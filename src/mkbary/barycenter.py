@@ -21,8 +21,10 @@ from typing import Optional
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linprog, minimize
+from scipy.optimize import linprog  # noqa: F401  not called: perfbench/tracer.py patches it
+from scipy.optimize import minimize
 
+from . import lp
 from .costs import CostSpec
 from .errors import (
     NotConvexCost,
@@ -37,7 +39,7 @@ from .measures import (
     measure_to_json,
     merge_equal_measures,
 )
-from .transport import _LP_OPTIONS, GAP_TOL, transport_costs
+from .transport import GAP_TOL, transport_costs
 
 log = logging.getLogger("mkbary")
 
@@ -166,7 +168,7 @@ def _joint_lp_system(inputs, cost: CostSpec, S: np.ndarray):
         r, off = r + sz + K, off + sz * K
     rows, cols = np.concatenate(rows + [np.full(K, r)]), np.concatenate(cols + [w_cols])
     vals = np.where((cols >= n_gamma) & (rows < r), -1.0, 1.0)  # -w_k in the ties
-    A = sparse.csr_matrix((vals, (rows, cols)), shape=(r + 1, n_gamma + K))
+    A = sparse.csc_matrix((vals, (rows, cols)), shape=(r + 1, n_gamma + K))
     return np.concatenate(c_parts + [np.zeros(K)]), A, np.concatenate(rhs + [[1.0]]), n_gamma, K
 
 
@@ -192,16 +194,15 @@ def _face_tie_break(c_vec, A, rhs, h, value, y, n_inputs: int):
     keeping the columns with d <= GAP_TOL (1 + |value|) / (n_inputs + 1) keeps
     every point of the face within the gap tolerance of the optimum, and
     complementary slackness says the optimal vertices live on it.  Both LPs
-    run as one block-diagonal call on those columns, with no pin row.
+    run as one block-diagonal kernel call on those columns, with no pin row.
     Returns the two solutions scattered back to full length, or None when
     the call fails or either half's c.x misses ``value``.
     """
     tol = GAP_TOL * (1.0 + abs(value))
     face = np.flatnonzero(c_vec - A.T @ y <= tol / (n_inputs + 1))
-    A_face = A.tocsc()[:, face]
-    r = linprog(np.concatenate([h[face], -h[face]]), A_eq=sparse.block_diag((A_face, A_face)),
-                b_eq=np.concatenate([rhs, rhs]), bounds=(0, None), method="highs",
-                options=_LP_OPTIONS)
+    A_face = A[:, face]
+    r = lp.solve(np.concatenate([h[face], -h[face]]), lp.block_diag([A_face, A_face]),
+                 np.concatenate([rhs, rhs]))
     if r.status != 0:
         return None
     out = []
@@ -228,12 +229,11 @@ def _fixed_support_lp(inputs, cost: CostSpec, S: np.ndarray, tie_break: bool = T
     goes to the ``mkbary`` logger.
     """
     c_vec, A, rhs, n_gamma, K = _joint_lp_system(inputs, cost, S)
-    res = linprog(c_vec, A_eq=A, b_eq=rhs, bounds=(0, None), method="highs",
-                  options=_LP_OPTIONS)
+    res = lp.solve(c_vec, A, rhs)
     if res.status != 0:
         raise NumericalFailure(f"barycenter LP failed: {res.message}")
     value = float(res.fun)
-    dual = float(rhs @ res.eqlin.marginals)
+    dual = float(rhs @ res.duals)
     gap = max(0.0, value - dual)
     if gap > GAP_TOL * (1.0 + abs(value)):
         raise NumericalFailure(f"barycenter LP gap {gap:.3e} not closed")
@@ -243,7 +243,7 @@ def _fixed_support_lp(inputs, cost: CostSpec, S: np.ndarray, tie_break: bool = T
 
     h = np.zeros_like(c_vec)
     h[n_gamma:] = np.arange(1, K + 1, dtype=float)
-    sols = _face_tie_break(c_vec, A, rhs, h, value, res.eqlin.marginals, len(inputs))
+    sols = _face_tie_break(c_vec, A, rhs, h, value, res.duals, len(inputs))
     if sols is None:
         log.warning("barycenter tie-break: face LP rejected; "
                     "returning the main LP vertex without tie-break")

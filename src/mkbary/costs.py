@@ -21,8 +21,8 @@ memory stays O(n**2) however large the space.
 
 from __future__ import annotations
 
+import logging
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -30,6 +30,8 @@ import numpy as np
 
 from .errors import ConstructionFailed, SpaceMismatch, UnboundedRatio
 from .measures import DiscreteMeasure, GroundSpace, _triple_slabs
+
+log = logging.getLogger("mkbary")
 
 DEFAULT_GRID_SIZE = 10_000
 RATIO_CAP = 1e6
@@ -299,7 +301,7 @@ def growth_constants(cost: CostSpec, cap: float = RATIO_CAP,
     if best > cap:
         raise UnboundedRatio(f"sampled growth ratio {best:.3g} exceeds cap {cap:.3g}")
     if best < 1.0:
-        warnings.warn("sampled B < 1 clamped to 1 (convex g cannot have B < 1)")
+        log.warning("sampled B < 1 clamped to 1 (convex g cannot have B < 1)")
         best = 1.0
     q, q0 = _q_from_B(best)
     return GrowthConstants(A=0.0, B=best, q=q, q0=q0, provenance="sampled_lower_bound")

@@ -8,8 +8,8 @@ enumerating every basis of the transportation polytope; it shares no code
 path with the LP and serves as the independent oracle.
 
 Every transport LP goes through ``solve_lp_batch``: a sparse marginal
-system (two nonzeros per column) and block-diagonal HiGHS calls that solve
-many independent small LPs at once.
+system (two nonzeros per column) and block-diagonal calls of the LP kernel
+``mkbary.lp`` that solve many independent small LPs at once.
 
 A problem with more than ``MAX_BATCH_VARS`` variables goes through a
 shortlist instead (Gottschlich & Schuhmacher 2014; Schmitzer 2016).  The
@@ -34,9 +34,10 @@ from itertools import combinations
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import linprog  # noqa: F401  not called: perfbench/tracer.py patches it
 from scipy.sparse import csc_array
 
+from . import lp
 from .costs import CostSpec
 from .errors import CertificateViolation, MarginalMismatch, NumericalFailure, TooLarge
 from .measures import DiscreteMeasure, mixture
@@ -47,10 +48,6 @@ GAP_TOL = 1e-9
 # LPs costs megabytes; near a thousand variables the per-call overhead is
 # already amortized.
 MAX_BATCH_VARS = 1024
-_LP_OPTIONS = {
-    "primal_feasibility_tolerance": 1e-10,
-    "dual_feasibility_tolerance": 1e-10,
-}
 # Start columns per row and per column of a shortlisted problem, and the
 # pricing rounds it gets before the full LP is solved instead.
 SHORTLIST_K = 8
@@ -128,13 +125,7 @@ def _block_system(shapes) -> csc_array:
     """Block-diagonal stack of the marginal systems of ``shapes``, in order."""
     if len(shapes) == 1:
         return _marginal_system(*shapes[0])
-    blocks = [_marginal_system(m, n) for m, n in shapes]
-    row_off = np.cumsum([0] + [A.shape[0] for A in blocks])
-    nnz_off = np.cumsum([0] + [A.nnz for A in blocks])
-    indices = np.concatenate([A.indices + r for A, r in zip(blocks, row_off)])
-    indptr = np.concatenate([[0]] + [A.indptr[1:] + z for A, z in zip(blocks, nnz_off)])
-    shape = (int(row_off[-1]), sum(A.shape[1] for A in blocks))
-    return csc_array((np.ones(len(indices)), indices, indptr), shape=shape)
+    return lp.block_diag([_marginal_system(m, n) for m, n in shapes])
 
 
 def _pack(sizes, cap: int):
@@ -182,23 +173,20 @@ def _certify(k: int, x: np.ndarray, C: np.ndarray, a: np.ndarray, b: np.ndarray,
 
 
 def _solve_blocks(problems, ks) -> list:
-    """One block-diagonal HiGHS call over ``problems[k]`` for k in ``ks``.
+    """One block-diagonal LP kernel call over ``problems[k]`` for k in ``ks``.
 
     Returns the clipped plan and the row duals of each problem, in order.
     """
     shapes = [problems[k][0].shape for k in ks]
     c_vec = np.concatenate([problems[k][0].ravel() for k in ks])
     rhs = np.concatenate([np.concatenate([problems[k][1], problems[k][2][:-1]]) for k in ks])
-    res = linprog(
-        c_vec, A_eq=_block_system(shapes), b_eq=rhs, bounds=(0, None),
-        method="highs", options=_LP_OPTIONS,
-    )
+    res = lp.solve(c_vec, _block_system(shapes), rhs)
     if res.status != 0:
         raise NumericalFailure(f"transport LP blocks {ks[0]}..{ks[-1]} failed: {res.message}")
     sols, col, row = [], 0, 0
     for m, n in shapes:
         x = np.clip(res.x[col:col + m * n].reshape(m, n), 0.0, None)
-        sols.append((x, np.asarray(res.eqlin.marginals[row:row + m], dtype=float)))
+        sols.append((x, res.duals[row:row + m]))
         col += m * n
         row += m + n - 1
     return sols
@@ -235,21 +223,17 @@ def _solve_shortlist(k: int, C: np.ndarray, a: np.ndarray, b: np.ndarray):
     keep[np.concatenate([[0], np.cumsum(down)]), np.concatenate([[0], np.cumsum(~down)])] = True
     costs = C.ravel()
     rhs = np.concatenate([a, b[:-1]])
-    tol = _LP_OPTIONS["dual_feasibility_tolerance"]
     for _ in range(SHORTLIST_MAX_ROUNDS):
         cols = np.flatnonzero(keep)
-        res = linprog(
-            costs[cols], A_eq=_marginal_columns(m, n, cols), b_eq=rhs, bounds=(0, None),
-            method="highs", options=_LP_OPTIONS,
-        )
+        res = lp.solve(costs[cols], _marginal_columns(m, n, cols), rhs)
         if res.status != 0:
             raise NumericalFailure(
                 f"transport LP block {k} failed on {cols.size} shortlist columns: {res.message}"
             )
-        u = np.asarray(res.eqlin.marginals[:m], dtype=float)
+        u = res.duals[:m]
         reduced = C - u[:, None]
-        reduced[:, :-1] -= res.eqlin.marginals[m:]
-        missing = (reduced < -tol) & ~keep
+        reduced[:, :-1] -= res.duals[m:]
+        missing = (reduced < -lp.FEASIBILITY_TOL) & ~keep
         if not missing.any():
             x = np.zeros(m * n)
             x[cols] = np.clip(res.x, 0.0, None)

@@ -314,34 +314,32 @@ def test_face_route_matches_pinned_route():
 
 
 def test_tie_break_fallbacks_are_logged(monkeypatch, caplog):
-    from mkbary import barycenter
+    from mkbary import barycenter, lp
 
     m = generate_random_measure(1200, [-1, -1], [1, 1], 3)
     flip = pushforward(m, lambda x: x * np.array([-1.0, 1.0]))
     grid = np.array([[x, y] for x in np.linspace(-1, 1, 4) for y in np.linspace(-1, 1, 4)])
     prob = BarycenterProblem.make([(m, 1.0), (flip, 1.0)], Constraint.simplex_over(grid), ABS)
     untied = barycenter._fixed_support_lp(prob.inputs, prob.cost, grid, tie_break=False)
-    real = barycenter.linprog
+    real = lp.solve
 
     def doubled(res):  # the face solutions come back with twice the optimal cost
-        res.x = 2.0 * res.x
+        return res._replace(x=2.0 * res.x)
 
     def failed(res):
-        res.status = 2
+        return res._replace(status=2)
 
     for spoil in (doubled, failed):
         calls = []
 
-        def spoiled_after_main(c, **kw):
-            res = real(c, **kw)
+        def spoiled_after_main(c, A, rhs):
+            res = real(c, A, rhs)
             calls.append(res)
-            if len(calls) > 1:
-                spoil(res)
-            return res
+            return spoil(res) if len(calls) > 1 else res
 
         caplog.clear()
         with caplog.at_level("WARNING", logger="mkbary"), monkeypatch.context() as mp:
-            mp.setattr(barycenter, "linprog", spoiled_after_main)
+            mp.setattr(lp, "solve", spoiled_after_main)
             got = barycenter._fixed_support_lp(prob.inputs, prob.cost, grid)
         assert len(calls) == 2  # the main LP, then one call for both tie-break LPs
         assert got[0].tolist() == untied[0].tolist() and got[3] is None

@@ -1,7 +1,10 @@
 import dataclasses
 import json
+import subprocess
+import sys
+from pathlib import Path
 
-from mkbary import NumericalFailure, cli, glue, solve_transport
+from mkbary import ConstructionFailed, NumericalFailure, cli, glue, solve_transport
 from mkbary.cli import main
 
 MEASURE_01 = {"space": {"kind": "euclidean", "dim": 1},
@@ -217,6 +220,63 @@ def test_constants_output(tmp_path, capsys):
     assert rc == 0
     out = json.loads(capsys.readouterr().out)
     assert out == {"A": 0.0, "B": 2.0, "q": 6.0, "q0": 2.0, "provenance": "analytic"}
+
+
+def test_transport_with_an_infinite_cost_is_parse_error(tmp_path, capsys):
+    space = {"kind": "finite", "n": 3, "rho": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}
+    mu = write(tmp_path / "mu.json", {"space": space, "atoms": [0, 1], "weights": [0.5, 0.5]})
+    nu = write(tmp_path / "nu.json", {"space": space, "atoms": [1, 2], "weights": [0.5, 0.5]})
+    cost = tmp_path / "c.json"
+    cost.write_text('{"kind": "finite_matrix", "values": [[0, 1e400, 1], [1, 0, 1], [1, 1, 0]]}')
+    rc = main(["transport", mu, nu, str(cost), "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == "parse error: LP costs must be finite\n"
+
+
+def test_unbounded_ratio_is_numerical_error(tmp_path, capsys):
+    # c(0,1) > 0 while the whole path through z=2 costs nothing
+    cost = write(tmp_path / "c.json", {"kind": "finite_matrix", "values": [
+        [0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]})
+    rc = main(["constants", cost, "--out-dir", str(tmp_path)])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith(
+        "numerical error: c(0,1) > 0 but the triangle denominator through z=2 is 0")
+
+
+def test_construction_failed_is_numerical_error(tmp_path, capsys, monkeypatch):
+    def failing(cost):
+        raise ConstructionFailed("relaxed inequality fails at eps=0.5", (0, 1, 2))
+
+    monkeypatch.setattr(cli, "growth_constants", failing)
+    cost = write(tmp_path / "c.json", COST_SQ)
+    rc = main(["constants", cost, "--out-dir", str(tmp_path)])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith(
+        "numerical error: ('relaxed inequality fails at eps=0.5'")
+
+
+def test_transport_runs_under_the_benchmark_tracer(tmp_path):
+    # perfbench/tracer.py patches names in the loaded modules; a name it
+    # expects that is missing makes every traced benchmark pass die
+    root = Path(__file__).resolve().parents[1]
+    mu = write(tmp_path / "mu.json", MEASURE_01)
+    nu = write(tmp_path / "nu.json", MEASURE_12)
+    cost = write(tmp_path / "c.json", COST_SQ)
+    script = (
+        "import sys\n"
+        "import mkbary.cli\n"
+        f"sys.path.insert(0, {str(root / 'perfbench')!r})\n"
+        "import tracer\n"
+        "tracer.Tracer().install()\n"
+        f"sys.exit(mkbary.cli.main(['transport', {mu!r}, {nu!r}, {cost!r}, "
+        f"'--out-dir', {str(tmp_path)!r}]))\n"
+    )
+    # no bytecode: the test must leave perfbench/ as it found it
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={"PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1"},
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "1"
 
 
 def test_verify_small_convexity_passes(tmp_path, capsys):

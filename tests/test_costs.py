@@ -108,6 +108,17 @@ def test_growth_constants_finite_enumeration():
     assert g.B == pytest.approx(2.0)
 
 
+def test_sampled_B_clamp_is_logged(caplog):
+    # sqrt|u| is subadditive, so g(u+v) / (g(u) + g(v)) < 1 unless u or v is 0,
+    # and no 2-D Halton point is 0
+    root = CostSpec.translation(lambda u: float(np.sqrt(np.linalg.norm(u))), dim=2)
+    with caplog.at_level("WARNING", logger="mkbary"):
+        g = growth_constants(root, sample_size=500)
+    assert g.B == 1.0 and g.provenance == "sampled_lower_bound"
+    assert [r.getMessage() for r in caplog.records if r.name == "mkbary"] == [
+        "sampled B < 1 clamped to 1 (convex g cannot have B < 1)"]
+
+
 def test_unbounded_ratio_for_broken_matrix():
     # c(0,1) > 0 while the whole path through z=2 costs nothing
     vals = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])

@@ -1,4 +1,5 @@
-"""The batched transport LP kernel against per-problem solves and the oracle."""
+"""The LP kernel against scipy's linprog, and the batched transport LPs against
+per-problem solves and the oracle."""
 
 import logging
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.optimize import linprog
 
 import mkbary.transport as transport
 from mkbary import (
@@ -18,6 +20,7 @@ from mkbary import (
     canonicalize,
     dirac,
     generate_random_measure,
+    lp,
     solve_lp_batch,
     solve_transport_batch,
 )
@@ -52,16 +55,83 @@ def _large_pair(size, seed):
 
 
 @pytest.fixture
-def linprog_calls(monkeypatch):
+def lp_calls(monkeypatch):
     calls = []
-    real = transport.linprog
+    real = lp.solve
 
-    def counting(c, **kwargs):
+    def counting(c, A, rhs):
         calls.append(len(c))
-        return real(c, **kwargs)
+        return real(c, A, rhs)
 
-    monkeypatch.setattr(transport, "linprog", counting)
+    monkeypatch.setattr(lp, "solve", counting)
     return calls
+
+
+def _assert_matches_linprog(c, A, rhs):
+    """The kernel's solve is linprog's, bit for bit; returns the kernel's."""
+    got = lp.solve(c, A, rhs)
+    ref = linprog(c, A_eq=A, b_eq=rhs, bounds=(0, None), method="highs",
+                  options={"primal_feasibility_tolerance": lp.FEASIBILITY_TOL,
+                           "dual_feasibility_tolerance": lp.FEASIBILITY_TOL})
+    assert got.status == ref.status
+    if ref.status == 0:
+        assert got.x.tobytes() == ref.x.tobytes()
+        assert got.duals.tobytes() == ref.eqlin.marginals.tobytes()
+        assert got.fun == ref.fun
+        assert got.nit == ref.nit
+    else:
+        assert got.x is None and got.duals is None and got.fun is None
+    return got
+
+
+def test_kernel_matches_linprog_on_random_transport_batches():
+    rng = np.random.default_rng(21)
+    for _ in range(30):
+        shapes = [tuple(int(v) for v in rng.integers(2, 9, size=2))
+                  for _ in range(rng.integers(1, 6))]
+        c = np.concatenate([rng.uniform(size=m * n) ** rng.choice([1, 3]) for m, n in shapes])
+        rhs = np.concatenate([np.concatenate([rng.dirichlet(np.ones(m)),
+                                              rng.dirichlet(np.ones(n))[:-1]])
+                              for m, n in shapes])
+        assert _assert_matches_linprog(c, transport._block_system(shapes), rhs).status == 0
+
+
+def test_kernel_matches_linprog_on_joint_barycenter_lps():
+    from mkbary.barycenter import _joint_lp_system
+
+    grid = np.array([[x, y] for x in np.linspace(-1, 1, 5) for y in np.linspace(-1, 1, 5)])
+    for seed in range(4):
+        inputs = [(generate_random_measure(50 * seed + i, [-1, -1], [1, 1], 3 + i), lam)
+                  for i, lam in enumerate([0.2, 0.3, 0.5])]
+        c, A, rhs, _, _ = _joint_lp_system(inputs, COSTS[seed % 3], grid)
+        assert _assert_matches_linprog(c, A, rhs).status == 0
+        # the face tie-break's shape: two copies of the system side by side
+        h = np.arange(len(c), dtype=float)
+        _assert_matches_linprog(np.concatenate([h, -h]), lp.block_diag([A, A]),
+                                np.concatenate([rhs, rhs]))
+
+
+def test_kernel_status_matches_linprog_on_infeasible_and_unbounded_lps():
+    twice = sparse.csc_array(np.array([[1.0, 1.0], [1.0, 1.0]]))
+    assert _assert_matches_linprog(np.ones(2), twice, np.array([1.0, 2.0])).status == 2
+    ray = sparse.csc_array(np.array([[1.0, -1.0]]))
+    assert _assert_matches_linprog(np.array([-1.0, 0.0]), ray, np.zeros(1)).status == 3
+
+
+def test_kernel_rejects_costs_that_are_not_finite():
+    A = _marginal_system(2, 2)
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="LP costs must be finite"):
+            lp.solve(np.array([0.0, bad, 1.0, 0.0]), A, np.full(3, 0.5))
+
+
+def test_block_diag_matches_scipy():
+    rng = np.random.default_rng(4)
+    blocks = [sparse.random_array((m, n), density=0.5, format="csc", rng=rng)
+              for m, n in [(3, 4), (1, 2), (5, 3)]]
+    got = lp.block_diag(blocks)
+    assert got.shape == (9, 9)
+    np.testing.assert_array_equal(got.toarray(), sparse.block_diag(blocks).toarray())
 
 
 def test_marginal_system_is_sparse_with_two_nonzeros_per_column():
@@ -81,7 +151,7 @@ def test_pack_respects_the_cap():
     assert _pack([10, 1], 10) == [[0], [1]]
 
 
-def test_batch_matches_single_solves_and_oracle(linprog_calls):
+def test_batch_matches_single_solves_and_oracle(lp_calls):
     pairs = _random_pairs(500, seed=40)
     # trivial 1xn and nx1 blocks mixed into the batch
     pairs.insert(5, (dirac(PLANE, [0.0, 0.0]), pairs[5][1]))
@@ -97,8 +167,8 @@ def test_batch_matches_single_solves_and_oracle(linprog_calls):
     assert solver_vars > 2 * MAX_BATCH_VARS
 
     batch = solve_lp_batch(problems)
-    assert len(linprog_calls) >= 3
-    assert max(linprog_calls) <= MAX_BATCH_VARS
+    assert len(lp_calls) >= 3
+    assert max(lp_calls) <= MAX_BATCH_VARS
     for (C, a, b), (mu, nu), cost, (x, obj, u, v, gap) in zip(problems, pairs, costs, batch):
         _, single, _, _, _ = solve_lp_matrix(C, a, b)
         assert abs(obj - single) <= 1e-9 * (1 + abs(single))
@@ -108,20 +178,20 @@ def test_batch_matches_single_solves_and_oracle(linprog_calls):
         assert (x > 1e-12).sum() <= C.shape[0] + C.shape[1] - 1
 
 
-def test_transport_batch_plans_pass_their_certificates(linprog_calls, monkeypatch):
+def test_transport_batch_plans_pass_their_certificates(lp_calls, monkeypatch):
     sq = CostSpec.norm_power(2)
     pairs = _random_pairs(150, seed=900)
     big = _large_pair(128, seed=7)
     pairs.insert(60, big)
     plans = solve_transport_batch(pairs, sq)
     # the large problem is solved alone, on shortlists of its columns
-    assert max(linprog_calls) < 128 * 128
+    assert max(lp_calls) < 128 * 128
     for (mu, nu), plan in zip(pairs, plans):
         assert plan.source is mu and plan.target is nu
         plan.check(sq.matrix(mu, nu))
     monkeypatch.setattr(transport, "MAX_BATCH_VARS", 128 * 128)
     _, full, _, _, _ = solve_lp_matrix(sq.matrix(*big), big[0].weights, big[1].weights)
-    assert 128 * 128 in linprog_calls
+    assert 128 * 128 in lp_calls
     assert abs(plans[60].objective - full) <= GAP_TOL * (1 + abs(full))
 
 
@@ -135,8 +205,8 @@ def test_failures_name_the_block(monkeypatch):
     with pytest.raises(NumericalFailure, match="block 0"):
         solve_lp_batch(problems)
     monkeypatch.setattr(transport, "GAP_TOL", 1e-9)
-    monkeypatch.setattr(transport, "linprog",
-                        lambda c, **kw: SimpleNamespace(status=4, message="forced"))
+    monkeypatch.setattr(lp, "solve",
+                        lambda c, A, rhs: SimpleNamespace(status=4, message="forced"))
     with pytest.raises(NumericalFailure, match="blocks 1..2 failed: forced"):
         solve_lp_batch(problems)
 
@@ -144,17 +214,17 @@ def test_failures_name_the_block(monkeypatch):
 def test_non_vertex_plan_names_its_block(monkeypatch):
     # zero costs make the dense 2x2 plan optimal with a closed gap, so only
     # the vertex check can reject it
-    real_linprog = transport.linprog
+    real_solve = lp.solve
 
-    def dense_second_block(c, **kw):
-        res = real_linprog(c, **kw)
+    def dense_second_block(c, A, rhs):
+        res = real_solve(c, A, rhs)
         res.x[4:8] = 0.25
         return res
 
     half = np.array([0.5, 0.5])
     problems = [(np.array([[0.0, 1.0], [1.0, 0.0]]), half, half), (np.zeros((2, 2)), half, half)]
     solve_lp_batch(problems)
-    monkeypatch.setattr(transport, "linprog", dense_second_block)
+    monkeypatch.setattr(lp, "solve", dense_second_block)
     with pytest.raises(NumericalFailure, match="block 1: plan has 4 positive entries"):
         solve_lp_batch(problems)
 
@@ -167,11 +237,11 @@ def _full_lp(monkeypatch, C, a, b):
     return x, obj
 
 
-def _check_shortlist(monkeypatch, linprog_calls, C, a, b):
+def _check_shortlist(monkeypatch, lp_calls, C, a, b):
     """Solve by the shortlist and check the result against the full LP."""
-    linprog_calls.clear()
+    lp_calls.clear()
     x, obj, u, v, gap = solve_lp_matrix(C, a, b)
-    assert linprog_calls and max(linprog_calls) < C.size
+    assert lp_calls and max(lp_calls) < C.size
     _, full = _full_lp(monkeypatch, C, a, b)
     assert abs(obj - full) <= GAP_TOL * (1 + abs(full))
     assert gap <= GAP_TOL * (1 + abs(obj))
@@ -181,24 +251,24 @@ def _check_shortlist(monkeypatch, linprog_calls, C, a, b):
     assert np.all(u[:, None] + v[None, :] <= C + 1e-12)
 
 
-def test_shortlist_matches_full_lp_on_random_problems(monkeypatch, linprog_calls):
+def test_shortlist_matches_full_lp_on_random_problems(monkeypatch, lp_calls):
     rng = np.random.default_rng(11)
     sq = CostSpec.norm_power(2)
     for m, n, dim in [(33, 40, 2), (128, 96, 2), (64, 128, 1), (100, 33, 1)]:
         space = GroundSpace.euclidean(dim)
         mu = canonicalize(rng.uniform(size=(m, dim)), rng.dirichlet(np.ones(m)), space)
         nu = canonicalize(rng.uniform(size=(n, dim)), rng.dirichlet(np.ones(n)), space)
-        _check_shortlist(monkeypatch, linprog_calls, sq.matrix(mu, nu), mu.weights, nu.weights)
+        _check_shortlist(monkeypatch, lp_calls, sq.matrix(mu, nu), mu.weights, nu.weights)
     points = rng.uniform(size=(120, 2))
     space = GroundSpace.finite(np.linalg.norm(points[:, None] - points[None, :], axis=-1))
     for m, n, p in [(40, 70, 1.0), (120, 120, 2.0)]:
         mu = canonicalize(rng.choice(120, m, replace=False), rng.dirichlet(np.ones(m)), space)
         nu = canonicalize(rng.choice(120, n, replace=False), rng.dirichlet(np.ones(n)), space)
         cost = CostSpec.metric_power(p)
-        _check_shortlist(monkeypatch, linprog_calls, cost.matrix(mu, nu), mu.weights, nu.weights)
+        _check_shortlist(monkeypatch, lp_calls, cost.matrix(mu, nu), mu.weights, nu.weights)
 
 
-def test_shortlist_matches_oracle_on_4x4(monkeypatch, linprog_calls):
+def test_shortlist_matches_oracle_on_4x4(monkeypatch, lp_calls):
     # with the cap at 4 and one start column per row and column, every 4x4
     # problem starts on at most 4 + 4 + 7 of its 16 columns
     monkeypatch.setattr(transport, "MAX_BATCH_VARS", 4)
@@ -209,17 +279,17 @@ def test_shortlist_matches_oracle_on_4x4(monkeypatch, linprog_calls):
         mu, nu = (canonicalize(rng.uniform(-1, 1, size=(4, 2)), rng.dirichlet(np.ones(4)), PLANE)
                   for _ in range(2))
         cost = COSTS[k % 3]
-        linprog_calls.clear()
+        lp_calls.clear()
         _, obj, _, _, gap = solve_lp_matrix(cost.matrix(mu, nu), mu.weights, nu.weights)
-        assert linprog_calls[0] < 16
-        repriced += len(linprog_calls) > 1
+        assert lp_calls[0] < 16
+        repriced += len(lp_calls) > 1
         oracle = brute_force_transport(mu, nu, cost)
         assert abs(obj - oracle) <= GAP_TOL * (1 + abs(oracle))
         assert gap <= GAP_TOL * (1 + abs(obj))
     assert repriced >= 10  # the pricing rounds do add columns
 
 
-def test_shortlist_on_degenerate_problems(monkeypatch, linprog_calls):
+def test_shortlist_on_degenerate_problems(monkeypatch, lp_calls):
     sq = CostSpec.norm_power(2)
     rng = np.random.default_rng(5)
     side = np.linspace(0.0, 1.0, 7)
@@ -231,7 +301,7 @@ def test_shortlist_on_degenerate_problems(monkeypatch, linprog_calls):
     for X, Y in cases:
         w = np.full(len(X), 1.0 / len(X))
         mu, nu = canonicalize(X, w, PLANE), canonicalize(Y, w, PLANE)
-        _check_shortlist(monkeypatch, linprog_calls, sq.matrix(mu, nu), mu.weights, nu.weights)
+        _check_shortlist(monkeypatch, lp_calls, sq.matrix(mu, nu), mu.weights, nu.weights)
     # identical measures on 49 x 49 atoms: the identity plan, cost 0
     uniform = np.full(len(grid), 1.0 / len(grid))
     mu = canonicalize(grid, uniform, PLANE)
@@ -240,7 +310,7 @@ def test_shortlist_on_degenerate_problems(monkeypatch, linprog_calls):
     np.testing.assert_array_equal(x, np.diag(uniform))
 
 
-def test_shortlist_start_is_feasible_where_cheapest_columns_are_not(monkeypatch, linprog_calls):
+def test_shortlist_start_is_feasible_where_cheapest_columns_are_not(monkeypatch, lp_calls):
     # atoms -i and +j for i, j < 40: the cheapest columns of atom -i are the
     # atoms +j with j < K and the cheapest rows of +j the atoms -i with
     # i < K, so the atoms -i with i >= K can only send mass to K atoms
@@ -254,24 +324,21 @@ def test_shortlist_start_is_feasible_where_cheapest_columns_are_not(monkeypatch,
     np.put_along_axis(cheapest, np.argsort(C, axis=1)[:, :k], True, axis=1)
     np.put_along_axis(cheapest, np.argsort(C, axis=0)[:k], True, axis=0)
     cols = np.flatnonzero(cheapest)
-    res = transport.linprog(
-        C.ravel()[cols], A_eq=_marginal_system(n, n)[:, cols],
-        b_eq=np.concatenate([w, w[:-1]]), bounds=(0, None), method="highs",
-    )
+    res = lp.solve(C.ravel()[cols], _marginal_system(n, n)[:, cols], np.concatenate([w, w[:-1]]))
     assert res.status == 2  # infeasible
-    _check_shortlist(monkeypatch, linprog_calls, C, w, w)
+    _check_shortlist(monkeypatch, lp_calls, C, w, w)
 
 
-def test_shortlist_round_cap_falls_back_to_full_lp(monkeypatch, linprog_calls, caplog):
+def test_shortlist_round_cap_falls_back_to_full_lp(monkeypatch, lp_calls, caplog):
     mu, nu = _large_pair(64, seed=3)
     C = CostSpec.norm_power(2).matrix(mu, nu)
     full_x, full = _full_lp(monkeypatch, C, mu.weights, nu.weights)
     monkeypatch.setattr(transport, "SHORTLIST_K", 1)
     monkeypatch.setattr(transport, "SHORTLIST_MAX_ROUNDS", 1)
-    linprog_calls.clear()
+    lp_calls.clear()
     with caplog.at_level(logging.WARNING, logger="mkbary"):
         x, obj, _, _, _ = solve_lp_matrix(C, mu.weights, nu.weights)
-    assert linprog_calls[0] < C.size and linprog_calls[1:] == [C.size]
+    assert lp_calls[0] < C.size and lp_calls[1:] == [C.size]
     assert [r.getMessage() for r in caplog.records if r.name == "mkbary"] == [
         "transport LP block 0: shortlist still missing columns after 1 rounds; "
         "solving the full LP"]
@@ -300,12 +367,13 @@ def test_plan_check_raises_under_python_O():
         "import numpy as np\n"
         "import mkbary.transport as transport\n"
         "from mkbary import NumericalFailure\n"
-        "real = transport.linprog\n"
-        "def doubled(c, **kw):  # every shortlist plan comes back with twice its mass\n"
-        "    res = real(c, **kw)\n"
-        "    res.x = 2 * res.x\n"
+        "from mkbary import lp\n"
+        "real = lp.solve\n"
+        "def doubled(c, A, rhs):  # every shortlist plan comes back with twice its mass\n"
+        "    res = real(c, A, rhs)\n"
+        "    res.x[:] = 2 * res.x\n"
         "    return res\n"
-        "transport.linprog = doubled\n"
+        "lp.solve = doubled\n"
         "rng = np.random.default_rng(0)\n"
         "C = rng.uniform(size=(40, 40))\n"
         "w = np.full(40, 1 / 40)\n"
