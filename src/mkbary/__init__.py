@@ -2,6 +2,12 @@
 
 __version__ = "0.1.0"
 
+# numpy loads these on first use (numpy.random from default_rng, numpy.ma
+# from unique along an axis); loading them here keeps that out of the
+# first solve that needs them.
+import numpy.ma  # noqa: E402,F401
+import numpy.random  # noqa: E402,F401
+
 from .costs import (
     CostSpec,
     GrowthConstants,

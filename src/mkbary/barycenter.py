@@ -20,9 +20,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog  # noqa: F401  not called: perfbench/tracer.py patches it
-from scipy.optimize import minimize
 
 from . import lp
 from .costs import CostSpec
@@ -42,6 +39,15 @@ from .measures import (
 from .transport import GAP_TOL, transport_costs
 
 log = logging.getLogger("mkbary")
+
+
+def __getattr__(name):
+    # scipy's LP front end, never called here: perfbench/tracer.py wraps it
+    # under this name.  Importing it loads scipy.optimize, so only on demand.
+    if name == "linprog":
+        from scipy.optimize import linprog
+        return linprog
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -150,25 +156,31 @@ def _joint_lp_system(inputs, cost: CostSpec, S: np.ndarray):
 
     Input i adds its n_i x K coupling and n_i + K rows: the row marginals
     sum_k gamma_jk = mu_j, then the ties sum_j gamma_jk - w_k = 0.  The last
-    row sums the weights w to 1.
+    row sums the weights w to 1.  The matrix is CSC with int32 indices, each
+    column's rows ascending: a coupling column holds 1 in its marginal row
+    and in its tie row, w_k holds -1 in the k-th tie row of every input and
+    1 in the last row.
     """
     K = len(S)
     n_gamma = K * sum(m.n_atoms for m, _ in inputs)
-    w_cols = n_gamma + np.arange(K)
-    c_parts, rows, cols, rhs = [], [], [], []
-    r = off = 0
+    c_parts, gamma_rows, tie_rows, rhs = [], [], [], []
+    r = 0
     for m, lam in inputs:
         sz = m.n_atoms
         c_parts.append(lam * cost.table(m.space, m.atoms, S).ravel())
-        gamma = off + np.arange(sz * K)
-        rows += [r + np.repeat(np.arange(sz), K), r + sz + np.tile(np.arange(K), sz),
-                 r + sz + np.arange(K)]
-        cols += [gamma, gamma, w_cols]
+        gamma_rows.append(np.stack([r + np.repeat(np.arange(sz), K),
+                                    r + sz + np.tile(np.arange(K), sz)], axis=1).ravel())
+        tie_rows.append(r + sz + np.arange(K))
         rhs += [m.weights, np.zeros(K)]
-        r, off = r + sz + K, off + sz * K
-    rows, cols = np.concatenate(rows + [np.full(K, r)]), np.concatenate(cols + [w_cols])
-    vals = np.where((cols >= n_gamma) & (rows < r), -1.0, 1.0)  # -w_k in the ties
-    A = sparse.csc_matrix((vals, (rows, cols)), shape=(r + 1, n_gamma + K))
+        r += sz + K
+    w_rows = np.stack(tie_rows + [np.full(K, r)], axis=1).ravel()
+    n_ties = len(inputs)
+    indices = np.concatenate(gamma_rows + [w_rows]).astype(np.int32)
+    indptr = np.concatenate([np.arange(0, 2 * n_gamma, 2),
+                             2 * n_gamma + (n_ties + 1) * np.arange(K + 1)]).astype(np.int32)
+    data = np.concatenate([np.ones(2 * n_gamma),
+                           np.tile(np.append(np.full(n_ties, -1.0), 1.0), K)])
+    A = lp.CSC(data, indices, indptr, (r + 1, n_gamma + K))
     return np.concatenate(c_parts + [np.zeros(K)]), A, np.concatenate(rhs + [[1.0]]), n_gamma, K
 
 
@@ -199,8 +211,8 @@ def _face_tie_break(c_vec, A, rhs, h, value, y, n_inputs: int):
     the call fails or either half's c.x misses ``value``.
     """
     tol = GAP_TOL * (1.0 + abs(value))
-    face = np.flatnonzero(c_vec - A.T @ y <= tol / (n_inputs + 1))
-    A_face = A[:, face]
+    face = np.flatnonzero(c_vec - A.rmatvec(y) <= tol / (n_inputs + 1))
+    A_face = A.columns(face)
     r = lp.solve(np.concatenate([h[face], -h[face]]), lp.block_diag([A_face, A_face]),
                  np.concatenate([rhs, rhs]))
     if r.status != 0:
@@ -305,6 +317,8 @@ def _atom_update(cost: CostSpec, points: np.ndarray, masses: np.ndarray, start: 
 
     def phi_vec(m):
         return float(masses @ cost.pair_matrix(points, [m])[:, 0])
+
+    from scipy.optimize import minimize  # loads scipy.optimize, so only on this branch
 
     res = minimize(phi_vec, x0=start, method="Powell", options={"xtol": 1e-10, "ftol": 1e-12})
     return np.asarray(res.x, dtype=float)

@@ -46,7 +46,7 @@ from .errors import (
     UnboundedRatio,
 )
 from .measures import measure_from_json
-from .transport import plan_to_json, solve_transport
+from .transport import _plan_fields, solve_transport
 from .verify import run_suite
 
 
@@ -101,6 +101,22 @@ def _check_writable(path: str) -> None:
         raise UsageError(f"cannot write --plan: {path!r} is not writable")
 
 
+def _write_plan(fh, plan) -> None:
+    """Write ``json.dumps(plan_to_json(plan), sort_keys=True)`` and a newline.
+
+    The coupling is encoded one row at a time, so neither its m*n floats as
+    Python objects nor their whole text are held at once.  "coupling" sorts
+    first among the keys.
+    """
+    fields = json.dumps(_plan_fields(plan), sort_keys=True)
+    fh.write('{"coupling": [')
+    for i, row in enumerate(plan.coupling):
+        if i:
+            fh.write(", ")
+        fh.write(json.dumps(row.tolist()))
+    fh.write("], " + fields[1:] + "\n")
+
+
 def cmd_transport(args) -> int:
     started = time.time()
     mu_obj = _load_json(args.mu)
@@ -122,8 +138,7 @@ def cmd_transport(args) -> int:
         except OSError as exc:
             raise UsageError(f"cannot write --plan: {exc}") from exc
         with fh:
-            # no indent: json's C encoder, several times faster on an m x n coupling
-            fh.write(json.dumps(plan_to_json(plan), sort_keys=True) + "\n")
+            _write_plan(fh, plan)
         outputs.append(args.plan)
     print(_fmt(plan.objective))
     _write_manifest(out_dir, "transport", [args.mu, args.nu, args.cost],

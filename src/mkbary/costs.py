@@ -121,6 +121,8 @@ class CostSpec:
         vals = np.asarray(values, dtype=float)
         if vals.ndim != 2 or vals.shape[0] != vals.shape[1]:
             raise ValueError("finite cost matrix must be square")
+        if not np.isfinite(vals).all():
+            raise ValueError("finite cost matrix entries must be finite")
         if np.any(vals < 0):
             raise ValueError("finite cost matrix must be nonnegative")
         if np.any(np.abs(np.diag(vals)) > 1e-12):

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import (
     EmptySupport,
@@ -79,6 +78,8 @@ class GroundSpace:
             n = rho.shape[0]
             if n < 1:
                 raise ValueError("finite space needs at least one point")
+            if not np.isfinite(rho).all():
+                raise ValueError("distance matrix entries must be finite")
             if not np.allclose(rho, rho.T, atol=1e-12):
                 raise ValueError("distance matrix must be symmetric")
             if np.any(np.abs(np.diag(rho)) > 1e-12):
@@ -173,6 +174,34 @@ class DiscreteMeasure:
         )
 
 
+def _near_pairs(pts: np.ndarray, r: float) -> np.ndarray:
+    """Pairs (i, j), i < j, of rows of ``pts`` that may lie within ``r`` (sup-norm).
+
+    In each coordinate the sorted values joined by gaps <= r form a
+    cluster, and two rows are paired when their clusters agree in every
+    coordinate.  Rounding a subtraction is monotone, so the computed gap
+    of two sorted neighbours never exceeds that of two values around them:
+    every pair within r is found.  The converse fails (a chain of small
+    gaps is one cluster), so callers test the distance themselves.
+    """
+    n, d = pts.shape
+    labels = np.empty((d, n), dtype=np.intp)
+    for k in range(d):
+        order = np.argsort(pts[:, k], kind="stable")
+        labels[k, order] = np.cumsum(np.concatenate([[0], np.diff(pts[order, k]) > r]))
+    order = np.lexsort(labels)
+    new = np.ones(n, dtype=bool)
+    new[1:] = np.any(labels[:, order[1:]] != labels[:, order[:-1]], axis=0)
+    starts = np.flatnonzero(new)
+    ends = np.repeat(np.append(starts[1:], n), np.diff(np.append(starts, n)))
+    # position p pairs with the later positions p+1 .. ends[p]-1 of its group
+    later = ends - np.arange(n) - 1
+    first = np.repeat(np.arange(n), later)
+    second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later)
+    i, j = order[first], order[second]
+    return np.stack([np.minimum(i, j), np.maximum(i, j)], axis=1)
+
+
 def _sort_and_merge(space: GroundSpace, atoms: np.ndarray, weights: np.ndarray):
     """Sort atoms lexicographically and merge duplicates by weight addition.
 
@@ -202,13 +231,14 @@ def _sort_and_merge(space: GroundSpace, atoms: np.ndarray, weights: np.ndarray):
     owner = np.maximum.accumulate(np.where(head, np.arange(n), 0))
     heads = np.flatnonzero(head)
     if tol > 0 and len(heads) > 1:
-        pairs = cKDTree(pts[heads]).query_pairs(2 * tol, p=np.inf, output_type="ndarray")
-        for j in np.unique(pairs[:, 1]):  # pairs (i, j) of heads have i < j
-            cand = heads[np.sort(pairs[pairs[:, 1] == j, 0])]
-            cand = cand[(owner[cand] == cand)
-                        & (np.max(np.abs(pts[cand] - pts[heads[j]]), axis=1) <= tol)]
+        first, second = heads[_near_pairs(pts[heads], 2 * tol)].T
+        near = np.max(np.abs(pts[first] - pts[second]), axis=1) <= tol
+        first, second = first[near], second[near]
+        for j in np.unique(second):  # pairs of atoms have first < second
+            cand = np.sort(first[second == j])
+            cand = cand[owner[cand] == cand]
             if cand.size:
-                owner[heads[j]] = cand[0]
+                owner[j] = cand[0]
         owner = owner[owner]
     keep = owner == np.arange(n)
     merged = np.flatnonzero(~keep)

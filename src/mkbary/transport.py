@@ -34,8 +34,6 @@ from itertools import combinations
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linprog  # noqa: F401  not called: perfbench/tracer.py patches it
-from scipy.sparse import csc_array
 
 from . import lp
 from .costs import CostSpec
@@ -54,6 +52,15 @@ SHORTLIST_K = 8
 SHORTLIST_MAX_ROUNDS = 20
 
 log = logging.getLogger("mkbary")
+
+
+def __getattr__(name):
+    # scipy's LP front end, never called here: perfbench/tracer.py wraps it
+    # under this name.  Importing it loads scipy.optimize, so only on demand.
+    if name == "linprog":
+        from scipy.optimize import linprog
+        return linprog
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -93,7 +100,7 @@ class TransportPlan:
                         "duality gap")
 
 
-def _marginal_columns(m: int, n: int, cols: np.ndarray) -> csc_array:
+def _marginal_columns(m: int, n: int, cols: np.ndarray) -> lp.CSC:
     """Sparse equality rows (all m row sums, first n-1 column sums) on columns ``cols``.
 
     Flat column k = i*n + j holds a 1 in row i and, unless j = n-1, a 1 in
@@ -101,16 +108,16 @@ def _marginal_columns(m: int, n: int, cols: np.ndarray) -> csc_array:
     """
     i, j = np.divmod(cols, n)
     has_col_row = j < n - 1
-    indptr = np.zeros(len(cols) + 1, dtype=np.int64)
+    indptr = np.zeros(len(cols) + 1, dtype=np.int32)
     np.cumsum(1 + has_col_row, out=indptr[1:])
     indices = np.empty(indptr[-1], dtype=np.int32)
     indices[indptr[:-1]] = i
     indices[indptr[:-1][has_col_row] + 1] = m + j[has_col_row]
-    return csc_array((np.ones(len(indices)), indices, indptr), shape=(m + n - 1, len(cols)))
+    return lp.CSC(np.ones(len(indices)), indices, indptr, (m + n - 1, len(cols)))
 
 
 @lru_cache(maxsize=64)
-def _marginal_system(m: int, n: int) -> csc_array:
+def _marginal_system(m: int, n: int) -> lp.CSC:
     """The marginal rows over all mn variables: m*n + m*(n-1) nonzeros.
 
     Cached per shape, so its arrays are read-only.
@@ -121,7 +128,7 @@ def _marginal_system(m: int, n: int) -> csc_array:
     return A
 
 
-def _block_system(shapes) -> csc_array:
+def _block_system(shapes) -> lp.CSC:
     """Block-diagonal stack of the marginal systems of ``shapes``, in order."""
     if len(shapes) == 1:
         return _marginal_system(*shapes[0])
@@ -415,11 +422,16 @@ def interpolation_cost(mu0, mu1, t: float, tp: float, cost: CostSpec):
     return value, (tp - t) * base
 
 
-def plan_to_json(plan: TransportPlan) -> dict:
-    out = {"coupling": plan.coupling.tolist(), "objective": plan.objective}
+def _plan_fields(plan: TransportPlan) -> dict:
+    """Every field of ``plan_to_json`` but the coupling."""
+    out = {"objective": plan.objective}
     if plan.duals is not None:
         u, v = plan.duals
         out["duals"] = {"u": u.tolist(), "v": v.tolist()}
     if plan.gap is not None:
         out["gap"] = plan.gap
     return out
+
+
+def plan_to_json(plan: TransportPlan) -> dict:
+    return {"coupling": plan.coupling.tolist(), **_plan_fields(plan)}

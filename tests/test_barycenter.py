@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from csc_helper import to_scipy
 
 from mkbary import (
     BarycenterProblem,
@@ -189,9 +190,39 @@ def test_joint_lp_system_by_hand():
         [0, 0, 0, 0, 0, 0, 1, 1],   # w on the simplex
     ]
     assert (n_gamma, K) == (6, 2)
-    np.testing.assert_array_equal(A.toarray(), expected)
+    np.testing.assert_array_equal(to_scipy(A).toarray(), expected)
     np.testing.assert_array_equal(c, [0.0, 0.25, 0.0, 0.75, 3.0, 0.75, 0.0, 0.0])
     np.testing.assert_array_equal(rhs, [1.0, 0.0, 0.0, 0.25, 0.75, 0.0, 0.0, 1.0])
+
+
+def test_joint_lp_system_matches_the_coo_construction():
+    from scipy import sparse
+
+    from mkbary.barycenter import _joint_lp_system
+
+    grid = np.array([[x, y] for x in np.linspace(-1, 1, 4) for y in np.linspace(-1, 1, 3)])
+    for seed, n_inputs in [(0, 1), (1, 2), (2, 4)]:
+        inputs = [(generate_random_measure(30 * seed + i, [-1, -1], [1, 1], 2 + i), 1.0 + i)
+                  for i in range(n_inputs)]
+        _, A, _, n_gamma, K = _joint_lp_system(inputs, SQ, grid)
+        # the triplets (row, column, value) of the system, as csc_matrix took them
+        w_cols = n_gamma + np.arange(K)
+        rows, cols = [], []
+        r = off = 0
+        for m, _ in inputs:
+            sz = m.n_atoms
+            gamma = off + np.arange(sz * K)
+            rows += [r + np.repeat(np.arange(sz), K), r + sz + np.tile(np.arange(K), sz),
+                     r + sz + np.arange(K)]
+            cols += [gamma, gamma, w_cols]
+            r, off = r + sz + K, off + sz * K
+        rows, cols = np.concatenate(rows + [np.full(K, r)]), np.concatenate(cols + [w_cols])
+        vals = np.where((cols >= n_gamma) & (rows < r), -1.0, 1.0)
+        ref = sparse.csc_matrix((vals, (rows, cols)), shape=(r + 1, n_gamma + K))
+        assert A.shape == ref.shape
+        for name in ("data", "indices", "indptr"):
+            assert getattr(A, name).dtype == getattr(ref, name).dtype
+            assert getattr(A, name).tobytes() == getattr(ref, name).tobytes()
 
 
 def test_translation_equivariance_quadratic():
@@ -288,7 +319,7 @@ def _pinned_reference(problem, value):
                                              problem.constraint.atoms)
     h = np.zeros_like(c)
     h[n_gamma:] = np.arange(1, K + 1)
-    A_pin = sparse.vstack([A, sparse.csr_matrix(c[None, :])])
+    A_pin = sparse.vstack([to_scipy(A), sparse.csr_matrix(c[None, :])])
     rhs_pin = np.append(rhs, value)
     lo, hi = (linprog(sign * h, A_eq=A_pin, b_eq=rhs_pin, bounds=(0, None), method="highs")
               for sign in (1.0, -1.0))

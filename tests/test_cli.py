@@ -43,6 +43,38 @@ def test_transport_worked_example(tmp_path, capsys):
     assert plan["gap"] <= 1e-9 * 2
 
 
+def test_plan_file_is_the_one_shot_encoding(tmp_path, capsys):
+    import io
+
+    import numpy as np
+
+    from mkbary import measure_from_json
+    from mkbary.costs import cost_from_json
+    from mkbary.transport import plan_to_json
+
+    rng = np.random.default_rng(5)
+    plane = {"kind": "euclidean", "dim": 2}
+    cases = [(MEASURE_01, MEASURE_12)]
+    for m, n in [(1, 4), (5, 1), (12, 9)]:
+        cases.append(tuple({"space": plane, "atoms": rng.uniform(size=(k, 2)).tolist(),
+                            "weights": rng.dirichlet(np.ones(k)).tolist()} for k in (m, n)))
+    for k, (mu_obj, nu_obj) in enumerate(cases):
+        mu, nu = write(tmp_path / "mu.json", mu_obj), write(tmp_path / "nu.json", nu_obj)
+        cost = write(tmp_path / "c.json", COST_SQ)
+        plan_path = tmp_path / f"plan{k}.json"
+        assert main(["transport", mu, nu, cost, "--plan", str(plan_path),
+                     "--out-dir", str(tmp_path)]) == 0
+        plan = solve_transport(measure_from_json(mu_obj), measure_from_json(nu_obj),
+                               cost_from_json(COST_SQ))
+        assert plan_path.read_bytes() == (
+            json.dumps(plan_to_json(plan), sort_keys=True) + "\n").encode()
+    # a plan without certificate fields
+    bare = dataclasses.replace(plan, duals=None, gap=None)
+    fh = io.StringIO()
+    cli._write_plan(fh, bare)
+    assert fh.getvalue() == json.dumps(plan_to_json(bare), sort_keys=True) + "\n"
+
+
 def test_transport_creates_out_dir_for_plan(tmp_path, capsys):
     mu = write(tmp_path / "mu.json", MEASURE_01)
     nu = write(tmp_path / "nu.json", MEASURE_12)
@@ -230,7 +262,42 @@ def test_transport_with_an_infinite_cost_is_parse_error(tmp_path, capsys):
     cost.write_text('{"kind": "finite_matrix", "values": [[0, 1e400, 1], [1, 0, 1], [1, 1, 0]]}')
     rc = main(["transport", mu, nu, str(cost), "--out-dir", str(tmp_path)])
     assert rc == 2
-    assert capsys.readouterr().err == "parse error: LP costs must be finite\n"
+    assert capsys.readouterr().err == "parse error: finite cost matrix entries must be finite\n"
+
+
+def _one_by_two(tmp_path, rho):
+    """A 1x2 transport on a two-point space: its one feasible plan skips the LP."""
+    space = {"kind": "finite", "n": 2, "rho": rho}
+    mu = write(tmp_path / "mu.json", {"space": space, "atoms": [0], "weights": [1.0]})
+    nu = write(tmp_path / "nu.json", {"space": space, "atoms": [0, 1], "weights": [0.5, 0.5]})
+    return mu, nu
+
+
+def test_transport_rejects_an_overflowing_table(tmp_path, capsys):
+    # 1e400 parses as inf; the 1x2 plan would print it as the cost
+    mu, nu = _one_by_two(tmp_path, [[0, 1], [1, 0]])
+    cost = tmp_path / "c.json"
+    cost.write_text('{"kind": "finite_matrix", "values": [[0, 1e400], [1, 0]]}')
+    assert main(["transport", mu, nu, str(cost), "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr() == ("", "parse error: finite cost matrix entries must be finite\n")
+    mu, nu = _one_by_two(tmp_path, [[0, 1e400], [1e400, 0]])
+    cost = write(tmp_path / "c.json", {"kind": "metric_power", "p": 1})
+    assert main(["transport", mu, nu, cost, "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr() == ("", "parse error: distance matrix entries must be finite\n")
+
+
+def test_transport_rejects_a_nan_table(tmp_path, capsys):
+    # NaN passes the sign and diagonal checks, and no triangle check fails on it
+    mu, nu = _one_by_two(tmp_path, [[0, 1], [1, 0]])
+    cost = tmp_path / "c.json"
+    cost.write_text('{"kind": "finite_matrix", "values": [[NaN, 1], [1, 0]]}')
+    assert main(["transport", mu, nu, str(cost), "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr() == ("", "parse error: finite cost matrix entries must be finite\n")
+    nan = float("nan")  # json.dumps writes it as NaN
+    mu, nu = _one_by_two(tmp_path, [[0, nan], [nan, 0]])
+    cost = write(tmp_path / "c.json", {"kind": "metric_power", "p": 1})
+    assert main(["transport", mu, nu, cost, "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr() == ("", "parse error: distance matrix entries must be finite\n")
 
 
 def test_unbounded_ratio_is_numerical_error(tmp_path, capsys):

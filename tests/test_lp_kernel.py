@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from csc_helper import to_scipy
 from scipy import sparse
 from scipy.optimize import linprog
 
@@ -70,7 +71,7 @@ def lp_calls(monkeypatch):
 def _assert_matches_linprog(c, A, rhs):
     """The kernel's solve is linprog's, bit for bit; returns the kernel's."""
     got = lp.solve(c, A, rhs)
-    ref = linprog(c, A_eq=A, b_eq=rhs, bounds=(0, None), method="highs",
+    ref = linprog(c, A_eq=to_scipy(A), b_eq=rhs, bounds=(0, None), method="highs",
                   options={"primal_feasibility_tolerance": lp.FEASIBILITY_TOL,
                            "dual_feasibility_tolerance": lp.FEASIBILITY_TOL})
     assert got.status == ref.status
@@ -131,17 +132,49 @@ def test_block_diag_matches_scipy():
               for m, n in [(3, 4), (1, 2), (5, 3)]]
     got = lp.block_diag(blocks)
     assert got.shape == (9, 9)
-    np.testing.assert_array_equal(got.toarray(), sparse.block_diag(blocks).toarray())
+    np.testing.assert_array_equal(to_scipy(got).toarray(), sparse.block_diag(blocks).toarray())
+
+
+def _grid_joint_system(k, seed):
+    """The joint barycenter LP of four 6-atom inputs on a k x k grid, and its duals."""
+    from mkbary.barycenter import _joint_lp_system
+
+    rng = np.random.default_rng(seed)
+    side = np.linspace(0.0, 1.0, k)
+    grid = np.array([[x, y] for x in side for y in side])
+    inputs = [(canonicalize(rng.uniform(size=(6, 2)), rng.dirichlet(np.ones(6)), PLANE), lam)
+              for lam in rng.dirichlet(np.full(4, 4.0))]
+    c, A, rhs, _, _ = _joint_lp_system(inputs, CostSpec.norm_power(2), grid)
+    res = lp.solve(c, A, rhs)
+    assert res.status == 0
+    return c, A, res.duals
+
+
+def test_csc_columns_and_rmatvec_match_scipy_on_the_face_cut():
+    for k, seed in [(9, 1), (17, 2)]:
+        c, A, y = _grid_joint_system(k, seed)
+        ref = sparse.csc_matrix((A.data, A.indices, A.indptr), shape=A.shape)
+        reduced = A.rmatvec(y)
+        assert reduced.tobytes() == (ref.T @ y).tobytes()
+        # the face cut of the tie-break, and a scrambled column order
+        face = np.flatnonzero(c - reduced <= 1e-9)
+        assert 0 < len(face) < len(c)
+        for cols in (face, np.random.default_rng(k).permutation(len(c))[:len(c) // 3]):
+            got, want = A.columns(cols), ref[:, cols]
+            assert got.shape == want.shape and got.nnz == want.nnz
+            for name in ("data", "indices", "indptr"):
+                assert getattr(got, name).dtype == getattr(want, name).dtype
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
 
 def test_marginal_system_is_sparse_with_two_nonzeros_per_column():
     for m, n in [(2, 2), (2, 3), (4, 3), (4, 4), (7, 5)]:
-        A = _marginal_system(m, n)
+        A = to_scipy(_marginal_system(m, n))
         assert sparse.issparse(A)
         assert A.shape == (m + n - 1, m * n)
         assert A.nnz == m * n + m * (n - 1)
         np.testing.assert_array_equal(A.toarray(), _dense_marginal_rows(m, n))
-    A = _marginal_system(512, 512)
+    A = to_scipy(_marginal_system(512, 512))
     assert sparse.issparse(A) and A.nnz == 512 * 512 + 512 * 511
 
 
@@ -324,7 +357,8 @@ def test_shortlist_start_is_feasible_where_cheapest_columns_are_not(monkeypatch,
     np.put_along_axis(cheapest, np.argsort(C, axis=1)[:, :k], True, axis=1)
     np.put_along_axis(cheapest, np.argsort(C, axis=0)[:k], True, axis=0)
     cols = np.flatnonzero(cheapest)
-    res = lp.solve(C.ravel()[cols], _marginal_system(n, n)[:, cols], np.concatenate([w, w[:-1]]))
+    res = lp.solve(C.ravel()[cols], to_scipy(_marginal_system(n, n))[:, cols],
+                   np.concatenate([w, w[:-1]]))
     assert res.status == 2  # infeasible
     _check_shortlist(monkeypatch, lp_calls, C, w, w)
 

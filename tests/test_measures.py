@@ -82,6 +82,48 @@ def test_sort_and_merge_separates_atoms_and_keeps_mass(rows):
     assert out_atoms.tolist() == np.array(kept).tolist() and out_weights.tolist() == sums
 
 
+def _brute_pairs(pts, r):
+    """Every pair (i, j), i < j, of rows within r in sup-norm, by the O(n^2) scan."""
+    dist = np.max(np.abs(pts[:, None, :] - pts[None, :, :]), axis=-1)
+    i, j = np.nonzero(np.triu(dist <= r, k=1))
+    return sorted(zip(i.tolist(), j.tolist()))
+
+
+def _near_pair_cases():
+    from mkbary.measures import ATOM_MERGE_TOL
+
+    rng = np.random.default_rng(17)
+    tol = ATOM_MERGE_TOL
+    for k in (9, 17):
+        side = np.linspace(0.0, 1.0, k)
+        yield np.array([[x, y] for x in side for y in side])
+    yield np.linspace(-3.0, 3.0, 400)[:, None]
+    for axis in range(3):  # axis-parallel lines in 2- and 3-D
+        line = np.zeros((300, 3))
+        line[:, axis] = np.arange(300) * 0.5
+        yield line
+        yield line[:, :2]
+    for d in (1, 2, 3):  # clusters of near duplicates around a few centres
+        centres = rng.uniform(-1, 1, size=(6, d))
+        offsets = rng.integers(-15, 16, size=(60, d)) * tol / 10
+        yield centres[rng.integers(0, 6, size=60)] + offsets
+        # a chain of steps just under the radius: one cluster, few near pairs
+        yield np.cumsum(np.full((40, d), 0.9 * tol), axis=0)
+
+
+def test_near_pairs_find_every_pair_within_the_radius():
+    from mkbary.measures import ATOM_MERGE_TOL, _near_pairs
+
+    for pts in _near_pair_cases():
+        for r in (ATOM_MERGE_TOL, 2 * ATOM_MERGE_TOL):
+            pairs = _near_pairs(pts, r)
+            assert np.all(pairs[:, 0] < pairs[:, 1])
+            assert len(np.unique(pairs, axis=0)) == len(pairs)
+            dist = np.max(np.abs(pts[pairs[:, 0]] - pts[pairs[:, 1]]), axis=1)
+            found = sorted(map(tuple, pairs[dist <= r].tolist()))
+            assert found == _brute_pairs(pts, r)
+
+
 def test_canonicalize_identity():
     m = canonicalize([[0.0]], [1.0], LINE)
     assert m.atoms.ravel().tolist() == [0.0]
@@ -301,6 +343,9 @@ def test_finite_space_validation():
         GroundSpace.finite([[0.0, 1.0], [2.0, 0.0]])  # asymmetric
     with pytest.raises(ValueError):
         GroundSpace.finite([[0.0, 5.0, 1.0], [5.0, 0.0, 1.0], [1.0, 1.0, 0.0]])  # triangle
+    for bad in (np.inf, np.nan):  # no triangle check can fail on these
+        with pytest.raises(ValueError, match="finite"):
+            GroundSpace.finite([[0.0, bad], [bad, 0.0]])
     sp = GroundSpace.finite([[0.0, 1.0], [1.0, 0.0]])
     assert sp.n_points == 2
 
