@@ -228,27 +228,40 @@ def _first_triple(mask: np.ndarray, x0: int) -> tuple:
     return x0 + int(i), int(j), int(k)
 
 
+def _zero_denominator(c: np.ndarray) -> tuple:
+    """The first triple of the first denominator variant that is 0 under a positive c(x, y).
+
+    The variants are c(x,z)+c(y,z), c(x,z)+c(z,y), c(z,x)+c(y,z) and
+    c(z,x)+c(z,y); the caller has seen that one of them has such a triple.
+    """
+    found = [None] * 4
+    for x0, cxy, cxz, czx, cyz, czy in _triple_slabs(c):
+        pos = cxy > 1e-15
+        for v, (left, right) in enumerate(((cxz, cyz), (cxz, czy), (czx, cyz), (czx, czy))):
+            bad = pos & (left + right <= 1e-15)
+            if found[v] is None and bad.any():
+                found[v] = _first_triple(bad, x0)
+    return next(filter(None, found))
+
+
 def _enumerate_B_finite(c: np.ndarray, cap: float) -> float:
     """Exact sup over all triples of c(x,y)/denominator, all four variants.
 
-    The triples are enumerated in slabs of x, so memory stays at the table
-    plus one slab.  A zero denominator under a positive c(x, y) raises
-    ``UnboundedRatio`` naming the first such triple of the first variant
-    that has one.
+    Addition and division round monotonically, so the largest of the four
+    ratios is c(x,y) / (min(c(x,z), c(z,x)) + min(c(y,z), c(z,y))) bit for
+    bit, and one scan of that denominator does.  The triples are enumerated
+    in slabs of x, so memory stays at the table plus one slab.  A zero
+    denominator under a positive c(x, y) raises ``UnboundedRatio`` naming
+    the first such triple of the first variant that has one.
     """
-    best = 1.0
-    zero_den = [None] * 4
-    for x0, cxy, cxz, czx, cyz, czy in _triple_slabs(c):
+    best, unbounded = 1.0, False
+    for _, cxy, cxz, czx, cyz, czy in _triple_slabs(c):
         pos = cxy > 1e-15
-        num = np.where(pos, cxy, 0.0)  # c(x, y) where positive, else 0
-        # denominators c(x,z)+c(y,z), c(x,z)+c(z,y), c(z,x)+c(y,z), c(z,x)+c(z,y)
-        for v, (left, right) in enumerate(((cxz, cyz), (cxz, czy), (czx, cyz), (czx, czy))):
-            denom = left + right
-            bad = pos & (denom <= 1e-15)
-            if zero_den[v] is None and bad.any():
-                zero_den[v] = _first_triple(bad, x0)
-            best = max(best, float((num / np.maximum(denom, 1e-300)).max()))
-    for i, j, k in filter(None, zero_den):
+        denom = np.minimum(cxz, czx) + np.minimum(cyz, czy)
+        unbounded = unbounded or bool((pos & (denom <= 1e-15)).any())
+        best = max(best, float((np.where(pos, cxy, 0.0) / np.maximum(denom, 1e-300)).max()))
+    if unbounded:
+        i, j, k = _zero_denominator(c)
         raise UnboundedRatio(f"c({i},{j}) > 0 but the triangle denominator through z={k} is 0")
     if best > cap:
         raise UnboundedRatio(f"growth ratio {best:.3g} exceeds cap {cap:.3g}")

@@ -125,6 +125,25 @@ def _require_same_space(a: GroundSpace, b: GroundSpace) -> None:
         raise SpaceMismatch("operands live on different ground spaces")
 
 
+def _as_indices(space: GroundSpace, raw) -> np.ndarray:
+    """The points ``raw`` of the finite ``space`` as an integer index array.
+
+    Raises ImageOutsideSpace for an entry that is not an integer in
+    0..n-1: an integral float such as 2.0 is index 2, but 1.5 is rejected,
+    not truncated, and -1 is rejected, not read from the end.
+    """
+    try:
+        values = np.asarray(raw, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ImageOutsideSpace(f"finite-space points must be integer indices: {exc}") from exc
+    n = space.n_points
+    bad = ~((values == np.round(values)) & (values >= 0) & (values < n))
+    if bad.any():
+        raise ImageOutsideSpace(
+            f"point {values[bad].flat[0]:g} is not an index of the finite space of size {n}")
+    return values.astype(int)
+
+
 def _as_point(space: GroundSpace, x) -> np.ndarray | int:
     """Coerce ``x`` into a point of ``space`` (d-vector or index)."""
     if space.kind == "euclidean":
@@ -134,10 +153,7 @@ def _as_point(space: GroundSpace, x) -> np.ndarray | int:
                 f"point of shape {p.shape} does not fit R^{space.dim}"
             )
         return p
-    i = int(x)
-    if not 0 <= i < space.n_points:
-        raise ImageOutsideSpace(f"index {i} outside finite space of size {space.n_points}")
-    return i
+    return int(_as_indices(space, x))
 
 
 @dataclass(frozen=True)
@@ -275,9 +291,7 @@ def canonicalize(raw_atoms, raw_weights, space: GroundSpace) -> DiscreteMeasure:
         atoms = np.asarray(raw_atoms)
         if atoms.ndim != 1:
             raise SpaceMismatch("finite-space atoms must be a flat index list")
-        atoms = atoms.astype(int)
-        if np.any((atoms < 0) | (atoms >= space.n_points)):
-            raise ImageOutsideSpace("atom index outside the finite space")
+        atoms = _as_indices(space, atoms)
     if len(atoms) != len(weights):
         raise ValueError("atoms and weights must have equal length")
 

@@ -7,9 +7,11 @@ marginal constraints and certifies optimality with a feasible dual pair
 enumerating every basis of the transportation polytope; it shares no code
 path with the LP and serves as the independent oracle.
 
-Every transport LP goes through ``solve_lp_batch``: a sparse marginal
-system (two nonzeros per column) and block-diagonal calls of the LP kernel
-``mkbary.lp`` that solve many independent small LPs at once.
+Every transport LP goes through ``solve_lp_batch`` and one solve step,
+``_solve_columns``: the sparse marginal rows of one or more problems
+(two nonzeros per column, block-diagonal across problems), restricted to
+a set of columns, in one call of the LP kernel ``mkbary.lp``.  Small
+problems are packed into block-diagonal calls on all their columns.
 
 A problem with more than ``MAX_BATCH_VARS`` variables goes through a
 shortlist instead (Gottschlich & Schuhmacher 2014; Schmitzer 2016).  The
@@ -21,8 +23,8 @@ the columns below the solver's dual tolerance, at most ``SHORTLIST_K`` of
 every row and every column, most violated first.  When none is left, the
 plan is scattered back to m x n and polished and certified over the full
 C, exactly like a plan of the full LP.  After ``SHORTLIST_MAX_ROUNDS``
-rounds the full LP is solved instead, with one warning on the ``mkbary``
-logger.
+rounds a last round keeps every column, which is the full LP, with one
+warning on the ``mkbary`` logger.
 """
 
 from __future__ import annotations
@@ -100,39 +102,27 @@ class TransportPlan:
                         "duality gap")
 
 
-def _marginal_columns(m: int, n: int, cols: np.ndarray) -> lp.CSC:
-    """Sparse equality rows (all m row sums, first n-1 column sums) on columns ``cols``.
+def _marginal_columns(shapes, cols: np.ndarray) -> lp.CSC:
+    """Block-diagonal marginal rows of the problems ``shapes`` on flat columns ``cols``.
 
-    Flat column k = i*n + j holds a 1 in row i and, unless j = n-1, a 1 in
-    row m + j.  ``cols`` must be increasing.
+    The variables are numbered one problem after another.  Each m x n block
+    has m + n - 1 rows (all row sums, the first n-1 column sums), and its
+    column k = i*n + j holds a 1 in the block's row i and, unless j = n-1,
+    a 1 in its row m + j.  ``cols`` must be increasing.
     """
-    i, j = np.divmod(cols, n)
-    has_col_row = j < n - 1
+    m, n = np.array(shapes).T
+    var_off = np.concatenate([[0], np.cumsum(m * n)])
+    row_off = np.concatenate([[0], np.cumsum(m + n - 1)])
+    block = np.searchsorted(var_off, cols, side="right") - 1
+    i, j = np.divmod(cols - var_off[block], n[block])
+    has_col_row = j < n[block] - 1
     indptr = np.zeros(len(cols) + 1, dtype=np.int32)
     np.cumsum(1 + has_col_row, out=indptr[1:])
     indices = np.empty(indptr[-1], dtype=np.int32)
-    indices[indptr[:-1]] = i
-    indices[indptr[:-1][has_col_row] + 1] = m + j[has_col_row]
-    return lp.CSC(np.ones(len(indices)), indices, indptr, (m + n - 1, len(cols)))
-
-
-@lru_cache(maxsize=64)
-def _marginal_system(m: int, n: int) -> lp.CSC:
-    """The marginal rows over all mn variables: m*n + m*(n-1) nonzeros.
-
-    Cached per shape, so its arrays are read-only.
-    """
-    A = _marginal_columns(m, n, np.arange(m * n))
-    for arr in (A.data, A.indices, A.indptr):
-        arr.flags.writeable = False
-    return A
-
-
-def _block_system(shapes) -> lp.CSC:
-    """Block-diagonal stack of the marginal systems of ``shapes``, in order."""
-    if len(shapes) == 1:
-        return _marginal_system(*shapes[0])
-    return lp.block_diag([_marginal_system(m, n) for m, n in shapes])
+    first = indptr[:-1]
+    indices[first] = row_off[block] + i
+    indices[first[has_col_row] + 1] = (row_off[block] + m[block] + j)[has_col_row]
+    return lp.CSC(np.ones(len(indices)), indices, indptr, (int(row_off[-1]), len(cols)))
 
 
 def _pack(sizes, cap: int):
@@ -179,24 +169,31 @@ def _certify(k: int, x: np.ndarray, C: np.ndarray, a: np.ndarray, b: np.ndarray,
     return x, objective, u, v, gap
 
 
-def _solve_blocks(problems, ks) -> list:
-    """One block-diagonal LP kernel call over ``problems[k]`` for k in ``ks``.
+def _solve_columns(problems, ks, cols=None):
+    """One LP kernel call over ``problems[k]`` for k in ``ks``, on flat columns ``cols``.
 
-    Returns the clipped plan and the row duals of each problem, in order.
+    The problems' variables are numbered one after another; ``cols``
+    (increasing, all of them when None) are the ones the LP keeps, the
+    others are 0.  Returns the clipped plan and the row duals of each
+    problem, in order, and the raw row duals of the call.
     """
     shapes = [problems[k][0].shape for k in ks]
-    c_vec = np.concatenate([problems[k][0].ravel() for k in ks])
+    costs = np.concatenate([problems[k][0].ravel() for k in ks])
+    if cols is None:
+        cols = np.arange(costs.size)
     rhs = np.concatenate([np.concatenate([problems[k][1], problems[k][2][:-1]]) for k in ks])
-    res = lp.solve(c_vec, _block_system(shapes), rhs)
+    res = lp.solve(costs[cols], _marginal_columns(shapes, cols), rhs)
     if res.status != 0:
-        raise NumericalFailure(f"transport LP blocks {ks[0]}..{ks[-1]} failed: {res.message}")
+        raise NumericalFailure(f"transport LP blocks {ks[0]}..{ks[-1]} failed: {res.message} "
+                               f"on {cols.size} of {costs.size} columns")
+    x = np.zeros(costs.size)
+    x[cols] = np.clip(res.x, 0.0, None)
     sols, col, row = [], 0, 0
     for m, n in shapes:
-        x = np.clip(res.x[col:col + m * n].reshape(m, n), 0.0, None)
-        sols.append((x, res.duals[row:row + m]))
+        sols.append((x[col:col + m * n].reshape(m, n), res.duals[row:row + m]))
         col += m * n
         row += m + n - 1
-    return sols
+    return sols, res.duals
 
 
 def _cheapest(M: np.ndarray) -> np.ndarray:
@@ -210,46 +207,38 @@ def _cheapest(M: np.ndarray) -> np.ndarray:
     return keep
 
 
-def _solve_shortlist(k: int, C: np.ndarray, a: np.ndarray, b: np.ndarray):
-    """Plan and row duals of one problem by shortlist column generation.
+def _solve_shortlist(problems, k: int):
+    """Plan and row duals of ``problems[k]`` by shortlist column generation.
 
     The start columns are the cheapest of every row and every column and
     the north-west-corner staircase, which holds a feasible plan.  Each
     round solves the LP on the kept columns and prices every column by its
     reduced cost C - u (+) v (v = 0 on the column whose row is dropped).
     Of the columns below the solver's dual tolerance, the ``SHORTLIST_K``
-    most violated of every row and every column join.  Returns None, with
-    one warning, when columns are still missing after
-    ``SHORTLIST_MAX_ROUNDS`` rounds.
+    most violated of every row and every column join.  When columns are
+    still missing after ``SHORTLIST_MAX_ROUNDS`` rounds, one last round
+    keeps every column, with one warning.
     """
+    C, a, b = problems[k]
     m, n = C.shape
     keep = _cheapest(C)
     # the staircase steps down when row i runs out no later than column j
     steps = np.concatenate([np.cumsum(a)[:-1], np.cumsum(b)[:-1]])
     down = np.argsort(steps, kind="stable") < m - 1
     keep[np.concatenate([[0], np.cumsum(down)]), np.concatenate([[0], np.cumsum(~down)])] = True
-    costs = C.ravel()
-    rhs = np.concatenate([a, b[:-1]])
-    for _ in range(SHORTLIST_MAX_ROUNDS):
-        cols = np.flatnonzero(keep)
-        res = lp.solve(costs[cols], _marginal_columns(m, n, cols), rhs)
-        if res.status != 0:
-            raise NumericalFailure(
-                f"transport LP block {k} failed on {cols.size} shortlist columns: {res.message}"
-            )
-        u = res.duals[:m]
+    for rounds in range(SHORTLIST_MAX_ROUNDS + 1):
+        if rounds == SHORTLIST_MAX_ROUNDS:
+            log.warning("transport LP block %d: shortlist still missing columns after %d "
+                        "rounds; solving the full LP", k, SHORTLIST_MAX_ROUNDS)
+            keep[:] = True
+        [(x, u)], duals = _solve_columns(problems, [k], np.flatnonzero(keep))
         reduced = C - u[:, None]
-        reduced[:, :-1] -= res.duals[m:]
+        reduced[:, :-1] -= duals[m:]
         missing = (reduced < -lp.FEASIBILITY_TOL) & ~keep
         if not missing.any():
-            x = np.zeros(m * n)
-            x[cols] = np.clip(res.x, 0.0, None)
-            return x.reshape(m, n), u
+            return x, u
         reduced[~missing] = np.inf
         keep |= missing & _cheapest(reduced)
-    log.warning("transport LP block %d: shortlist still missing columns after %d rounds; "
-                "solving the full LP", k, SHORTLIST_MAX_ROUNDS)
-    return None
 
 
 def solve_lp_batch(problems) -> list:
@@ -277,15 +266,14 @@ def solve_lp_batch(problems) -> list:
         elif n == 1:
             out[k] = _certify(k, a[:, None].copy(), C, a, b, C[:, 0].copy(), np.zeros(1))
         elif m * n > MAX_BATCH_VARS:
-            sol = _solve_shortlist(k, C, a, b)
-            x, u = sol if sol is not None else _solve_blocks(problems, [k])[0]
+            x, u = _solve_shortlist(problems, k)
             out[k] = _certify(k, x, C, a, b, *_polish(C, u))
         else:
             small.append(k)
 
     for run in _pack([problems[k][0].size for k in small], MAX_BATCH_VARS):
         ks = [small[r] for r in run]
-        for k, (x, u) in zip(ks, _solve_blocks(problems, ks)):
+        for k, (x, u) in zip(ks, _solve_columns(problems, ks)[0]):
             out[k] = _certify(k, x, *problems[k], *_polish(problems[k][0], u))
     return out
 

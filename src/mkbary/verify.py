@@ -225,7 +225,8 @@ def run_lln(config: dict) -> SuiteResult:
         name="lln", passed=passed,
         columns=["n", "seed", "j_to_population_barycenter", "meta_j", "passed"],
         rows=rows,
-        summary={**report.summary, "decay_ok": decay_ok, "meta_decreasing": meta_ok},
+        summary={**report.summary, "decay_ok": decay_ok, "meta_decreasing": meta_ok,
+                 "holes": [{"n": n, "seed": s, "message": msg} for n, s, msg in report.errors]},
     )
 
 

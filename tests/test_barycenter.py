@@ -421,3 +421,35 @@ def test_near_duplicate_candidates_never_fall_back(caplog):
         res, messages = _mkbary_messages(caplog, lambda: barycenter_fixed_support(prob))
         assert messages == [], seed
         assert abs(objective(res.measure, prob) - res.objective) <= 1e-9 * (1 + res.objective)
+
+
+def test_every_certificate_kind_means_what_it_says(monkeypatch):
+    import mkbary.barycenter as barycenter
+
+    m1 = canonicalize([[0.0], [1.0], [3.0]], [0.2, 0.5, 0.3], LINE)
+    m2 = canonicalize([[0.5], [2.0]], [0.6, 0.4], LINE)
+    inputs = [(m1, 0.3), (m2, 0.7)]
+    for cost in (SQ, ABS, QUARTIC):
+        # quantile_1d: |LP objective - the monotone coupling's closed form|
+        q = barycenter_quantile_1d(BarycenterProblem.make(inputs, Constraint.quantile_1d(), cost))
+        assert q.certificate.kind == "quantile_1d"
+        assert 0.0 <= q.certificate.gap <= 1e-12 * (1.0 + q.objective)
+        # lp_optimal: the duality gap of the LP over the quantile and input atoms
+        S = np.unique(np.concatenate([q.measure.atoms, m1.atoms, m2.atoms]), axis=0)
+        fixed = BarycenterProblem.make(inputs, Constraint.simplex_over(S), cost)
+        f = barycenter_fixed_support(fixed)
+        assert f.certificate.kind == "lp_optimal"
+        assert 0.0 <= f.certificate.gap <= 1e-9 * (1.0 + f.objective)
+        assert f.objective == pytest.approx(q.objective, abs=1e-9)
+        # local_stationary: no gap, only the last decrease of a nonincreasing trace
+        r = barycenter_free_support(BarycenterProblem.make(inputs, Constraint.free(2), cost))
+        assert r.certificate.kind == "local_stationary" and r.certificate.gap is None
+        values = [v for _, v in r.trace]
+        assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
+        if len(values) > 1:
+            assert r.certificate.last_decrease == values[-2] - values[-1]
+    # the quantile gap is a real cross-check: an LP objective off by 0.5 shows
+    real = barycenter.objective
+    monkeypatch.setattr(barycenter, "objective", lambda nu, problem: real(nu, problem) + 0.5)
+    q = barycenter_quantile_1d(BarycenterProblem.make(inputs, Constraint.quantile_1d(), SQ))
+    assert q.certificate.gap == pytest.approx(0.5, abs=1e-12)

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from mkbary import ConstructionFailed, NumericalFailure, cli, glue, solve_transport
 from mkbary.cli import main
 
@@ -410,3 +412,60 @@ def test_verify_lln_and_perturb_cli(tmp_path, capsys):
     rc = main(["verify", "perturb", "--config", perturb_cfg, "--out-dir", str(tmp_path)])
     assert rc == 0
     assert (tmp_path / "perturb.csv").exists()
+
+
+FINITE_3 = {"kind": "finite", "n": 3, "rho": [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]}
+
+
+@pytest.mark.parametrize("candidates, atoms", [
+    ([0, 1, 7], [0, 1]),     # past the last point
+    ([0, 1, -1], [0, 1]),    # not read from the end
+    ([0, 1.5], [0, 1]),      # not truncated
+    ([0, 1, 2], [0.7, 2.2]),  # input atoms, not truncated
+])
+def test_finite_indices_that_are_not_points_are_parse_errors(tmp_path, capsys, monkeypatch,
+                                                             candidates, atoms):
+    from mkbary import lp
+
+    def no_lp(c, A, rhs):
+        raise AssertionError("an LP ran before the indices were checked")
+
+    monkeypatch.setattr(lp, "solve", no_lp)
+    measure = {"space": FINITE_3, "atoms": atoms, "weights": [0.5, 0.5]}
+    problem = {"inputs": [{"measure": measure, "lambda": 1.0}],
+               "constraint": {"kind": "simplex_over", "atoms": candidates},
+               "cost": {"kind": "metric_power", "p": 2}}
+    rc = main(["barycenter", write(tmp_path / "p.json", problem), "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert len(err.splitlines()) == 1 and err.startswith("parse error: ")
+    assert "is not an index of the finite space of size 3" in err
+    assert not (tmp_path / "barycenter.json").exists()
+
+
+def test_verify_lln_summary_counts_its_holes(tmp_path, capsys, monkeypatch):
+    import mkbary.consistency as consistency
+
+    real, calls = consistency.barycenter_fixed_support, []
+
+    def fails_once(problem):
+        calls.append(problem)
+        if len(calls) == 2:  # the first empirical barycenter, after the population's
+            raise NumericalFailure("forced")
+        return real(problem)
+
+    cfg = write(tmp_path / "lln.json", SMALL_LLN)
+    assert main(["verify", "lln", "--config", cfg, "--out-dir", str(tmp_path / "full")]) == 0
+    summary = json.loads((tmp_path / "full" / "lln_summary.json").read_text())
+    assert summary["summary"]["holes"] == []
+
+    monkeypatch.setattr(consistency, "barycenter_fixed_support", fails_once)
+    assert main(["verify", "lln", "--config", cfg, "--out-dir", str(tmp_path / "hole")]) == 1
+    summary = json.loads((tmp_path / "hole" / "lln_summary.json").read_text())
+    assert summary["passed"] is False
+    assert summary["summary"]["holes"] == [
+        {"n": 2, "seed": 0, "message": "NumericalFailure('forced')"}]
+    full = (tmp_path / "full" / "lln.csv").read_text().splitlines()
+    # the CSV keeps its columns and loses only the hole's row
+    assert (tmp_path / "hole" / "lln.csv").read_text().splitlines() == [full[0]] + [
+        row for row in full[1:] if not row.startswith("2,0,")]

@@ -77,12 +77,12 @@ _SAME_SOLVE = (
     "import numpy as np\n"
     "from scipy.optimize import linprog\n"
     "from mkbary import lp\n"
-    "from mkbary.transport import _marginal_system\n"
+    "from mkbary.transport import _marginal_columns\n"
     "assert sys.modules['scipy.optimize._highspy._core'] is lp._highs\n"
     "rng = np.random.default_rng(3)\n"
     "c = rng.uniform(size=12)\n"
     "rhs = np.concatenate([rng.dirichlet(np.ones(3)), rng.dirichlet(np.ones(4))[:-1]])\n"
-    "A = _marginal_system(3, 4)\n"
+    "A = _marginal_columns([(3, 4)], np.arange(12))\n"
     "got = lp.solve(c, A, rhs)\n"
     "from scipy.sparse import csc_array\n"
     "ref = linprog(c, A_eq=csc_array((A.data, A.indices, A.indptr), shape=A.shape), b_eq=rhs,\n"

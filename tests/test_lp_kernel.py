@@ -29,13 +29,18 @@ from mkbary.transport import (
     GAP_TOL,
     MAX_BATCH_VARS,
     _dense_marginal_rows,
-    _marginal_system,
+    _marginal_columns,
     _pack,
     solve_lp_matrix,
 )
 
 PLANE = GroundSpace.euclidean(2)
 COSTS = (CostSpec.norm_power(1), CostSpec.norm_power(2), CostSpec.metric_power(0.5))
+
+
+def _system(shapes):
+    """The block-diagonal marginal rows of ``shapes`` on all their columns."""
+    return _marginal_columns(shapes, np.arange(sum(m * n for m, n in shapes)))
 
 
 def _random_pairs(count, seed):
@@ -94,7 +99,7 @@ def test_kernel_matches_linprog_on_random_transport_batches():
         rhs = np.concatenate([np.concatenate([rng.dirichlet(np.ones(m)),
                                               rng.dirichlet(np.ones(n))[:-1]])
                               for m, n in shapes])
-        assert _assert_matches_linprog(c, transport._block_system(shapes), rhs).status == 0
+        assert _assert_matches_linprog(c, _system(shapes), rhs).status == 0
 
 
 def test_kernel_matches_linprog_on_joint_barycenter_lps():
@@ -120,7 +125,7 @@ def test_kernel_status_matches_linprog_on_infeasible_and_unbounded_lps():
 
 
 def test_kernel_rejects_costs_that_are_not_finite():
-    A = _marginal_system(2, 2)
+    A = _system([(2, 2)])
     for bad in (np.inf, -np.inf, np.nan):
         with pytest.raises(ValueError, match="LP costs must be finite"):
             lp.solve(np.array([0.0, bad, 1.0, 0.0]), A, np.full(3, 0.5))
@@ -169,13 +174,27 @@ def test_csc_columns_and_rmatvec_match_scipy_on_the_face_cut():
 
 def test_marginal_system_is_sparse_with_two_nonzeros_per_column():
     for m, n in [(2, 2), (2, 3), (4, 3), (4, 4), (7, 5)]:
-        A = to_scipy(_marginal_system(m, n))
+        A = to_scipy(_system([(m, n)]))
         assert sparse.issparse(A)
         assert A.shape == (m + n - 1, m * n)
         assert A.nnz == m * n + m * (n - 1)
         np.testing.assert_array_equal(A.toarray(), _dense_marginal_rows(m, n))
-    A = to_scipy(_marginal_system(512, 512))
+    A = to_scipy(_system([(512, 512)]))
     assert sparse.issparse(A) and A.nnz == 512 * 512 + 512 * 511
+
+
+def test_marginal_columns_match_dense_block_diagonal_rows():
+    rng = np.random.default_rng(8)
+    for _ in range(40):
+        shapes = [tuple(int(v) for v in rng.integers(1, 7, size=2))
+                  for _ in range(rng.integers(2, 6))]
+        dense = sparse.block_diag([_dense_marginal_rows(m, n) for m, n in shapes]).toarray()
+        total = dense.shape[1]
+        for cols in (np.arange(total),
+                     np.flatnonzero(rng.uniform(size=total) < rng.uniform(0.1, 0.9))):
+            A = _marginal_columns(shapes, cols)
+            assert A.shape == (dense.shape[0], len(cols))
+            np.testing.assert_array_equal(to_scipy(A).toarray(), dense[:, cols])
 
 
 def test_pack_respects_the_cap():
@@ -357,7 +376,7 @@ def test_shortlist_start_is_feasible_where_cheapest_columns_are_not(monkeypatch,
     np.put_along_axis(cheapest, np.argsort(C, axis=1)[:, :k], True, axis=1)
     np.put_along_axis(cheapest, np.argsort(C, axis=0)[:k], True, axis=0)
     cols = np.flatnonzero(cheapest)
-    res = lp.solve(C.ravel()[cols], to_scipy(_marginal_system(n, n))[:, cols],
+    res = lp.solve(C.ravel()[cols], to_scipy(_system([(n, n)]))[:, cols],
                    np.concatenate([w, w[:-1]]))
     assert res.status == 2  # infeasible
     _check_shortlist(monkeypatch, lp_calls, C, w, w)
