@@ -6,7 +6,7 @@ Three routes:
   weights; globally optimal on the simplex over a candidate atom set,
   with a duality-gap certificate and a deterministic tie-break: the
   optimal vertex of least graded weight sum_k k w_k over the candidates,
-  found by one LP on the optimal face cut from the gap tolerance.
+  found on the optimal face cut from the gap tolerance.
 * ``barycenter_free_support``: alternating minimization over atom
   locations and the fixed-support LP; local certificate only.
 * ``barycenter_quantile_1d``: exact solution on the line for convex
@@ -207,7 +207,7 @@ def _clip_dust(w: np.ndarray, rel: float = 1e-12) -> np.ndarray:
     return w
 
 
-def _face_tie_break(c_vec, A, rhs, h, value, y, n_inputs: int):
+def _face_tie_break(model: lp.Model, c_vec, A, h, value, y, n_inputs: int):
     """The lo/hi graded-weight LPs (minimize, then maximize h.x) on the optimal face.
 
     For a feasible x, c.x = rhs.y + d.x with reduced costs d = c - A^T y, and
@@ -215,28 +215,49 @@ def _face_tie_break(c_vec, A, rhs, h, value, y, n_inputs: int):
     keeping the columns with d <= GAP_TOL (1 + |value|) / (n_inputs + 1) keeps
     every point of the face within the gap tolerance of the optimum, and
     complementary slackness says the optimal vertices live on it.  Both LPs
-    run as one block-diagonal kernel call on those columns, with no pin row.
-    Returns the two solutions scattered back to full length, or None when
-    the call fails or either half's c.x misses ``value``.
+    run on the main LP's own model with the other columns fixed to 0, each
+    from the last run's basis.  Returns the two solutions, zero off the
+    face, or None when a run fails or its c.x misses ``value``.
     """
     tol = GAP_TOL * (1.0 + abs(value))
-    face = np.flatnonzero(c_vec - A.rmatvec(y) <= tol / (n_inputs + 1))
-    A_face = A.columns(face)
-    r = lp.solve(np.concatenate([h[face], -h[face]]), lp.block_diag([A_face, A_face]),
-                 np.concatenate([rhs, rhs]))
-    if r.status != 0:
-        return None
+    off_face = c_vec - A.rmatvec(y) > tol / (n_inputs + 1)
+    model.fix_to_zero(np.flatnonzero(off_face))
     out = []
-    for x_face in np.split(r.x, 2):
-        if abs(c_vec[face] @ x_face - value) > tol:
+    for sign in (1.0, -1.0):
+        model.set_costs(sign * h)
+        r = model.run()
+        if r.status != 0:
             return None
-        x = np.zeros_like(c_vec)
-        x[face] = x_face
+        x = r.x
+        x[off_face] = 0.0
+        if abs(c_vec @ x - value) > tol:
+            return None
         out.append(x)
     return out
 
 
-def _fixed_support_lp(inputs, cost: CostSpec, S: np.ndarray, tie_break: bool = True):
+def _main_run(c_vec, A, rhs, bases, key):
+    """The joint LP's model and its solution.
+
+    With a basis kept in ``bases`` under ``key`` (same constraint system)
+    the model starts from it; a warm run that is not optimal is re-run cold
+    once, with one warning.  With ``bases``, an optimal run of the model
+    keeps its basis there for the next LP of the system.
+    """
+    start = None if bases is None else bases.get(key)
+    model = lp.Model(c_vec, A, rhs, start)
+    res = model.run()
+    if res.status == 0:
+        if bases is not None:
+            bases[key] = model.basis()
+    elif start is not None:
+        log.warning("barycenter LP: warm run not optimal (%s); re-running cold", res.message)
+        res = lp.solve(c_vec, A, rhs)
+    return model, res
+
+
+def _fixed_support_lp(inputs, cost: CostSpec, S: np.ndarray, tie_break: bool = True,
+                      bases: Optional[dict] = None):
     """Globally optimal candidate weights for a fixed atom set.
 
     Returns (weights, value, gap, alt_weights, gammas): alt_weights is a
@@ -245,12 +266,19 @@ def _fixed_support_lp(inputs, cost: CostSpec, S: np.ndarray, tie_break: bool = T
 
     With ``tie_break`` the reported vertex minimizes the graded weight
     sum_k k w_k over the optimal face, and alt_weights comes from maximizing
-    it; ``_face_tie_break`` solves both in one call.  If that call is
+    it; ``_face_tie_break`` solves both on the main LP's model.  If either is
     rejected, the main LP's vertex is returned untie-broken and a warning
     goes to the ``mkbary`` logger.
+
+    ``bases`` keeps the last optimal basis of each constraint system, keyed
+    by the inputs' atom counts and weights and the candidate set, so that a
+    later LP of the same system, which differs only in its costs, starts
+    warm.  It keeps bases rather than models: a model takes about a
+    kilobyte per column.
     """
     c_vec, A, rhs, n_gamma, K = _joint_lp_system(inputs, cost, S)
-    res = lp.solve(c_vec, A, rhs)
+    key = (tuple((m.n_atoms, m.weights.tobytes()) for m, _ in inputs), S.shape, S.tobytes())
+    model, res = _main_run(c_vec, A, rhs, bases, key)
     if res.status != 0:
         raise NumericalFailure(f"barycenter LP failed: {res.message}")
     value = float(res.fun)
@@ -264,7 +292,7 @@ def _fixed_support_lp(inputs, cost: CostSpec, S: np.ndarray, tie_break: bool = T
 
     h = np.zeros_like(c_vec)
     h[n_gamma:] = np.arange(1, K + 1, dtype=float)
-    sols = _face_tie_break(c_vec, A, rhs, h, value, res.duals, len(inputs))
+    sols = _face_tie_break(model, c_vec, A, h, value, res.duals, len(inputs))
     if sols is None:
         log.warning("barycenter tie-break: face LP rejected; "
                     "returning the main LP vertex without tie-break")
@@ -276,14 +304,20 @@ def _fixed_support_lp(inputs, cost: CostSpec, S: np.ndarray, tie_break: bool = T
     return w_lo, value, gap, alt, _split_gammas(x_lo, inputs, K)
 
 
-def barycenter_fixed_support(problem: BarycenterProblem) -> BarycenterResult:
-    """Solve the barycenter LP on the simplex over the candidate atoms."""
+def barycenter_fixed_support(problem: BarycenterProblem, *,
+                             _bases: Optional[dict] = None) -> BarycenterResult:
+    """Solve the barycenter LP on the simplex over the candidate atoms.
+
+    ``_bases`` holds the start bases of one experiment run (see
+    ``_fixed_support_lp``); it is not part of the public interface.
+    """
     if problem.constraint.kind != "simplex_over":
         raise ValueError("fixed-support solver needs a candidate atom set")
     S = problem.constraint.atoms
     if problem.space.kind == "finite":
         S = _as_indices(problem.space, S.reshape(-1))
-    w, value, gap, w_alt, _ = _fixed_support_lp(problem.inputs, problem.cost, S)
+    w, value, gap, w_alt, _ = _fixed_support_lp(problem.inputs, problem.cost, S,
+                                                 bases=_bases)
     measure = canonicalize(S, w / w.sum(), problem.space)
     alt = None
     if w_alt is not None:

@@ -116,11 +116,11 @@ class ExperimentReport:
 
 
 def _population_barycenter(population: MetaDistribution, constraint: Constraint,
-                           cost: CostSpec):
+                           cost: CostSpec, bases: dict):
     problem = BarycenterProblem.make(
         [(m, p) for m, p in zip(population.atoms, population.probs)], constraint, cost
     )
-    result = barycenter_fixed_support(problem)
+    result = barycenter_fixed_support(problem, _bases=bases)
     reps = [result.measure]
     if result.alt_measure is not None:
         reps.append(result.alt_measure)
@@ -140,11 +140,13 @@ def lln_experiment(
     the empirical barycenter on the same constraint set, and record the
     distance to the nearest population-barycenter representative together
     with the lifted distance between the empirical and true populations.
-    Fixed seeds make the run bit-reproducible.
+    Fixed seeds make the run bit-reproducible.  Each barycenter LP starts
+    from the last optimal basis of its subset of population measures.
     """
     n_grid = sorted(int(n) for n in n_grid)
     seeds = list(seeds)
-    pop_result, reps = _population_barycenter(population, constraint, cost)
+    bases = {}
+    pop_result, reps = _population_barycenter(population, constraint, cost, bases)
     K = len(population.atoms)
     j_pop = _cost_table(population.atoms, population.atoms, cost)
 
@@ -161,7 +163,7 @@ def lln_experiment(
                     (population.atoms[i], counts[i] / n) for i in range(K) if sel[i]
                 ]
                 problem = BarycenterProblem.make(emp_inputs, constraint, cost)
-                emp = barycenter_fixed_support(problem)
+                emp = barycenter_fixed_support(problem, _bases=bases)
                 # the J(emp, rep) LPs and the lifted-distance LP as one batch
                 C = cost.matrix
                 sols = solve_lp_batch(
@@ -202,12 +204,15 @@ def perturbation_experiment(
     Tracks the lifted distance to the unperturbed population and the
     distance of the perturbed barycenter to the nearest unperturbed
     barycenter representative; with a shared direction field the lifted
-    track is nondecreasing in delta on single-atom populations.
+    track is nondecreasing in delta on single-atom populations.  Each
+    barycenter LP starts from the last optimal basis of LPs with the same
+    atom counts and weights.
     """
     if population.space.kind != "euclidean":
         raise ValueError("perturbation harness needs a euclidean space")
     deltas = [float(d) for d in deltas]
-    pop_result, reps = _population_barycenter(population, constraint, cost)
+    bases = {}
+    pop_result, reps = _population_barycenter(population, constraint, cost, bases)
     rng = np.random.default_rng(seed)
     offsets = [rng.uniform(-1.0, 1.0, size=m.atoms.shape) for m in population.atoms]
 
@@ -223,7 +228,7 @@ def perturbation_experiment(
         problem = BarycenterProblem.make(
             [(m, p) for m, p in zip(P_delta.atoms, P_delta.probs)], constraint, cost
         )
-        emp = barycenter_fixed_support(problem)
+        emp = barycenter_fixed_support(problem, _bases=bases)
         j_bar = min(transport_costs([(emp.measure, rep) for rep in reps], cost))
         rows.append((delta, meta_j, j_bar, time.perf_counter() - t0))
 

@@ -1,15 +1,20 @@
-"""The one LP kernel: every linear program of the package goes through ``solve``.
+"""The one LP kernel: every linear program of the package runs in a ``Model``.
 
-``solve(c, A, rhs)`` minimizes c.x subject to A x = rhs and x >= 0, with A
-a ``CSC`` matrix.  It calls the HiGHS solver that scipy bundles directly
+``Model(c, A, rhs)`` holds the LP min c.x subject to A x = rhs and x >= 0,
+with A a ``CSC`` matrix, and keeps it between runs: ``set_costs`` and
+``fix_to_zero`` change it, and the next ``run`` starts from the last basis,
+or from a ``basis()`` saved from another model of the same system.
+``solve(c, A, rhs)`` is one cold run of a new model.  Both call the HiGHS
+solver that scipy bundles directly
 (``scipy.optimize._highspy._core._Highs``), a private scipy binding, so the
 scipy floor in ``pyproject.toml`` is a version this kernel was tested on.
 The options are those scipy's own LP front end sets for
 ``method="highs"``: presolve on, dual simplex, output off and the
 feasibility tolerances ``FEASIBILITY_TOL``; HiGHS keeps its defaults for
-everything else, so x, the row duals and the objective are bit-identical
-to the front end's.  What the kernel skips is the front end's per-call
-work: input cleaning, option checking and the bound marginals.
+everything else, so a cold run's x, row duals and objective are
+bit-identical to the front end's.  What the kernel skips is the front
+end's per-call work: input cleaning, option checking and the bound
+marginals.
 
 The extension is loaded from its file, not through ``import
 scipy.optimize``: that package's ``__init__`` costs about half a second,
@@ -94,15 +99,6 @@ class CSC(NamedTuple):
     def nnz(self) -> int:
         return int(self.indptr[-1])
 
-    def columns(self, cols: np.ndarray) -> "CSC":
-        """The columns ``cols``, in that order, with their entries in stored order."""
-        start = self.indptr[cols]
-        counts = self.indptr[cols + 1] - start
-        indptr = np.zeros(len(cols) + 1, dtype=self.indptr.dtype)
-        np.cumsum(counts, out=indptr[1:])
-        take = np.arange(indptr[-1]) + np.repeat(start - indptr[:-1], counts)
-        return CSC(self.data[take], self.indices[take], indptr, (self.shape[0], len(cols)))
-
     def rmatvec(self, y: np.ndarray) -> np.ndarray:
         """A^T y, each column summed from zero in stored order."""
         n = self.shape[1]
@@ -122,42 +118,80 @@ class Solution(NamedTuple):
     nit: int
 
 
-def solve(c: np.ndarray, A: CSC, rhs: np.ndarray) -> Solution:
-    """min c.x subject to A x = rhs, x >= 0, by one HiGHS run.
-
-    Raises ValueError on a cost that is not finite, as scipy's front end does:
-    HiGHS itself would report such an LP optimal.
-    """
+def _check_costs(c: np.ndarray) -> None:
+    # HiGHS itself would report an LP with such costs optimal
     if not np.isfinite(c).all():
         raise ValueError("LP costs must be finite")
-    n, m = len(c), len(rhs)
-    highs = _highs._Highs()
-    highs.passOptions(_OPTIONS)
-    loaded = highs.passModel(
-        n, m, A.nnz, _COLWISE, _MINIMIZE, 0.0, c, np.zeros(n), np.full(n, np.inf), rhs, rhs,
-        A.indptr.astype(np.int32, copy=False), A.indices.astype(np.int32, copy=False),
-        A.data, np.zeros(n, dtype=np.int32),
-    )
-    if loaded == _highs.HighsStatus.kError:
-        return Solution(2, highs.modelStatusToString(_MODEL.kModelError), None, None, None, 0)
-    highs.run()
-    model = highs.getModelStatus()
-    info = highs.getInfo()
-    status = _STATUS.get(model, 4)
-    if status != 0:
-        return Solution(status, highs.modelStatusToString(model), None, None, None,
+
+
+class Model:
+    """min c.x subject to A x = rhs, x >= 0, kept in one HiGHS object between runs.
+
+    A run after ``set_costs`` or ``fix_to_zero`` starts from the last run's
+    basis, skipping presolve, so an LP that differs from the last one only
+    in its costs or column bounds usually needs few iterations.  ``start``,
+    the ``basis()`` of a model of the same A and rhs, makes the first run
+    start from that basis too.  A warm run may stop at another optimal
+    vertex than a cold one.
+
+    Raises ValueError on a cost that is not finite, here or in
+    ``set_costs``, as scipy's front end does.
+    """
+
+    def __init__(self, c: np.ndarray, A: CSC, rhs: np.ndarray, start=None):
+        _check_costs(c)
+        n, m = len(c), len(rhs)
+        self._n = n
+        self._highs = _highs._Highs()
+        self._highs.passOptions(_OPTIONS)
+        self._loaded = self._highs.passModel(
+            n, m, A.nnz, _COLWISE, _MINIMIZE, 0.0, c, np.zeros(n), np.full(n, np.inf), rhs,
+            rhs, A.indptr.astype(np.int32, copy=False), A.indices.astype(np.int32, copy=False),
+            A.data, np.zeros(n, dtype=np.int32),
+        ) != _highs.HighsStatus.kError
+        if start is not None:
+            self._highs.setBasis(start)
+
+    def run(self) -> Solution:
+        """Solve the LP as it stands; x, duals and objective only when optimal."""
+        highs = self._highs
+        if not self._loaded:
+            return Solution(2, highs.modelStatusToString(_MODEL.kModelError), None, None, None, 0)
+        highs.run()
+        model = highs.getModelStatus()
+        info = highs.getInfo()
+        status = _STATUS.get(model, 4)
+        if status != 0:
+            return Solution(status, highs.modelStatusToString(model), None, None, None,
+                            info.simplex_iteration_count)
+        sol = highs.getSolution()
+        return Solution(0, highs.modelStatusToString(model), np.array(sol.col_value),
+                        np.array(sol.row_dual), info.objective_function_value,
                         info.simplex_iteration_count)
-    sol = highs.getSolution()
-    return Solution(0, highs.modelStatusToString(model), np.array(sol.col_value),
-                    np.array(sol.row_dual), info.objective_function_value,
-                    info.simplex_iteration_count)
+
+    def basis(self):
+        """A copy of the last run's basis: a few bytes per row and column,
+        where the model itself holds about a kilobyte per column."""
+        return self._highs.getBasis()
+
+    def set_costs(self, c: np.ndarray) -> None:
+        """Replace every column's cost by ``c``."""
+        _check_costs(c)
+        if len(c) != self._n:
+            raise ValueError(f"{len(c)} costs for {self._n} columns")
+        self._highs.changeColsCost(self._n, np.arange(self._n, dtype=np.int32), c)
+
+    def fix_to_zero(self, cols) -> None:
+        """Bound the columns ``cols`` to 0 and release every other column to [0, inf)."""
+        upper = np.full(self._n, np.inf)
+        upper[cols] = 0.0
+        self._highs.changeColsBounds(self._n, np.arange(self._n, dtype=np.int32),
+                                     np.zeros(self._n), upper)
 
 
-def block_diag(blocks) -> CSC:
-    """Block-diagonal stack of CSC matrices, in order."""
-    row_off = np.cumsum([0] + [B.shape[0] for B in blocks])
-    nnz_off = np.cumsum([0] + [B.nnz for B in blocks])
-    data = np.concatenate([B.data for B in blocks])
-    indices = np.concatenate([B.indices + r for B, r in zip(blocks, row_off)])
-    indptr = np.concatenate([[0]] + [B.indptr[1:] + z for B, z in zip(blocks, nnz_off)])
-    return CSC(data, indices, indptr, (int(row_off[-1]), sum(B.shape[1] for B in blocks)))
+def solve(c: np.ndarray, A: CSC, rhs: np.ndarray) -> Solution:
+    """min c.x subject to A x = rhs, x >= 0, by one cold HiGHS run.
+
+    Raises ValueError on a cost that is not finite.
+    """
+    return Model(c, A, rhs).run()

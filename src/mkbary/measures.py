@@ -194,11 +194,16 @@ def _near_pairs(pts: np.ndarray, r: float) -> np.ndarray:
     """Pairs (i, j), i < j, of rows of ``pts`` that may lie within ``r`` (sup-norm).
 
     In each coordinate the sorted values joined by gaps <= r form a
-    cluster, and two rows are paired when their clusters agree in every
-    coordinate.  Rounding a subtraction is monotone, so the computed gap
-    of two sorted neighbours never exceeds that of two values around them:
-    every pair within r is found.  The converse fails (a chain of small
-    gaps is one cluster), so callers test the distance themselves.
+    cluster, and rows whose clusters agree in every coordinate form a group.
+    Rounding a subtraction is monotone, so the computed gap of two sorted
+    neighbours never exceeds that of two values around them: every pair
+    within r lies in one group.  A chain of small gaps is one cluster, so
+    each group is swept along its widest coordinate: a row pairs with the
+    later rows of its group whose value there is at most its own plus 2r.
+    A computed difference <= r is exactly below 2r, and a value exactly
+    below the sum is at most the rounded sum, so no pair within r is lost,
+    while a chain yields O(n) candidates.  Not every candidate lies within
+    r, so callers test the distance themselves.
     """
     n, d = pts.shape
     labels = np.empty((d, n), dtype=np.intp)
@@ -209,8 +214,18 @@ def _near_pairs(pts: np.ndarray, r: float) -> np.ndarray:
     new = np.ones(n, dtype=bool)
     new[1:] = np.any(labels[:, order[1:]] != labels[:, order[:-1]], axis=0)
     starts = np.flatnonzero(new)
-    ends = np.repeat(np.append(starts[1:], n), np.diff(np.append(starts, n)))
-    # position p pairs with the later positions p+1 .. ends[p]-1 of its group
+    group = np.cumsum(new) - 1
+    grouped = pts[order]
+    span = np.maximum.reduceat(grouped, starts) - np.minimum.reduceat(grouped, starts)
+    key = grouped[np.arange(n), np.argmax(span, axis=1)[group]]
+    within = np.lexsort((key, group))
+    order, key, group = order[within], key[within], group[within]
+    # ends[p]: the first position after p's window, by one search over
+    # (group, rank of the value) codes, increasing along the positions
+    values, rank = np.unique(np.concatenate([key, key + 2 * r]), return_inverse=True)
+    code = np.tile(group, 2) * len(values) + rank
+    ends = np.searchsorted(code[:n], code[n:], side="right")
+    # position p pairs with the later positions p+1 .. ends[p]-1 of its window
     later = ends - np.arange(n) - 1
     first = np.repeat(np.arange(n), later)
     second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later)

@@ -352,7 +352,7 @@ def test_tie_break_fallbacks_are_logged(monkeypatch, caplog):
     grid = np.array([[x, y] for x in np.linspace(-1, 1, 4) for y in np.linspace(-1, 1, 4)])
     prob = BarycenterProblem.make([(m, 1.0), (flip, 1.0)], Constraint.simplex_over(grid), ABS)
     untied = barycenter._fixed_support_lp(prob.inputs, prob.cost, grid, tie_break=False)
-    real = lp.solve
+    real = lp.Model.run
 
     def doubled(res):  # the face solutions come back with twice the optimal cost
         return res._replace(x=2.0 * res.x)
@@ -363,20 +363,114 @@ def test_tie_break_fallbacks_are_logged(monkeypatch, caplog):
     for spoil in (doubled, failed):
         calls = []
 
-        def spoiled_after_main(c, A, rhs):
-            res = real(c, A, rhs)
+        def spoiled_after_main(model):
+            res = real(model)
             calls.append(res)
             return spoil(res) if len(calls) > 1 else res
 
         caplog.clear()
         with caplog.at_level("WARNING", logger="mkbary"), monkeypatch.context() as mp:
-            mp.setattr(lp, "solve", spoiled_after_main)
+            mp.setattr(lp.Model, "run", spoiled_after_main)
             got = barycenter._fixed_support_lp(prob.inputs, prob.cost, grid)
-        assert len(calls) == 2  # the main LP, then one call for both tie-break LPs
+        assert len(calls) == 2  # the main LP, then the first face run, which is rejected
         assert got[0].tolist() == untied[0].tolist() and got[3] is None
         assert [r.getMessage() for r in caplog.records if r.name == "mkbary"] == [
             "barycenter tie-break: face LP rejected; returning the main LP vertex "
             "without tie-break"]
+
+
+def _one_shot_tie_break(inputs, cost, S):
+    """The tie-break as separate cold solves: the main LP, then the lo and hi
+    graded-weight LPs on the face columns alone, each by ``lp.solve``."""
+    from mkbary import lp
+    from mkbary.barycenter import _clip_dust, _joint_lp_system
+    from mkbary.transport import GAP_TOL
+
+    c, A, rhs, n_gamma, K = _joint_lp_system(inputs, cost, S)
+    main = lp.solve(c, A, rhs)
+    assert main.status == 0
+    tol = GAP_TOL * (1.0 + abs(main.fun))
+    face = np.flatnonzero(c - A.rmatvec(main.duals) <= tol / (len(inputs) + 1))
+    A_face = to_scipy(A)[:, face].tocsc()
+    A_face = lp.CSC(A_face.data, A_face.indices, A_face.indptr, A_face.shape)
+    h = np.zeros_like(c)
+    h[n_gamma:] = np.arange(1, K + 1)
+    weights = []
+    for sign in (1.0, -1.0):
+        r = lp.solve(sign * h[face], A_face, rhs)
+        assert r.status == 0 and abs(c[face] @ r.x - main.fun) <= tol
+        x = np.zeros_like(c)
+        x[face] = r.x
+        weights.append(_clip_dust(np.clip(x[n_gamma:], 0.0, None)))
+    return main.fun, weights[0], weights[1]
+
+
+def _draws(population, S, count, seed):
+    """Subsets of ``population`` with random input weights, as ``lln`` draws them."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        counts = np.bincount(rng.integers(len(population), size=5), minlength=len(population))
+        yield BarycenterProblem.make([(m, k) for m, k in zip(population, counts) if k],
+                                     Constraint.simplex_over(S), SQ)
+
+
+def test_kept_model_tie_break_matches_one_shot_route():
+    from mkbary.barycenter import _fixed_support_lp
+    from mkbary.transport import GAP_TOL
+
+    population = [generate_random_measure(1300 + i, [0, 0], [1, 1], 5) for i in range(3)]
+    grid = np.array([[x, y] for x in np.linspace(0, 1, 7) for y in np.linspace(0, 1, 7)])
+    bases = {}
+    problems = list(_tie_instances()) + list(_draws(population, grid, 24, 3))
+    for prob in problems:
+        S = prob.constraint.atoms
+        w, value, gap, alt, _ = _fixed_support_lp(prob.inputs, prob.cost, S, bases=bases)
+        want, w_lo, w_hi = _one_shot_tie_break(prob.inputs, prob.cost, S)
+        assert abs(value - want) <= GAP_TOL * (1.0 + abs(want)) and gap <= GAP_TOL
+        np.testing.assert_allclose(w, w_lo, rtol=0, atol=1e-12)
+        assert (alt is None) == (np.max(np.abs(w_lo - w_hi)) <= 1e-7)
+        if alt is not None:
+            np.testing.assert_allclose(alt, w_hi, rtol=0, atol=1e-12)
+    # the draws share constraint systems, so most of them ran warm
+    assert len(bases) < len(problems) - 12
+
+
+def test_failed_warm_run_is_rerun_cold_once(monkeypatch, caplog):
+    from mkbary import lp
+    from mkbary.barycenter import _fixed_support_lp
+
+    population = [generate_random_measure(1400 + i, [0, 0], [1, 1], 4) for i in range(2)]
+    grid = np.array([[x, y] for x in np.linspace(0, 1, 5) for y in np.linspace(0, 1, 5)])
+    first, second = (BarycenterProblem.make(list(zip(population, lams)),
+                                            Constraint.simplex_over(grid), SQ)
+                     for lams in ([0.3, 0.7], [0.6, 0.4]))
+    bases = {}
+    _fixed_support_lp(first.inputs, SQ, grid, bases=bases)
+    assert len(bases) == 1
+    want = _fixed_support_lp(second.inputs, SQ, grid)
+    real_run, real_solve = lp.Model.run, lp.solve
+    runs, cold = [], []
+
+    def fails_first(model):  # the warm main run stops at an iteration limit
+        res = real_run(model)
+        runs.append(res)
+        return res._replace(status=1, message="Iteration limit reached") if len(runs) == 1 else res
+
+    def counting(c, A, rhs):
+        cold.append(len(c))
+        return real_solve(c, A, rhs)
+
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="mkbary"), monkeypatch.context() as mp:
+        mp.setattr(lp.Model, "run", fails_first)
+        mp.setattr(lp, "solve", counting)
+        got = _fixed_support_lp(second.inputs, SQ, grid, bases=bases)
+    assert cold == [len(grid) * (1 + sum(m.n_atoms for m in population))]
+    assert [r.getMessage() for r in caplog.records if r.name == "mkbary"] == [
+        "barycenter LP: warm run not optimal (Iteration limit reached); re-running cold"]
+    np.testing.assert_allclose(got[0], want[0], rtol=0, atol=1e-12)
+    assert got[1] == want[1] and got[2] == want[2]
+    assert (got[3] is None) == (want[3] is None)
 
 
 def _mkbary_messages(caplog, solve):

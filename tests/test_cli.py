@@ -430,7 +430,7 @@ def test_finite_indices_that_are_not_points_are_parse_errors(tmp_path, capsys, m
     def no_lp(c, A, rhs):
         raise AssertionError("an LP ran before the indices were checked")
 
-    monkeypatch.setattr(lp, "solve", no_lp)
+    monkeypatch.setattr(lp, "Model", no_lp)  # every LP, one-shot or kept, starts here
     measure = {"space": FINITE_3, "atoms": atoms, "weights": [0.5, 0.5]}
     problem = {"inputs": [{"measure": measure, "lambda": 1.0}],
                "constraint": {"kind": "simplex_over", "atoms": candidates},
@@ -448,11 +448,11 @@ def test_verify_lln_summary_counts_its_holes(tmp_path, capsys, monkeypatch):
 
     real, calls = consistency.barycenter_fixed_support, []
 
-    def fails_once(problem):
+    def fails_once(problem, **kwargs):
         calls.append(problem)
         if len(calls) == 2:  # the first empirical barycenter, after the population's
             raise NumericalFailure("forced")
-        return real(problem)
+        return real(problem, **kwargs)
 
     cfg = write(tmp_path / "lln.json", SMALL_LLN)
     assert main(["verify", "lln", "--config", cfg, "--out-dir", str(tmp_path / "full")]) == 0

@@ -116,3 +116,34 @@ def test_lln_and_perturb_defaults_take_the_face_route(caplog):
     with caplog.at_level("WARNING", logger="mkbary"):
         assert run_suite("lln").passed and run_suite("perturb").passed
     assert [r.getMessage() for r in caplog.records if r.name == "mkbary"] == []
+
+
+def test_kept_bases_match_runs_without_them(monkeypatch):
+    # the default `verify lln` and `verify perturb` experiments, with their
+    # per-run start bases and with every barycenter LP solved cold
+    import mkbary.consistency as consistency
+    from mkbary.costs import cost_from_json
+    from mkbary.verify import DEFAULT_LLN_CONFIG, DEFAULT_PERTURB_CONFIG
+
+    def experiments():
+        lln, per = DEFAULT_LLN_CONFIG, DEFAULT_PERTURB_CONFIG
+        return (
+            lln_experiment(consistency.population_from_json(lln["population"]), lln["n_grid"],
+                           lln["seeds"], constraint_from_json(lln["constraint"]),
+                           cost_from_json(lln["cost"])),
+            perturbation_experiment(consistency.population_from_json(per["population"]),
+                                    per["deltas"], constraint_from_json(per["constraint"]),
+                                    cost_from_json(per["cost"])),
+        )
+
+    kept = experiments()
+    real = consistency.barycenter_fixed_support
+    monkeypatch.setattr(consistency, "barycenter_fixed_support",
+                        lambda problem, _bases: real(problem))
+    cold = experiments()
+    assert kept[0].errors == cold[0].errors == []
+    assert len(kept[0].records) == 3 * 20
+    for warm_report, cold_report in zip(kept, cold):
+        assert len(warm_report.records) == len(cold_report.records)
+        for got, want in zip(warm_report.records, cold_report.records):
+            np.testing.assert_allclose(got[:-1], want[:-1], rtol=0, atol=1e-15)

@@ -102,19 +102,77 @@ def test_kernel_matches_linprog_on_random_transport_batches():
         assert _assert_matches_linprog(c, _system(shapes), rhs).status == 0
 
 
+def _assert_face_runs_match_linprog(c, A, rhs, off_face):
+    """The kept model's face runs against linprog with the off-face columns fixed to 0.
+
+    The model runs with cost c, then with the off-face columns fixed to 0 and
+    cost h, then -h, each from the last basis, as the barycenter tie-break
+    does.  A warm run may stop at another optimal vertex than linprog, so
+    each run is matched by status and objective within the gap tolerance.
+    """
+    h = np.arange(len(c), dtype=float)
+    model = lp.Model(c, A, rhs)
+    assert model.run().status == 0
+    model.fix_to_zero(off_face)
+    bounds = np.column_stack([np.zeros(len(c)), np.full(len(c), np.inf)])
+    bounds[off_face, 1] = 0.0
+    for cost in (h, -h):
+        model.set_costs(cost)
+        got = model.run()
+        ref = linprog(cost, A_eq=to_scipy(A), b_eq=rhs, bounds=bounds, method="highs",
+                      options={"primal_feasibility_tolerance": lp.FEASIBILITY_TOL,
+                               "dual_feasibility_tolerance": lp.FEASIBILITY_TOL})
+        assert got.status == ref.status == 0
+        assert abs(got.fun - ref.fun) <= GAP_TOL * (1.0 + abs(ref.fun))
+        assert np.max(np.abs(got.x[off_face]), initial=0.0) <= lp.FEASIBILITY_TOL
+        np.testing.assert_allclose(to_scipy(A) @ got.x, rhs, rtol=0, atol=1e-9)
+
+
 def test_kernel_matches_linprog_on_joint_barycenter_lps():
     from mkbary.barycenter import _joint_lp_system
 
     grid = np.array([[x, y] for x in np.linspace(-1, 1, 5) for y in np.linspace(-1, 1, 5)])
+    rng = np.random.default_rng(5)
     for seed in range(4):
         inputs = [(generate_random_measure(50 * seed + i, [-1, -1], [1, 1], 3 + i), lam)
                   for i, lam in enumerate([0.2, 0.3, 0.5])]
         c, A, rhs, _, _ = _joint_lp_system(inputs, COSTS[seed % 3], grid)
-        assert _assert_matches_linprog(c, A, rhs).status == 0
-        # the face tie-break's shape: two copies of the system side by side
-        h = np.arange(len(c), dtype=float)
-        _assert_matches_linprog(np.concatenate([h, -h]), lp.block_diag([A, A]),
-                                np.concatenate([rhs, rhs]))
+        res = _assert_matches_linprog(c, A, rhs)
+        assert res.status == 0
+        # the face tie-break's shape: the same system with columns fixed to 0,
+        # here every column that the main vertex leaves at 0, with some odds
+        off = np.flatnonzero((res.x == 0.0) & (rng.uniform(size=len(c)) < 0.5))
+        _assert_face_runs_match_linprog(c, A, rhs, off)
+
+
+def test_kept_model_matches_cold_solve_on_joint_barycenter_lps():
+    from mkbary.barycenter import _joint_lp_system
+
+    rng = np.random.default_rng(11)
+    grid = np.array([[x, y] for x in np.linspace(0, 1, 6) for y in np.linspace(0, 1, 6)])
+    for trial in range(6):
+        measures = [generate_random_measure(100 * trial + i, [0, 0], [1, 1], 5)
+                    for i in range(int(rng.integers(1, 4)))]
+        cost = COSTS[trial % 3]
+        c, A, rhs, _, _ = _joint_lp_system(
+            list(zip(measures, rng.dirichlet(np.ones(len(measures))))), cost, grid)
+        model = lp.Model(c, A, rhs)
+        assert model.run().status == 0
+        # the same constraint system with new input weights: only the costs change
+        for _ in range(3):
+            c2, A2, rhs2, _, _ = _joint_lp_system(
+                list(zip(measures, rng.dirichlet(np.ones(len(measures))))), cost, grid)
+            assert A2.indptr.tobytes() == A.indptr.tobytes() and rhs2.tolist() == rhs.tolist()
+            # a new model from the kept one's basis, and the kept one itself
+            started = lp.Model(c2, A, rhs, model.basis()).run()
+            model.set_costs(c2)
+            cold = lp.solve(c2, A, rhs)
+            assert cold.status == 0
+            tol = GAP_TOL * (1.0 + abs(cold.fun))
+            for warm in (started, model.run()):
+                assert warm.status == 0
+                assert abs(warm.fun - cold.fun) <= tol
+                assert warm.fun - rhs @ warm.duals <= tol
 
 
 def test_kernel_status_matches_linprog_on_infeasible_and_unbounded_lps():
@@ -126,18 +184,15 @@ def test_kernel_status_matches_linprog_on_infeasible_and_unbounded_lps():
 
 def test_kernel_rejects_costs_that_are_not_finite():
     A = _system([(2, 2)])
+    model = lp.Model(np.zeros(4), A, np.full(3, 0.5))
     for bad in (np.inf, -np.inf, np.nan):
+        c = np.array([0.0, bad, 1.0, 0.0])
         with pytest.raises(ValueError, match="LP costs must be finite"):
-            lp.solve(np.array([0.0, bad, 1.0, 0.0]), A, np.full(3, 0.5))
-
-
-def test_block_diag_matches_scipy():
-    rng = np.random.default_rng(4)
-    blocks = [sparse.random_array((m, n), density=0.5, format="csc", rng=rng)
-              for m, n in [(3, 4), (1, 2), (5, 3)]]
-    got = lp.block_diag(blocks)
-    assert got.shape == (9, 9)
-    np.testing.assert_array_equal(to_scipy(got).toarray(), sparse.block_diag(blocks).toarray())
+            lp.solve(c, A, np.full(3, 0.5))
+        with pytest.raises(ValueError, match="LP costs must be finite"):
+            model.set_costs(c)
+    # the rejected costs never reached the kept model
+    assert model.run().fun == 0.0
 
 
 def _grid_joint_system(k, seed):
@@ -152,24 +207,21 @@ def _grid_joint_system(k, seed):
     c, A, rhs, _, _ = _joint_lp_system(inputs, CostSpec.norm_power(2), grid)
     res = lp.solve(c, A, rhs)
     assert res.status == 0
-    return c, A, res.duals
+    return c, A, rhs, res.duals
 
 
-def test_csc_columns_and_rmatvec_match_scipy_on_the_face_cut():
+def test_csc_rmatvec_and_face_runs_match_scipy_on_the_face_cut():
     for k, seed in [(9, 1), (17, 2)]:
-        c, A, y = _grid_joint_system(k, seed)
+        c, A, rhs, y = _grid_joint_system(k, seed)
         ref = sparse.csc_matrix((A.data, A.indices, A.indptr), shape=A.shape)
         reduced = A.rmatvec(y)
         assert reduced.tobytes() == (ref.T @ y).tobytes()
-        # the face cut of the tie-break, and a scrambled column order
-        face = np.flatnonzero(c - reduced <= 1e-9)
-        assert 0 < len(face) < len(c)
-        for cols in (face, np.random.default_rng(k).permutation(len(c))[:len(c) // 3]):
-            got, want = A.columns(cols), ref[:, cols]
-            assert got.shape == want.shape and got.nnz == want.nnz
-            for name in ("data", "indices", "indptr"):
-                assert getattr(got, name).dtype == getattr(want, name).dtype
-                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        # the face cut of the tie-break, and a scrambled third of the columns
+        off_face = np.flatnonzero(c - reduced > 1e-9)
+        assert 0 < len(off_face) < len(c)
+        scrambled = np.random.default_rng(k).permutation(off_face)[: len(off_face) // 3]
+        for off in (off_face, scrambled):
+            _assert_face_runs_match_linprog(c, A, rhs, off)
 
 
 def test_marginal_system_is_sparse_with_two_nonzeros_per_column():

@@ -124,6 +124,30 @@ def test_near_pairs_find_every_pair_within_the_radius():
             assert found == _brute_pairs(pts, r)
 
 
+def test_near_pairs_stay_linear_on_a_chain():
+    # 2000 atoms on the diagonal, each 0.9 ATOM_MERGE_TOL from the next: one
+    # cluster in every coordinate, but only neighbours within the tolerance
+    from mkbary.measures import ATOM_MERGE_TOL, _near_pairs, _sort_and_merge
+
+    n = 2000
+    pts = np.cumsum(np.full((n, 2), 0.9 * ATOM_MERGE_TOL), axis=0)
+    assert len(_near_pairs(pts, 2 * ATOM_MERGE_TOL)) <= 4 * n
+    # the rows of an identity weight matrix say which kept atom owns each input
+    _, owned = _sort_and_merge(GroundSpace.euclidean(2), pts.copy(), np.eye(n, dtype=np.int8))
+    assert owned.sum(axis=0).tolist() == [1] * n
+    owners = np.argmax(owned, axis=0)
+    # the O(n^2) merge: in lexsort order, join the first kept atom within the tolerance
+    kept, want = np.empty((0, 2)), []
+    for p in pts[np.lexsort(pts.T[::-1])]:
+        near = np.flatnonzero(np.max(np.abs(kept - p), axis=1) <= ATOM_MERGE_TOL)
+        if near.size:
+            want.append(int(near[0]))
+        else:
+            want.append(len(kept))
+            kept = np.vstack([kept, p])
+    assert owners.tolist() == want
+
+
 def test_canonicalize_identity():
     m = canonicalize([[0.0]], [1.0], LINE)
     assert m.atoms.ravel().tolist() == [0.0]
