@@ -25,6 +25,7 @@ from .errors import (
     MassNotOne,
     MKError,
     NegativeWeight,
+    NonFinite,
     NotConvexCost,
     NotOneDimensional,
     NumericalFailure,

@@ -9,6 +9,10 @@ class NegativeWeight(MKError):
     """A weight vector contains a negative entry."""
 
 
+class NonFinite(MKError):
+    """A weight or an atom coordinate is NaN or infinite."""
+
+
 class MassNotOne(MKError):
     """Weights do not sum to 1 within the admission tolerance."""
 

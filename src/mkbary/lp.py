@@ -1,9 +1,10 @@
 """The one LP kernel: every linear program of the package runs in a ``Model``.
 
 ``Model(c, A, rhs)`` holds the LP min c.x subject to A x = rhs and x >= 0,
-with A a ``CSC`` matrix, and keeps it between runs: ``set_costs`` and
-``fix_to_zero`` change it, and the next ``run`` starts from the last basis,
-or from a ``basis()`` saved from another model of the same system.
+with A a ``CSC`` matrix, and keeps it between runs: ``set_costs``,
+``fix_to_zero`` and ``add_columns`` change it, and the next ``run`` starts
+from the last basis, or from a ``basis()`` saved from another model of the
+same system.
 ``solve(c, A, rhs)`` is one cold run of a new model.  Both call the HiGHS
 solver that scipy bundles directly
 (``scipy.optimize._highspy._core._Highs``), a private scipy binding, so the
@@ -74,6 +75,8 @@ _OPTIONS.dual_feasibility_tolerance = FEASIBILITY_TOL
 _OPTIONS.output_flag = False
 _OPTIONS.log_to_console = False
 
+_PRIMAL = int(_highs.simplex_constants.SimplexStrategy.kSimplexStrategyPrimal)
+
 _COLWISE = int(_highs.MatrixFormat.kColwise)
 _MINIMIZE = int(_highs.ObjSense.kMinimize)
 _MODEL = _highs.HighsModelStatus
@@ -127,21 +130,22 @@ def _check_costs(c: np.ndarray) -> None:
 class Model:
     """min c.x subject to A x = rhs, x >= 0, kept in one HiGHS object between runs.
 
-    A run after ``set_costs`` or ``fix_to_zero`` starts from the last run's
-    basis, skipping presolve, so an LP that differs from the last one only
-    in its costs or column bounds usually needs few iterations.  ``start``,
+    A run after ``set_costs``, ``fix_to_zero`` or ``add_columns`` starts
+    from the last run's basis, skipping presolve, so an LP that differs from
+    the last one only in its costs, column bounds or a few new columns
+    usually needs few iterations.  ``start``,
     the ``basis()`` of a model of the same A and rhs, makes the first run
     start from that basis too.  A warm run may stop at another optimal
     vertex than a cold one.
 
-    Raises ValueError on a cost that is not finite, here or in
-    ``set_costs``, as scipy's front end does.
+    Raises ValueError on a cost that is not finite, here, in ``set_costs``
+    or in ``add_columns``, as scipy's front end does.
     """
 
     def __init__(self, c: np.ndarray, A: CSC, rhs: np.ndarray, start=None):
         _check_costs(c)
         n, m = len(c), len(rhs)
-        self._n = n
+        self._n, self._m = n, m
         self._highs = _highs._Highs()
         self._highs.passOptions(_OPTIONS)
         self._loaded = self._highs.passModel(
@@ -180,6 +184,27 @@ class Model:
         if len(c) != self._n:
             raise ValueError(f"{len(c)} costs for {self._n} columns")
         self._highs.changeColsCost(self._n, np.arange(self._n, dtype=np.int32), c)
+
+    def add_columns(self, c: np.ndarray, A: CSC) -> None:
+        """Append the columns of A, with costs ``c`` and bounds [0, inf).
+
+        They enter nonbasic at 0, so the last basis stays primal feasible,
+        and from here on every run of the model is primal simplex, which
+        starts from that basis where dual simplex would first have to
+        regain dual feasibility.
+        """
+        _check_costs(c)
+        k = len(c)
+        if A.shape != (self._m, k):
+            raise ValueError(f"a {A.shape[0]} x {A.shape[1]} column block with {k} costs "
+                             f"for a model of {self._m} rows")
+        if self._highs.addCols(k, c, np.zeros(k), np.full(k, np.inf), A.nnz,
+                               A.indptr[:-1].astype(np.int32, copy=False),
+                               A.indices.astype(np.int32, copy=False),
+                               A.data) == _highs.HighsStatus.kError:
+            raise ValueError("HiGHS rejected the column block")
+        self._highs.setOptionValue("simplex_strategy", _PRIMAL)
+        self._n += k
 
     def fix_to_zero(self, cols) -> None:
         """Bound the columns ``cols`` to 0 and release every other column to [0, inf)."""

@@ -18,6 +18,7 @@ from .errors import (
     ImageOutsideSpace,
     MassNotOne,
     NegativeWeight,
+    NonFinite,
     SpaceMismatch,
 )
 
@@ -281,13 +282,17 @@ def _sort_and_merge(space: GroundSpace, atoms: np.ndarray, weights: np.ndarray):
 def canonicalize(raw_atoms, raw_weights, space: GroundSpace) -> DiscreteMeasure:
     """Build a canonical measure from raw atom/weight lists.
 
-    Admits weights that are nonnegative and sum to 1 within 1e-9; merges
-    duplicate atoms (1e-12 coordinate tolerance), drops zero weights and
-    renormalizes so the weights sum to exactly 1.
+    Admits weights that are finite, nonnegative and sum to 1 within 1e-9,
+    and euclidean atoms with finite coordinates; merges duplicate atoms
+    (1e-12 coordinate tolerance), drops zero weights and renormalizes so the
+    weights sum to exactly 1.
     """
     weights = np.array(raw_weights, dtype=float).reshape(-1)
     if weights.size == 0:
         raise EmptySupport("measure needs at least one atom")
+    # a NaN weight would pass the sign and mass checks and be dropped as zero
+    if not np.isfinite(weights).all():
+        raise NonFinite("weights must be finite")
     if np.any(weights < 0):
         raise NegativeWeight(f"negative weight {weights.min()!r}")
     total = float(weights.sum())
@@ -302,6 +307,8 @@ def canonicalize(raw_atoms, raw_weights, space: GroundSpace) -> DiscreteMeasure:
             raise SpaceMismatch(
                 f"atoms of shape {atoms.shape} do not fit R^{space.dim}"
             )
+        if not np.isfinite(atoms).all():
+            raise NonFinite("atom coordinates must be finite")
     else:
         atoms = np.asarray(raw_atoms)
         if atoms.ndim != 1:

@@ -7,11 +7,11 @@ marginal constraints and certifies optimality with a feasible dual pair
 enumerating every basis of the transportation polytope; it shares no code
 path with the LP and serves as the independent oracle.
 
-Every transport LP goes through ``solve_lp_batch`` and one solve step,
-``_solve_columns``: the sparse marginal rows of one or more problems
-(two nonzeros per column, block-diagonal across problems), restricted to
-a set of columns, in one call of the LP kernel ``mkbary.lp``.  Small
-problems are packed into block-diagonal calls on all their columns.
+Every transport LP is built by ``_marginal_columns``: the sparse marginal
+rows of one or more problems (two nonzeros per column, block-diagonal
+across problems), restricted to a set of columns.  Small problems are
+packed into block-diagonal calls on all their columns, each one cold run
+of the LP kernel ``mkbary.lp`` in ``_solve_columns``.
 
 A problem with more than ``MAX_BATCH_VARS`` variables goes through a
 shortlist instead (Gottschlich & Schuhmacher 2014; Schmitzer 2016).  The
@@ -20,11 +20,13 @@ column plus the support of the north-west-corner plan, so it is always
 feasible.  Each round solves the LP on the current columns, prices all
 m*n reduced costs C - u (+) v from its equality duals in one pass and adds
 the columns below the solver's dual tolerance, at most ``SHORTLIST_K`` of
-every row and every column, most violated first.  When none is left, the
-plan is scattered back to m x n and polished and certified over the full
-C, exactly like a plan of the full LP.  After ``SHORTLIST_MAX_ROUNDS``
-rounds a last round keeps every column, which is the full LP, with one
-warning on the ``mkbary`` logger.
+every row and every column, most violated first.  The rounds run on one
+kept ``lp.Model``: the new columns are appended to it and enter at 0, so
+the last basis stays feasible and the next round starts warm from it.
+When no column is missing, the plan is scattered back to m x n and
+polished and certified over the full C, exactly like a plan of the full
+LP.  After ``SHORTLIST_MAX_ROUNDS`` rounds a last round solves the full LP
+cold through ``_solve_columns``, with one warning on the ``mkbary`` logger.
 """
 
 from __future__ import annotations
@@ -169,6 +171,10 @@ def _certify(k: int, x: np.ndarray, C: np.ndarray, a: np.ndarray, b: np.ndarray,
     return x, objective, u, v, gap
 
 
+def _failed(ks, message: str, kept: int, total: int) -> str:
+    return f"transport LP blocks {ks[0]}..{ks[-1]} failed: {message} on {kept} of {total} columns"
+
+
 def _solve_columns(problems, ks, cols=None):
     """One LP kernel call over ``problems[k]`` for k in ``ks``, on flat columns ``cols``.
 
@@ -184,8 +190,7 @@ def _solve_columns(problems, ks, cols=None):
     rhs = np.concatenate([np.concatenate([problems[k][1], problems[k][2][:-1]]) for k in ks])
     res = lp.solve(costs[cols], _marginal_columns(shapes, cols), rhs)
     if res.status != 0:
-        raise NumericalFailure(f"transport LP blocks {ks[0]}..{ks[-1]} failed: {res.message} "
-                               f"on {cols.size} of {costs.size} columns")
+        raise NumericalFailure(_failed(ks, res.message, cols.size, costs.size))
     x = np.zeros(costs.size)
     x[cols] = np.clip(res.x, 0.0, None)
     sols, col, row = [], 0, 0
@@ -211,34 +216,64 @@ def _solve_shortlist(problems, k: int):
     """Plan and row duals of ``problems[k]`` by shortlist column generation.
 
     The start columns are the cheapest of every row and every column and
-    the north-west-corner staircase, which holds a feasible plan.  Each
-    round solves the LP on the kept columns and prices every column by its
-    reduced cost C - u (+) v (v = 0 on the column whose row is dropped).
-    Of the columns below the solver's dual tolerance, the ``SHORTLIST_K``
-    most violated of every row and every column join.  When columns are
-    still missing after ``SHORTLIST_MAX_ROUNDS`` rounds, one last round
-    keeps every column, with one warning.
+    the north-west-corner staircase, which holds a feasible plan.  Every
+    round runs one kept ``lp.Model`` and prices every column by its reduced
+    cost C - u (+) v (v = 0 on the column whose row is dropped).  Of the
+    columns below the solver's dual tolerance, the ``SHORTLIST_K`` most
+    violated of every row and every column are appended to the model, and
+    the next round starts warm from the last basis; the plan is scattered
+    back by the order in which the columns were added.  A warm round that
+    is not optimal is re-run cold once on the same columns, with one
+    warning, and the next round starts a new model.  When columns are still
+    missing after ``SHORTLIST_MAX_ROUNDS`` rounds, one last round solves the
+    full LP cold, with one warning.
     """
     C, a, b = problems[k]
     m, n = C.shape
+    costs = C.ravel()
     keep = _cheapest(C)
     # the staircase steps down when row i runs out no later than column j
     steps = np.concatenate([np.cumsum(a)[:-1], np.cumsum(b)[:-1]])
     down = np.argsort(steps, kind="stable") < m - 1
     keep[np.concatenate([[0], np.cumsum(down)]), np.concatenate([[0], np.cumsum(~down)])] = True
+    model, new = None, np.flatnonzero(keep)
     for rounds in range(SHORTLIST_MAX_ROUNDS + 1):
         if rounds == SHORTLIST_MAX_ROUNDS:
             log.warning("transport LP block %d: shortlist still missing columns after %d "
                         "rounds; solving the full LP", k, SHORTLIST_MAX_ROUNDS)
-            keep[:] = True
-        [(x, u)], duals = _solve_columns(problems, [k], np.flatnonzero(keep))
+            model = None  # freed before the full LP's model is built
+            [(x, u)], _ = _solve_columns(problems, [k])
+            return x, u
+        block = _marginal_columns([(m, n)], new)
+        warm = model is not None
+        if warm:
+            model.add_columns(costs[new], block)
+            order = np.concatenate([order, new])
+        else:
+            model, order = lp.Model(costs[new], block, np.concatenate([a, b[:-1]])), new
+        res = model.run()
+        if res.status == 0:
+            flat = np.zeros(m * n)
+            flat[order] = np.clip(res.x, 0.0, None)
+            x, duals = flat.reshape(m, n), res.duals
+        elif warm:
+            log.warning("transport LP block %d: warm shortlist round not optimal (%s); "
+                        "re-running it cold", k, res.message)
+            model = None
+            [(x, _)], duals = _solve_columns(problems, [k], np.sort(order))
+        else:
+            raise NumericalFailure(_failed([k], res.message, order.size, costs.size))
+        u = duals[:m]
         reduced = C - u[:, None]
         reduced[:, :-1] -= duals[m:]
         missing = (reduced < -lp.FEASIBILITY_TOL) & ~keep
         if not missing.any():
             return x, u
         reduced[~missing] = np.inf
-        keep |= missing & _cheapest(reduced)
+        added = missing & _cheapest(reduced)
+        keep |= added
+        # after a cold re-run the next round builds a new model on every kept column
+        new = np.flatnonzero(added if model is not None else keep)
 
 
 def solve_lp_batch(problems) -> list:

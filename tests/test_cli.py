@@ -184,6 +184,21 @@ def test_transport_malformed_weights(tmp_path, capsys):
     assert not (tmp_path / "manifest.json").exists()
 
 
+def test_transport_rejects_non_finite_measures(tmp_path, capsys):
+    # json writes and reads NaN and Infinity; neither may reach the LP
+    nan, inf = float("nan"), float("inf")
+    mu = write(tmp_path / "mu.json", MEASURE_01)
+    cost = write(tmp_path / "c.json", COST_SQ)
+    cases = [(dict(MEASURE_01, atoms=[[nan], [nan]]), "atom coordinates must be finite"),
+             (dict(MEASURE_01, atoms=[[0.0], [inf]]), "atom coordinates must be finite"),
+             (dict(MEASURE_01, weights=[nan, 1.0]), "weights must be finite")]
+    for bad, message in cases:
+        nu = write(tmp_path / "nu.json", bad)
+        assert main(["transport", mu, nu, cost, "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr() == ("", f"parse error: {message}\n")
+    assert not (tmp_path / "manifest.json").exists()
+
+
 def test_barycenter_quantile_two_diracs(tmp_path, capsys):
     problem = {
         "inputs": [

@@ -62,14 +62,15 @@ def _large_pair(size, seed):
 
 @pytest.fixture
 def lp_calls(monkeypatch):
+    """The column count of every LP run, cold or warm, in order."""
     calls = []
-    real = lp.solve
+    real = lp.Model.run
 
-    def counting(c, A, rhs):
-        calls.append(len(c))
-        return real(c, A, rhs)
+    def counting(self):
+        calls.append(self._n)
+        return real(self)
 
-    monkeypatch.setattr(lp, "solve", counting)
+    monkeypatch.setattr(lp.Model, "run", counting)
     return calls
 
 
@@ -173,6 +174,75 @@ def test_kept_model_matches_cold_solve_on_joint_barycenter_lps():
                 assert warm.status == 0
                 assert abs(warm.fun - cold.fun) <= tol
                 assert warm.fun - rhs @ warm.duals <= tol
+
+
+def _north_west_corner(a, b):
+    """The support of the north-west-corner plan, as flat columns."""
+    a, b, i, j, support = a.copy(), b.copy(), 0, 0, [0]
+    while (i, j) != (len(a) - 1, len(b) - 1):
+        step = min(a[i], b[j])
+        a[i] -= step
+        b[j] -= step
+        if (a[i] <= b[j] or j == len(b) - 1) and i < len(a) - 1:
+            i += 1
+        else:
+            j += 1
+        support.append(i * len(b) + j)
+    return np.array(support)
+
+
+def _hstack(*blocks):
+    """The ``lp.CSC`` matrix of ``blocks`` side by side."""
+    M = sparse.hstack([to_scipy(B) for B in blocks], format="csc")
+    return lp.CSC(M.data, M.indices, M.indptr, M.shape)
+
+
+def test_added_columns_match_cold_solve_of_the_grown_lp():
+    rng = np.random.default_rng(17)
+    for trial in range(8):
+        m, n = int(rng.integers(2, 30)), int(rng.integers(2, 30))
+        # uniform weights on odd trials: a degenerate LP with many optimal vertices
+        a, b = ((np.full(m, 1 / m), np.full(n, 1 / n)) if trial % 2
+                else (rng.dirichlet(np.ones(m)), rng.dirichlet(np.ones(n))))
+        C = rng.uniform(size=(m, n)) ** (1 + trial % 3)
+        rhs = np.concatenate([a, b[:-1]])
+        # a first block holding the north-west-corner plan, so it is feasible,
+        # then the other columns in two blocks of random order
+        first = np.union1d(_north_west_corner(a, b),
+                           np.flatnonzero(rng.uniform(size=m * n) < 0.2))
+        rest = rng.permutation(np.setdiff1d(np.arange(m * n), first))
+        blocks = [first] + [np.sort(cols) for cols in np.array_split(rest, 2)]
+        model = lp.Model(C.ravel()[first], _marginal_columns([(m, n)], first), rhs)
+        for k, cols in enumerate(blocks[1:], start=2):
+            model.add_columns(C.ravel()[cols], _marginal_columns([(m, n)], cols))
+            warm = model.run()
+            kept = np.concatenate(blocks[:k])
+            grown = _hstack(*[_marginal_columns([(m, n)], cols) for cols in blocks[:k]])
+            cold = lp.solve(C.ravel()[kept], grown, rhs)
+            assert warm.status == cold.status == 0
+            assert abs(warm.fun - cold.fun) <= GAP_TOL * (1.0 + abs(cold.fun))
+            # the row duals price every kept column, so the warm vertex is optimal
+            assert np.all(C.ravel()[kept] - grown.rmatvec(warm.duals) >= -lp.FEASIBILITY_TOL)
+            np.testing.assert_allclose(to_scipy(grown) @ warm.x, rhs, atol=1e-9)
+            assert warm.x.min() >= -lp.FEASIBILITY_TOL
+
+
+def test_add_columns_rejects_bad_blocks():
+    A = _system([(2, 2)])
+    rhs = np.full(3, 0.5)
+    model = lp.Model(np.arange(4.0), A, rhs)
+    before = model.run()
+    block = _marginal_columns([(2, 2)], np.array([0, 3]))
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="LP costs must be finite"):
+            model.add_columns(np.array([bad, 0.0]), block)
+    with pytest.raises(ValueError, match="for a model of 3 rows"):
+        model.add_columns(np.zeros(2), _marginal_columns([(2, 3)], np.array([0, 3])))
+    with pytest.raises(ValueError, match="for a model of 3 rows"):
+        model.add_columns(np.zeros(3), block)
+    # no rejected block reached the kept model
+    after = model.run()
+    assert after.x.size == 4 and after.fun == before.fun
 
 
 def test_kernel_status_matches_linprog_on_infeasible_and_unbounded_lps():
@@ -451,6 +521,54 @@ def test_shortlist_round_cap_falls_back_to_full_lp(monkeypatch, lp_calls, caplog
     assert obj == full
 
 
+def _solve_failing_runs(monkeypatch, lp_calls, fails, C, a, b):
+    """``solve_lp_matrix(C, a, b)`` with the runs numbered in ``fails`` (0 the
+    first, as counted afresh in ``lp_calls``) coming back not optimal."""
+    real = lp.Model.run  # the counting run of ``lp_calls``
+
+    def run(self):
+        res = real(self)
+        if len(lp_calls) - 1 in fails:
+            return lp.Solution(4, "forced", None, None, None, res.nit)
+        return res
+
+    lp_calls.clear()
+    with monkeypatch.context() as mp:
+        mp.setattr(lp.Model, "run", run)
+        return solve_lp_matrix(C, a, b)
+
+
+def test_failed_warm_shortlist_round_is_rerun_cold_once(monkeypatch, lp_calls, caplog):
+    mu, nu = _large_pair(64, seed=3)
+    C = CostSpec.norm_power(2).matrix(mu, nu)
+    _, full = _full_lp(monkeypatch, C, mu.weights, nu.weights)
+    marginals = mu.weights, nu.weights
+    lp_calls.clear()
+    solve_lp_matrix(C, *marginals)
+    rounds = list(lp_calls)
+    assert len(rounds) >= 3  # a cold round and at least two warm ones
+    # the first warm run fails: the same columns are solved cold, and the next
+    # round starts a new model on the columns priced in from the cold duals
+    with caplog.at_level(logging.WARNING, logger="mkbary"):
+        x, obj, _, _, gap = _solve_failing_runs(monkeypatch, lp_calls, {1}, C, *marginals)
+    assert lp_calls[:3] == rounds[:2] + [rounds[1]] and max(lp_calls) < C.size
+    assert [r.getMessage() for r in caplog.records if r.name == "mkbary"] == [
+        "transport LP block 0: warm shortlist round not optimal (forced); re-running it cold"]
+    assert abs(obj - full) <= GAP_TOL * (1 + abs(full))
+    assert gap <= GAP_TOL * (1 + abs(obj))
+    np.testing.assert_allclose(x.sum(axis=1), mu.weights, atol=1e-9)
+    np.testing.assert_allclose(x.sum(axis=0), nu.weights, atol=1e-9)
+    # the cold re-run fails too: the round's failure is raised as before
+    with pytest.raises(NumericalFailure,
+                       match=f"blocks 0..0 failed: forced on {rounds[1]} of 4096 columns"):
+        _solve_failing_runs(monkeypatch, lp_calls, {1, 2}, C, *marginals)
+    # a cold first round that fails is not re-run
+    with pytest.raises(NumericalFailure,
+                       match=f"blocks 0..0 failed: forced on {rounds[0]} of 4096 columns"):
+        _solve_failing_runs(monkeypatch, lp_calls, {0}, C, *marginals)
+    assert lp_calls == rounds[:1]
+
+
 def test_plan_check_raises_under_python_O():
     src = Path(__file__).resolve().parents[1] / "src"
     script = (
@@ -473,12 +591,12 @@ def test_plan_check_raises_under_python_O():
         "import mkbary.transport as transport\n"
         "from mkbary import NumericalFailure\n"
         "from mkbary import lp\n"
-        "real = lp.solve\n"
-        "def doubled(c, A, rhs):  # every shortlist plan comes back with twice its mass\n"
-        "    res = real(c, A, rhs)\n"
+        "real = lp.Model.run\n"
+        "def doubled(self):  # every shortlist plan comes back with twice its mass\n"
+        "    res = real(self)\n"
         "    res.x[:] = 2 * res.x\n"
         "    return res\n"
-        "lp.solve = doubled\n"
+        "lp.Model.run = doubled\n"
         "rng = np.random.default_rng(0)\n"
         "C = rng.uniform(size=(40, 40))\n"
         "w = np.full(40, 1 / 40)\n"

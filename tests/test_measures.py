@@ -10,6 +10,7 @@ from mkbary import (
     ImageOutsideSpace,
     MassNotOne,
     NegativeWeight,
+    NonFinite,
     SpaceMismatch,
     canonicalize,
     dirac,
@@ -162,6 +163,23 @@ def test_canonicalize_rejects_bad_mass():
 def test_canonicalize_rejects_negative_weight():
     with pytest.raises(NegativeWeight):
         canonicalize([[0.0], [1.0]], [1.5, -0.5], LINE)
+
+
+def test_canonicalize_rejects_non_finite_weights_and_atoms():
+    nan, inf = float("nan"), float("inf")
+    # a NaN weight passes the sign and mass checks: it must not be dropped as a zero
+    for weights in ([nan, 1.0], [1.0, nan], [inf, 0.0], [-inf, 1.0]):
+        with pytest.raises(NonFinite, match="weights must be finite"):
+            canonicalize([[0.0], [1.0]], weights, LINE)
+    plane = GroundSpace.euclidean(2)
+    for atoms in ([[nan, 0.0], [1.0, 1.0]], [[0.0, 0.0], [0.0, inf]], [[-inf, 0.0], [nan, nan]]):
+        with pytest.raises(NonFinite, match="atom coordinates must be finite"):
+            canonicalize(atoms, [0.5, 0.5], plane)
+    # two NaN atoms are within no tolerance of each other, so they were kept apart
+    with pytest.raises(NonFinite):
+        canonicalize([[nan], [nan]], [0.5, 0.5], LINE)
+    with pytest.raises(NonFinite):
+        pushforward(dirac(LINE, [1.0]), lambda x: x * inf)
 
 
 def test_canonicalize_rejects_empty():
