@@ -236,26 +236,6 @@ def _face_tie_break(model: lp.Model, c_vec, A, h, value, y, n_inputs: int):
     return out
 
 
-def _main_run(c_vec, A, rhs, bases, key):
-    """The joint LP's model and its solution.
-
-    With a basis kept in ``bases`` under ``key`` (same constraint system)
-    the model starts from it; a warm run that is not optimal is re-run cold
-    once, with one warning.  With ``bases``, an optimal run of the model
-    keeps its basis there for the next LP of the system.
-    """
-    start = None if bases is None else bases.get(key)
-    model = lp.Model(c_vec, A, rhs, start)
-    res = model.run()
-    if res.status == 0:
-        if bases is not None:
-            bases[key] = model.basis()
-    elif start is not None:
-        log.warning("barycenter LP: warm run not optimal (%s); re-running cold", res.message)
-        res = lp.solve(c_vec, A, rhs)
-    return model, res
-
-
 def _fixed_support_lp(inputs, cost: CostSpec, S: np.ndarray, tie_break: bool = True,
                       bases: Optional[dict] = None):
     """Globally optimal candidate weights for a fixed atom set.
@@ -274,13 +254,18 @@ def _fixed_support_lp(inputs, cost: CostSpec, S: np.ndarray, tie_break: bool = T
     by the inputs' atom counts and weights and the candidate set, so that a
     later LP of the same system, which differs only in its costs, starts
     warm.  It keeps bases rather than models: a model takes about a
-    kilobyte per column.
+    kilobyte per column.  A warm run that is not optimal is re-run cold by
+    the kernel on the same model, so the basis kept and the model the
+    tie-break runs on are those of the run whose answer is returned.
     """
     c_vec, A, rhs, n_gamma, K = _joint_lp_system(inputs, cost, S)
     key = (tuple((m.n_atoms, m.weights.tobytes()) for m, _ in inputs), S.shape, S.tobytes())
-    model, res = _main_run(c_vec, A, rhs, bases, key)
+    model = lp.Model(c_vec, A, rhs, None if bases is None else bases.get(key))
+    res = model.run()
     if res.status != 0:
         raise NumericalFailure(f"barycenter LP failed: {res.message}")
+    if bases is not None:
+        bases[key] = model.basis()
     value = float(res.fun)
     dual = float(rhs @ res.duals)
     gap = max(0.0, value - dual)

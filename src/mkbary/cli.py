@@ -47,7 +47,7 @@ from .errors import (
 )
 from .measures import measure_from_json
 from .transport import _plan_fields, solve_transport
-from .verify import run_suite
+from .verify import SUITES, run_suite
 
 
 class UsageError(Exception):
@@ -232,8 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_barycenter)
 
     p = sub.add_parser("verify", help="run a property suite")
-    p.add_argument("suite", choices=["convexity", "triangle", "q-triangle",
-                                     "criterion", "lln", "perturb"])
+    p.add_argument("suite", choices=list(SUITES))
     p.add_argument("--config", default=None)
     p.add_argument("--jobs", type=int, default=1,
                    help="accepted and ignored: suites run in one thread")

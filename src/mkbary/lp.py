@@ -4,7 +4,10 @@
 with A a ``CSC`` matrix, and keeps it between runs: ``set_costs``,
 ``fix_to_zero`` and ``add_columns`` change it, and the next ``run`` starts
 from the last basis, or from a ``basis()`` saved from another model of the
-same system.
+same system.  The kernel alone decides what happens when such a warm run
+is not optimal: it warns once on the ``mkbary`` logger and runs the same
+model once more cold, with the options and no basis, as a new model's
+first run; only that run's status reaches the caller.
 ``solve(c, A, rhs)`` is one cold run of a new model.  Both call the HiGHS
 solver that scipy bundles directly
 (``scipy.optimize._highspy._core._Highs``), a private scipy binding, so the
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
+import logging
 import sys
 from pathlib import Path
 from typing import NamedTuple, Optional
@@ -35,6 +39,8 @@ import numpy as np
 import scipy
 
 _CORE = "scipy.optimize._highspy._core"
+
+log = logging.getLogger("mkbary")
 
 
 def _load_core():
@@ -136,7 +142,8 @@ class Model:
     usually needs few iterations.  ``start``,
     the ``basis()`` of a model of the same A and rhs, makes the first run
     start from that basis too.  A warm run may stop at another optimal
-    vertex than a cold one.
+    vertex than a cold one.  A warm run that is not optimal is re-run cold
+    once (see ``run``), and later runs start from that run's basis.
 
     Raises ValueError on a cost that is not finite, here, in ``set_costs``
     or in ``add_columns``, as scipy's front end does.
@@ -153,14 +160,36 @@ class Model:
             rhs, A.indptr.astype(np.int32, copy=False), A.indices.astype(np.int32, copy=False),
             A.data, np.zeros(n, dtype=np.int32),
         ) != _highs.HighsStatus.kError
+        # whether the next run starts from a basis
+        self._warm = start is not None
         if start is not None:
             self._highs.setBasis(start)
 
     def run(self) -> Solution:
-        """Solve the LP as it stands; x, duals and objective only when optimal."""
+        """Solve the LP as it stands; x, duals and objective only when optimal.
+
+        A run that starts from a basis and ends not optimal is run once
+        more cold: one warning on the ``mkbary`` logger, the kernel options
+        restored (dual simplex, presolve) and the basis cleared.  That run
+        gives what a new model of the same LP would, and its status is the
+        one returned.
+        """
         highs = self._highs
         if not self._loaded:
             return Solution(2, highs.modelStatusToString(_MODEL.kModelError), None, None, None, 0)
+        res = self._run_once()
+        if res.status != 0 and self._warm:
+            log.warning("LP of %d rows and %d columns: warm run not optimal (%s); "
+                        "re-running it cold", self._m, self._n, res.message)
+            highs.passOptions(_OPTIONS)
+            highs.clearSolver()
+            res = self._run_once()
+        self._warm = True
+        return res
+
+    def _run_once(self) -> Solution:
+        """One HiGHS run of the loaded model, from its basis if it has one."""
+        highs = self._highs
         highs.run()
         model = highs.getModelStatus()
         info = highs.getInfo()

@@ -22,7 +22,8 @@ m*n reduced costs C - u (+) v from its equality duals in one pass and adds
 the columns below the solver's dual tolerance, at most ``SHORTLIST_K`` of
 every row and every column, most violated first.  The rounds run on one
 kept ``lp.Model``: the new columns are appended to it and enter at 0, so
-the last basis stays feasible and the next round starts warm from it.
+the last basis stays feasible and the next round starts warm from it (the
+kernel re-runs a warm round that is not optimal cold, on the same model).
 When no column is missing, the plan is scattered back to m x n and
 polished and certified over the full C, exactly like a plan of the full
 LP.  After ``SHORTLIST_MAX_ROUNDS`` rounds a last round solves the full LP
@@ -175,30 +176,25 @@ def _failed(ks, message: str, kept: int, total: int) -> str:
     return f"transport LP blocks {ks[0]}..{ks[-1]} failed: {message} on {kept} of {total} columns"
 
 
-def _solve_columns(problems, ks, cols=None):
-    """One LP kernel call over ``problems[k]`` for k in ``ks``, on flat columns ``cols``.
+def _solve_columns(problems, ks):
+    """One cold LP kernel call over all columns of ``problems[k]`` for k in ``ks``.
 
-    The problems' variables are numbered one after another; ``cols``
-    (increasing, all of them when None) are the ones the LP keeps, the
-    others are 0.  Returns the clipped plan and the row duals of each
-    problem, in order, and the raw row duals of the call.
+    The problems' variables are numbered one after another.  Returns the
+    clipped plan and the row duals of each problem, in order.
     """
     shapes = [problems[k][0].shape for k in ks]
     costs = np.concatenate([problems[k][0].ravel() for k in ks])
-    if cols is None:
-        cols = np.arange(costs.size)
     rhs = np.concatenate([np.concatenate([problems[k][1], problems[k][2][:-1]]) for k in ks])
-    res = lp.solve(costs[cols], _marginal_columns(shapes, cols), rhs)
+    res = lp.solve(costs, _marginal_columns(shapes, np.arange(costs.size)), rhs)
     if res.status != 0:
-        raise NumericalFailure(_failed(ks, res.message, cols.size, costs.size))
-    x = np.zeros(costs.size)
-    x[cols] = np.clip(res.x, 0.0, None)
+        raise NumericalFailure(_failed(ks, res.message, costs.size, costs.size))
+    x = np.clip(res.x, 0.0, None)
     sols, col, row = [], 0, 0
     for m, n in shapes:
         sols.append((x[col:col + m * n].reshape(m, n), res.duals[row:row + m]))
         col += m * n
         row += m + n - 1
-    return sols, res.duals
+    return sols
 
 
 def _cheapest(M: np.ndarray) -> np.ndarray:
@@ -222,11 +218,10 @@ def _solve_shortlist(problems, k: int):
     columns below the solver's dual tolerance, the ``SHORTLIST_K`` most
     violated of every row and every column are appended to the model, and
     the next round starts warm from the last basis; the plan is scattered
-    back by the order in which the columns were added.  A warm round that
-    is not optimal is re-run cold once on the same columns, with one
-    warning, and the next round starts a new model.  When columns are still
-    missing after ``SHORTLIST_MAX_ROUNDS`` rounds, one last round solves the
-    full LP cold, with one warning.
+    back by the order in which the columns were added.  A round that is not
+    optimal after the kernel's cold re-run raises NumericalFailure.  When
+    columns are still missing after ``SHORTLIST_MAX_ROUNDS`` rounds, one
+    last round solves the full LP cold, with one warning.
     """
     C, a, b = problems[k]
     m, n = C.shape
@@ -237,43 +232,33 @@ def _solve_shortlist(problems, k: int):
     down = np.argsort(steps, kind="stable") < m - 1
     keep[np.concatenate([[0], np.cumsum(down)]), np.concatenate([[0], np.cumsum(~down)])] = True
     model, new = None, np.flatnonzero(keep)
-    for rounds in range(SHORTLIST_MAX_ROUNDS + 1):
-        if rounds == SHORTLIST_MAX_ROUNDS:
-            log.warning("transport LP block %d: shortlist still missing columns after %d "
-                        "rounds; solving the full LP", k, SHORTLIST_MAX_ROUNDS)
-            model = None  # freed before the full LP's model is built
-            [(x, u)], _ = _solve_columns(problems, [k])
-            return x, u
+    for _ in range(SHORTLIST_MAX_ROUNDS):
         block = _marginal_columns([(m, n)], new)
-        warm = model is not None
-        if warm:
+        if model is None:
+            model, order = lp.Model(costs[new], block, np.concatenate([a, b[:-1]])), new
+        else:
             model.add_columns(costs[new], block)
             order = np.concatenate([order, new])
-        else:
-            model, order = lp.Model(costs[new], block, np.concatenate([a, b[:-1]])), new
         res = model.run()
-        if res.status == 0:
-            flat = np.zeros(m * n)
-            flat[order] = np.clip(res.x, 0.0, None)
-            x, duals = flat.reshape(m, n), res.duals
-        elif warm:
-            log.warning("transport LP block %d: warm shortlist round not optimal (%s); "
-                        "re-running it cold", k, res.message)
-            model = None
-            [(x, _)], duals = _solve_columns(problems, [k], np.sort(order))
-        else:
+        if res.status != 0:
             raise NumericalFailure(_failed([k], res.message, order.size, costs.size))
-        u = duals[:m]
+        u = res.duals[:m]
         reduced = C - u[:, None]
-        reduced[:, :-1] -= duals[m:]
+        reduced[:, :-1] -= res.duals[m:]
         missing = (reduced < -lp.FEASIBILITY_TOL) & ~keep
         if not missing.any():
-            return x, u
+            flat = np.zeros(m * n)
+            flat[order] = np.clip(res.x, 0.0, None)
+            return flat.reshape(m, n), u
         reduced[~missing] = np.inf
         added = missing & _cheapest(reduced)
         keep |= added
-        # after a cold re-run the next round builds a new model on every kept column
-        new = np.flatnonzero(added if model is not None else keep)
+        new = np.flatnonzero(added)
+    log.warning("transport LP block %d: shortlist still missing columns after %d "
+                "rounds; solving the full LP", k, SHORTLIST_MAX_ROUNDS)
+    model = None  # freed before the full LP's model is built
+    [(x, u)] = _solve_columns(problems, [k])
+    return x, u
 
 
 def solve_lp_batch(problems) -> list:
@@ -308,7 +293,7 @@ def solve_lp_batch(problems) -> list:
 
     for run in _pack([problems[k][0].size for k in small], MAX_BATCH_VARS):
         ks = [small[r] for r in run]
-        for k, (x, u) in zip(ks, _solve_columns(problems, ks)[0]):
+        for k, (x, u) in zip(ks, _solve_columns(problems, ks)):
             out[k] = _certify(k, x, *problems[k], *_polish(problems[k][0], u))
     return out
 

@@ -208,6 +208,8 @@ DEFAULT_LLN_CONFIG = {
 
 def run_lln(config: dict) -> SuiteResult:
     """Empirical barycenters approach the population barycenter as n grows."""
+    if "seed" in config:
+        raise ValueError("lln draws one sample per entry of 'seeds'; it takes no 'seed'")
     cfg = {**DEFAULT_LLN_CONFIG, **config}
     population = population_from_json(cfg["population"])
     constraint = constraint_from_json(cfg["constraint"])
@@ -282,27 +284,3 @@ def run_suite(name: str, config: dict | None = None) -> SuiteResult:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     return SUITES[name](config or {})
-
-
-def run_interpolation(config: dict) -> SuiteResult:
-    """Segment costs obey the (t'-t) J(mu0, mu1) bound (not CLI-exposed)."""
-    from .transport import interpolation_cost
-
-    seed = int(config.get("seed", 0))
-    count = int(config.get("count", 100))
-    cost = _cost_from_config(config, {"kind": "norm_power", "p": 2})
-    pairs = config.get("t_pairs", [(0.0, 0.25), (0.0, 1.0), (0.25, 0.75), (0.5, 1.0)])
-    gen = _measure_stream(seed, [-1, -1], [1, 1], int(config.get("max_atoms", 4)))
-    rows, ok = [], True
-    for i in range(count):
-        mu0, mu1 = next(gen), next(gen)
-        for t, tp in pairs:
-            value, bound = interpolation_cost(mu0, mu1, t, tp, cost)
-            passed = value <= bound + SLACK
-            ok &= passed
-            rows.append([i, t, tp, value, bound, int(passed)])
-    return SuiteResult(
-        name="interpolation", passed=ok,
-        columns=["instance", "t", "t_prime", "j_segment", "bound", "passed"],
-        rows=rows, summary={"violations": sum(1 for r in rows if not r[-1])},
-    )

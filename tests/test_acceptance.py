@@ -20,6 +20,7 @@ from mkbary import (
     brute_force_transport,
     dirac,
     generate_random_measure,
+    interpolation_cost,
     lln_experiment,
     meta_distance,
     objective,
@@ -30,7 +31,15 @@ from mkbary.cli import main
 from mkbary.barycenter import constraint_from_json
 from mkbary.consistency import random_population
 from mkbary.costs import growth_constants
-from mkbary.verify import run_convexity, run_criterion, run_interpolation, run_q_triangle, run_triangle
+from mkbary.verify import (
+    SLACK,
+    SuiteResult,
+    _measure_stream,
+    run_convexity,
+    run_criterion,
+    run_q_triangle,
+    run_triangle,
+)
 
 LINE = GroundSpace.euclidean(1)
 ABS = CostSpec.norm_power(1)
@@ -68,8 +77,27 @@ def test_c02_convexity_suite():
             f"violations {result.summary['violations']}, {elapsed:.1f}s")
 
 
+def _run_interpolation(count: int, seed: int = 0) -> SuiteResult:
+    """Segment costs obey the (t'-t) J(mu0, mu1) bound, on ``count`` random pairs."""
+    pairs = [(0.0, 0.25), (0.0, 1.0), (0.25, 0.75), (0.5, 1.0)]
+    gen = _measure_stream(seed, [-1, -1], [1, 1], 4)
+    rows, ok = [], True
+    for i in range(count):
+        mu0, mu1 = next(gen), next(gen)
+        for t, tp in pairs:
+            value, bound = interpolation_cost(mu0, mu1, t, tp, SQ)
+            passed = value <= bound + SLACK
+            ok &= passed
+            rows.append([i, t, tp, value, bound, int(passed)])
+    return SuiteResult(
+        name="interpolation", passed=ok,
+        columns=["instance", "t", "t_prime", "j_segment", "bound", "passed"],
+        rows=rows, summary={"violations": sum(1 for r in rows if not r[-1])},
+    )
+
+
 def test_c03_interpolation_suite():
-    result = run_interpolation({"count": 100})
+    result = _run_interpolation(100)
     _report(3, "interpolation", result.passed,
             f"violations {result.summary['violations']}")
 

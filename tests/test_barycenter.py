@@ -352,15 +352,24 @@ def test_tie_break_fallbacks_are_logged(monkeypatch, caplog):
     grid = np.array([[x, y] for x in np.linspace(-1, 1, 4) for y in np.linspace(-1, 1, 4)])
     prob = BarycenterProblem.make([(m, 1.0), (flip, 1.0)], Constraint.simplex_over(grid), ABS)
     untied = barycenter._fixed_support_lp(prob.inputs, prob.cost, grid, tie_break=False)
-    real = lp.Model.run
+    rows, cols = barycenter._joint_lp_system(prob.inputs, prob.cost, grid)[1].shape
+    real = lp.Model._run_once
+    rejected = ("barycenter tie-break: face LP rejected; returning the main LP vertex "
+                "without tie-break")
 
     def doubled(res):  # the face solutions come back with twice the optimal cost
         return res._replace(x=2.0 * res.x)
 
     def failed(res):
-        return res._replace(status=2)
+        return res._replace(status=2, message="forced")
 
-    for spoil in (doubled, failed):
+    # a doubled face run is optimal, so it is rejected as it is; a failed one
+    # is re-run cold by the kernel, and rejected when that run fails too
+    for spoil, runs, messages in [
+        (doubled, 2, [rejected]),
+        (failed, 3, [f"LP of {rows} rows and {cols} columns: warm run not optimal (forced); "
+                     "re-running it cold", rejected]),
+    ]:
         calls = []
 
         def spoiled_after_main(model):
@@ -370,13 +379,11 @@ def test_tie_break_fallbacks_are_logged(monkeypatch, caplog):
 
         caplog.clear()
         with caplog.at_level("WARNING", logger="mkbary"), monkeypatch.context() as mp:
-            mp.setattr(lp.Model, "run", spoiled_after_main)
+            mp.setattr(lp.Model, "_run_once", spoiled_after_main)
             got = barycenter._fixed_support_lp(prob.inputs, prob.cost, grid)
-        assert len(calls) == 2  # the main LP, then the first face run, which is rejected
+        assert len(calls) == runs  # the main LP, the rejected face run and any re-run
         assert got[0].tolist() == untied[0].tolist() and got[3] is None
-        assert [r.getMessage() for r in caplog.records if r.name == "mkbary"] == [
-            "barycenter tie-break: face LP rejected; returning the main LP vertex "
-            "without tie-break"]
+        assert [r.getMessage() for r in caplog.records if r.name == "mkbary"] == messages
 
 
 def _one_shot_tie_break(inputs, cost, S):
@@ -435,9 +442,13 @@ def test_kept_model_tie_break_matches_one_shot_route():
     assert len(bases) < len(problems) - 12
 
 
+def _statuses(basis):
+    return list(basis.col_status), list(basis.row_status)
+
+
 def test_failed_warm_run_is_rerun_cold_once(monkeypatch, caplog):
     from mkbary import lp
-    from mkbary.barycenter import _fixed_support_lp
+    from mkbary.barycenter import _fixed_support_lp, _joint_lp_system
 
     population = [generate_random_measure(1400 + i, [0, 0], [1, 1], 4) for i in range(2)]
     grid = np.array([[x, y] for x in np.linspace(0, 1, 5) for y in np.linspace(0, 1, 5)])
@@ -447,30 +458,33 @@ def test_failed_warm_run_is_rerun_cold_once(monkeypatch, caplog):
     bases = {}
     _fixed_support_lp(first.inputs, SQ, grid, bases=bases)
     assert len(bases) == 1
+    [(key, stale)] = bases.items()
     want = _fixed_support_lp(second.inputs, SQ, grid)
-    real_run, real_solve = lp.Model.run, lp.solve
-    runs, cold = [], []
+    c, A, rhs, _, _ = _joint_lp_system(second.inputs, SQ, grid)
+    cold = lp.Model(c, A, rhs)
+    assert cold.run().status == 0
+    real_run = lp.Model._run_once
+    models = []
 
     def fails_first(model):  # the warm main run stops at an iteration limit
         res = real_run(model)
-        runs.append(res)
-        return res._replace(status=1, message="Iteration limit reached") if len(runs) == 1 else res
-
-    def counting(c, A, rhs):
-        cold.append(len(c))
-        return real_solve(c, A, rhs)
+        models.append(model)
+        return res._replace(status=1, message="Iteration limit reached") if len(models) == 1 else res
 
     caplog.clear()
     with caplog.at_level("WARNING", logger="mkbary"), monkeypatch.context() as mp:
-        mp.setattr(lp.Model, "run", fails_first)
-        mp.setattr(lp, "solve", counting)
+        mp.setattr(lp.Model, "_run_once", fails_first)
         got = _fixed_support_lp(second.inputs, SQ, grid, bases=bases)
-    assert cold == [len(grid) * (1 + sum(m.n_atoms for m in population))]
     assert [r.getMessage() for r in caplog.records if r.name == "mkbary"] == [
-        "barycenter LP: warm run not optimal (Iteration limit reached); re-running cold"]
+        f"LP of {A.shape[0]} rows and {A.shape[1]} columns: warm run not optimal "
+        "(Iteration limit reached); re-running it cold"]
     np.testing.assert_allclose(got[0], want[0], rtol=0, atol=1e-12)
     assert got[1] == want[1] and got[2] == want[2]
     assert (got[3] is None) == (want[3] is None)
+    # the cold re-run's basis replaced the stale one, and both face runs
+    # went on to the same model, with no face LP rejected
+    assert _statuses(bases[key]) == _statuses(cold.basis()) != _statuses(stale)
+    assert len(models) == 4 and all(model is models[0] for model in models)
 
 
 def _mkbary_messages(caplog, solve):

@@ -429,6 +429,18 @@ def test_verify_lln_and_perturb_cli(tmp_path, capsys):
     assert (tmp_path / "perturb.csv").exists()
 
 
+def test_verify_lln_rejects_a_top_level_seed(tmp_path, capsys):
+    # lln draws from ``seeds``; a ``seed`` it would ignore is a parse error
+    cfg = write(tmp_path / "lln.json", SMALL_LLN)
+    seeded = write(tmp_path / "seeded.json", {**SMALL_LLN, "seed": 3})
+    for k, argv in enumerate([["--config", cfg, "--seed", "3"], ["--config", seeded]]):
+        out_dir = tmp_path / f"out-{k}"
+        assert main(["verify", "lln", *argv, "--out-dir", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: ") and "'seeds'" in err
+        assert not (out_dir / "lln.csv").exists()
+
+
 FINITE_3 = {"kind": "finite", "n": 3, "rho": [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]}
 
 

@@ -62,15 +62,15 @@ def _large_pair(size, seed):
 
 @pytest.fixture
 def lp_calls(monkeypatch):
-    """The column count of every LP run, cold or warm, in order."""
+    """The column count of every HiGHS run, cold, warm or re-run, in order."""
     calls = []
-    real = lp.Model.run
+    real = lp.Model._run_once
 
     def counting(self):
         calls.append(self._n)
         return real(self)
 
-    monkeypatch.setattr(lp.Model, "run", counting)
+    monkeypatch.setattr(lp.Model, "_run_once", counting)
     return calls
 
 
@@ -521,12 +521,16 @@ def test_shortlist_round_cap_falls_back_to_full_lp(monkeypatch, lp_calls, caplog
     assert obj == full
 
 
-def _solve_failing_runs(monkeypatch, lp_calls, fails, C, a, b):
-    """``solve_lp_matrix(C, a, b)`` with the runs numbered in ``fails`` (0 the
-    first, as counted afresh in ``lp_calls``) coming back not optimal."""
-    real = lp.Model.run  # the counting run of ``lp_calls``
+def _failing_runs(monkeypatch, lp_calls, fails, call):
+    """``call()`` with the HiGHS runs numbered in ``fails`` (0 the first, as
+    counted afresh in ``lp_calls``) coming back not optimal.
+
+    Returns its result and the model of every run."""
+    real = lp.Model._run_once  # the counting run of ``lp_calls``
+    models = []
 
     def run(self):
+        models.append(self)
         res = real(self)
         if len(lp_calls) - 1 in fails:
             return lp.Solution(4, "forced", None, None, None, res.nit)
@@ -534,8 +538,92 @@ def _solve_failing_runs(monkeypatch, lp_calls, fails, C, a, b):
 
     lp_calls.clear()
     with monkeypatch.context() as mp:
-        mp.setattr(lp.Model, "run", run)
-        return solve_lp_matrix(C, a, b)
+        mp.setattr(lp.Model, "_run_once", run)
+        return call(), models
+
+
+def _solve_failing_runs(monkeypatch, lp_calls, fails, C, a, b):
+    """``solve_lp_matrix(C, a, b)`` under ``_failing_runs``."""
+    return _failing_runs(monkeypatch, lp_calls, fails, lambda: solve_lp_matrix(C, a, b))
+
+
+def _assert_same_solution(got, ref):
+    assert got.status == ref.status == 0
+    assert got.x.tobytes() == ref.x.tobytes()
+    assert got.duals.tobytes() == ref.duals.tobytes()
+    assert got.fun == ref.fun and got.nit == ref.nit
+
+
+def _mkbary_messages(caplog):
+    return [r.getMessage() for r in caplog.records if r.name == "mkbary"]
+
+
+def test_failed_warm_run_is_rerun_cold_as_a_new_model(monkeypatch, lp_calls, caplog):
+    from mkbary.barycenter import _joint_lp_system
+
+    rng = np.random.default_rng(23)
+    side = np.linspace(0.0, 1.0, 9)
+    grid = np.array([[x, y] for x in side for y in side])
+    measures = [canonicalize(rng.uniform(size=(5, 2)), rng.dirichlet(np.ones(5)), PLANE)
+                for _ in range(3)]
+    cases = []  # (model, the LP of its next run)
+    for trial in range(4):
+        # a joint barycenter LP run cold, then given the costs of new input weights
+        lams = [rng.dirichlet(np.ones(3)) for _ in range(2)]
+        c, A, rhs, _, _ = _joint_lp_system(list(zip(measures, lams[0])), COSTS[trial % 3], grid)
+        model = lp.Model(c, A, rhs)
+        assert model.run().status == 0
+        c2 = _joint_lp_system(list(zip(measures, lams[1])), COSTS[trial % 3], grid)[0]
+        model.set_costs(c2)
+        cases.append((model, (c2, A, rhs)))
+        # a transport LP on the north-west-corner support, then grown by a block
+        m, n = 40, 40
+        a, b = rng.dirichlet(np.ones(m)), rng.dirichlet(np.ones(n))
+        C = rng.uniform(size=(m, n)).ravel()
+        first = np.union1d(_north_west_corner(a, b), np.flatnonzero(rng.uniform(size=m * n) < 0.1))
+        more = np.sort(rng.choice(np.setdiff1d(np.arange(m * n), first), 200, replace=False))
+        rhs = np.concatenate([a, b[:-1]])
+        model = lp.Model(C[first], _marginal_columns([(m, n)], first), rhs)
+        assert model.run().status == 0
+        model.add_columns(C[more], _marginal_columns([(m, n)], more))
+        grown = _hstack(_marginal_columns([(m, n)], first), _marginal_columns([(m, n)], more))
+        cases.append((model, (np.concatenate([C[first], C[more]]), grown, rhs)))
+    for model, (c, A, rhs) in cases:
+        ref = lp.solve(c, A, rhs)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="mkbary"):
+            got, models = _failing_runs(monkeypatch, lp_calls, {0}, model.run)
+        # one warning, and the cold re-run of the same model is a new model's first run
+        assert models == [model, model]
+        assert _mkbary_messages(caplog) == [
+            f"LP of {len(rhs)} rows and {len(c)} columns: warm run not optimal (forced); "
+            "re-running it cold"]
+        _assert_same_solution(got, ref)
+
+
+def test_only_warm_runs_are_rerun_and_only_once(monkeypatch, lp_calls, caplog):
+    A = _system([(3, 3)])
+    c, rhs = np.arange(9.0), np.concatenate([np.full(3, 1 / 3), np.full(2, 1 / 3)])
+    ref = lp.solve(c, A, rhs)
+    model = lp.Model(c, A, rhs)
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="mkbary"):
+        # a new model's first run is cold: its failure is returned as it is
+        got, _ = _failing_runs(monkeypatch, lp_calls, {0}, model.run)
+        assert got.message == "forced" and lp_calls == [9]
+        assert _mkbary_messages(caplog) == []
+        # every later run is warm: re-run once, and a failed re-run is returned
+        got, _ = _failing_runs(monkeypatch, lp_calls, {0, 1}, model.run)
+        assert got.message == "forced" and lp_calls == [9, 9]
+        got, _ = _failing_runs(monkeypatch, lp_calls, {0}, model.run)
+        _assert_same_solution(got, ref)
+        assert lp_calls == [9, 9]
+        # so is the first run of a model started from a basis
+        started = lp.Model(c, A, rhs, model.basis())
+        got, _ = _failing_runs(monkeypatch, lp_calls, {0}, started.run)
+        _assert_same_solution(got, ref)
+        assert lp_calls == [9, 9]
+    assert len(_mkbary_messages(caplog)) == 3
 
 
 def test_failed_warm_shortlist_round_is_rerun_cold_once(monkeypatch, lp_calls, caplog):
@@ -547,13 +635,16 @@ def test_failed_warm_shortlist_round_is_rerun_cold_once(monkeypatch, lp_calls, c
     solve_lp_matrix(C, *marginals)
     rounds = list(lp_calls)
     assert len(rounds) >= 3  # a cold round and at least two warm ones
-    # the first warm run fails: the same columns are solved cold, and the next
-    # round starts a new model on the columns priced in from the cold duals
+    # the first warm run fails: the kernel runs the same model cold, and the
+    # next rounds append the columns priced in from the cold duals to it
     with caplog.at_level(logging.WARNING, logger="mkbary"):
-        x, obj, _, _, gap = _solve_failing_runs(monkeypatch, lp_calls, {1}, C, *marginals)
+        (x, obj, _, _, gap), models = _solve_failing_runs(monkeypatch, lp_calls, {1}, C,
+                                                          *marginals)
     assert lp_calls[:3] == rounds[:2] + [rounds[1]] and max(lp_calls) < C.size
-    assert [r.getMessage() for r in caplog.records if r.name == "mkbary"] == [
-        "transport LP block 0: warm shortlist round not optimal (forced); re-running it cold"]
+    assert all(model is models[0] for model in models)
+    assert _mkbary_messages(caplog) == [
+        f"LP of 127 rows and {rounds[1]} columns: warm run not optimal (forced); "
+        "re-running it cold"]
     assert abs(obj - full) <= GAP_TOL * (1 + abs(full))
     assert gap <= GAP_TOL * (1 + abs(obj))
     np.testing.assert_allclose(x.sum(axis=1), mu.weights, atol=1e-9)
@@ -563,10 +654,13 @@ def test_failed_warm_shortlist_round_is_rerun_cold_once(monkeypatch, lp_calls, c
                        match=f"blocks 0..0 failed: forced on {rounds[1]} of 4096 columns"):
         _solve_failing_runs(monkeypatch, lp_calls, {1, 2}, C, *marginals)
     # a cold first round that fails is not re-run
-    with pytest.raises(NumericalFailure,
-                       match=f"blocks 0..0 failed: forced on {rounds[0]} of 4096 columns"):
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="mkbary"), \
+            pytest.raises(NumericalFailure,
+                          match=f"blocks 0..0 failed: forced on {rounds[0]} of 4096 columns"):
         _solve_failing_runs(monkeypatch, lp_calls, {0}, C, *marginals)
     assert lp_calls == rounds[:1]
+    assert _mkbary_messages(caplog) == []
 
 
 def test_plan_check_raises_under_python_O():
