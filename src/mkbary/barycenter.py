@@ -84,10 +84,10 @@ class Constraint:
 
 
 def constraint_from_json(obj: dict) -> Constraint:
-    """Parse a constraint: ``simplex_over`` (alias ``fixed_support``),
-    ``grid`` (a candidate simplex on a box mesh), ``free`` or ``quantile_1d``."""
+    """Parse a constraint: ``simplex_over``, ``grid`` (a candidate simplex on
+    a box mesh), ``free`` or ``quantile_1d``."""
     kind = obj.get("kind")
-    if kind in ("simplex_over", "fixed_support"):
+    if kind == "simplex_over":
         return Constraint.simplex_over(obj["atoms"])
     if kind == "grid":
         (lo, hi), shape = obj["box"], obj["shape"]
@@ -207,20 +207,21 @@ def _clip_dust(w: np.ndarray, rel: float = 1e-12) -> np.ndarray:
     return w
 
 
-def _face_tie_break(model: lp.Model, c_vec, A, h, value, y, n_inputs: int):
+def _face_tie_break(model: lp.Model, c_vec, d, h, value, n_inputs: int):
     """The lo/hi graded-weight LPs (minimize, then maximize h.x) on the optimal face.
 
-    For a feasible x, c.x = rhs.y + d.x with reduced costs d = c - A^T y, and
-    x carries mass n_inputs + 1 (each coupling and the weights sum to 1).  So
-    keeping the columns with d <= GAP_TOL (1 + |value|) / (n_inputs + 1) keeps
-    every point of the face within the gap tolerance of the optimum, and
-    complementary slackness says the optimal vertices live on it.  Both LPs
-    run on the main LP's own model with the other columns fixed to 0, each
-    from the last run's basis.  Returns the two solutions, zero off the
-    face, or None when a run fails or its c.x misses ``value``.
+    For a feasible x, c.x = rhs.y + d.x with the main LP's reduced costs
+    d = c - A^T y, and x carries mass n_inputs + 1 (each coupling and the
+    weights sum to 1).  So keeping the columns with
+    d <= GAP_TOL (1 + |value|) / (n_inputs + 1) keeps every point of the face
+    within the gap tolerance of the optimum, and complementary slackness
+    says the optimal vertices live on it.  Both LPs run on the main LP's own
+    model with the other columns fixed to 0, each from the last run's basis.
+    Returns the two solutions, zero off the face, or None when a run fails
+    or its c.x misses ``value``.
     """
     tol = GAP_TOL * (1.0 + abs(value))
-    off_face = c_vec - A.rmatvec(y) > tol / (n_inputs + 1)
+    off_face = d > tol / (n_inputs + 1)
     model.fix_to_zero(np.flatnonzero(off_face))
     out = []
     for sign in (1.0, -1.0):
@@ -242,7 +243,9 @@ def _fixed_support_lp(inputs, cost: CostSpec, S: np.ndarray, tie_break: bool = T
 
     Returns (weights, value, gap, alt_weights, gammas): alt_weights is a
     second optimal vertex when one exists (None otherwise) and gammas are
-    the per-input coupling blocks of the reported solution.
+    the per-input coupling blocks of the reported solution.  Raises
+    NumericalFailure when the LP is not optimal, its duality gap is not
+    closed, or its duals leave a reduced cost below minus the face cut.
 
     With ``tie_break`` the reported vertex minimizes the graded weight
     sum_k k w_k over the optimal face, and alt_weights comes from maximizing
@@ -271,13 +274,19 @@ def _fixed_support_lp(inputs, cost: CostSpec, S: np.ndarray, tie_break: bool = T
     gap = max(0.0, value - dual)
     if gap > GAP_TOL * (1.0 + abs(value)):
         raise NumericalFailure(f"barycenter LP gap {gap:.3e} not closed")
+    # rhs.y bounds the optimum from below only when y is dual feasible: a
+    # feasible x, of mass n_inputs + 1, has c.x >= rhs.y + (n_inputs + 1) min d,
+    # so reduced costs down to minus the face cut cost at most the gap tolerance
+    d = c_vec - A.rmatvec(res.duals)
+    if d.min() < -GAP_TOL * (1.0 + abs(value)) / (len(inputs) + 1):
+        raise NumericalFailure(f"barycenter LP duals not feasible: reduced cost {d.min():.3e}")
     w = _clip_dust(np.clip(res.x[n_gamma:], 0.0, None))
     if not tie_break:
         return w, value, gap, None, _split_gammas(res.x, inputs, K)
 
     h = np.zeros_like(c_vec)
     h[n_gamma:] = np.arange(1, K + 1, dtype=float)
-    sols = _face_tie_break(model, c_vec, A, h, value, res.duals, len(inputs))
+    sols = _face_tie_break(model, c_vec, d, h, value, len(inputs))
     if sols is None:
         log.warning("barycenter tie-break: face LP rejected; "
                     "returning the main LP vertex without tie-break")
@@ -318,6 +327,50 @@ def barycenter_fixed_support(problem: BarycenterProblem, *,
 
 
 # ---------------------------------------------------------------------------
+# Atom placement for convex translation costs
+# ---------------------------------------------------------------------------
+
+def _convex_argmin(cost: CostSpec, points: np.ndarray, masses: np.ndarray,
+                   start: Optional[np.ndarray] = None) -> np.ndarray:
+    """argmin_z sum_i masses_i g(points_i - z) for a convex translation cost.
+
+    ``points`` is (n, d).  The weighted mean for ``norm_power`` 2.  On the
+    line: the middle of the weighted-median interval for ``norm_power`` 1,
+    otherwise a ternary search on [min, max] until the bracket is 1e-12
+    wide.  In two or more dimensions: scipy's Powell minimizer from ``start``.
+    """
+    if cost.kind == "norm_power" and cost.p == 2.0:
+        return (masses[:, None] * points).sum(axis=0) / masses.sum()
+
+    def phi(z):
+        return masses @ cost.pair_matrix(points, [z])[:, 0]
+
+    if points.shape[1] > 1:
+        from scipy.optimize import minimize  # loads scipy.optimize, so only on this branch
+
+        res = minimize(lambda z: float(phi(z)), x0=start, method="Powell",
+                       options={"xtol": 1e-10, "ftol": 1e-12})
+        return np.asarray(res.x, dtype=float)
+    xs = points[:, 0]
+    if cost.kind == "norm_power" and cost.p == 1.0:
+        order = np.argsort(xs)
+        xs_s, cum = xs[order], np.cumsum(masses[order] / masses.sum())
+        idx = min(int(np.searchsorted(cum, 0.5 - 1e-15)), len(xs_s) - 1)
+        lo = xs_s[idx]
+        hi = xs_s[idx + 1] if (abs(cum[idx] - 0.5) <= 1e-15 and idx + 1 < len(xs_s)) else lo
+        return np.array([(lo + hi) / 2.0])
+    lo, hi = float(xs.min()), float(xs.max())
+    while hi - lo > 1e-12:
+        m1 = lo + (hi - lo) / 3.0
+        m2 = hi - (hi - lo) / 3.0
+        if phi([m1]) <= phi([m2]):
+            hi = m2
+        else:
+            lo = m1
+    return np.array([(lo + hi) / 2.0])
+
+
+# ---------------------------------------------------------------------------
 # Free-support alternating minimization
 # ---------------------------------------------------------------------------
 
@@ -333,23 +386,6 @@ def _farthest_point_init(pool: np.ndarray, k: int, cost: CostSpec, seed: int) ->
         chosen.append(nxt)
         dists = np.minimum(dists, cost.pair_matrix(pool, pool[nxt][None, :])[:, 0])
     return pool[np.array(chosen)]
-
-
-def _atom_update(cost: CostSpec, points: np.ndarray, masses: np.ndarray, start: np.ndarray):
-    """argmin_m sum_i masses_i g(points_i - m) for a convex translation cost."""
-    mean = (masses[:, None] * points).sum(axis=0) / masses.sum()
-    if cost.kind == "norm_power" and cost.p == 2.0:
-        return mean
-    if points.shape[1] == 1:
-        return np.array([_convex_argmin_1d(cost, points[:, 0], masses)])
-
-    def phi_vec(m):
-        return float(masses @ cost.pair_matrix(points, [m])[:, 0])
-
-    from scipy.optimize import minimize  # loads scipy.optimize, so only on this branch
-
-    res = minimize(phi_vec, x0=start, method="Powell", options={"xtol": 1e-10, "ftol": 1e-12})
-    return np.asarray(res.x, dtype=float)
 
 
 def barycenter_free_support(
@@ -390,20 +426,14 @@ def barycenter_free_support(
                 break
         prev = value
 
-        # move each candidate atom to the per-atom convex minimizer of the
-        # mass it received; zero-mass atoms are dropped (cluster emptied)
+        # move each candidate atom to the convex minimizer of the mass it
+        # received; zero-mass atoms are dropped (cluster emptied)
+        mass = np.concatenate([lam * g for (_, lam), g in zip(problem.inputs, gammas)])
         S_next = []
-        for kk in range(len(S)):
-            pts, msk = [], []
-            for (m, lam), g in zip(problem.inputs, gammas):
-                col = lam * g[:, kk]
-                nz = col > 1e-15
-                if nz.any():
-                    pts.append(m.atoms[nz])
-                    msk.append(col[nz])
-            if not pts:
-                continue
-            S_next.append(_atom_update(problem.cost, np.concatenate(pts), np.concatenate(msk), S[kk]))
+        for kk, col in enumerate(mass.T):
+            nz = col > 1e-15
+            if nz.any():
+                S_next.append(_convex_argmin(problem.cost, pool[nz], col[nz], S[kk]))
         S = np.unique(np.asarray(S_next, dtype=float), axis=0)
 
     measure = canonicalize(S_solved, w / w.sum(), problem.space)
@@ -419,77 +449,39 @@ def barycenter_free_support(
 # Exact 1-D quantile construction
 # ---------------------------------------------------------------------------
 
-def _convex_argmin_1d(cost: CostSpec, xs: np.ndarray, ws: np.ndarray) -> float:
-    """argmin_m sum_i ws_i g(xs_i - m) on the line, by ternary search.
-
-    The search runs on [min xs, max xs] until the bracket is 1e-12 wide
-    and returns its midpoint.
-    """
-    lo, hi = float(xs.min()), float(xs.max())
-
-    def phi(m):
-        return ws @ cost.pair_matrix(xs[:, None], [[m]])[:, 0]
-
-    while hi - lo > 1e-12:
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if phi(m1) <= phi(m2):
-            hi = m2
-        else:
-            lo = m1
-    return (lo + hi) / 2.0
-
-
-def _segment_argmin(cost: CostSpec, xs: np.ndarray, lams: np.ndarray) -> float:
-    if cost.kind == "norm_power" and cost.p == 2.0:
-        return float((lams * xs).sum() / lams.sum())
-    if cost.kind == "norm_power" and cost.p == 1.0:
-        order = np.argsort(xs)
-        xs_s, w_s = xs[order], lams[order] / lams.sum()
-        cum = np.cumsum(w_s)
-        idx = min(int(np.searchsorted(cum, 0.5 - 1e-15)), len(xs_s) - 1)
-        lo = xs_s[idx]
-        hi = xs_s[idx + 1] if (abs(cum[idx] - 0.5) <= 1e-15 and idx + 1 < len(xs_s)) else lo
-        return float((lo + hi) / 2.0)
-    return _convex_argmin_1d(cost, xs, lams)
-
-
 def barycenter_quantile_1d(problem: BarycenterProblem) -> BarycenterResult:
     """Exact barycenter on the line via the common quantile refinement.
 
     Each input's quantile function is piecewise constant; on the common
     refinement of cumulative-weight breakpoints the pointwise argmin of
     sum_i lambda_i g(F_i^{-1}(t) - m) is constant, which yields the
-    barycenter atoms directly (weighted mean for g = u^2, mid-interval
-    weighted median for g = |u|, ternary search otherwise).
+    barycenter atoms directly, one ``_convex_argmin`` per segment.
     """
     if problem.space.kind != "euclidean" or problem.space.dim != 1:
         raise NotOneDimensional("quantile solver needs measures on the line")
     if not problem.cost.is_convex_translation:
         raise NotConvexCost("quantile solver needs a convex translation cost")
 
-    cums = []
-    for m, _ in problem.inputs:
-        cums.append(np.cumsum(m.weights))
+    cums = [np.cumsum(m.weights) for m, _ in problem.inputs]
     breakpoints = np.unique(np.concatenate([[0.0, 1.0]] + cums))
     breakpoints = breakpoints[(breakpoints > 1e-15) | (breakpoints == 0.0)]
     lams = np.array([lam for _, lam in problem.inputs])
 
-    atoms, weights, closed_form = [], [], 0.0
-    for t0, t1 in zip(breakpoints[:-1], breakpoints[1:]):
-        if t1 - t0 <= 1e-15:
-            continue
-        tm = (t0 + t1) / 2.0
-        xs = np.array(
-            [float(m.atoms[min(int(np.searchsorted(cum, tm, side="left")), m.n_atoms - 1), 0])
-             for (m, _), cum in zip(problem.inputs, cums)]
-        )
-        atom = _segment_argmin(problem.cost, xs, lams)
+    t0, t1 = breakpoints[:-1], breakpoints[1:]
+    keep = t1 - t0 > 1e-15
+    t0, t1 = t0[keep], t1[keep]
+    tm, widths = (t0 + t1) / 2.0, t1 - t0
+    # row s holds each input's atom on segment s
+    xs = np.stack([m.atoms[np.minimum(np.searchsorted(cum, tm, side="left"), m.n_atoms - 1), 0]
+                   for (m, _), cum in zip(problem.inputs, cums)], axis=1)
+
+    atoms, closed_form = [], 0.0
+    for width, x in zip(widths, xs):
+        atom = _convex_argmin(problem.cost, x[:, None], lams)
         atoms.append(atom)
-        weights.append(t1 - t0)
-        g = problem.cost.pair_matrix(xs[:, None], [[atom]])[:, 0]
-        closed_form += (t1 - t0) * float(lams @ g)
-    measure = canonicalize(np.array(atoms), np.array(weights), problem.space)
+        g = problem.cost.pair_matrix(x[:, None], [atom])[:, 0]
+        closed_form += width * float(lams @ g)
+    measure = canonicalize(np.array(atoms), widths, problem.space)
     value = objective(measure, problem)
     return BarycenterResult(
         measure=measure,

@@ -92,6 +92,48 @@ def test_free_support_quartic_midpoint():
     assert res.objective == pytest.approx(0.5**4, abs=1e-12)
 
 
+def test_free_support_and_quantile_place_the_abs_atom_alike():
+    # every point of [0, 1] is optimal; both routes take the middle of the
+    # weighted-median interval
+    free = barycenter_free_support(two_dirac_problem(Constraint.free(1), ABS), k=1)
+    quantile = barycenter_quantile_1d(two_dirac_problem(Constraint.quantile_1d(), ABS))
+    for res in (free, quantile):
+        assert res.measure.atoms.tolist() == [[0.5]]
+        assert res.objective == pytest.approx(0.5, abs=1e-12)
+
+
+def _grid_argmin(cost, points, masses, grid):
+    values = masses @ cost.pair_matrix(points, grid)
+    return grid[np.argmin(values)], values.min()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_convex_argmin_matches_a_dense_grid(seed):
+    from mkbary.barycenter import _convex_argmin
+
+    rng = np.random.default_rng(seed)
+    points, masses = rng.uniform(-1, 1, size=(7, 1)), rng.dirichlet(np.ones(7))
+    line = np.linspace(-1, 1, 200_001)[:, None]
+    for cost in (ABS, SQ, QUARTIC):
+        z = _convex_argmin(cost, points, masses)
+        best, low = _grid_argmin(cost, points, masses, line)
+        phi = float(masses @ cost.pair_matrix(points, [z])[:, 0])
+        assert z.shape == (1,)
+        assert phi <= low + 1e-12
+        if cost is not ABS:  # strictly convex: one minimizer
+            assert abs(z[0] - best[0]) <= 1e-5
+    # two dimensions, quartic: Powell from the first point
+    points = rng.uniform(-1, 1, size=(5, 2))
+    masses = rng.dirichlet(np.ones(5))
+    axis = np.linspace(-1, 1, 401)
+    plane = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    z = _convex_argmin(QUARTIC, points, masses, points[0])
+    best, low = _grid_argmin(QUARTIC, points, masses, plane)
+    assert z.shape == (2,)
+    assert float(masses @ QUARTIC.pair_matrix(points, [z])[:, 0]) <= low + 1e-12
+    assert np.max(np.abs(z - best)) <= 2 * (axis[1] - axis[0])
+
+
 def test_free_support_fixed_point():
     m = canonicalize([[0.0], [1.0], [3.0]], [0.2, 0.3, 0.5], LINE)
     prob = BarycenterProblem.make([(m, 1.0)], Constraint.free(3), SQ)
@@ -281,11 +323,12 @@ def test_problem_files_take_every_constraint_kind():
     assert grid.kind == "simplex_over"
     assert grid.atoms.tolist() == [[0.0, 0.0], [0.0, 1.0], [0.0, 2.0],
                                    [1.0, 0.0], [1.0, 1.0], [1.0, 2.0]]
-    assert load({"kind": "fixed_support", "atoms": [0.0, 1.0]}).atoms.tolist() == [[0.0], [1.0]]
+    assert load({"kind": "simplex_over", "atoms": [0.0, 1.0]}).atoms.tolist() == [[0.0], [1.0]]
     assert load({"kind": "free", "k": 3}).k == 3
     assert load({"kind": "quantile_1d"}).kind == "quantile_1d"
-    with pytest.raises(ValueError):
-        load({"kind": "lattice"})
+    for kind in ("lattice", "fixed_support"):
+        with pytest.raises(ValueError, match="unknown constraint kind"):
+            load({"kind": kind, "atoms": [0.0, 1.0]})
 
 
 def _tie_instances():
@@ -485,6 +528,34 @@ def test_failed_warm_run_is_rerun_cold_once(monkeypatch, caplog):
     # went on to the same model, with no face LP rejected
     assert _statuses(bases[key]) == _statuses(cold.basis()) != _statuses(stale)
     assert len(models) == 4 and all(model is models[0] for model in models)
+
+
+def test_dual_infeasible_main_run_raises(monkeypatch):
+    from mkbary import NumericalFailure, lp
+    from mkbary.barycenter import _fixed_support_lp
+
+    prob = two_dirac_problem(Constraint.simplex_over([[0.0], [0.5], [1.0]]))
+    S = prob.constraint.atoms
+    n0, K = prob.inputs[0][0].n_atoms, len(S)
+    real_run = lp.Model._run_once
+    runs = []
+
+    def shifted_main_run(model):
+        # the first input's tie rows have rhs 0, so rhs.y and the gap stay as
+        # they are, while each of its basic couplings gets reduced cost -1e-6
+        res = real_run(model)
+        runs.append(res)
+        if len(runs) > 1:
+            return res
+        duals = res.duals.copy()
+        duals[n0:n0 + K] += 1e-6
+        return res._replace(duals=duals)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(lp.Model, "_run_once", shifted_main_run)
+        with pytest.raises(NumericalFailure, match="duals not feasible: reduced cost -1.000e-06"):
+            _fixed_support_lp(prob.inputs, SQ, S)
+    assert len(runs) == 1  # raised before any face run
 
 
 def _mkbary_messages(caplog, solve):
