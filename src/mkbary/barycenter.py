@@ -6,7 +6,8 @@ Three routes:
   weights; globally optimal on the simplex over a candidate atom set,
   with a duality-gap certificate and a deterministic tie-break: the
   optimal vertex of least graded weight sum_k k w_k over the candidates,
-  found on the optimal face cut from the gap tolerance.
+  found on the optimal face cut from the gap tolerance, unless the main
+  LP's basis holds every face column and so proves the face one vertex.
 * ``barycenter_free_support``: alternating minimization over atom
   locations and the fixed-support LP; local certificate only.
 * ``barycenter_quantile_1d``: exact solution on the line for convex
@@ -207,21 +208,15 @@ def _clip_dust(w: np.ndarray, rel: float = 1e-12) -> np.ndarray:
     return w
 
 
-def _face_tie_break(model: lp.Model, c_vec, d, h, value, n_inputs: int):
+def _face_tie_break(model: lp.Model, c_vec, off_face, h, value, tol):
     """The lo/hi graded-weight LPs (minimize, then maximize h.x) on the optimal face.
 
-    For a feasible x, c.x = rhs.y + d.x with the main LP's reduced costs
-    d = c - A^T y, and x carries mass n_inputs + 1 (each coupling and the
-    weights sum to 1).  So keeping the columns with
-    d <= GAP_TOL (1 + |value|) / (n_inputs + 1) keeps every point of the face
-    within the gap tolerance of the optimum, and complementary slackness
-    says the optimal vertices live on it.  Both LPs run on the main LP's own
-    model with the other columns fixed to 0, each from the last run's basis.
-    Returns the two solutions, zero off the face, or None when a run fails
-    or its c.x misses ``value``.
+    ``off_face`` marks the columns cut from the face (see
+    ``_fixed_support_lp``).  Both LPs run on the main LP's own model with
+    those columns fixed to 0, each from the last run's basis.  Returns the
+    two solutions, zero off the face, or None when a run fails or its c.x
+    misses ``value`` by more than ``tol``.
     """
-    tol = GAP_TOL * (1.0 + abs(value))
-    off_face = d > tol / (n_inputs + 1)
     model.fix_to_zero(np.flatnonzero(off_face))
     out = []
     for sign in (1.0, -1.0):
@@ -249,9 +244,17 @@ def _fixed_support_lp(inputs, cost: CostSpec, S: np.ndarray, tie_break: bool = T
 
     With ``tie_break`` the reported vertex minimizes the graded weight
     sum_k k w_k over the optimal face, and alt_weights comes from maximizing
-    it; ``_face_tie_break`` solves both on the main LP's model.  If either is
-    rejected, the main LP's vertex is returned untie-broken and a warning
-    goes to the ``mkbary`` logger.
+    it.  For a feasible x, c.x = rhs.y + d.x with the reduced costs
+    d = c - A^T y, and x carries mass n_inputs + 1 (each coupling and the
+    weights sum to 1).  So the face cut d <= GAP_TOL (1 + |value|) /
+    (n_inputs + 1) keeps every point within the gap tolerance of the
+    optimum, and complementary slackness says the optimal vertices live on
+    it.  When every column on the face is basic, the face is the main
+    vertex alone (basic columns are linearly independent), so it is
+    returned with no alternative and no face LP.  Otherwise
+    ``_face_tie_break`` solves both LPs on the main LP's model; if either
+    is rejected, the main LP's vertex is returned untie-broken and a
+    warning goes to the ``mkbary`` logger.
 
     ``bases`` keeps the last optimal basis of each constraint system, keyed
     by the inputs' atom counts and weights and the candidate set, so that a
@@ -272,21 +275,29 @@ def _fixed_support_lp(inputs, cost: CostSpec, S: np.ndarray, tie_break: bool = T
     value = float(res.fun)
     dual = float(rhs @ res.duals)
     gap = max(0.0, value - dual)
-    if gap > GAP_TOL * (1.0 + abs(value)):
+    tol = GAP_TOL * (1.0 + abs(value))
+    if gap > tol:
         raise NumericalFailure(f"barycenter LP gap {gap:.3e} not closed")
     # rhs.y bounds the optimum from below only when y is dual feasible: a
     # feasible x, of mass n_inputs + 1, has c.x >= rhs.y + (n_inputs + 1) min d,
     # so reduced costs down to minus the face cut cost at most the gap tolerance
     d = c_vec - A.rmatvec(res.duals)
-    if d.min() < -GAP_TOL * (1.0 + abs(value)) / (len(inputs) + 1):
+    cut = tol / (len(inputs) + 1)
+    if d.min() < -cut:
         raise NumericalFailure(f"barycenter LP duals not feasible: reduced cost {d.min():.3e}")
     w = _clip_dust(np.clip(res.x[n_gamma:], 0.0, None))
+    off_face = d > cut
+    if tie_break:
+        basic = np.zeros(len(d), dtype=bool)
+        basic[model.basic_columns()] = True
+        # every face column basic: the face is the main vertex alone
+        tie_break = not (basic | off_face).all()
     if not tie_break:
         return w, value, gap, None, _split_gammas(res.x, inputs, K)
 
     h = np.zeros_like(c_vec)
     h[n_gamma:] = np.arange(1, K + 1, dtype=float)
-    sols = _face_tie_break(model, c_vec, d, h, value, len(inputs))
+    sols = _face_tie_break(model, c_vec, off_face, h, value, tol)
     if sols is None:
         log.warning("barycenter tie-break: face LP rejected; "
                     "returning the main LP vertex without tie-break")

@@ -4,10 +4,14 @@
 with A a ``CSC`` matrix, and keeps it between runs: ``set_costs``,
 ``fix_to_zero`` and ``add_columns`` change it, and the next ``run`` starts
 from the last basis, or from a ``basis()`` saved from another model of the
-same system.  The kernel alone decides what happens when such a warm run
-is not optimal: it warns once on the ``mkbary`` logger and runs the same
-model once more cold, with the options and no basis, as a new model's
-first run; only that run's status reaches the caller.
+same system.  A model started from such a basis, or grown by
+``add_columns``, runs primal simplex: its start is primal feasible.  The
+kernel alone decides what happens when a warm run is not optimal: it warns
+once on the ``mkbary`` logger and runs the same model once more cold, with
+the options and no basis, as a new model's first run; only that run's
+status reaches the caller.  ``basic_columns()`` names the columns of the
+last run's basis, which is how a caller proves its optimal face is one
+vertex.
 ``solve(c, A, rhs)`` is one cold run of a new model.  Both call the HiGHS
 solver that scipy bundles directly
 (``scipy.optimize._highspy._core._Highs``), a private scipy binding, so the
@@ -141,9 +145,12 @@ class Model:
     the last one only in its costs, column bounds or a few new columns
     usually needs few iterations.  ``start``,
     the ``basis()`` of a model of the same A and rhs, makes the first run
-    start from that basis too.  A warm run may stop at another optimal
-    vertex than a cold one.  A warm run that is not optimal is re-run cold
-    once (see ``run``), and later runs start from that run's basis.
+    start from that basis too, by primal simplex: only the costs differ
+    from the model the basis came from, so it is primal feasible.  A warm
+    run may stop at another optimal vertex than a cold one.  A warm run
+    that is not optimal is re-run cold once (see ``run``), and later runs
+    start from that run's basis.  ``basic_columns`` reads the last run's
+    basic columns from the solver's own basis index.
 
     Raises ValueError on a cost that is not finite, here, in ``set_costs``
     or in ``add_columns``, as scipy's front end does.
@@ -164,6 +171,7 @@ class Model:
         self._warm = start is not None
         if start is not None:
             self._highs.setBasis(start)
+            self._highs.setOptionValue("simplex_strategy", _PRIMAL)
 
     def run(self) -> Solution:
         """Solve the LP as it stands; x, duals and objective only when optimal.
@@ -206,6 +214,19 @@ class Model:
         """A copy of the last run's basis: a few bytes per row and column,
         where the model itself holds about a kilobyte per column."""
         return self._highs.getBasis()
+
+    def basic_columns(self) -> np.ndarray:
+        """The indices of the columns in the last run's basis, unordered.
+
+        HiGHS lists the basic variables as one int32 array, rows as negative
+        entries; reading it costs microseconds, where scanning
+        ``basis().col_status`` builds a status object per column.  Empty
+        when HiGHS holds no basis, as before a model's first run.
+        """
+        status, basic = self._highs.getBasicVariables()
+        if status == _highs.HighsStatus.kError:
+            return np.empty(0, dtype=np.int32)
+        return basic[basic >= 0]
 
     def set_costs(self, c: np.ndarray) -> None:
         """Replace every column's cost by ``c``."""

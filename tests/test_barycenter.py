@@ -485,6 +485,71 @@ def test_kept_model_tie_break_matches_one_shot_route():
     assert len(bases) < len(problems) - 12
 
 
+def _counted_face_runs(monkeypatch):
+    """Count the calls of ``_face_tie_break``; returns the list it appends to."""
+    from mkbary import barycenter
+
+    calls = []
+    real = barycenter._face_tie_break
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(barycenter, "_face_tie_break", counting)
+    return calls
+
+
+def _solve_both_routes(monkeypatch, problems):
+    """Each problem by ``_fixed_support_lp`` as it is, and with the face
+    route forced by a basis that names no column; one bases dict per route."""
+    from mkbary import lp
+    from mkbary.barycenter import _fixed_support_lp
+
+    routes = []
+    for forced in (False, True):
+        bases = {}
+        with monkeypatch.context() as mp:
+            if forced:
+                mp.setattr(lp.Model, "basic_columns", lambda self: np.empty(0, dtype=np.int32))
+            routes.append([_fixed_support_lp(p.inputs, p.cost, p.constraint.atoms, bases=bases)
+                           for p in problems])
+    return routes
+
+
+def test_one_vertex_certificate_matches_the_face_route(monkeypatch):
+    population = [generate_random_measure(1300 + i, [0, 0], [1, 1], 5) for i in range(3)]
+    grid = np.array([[x, y] for x in np.linspace(0, 1, 7) for y in np.linspace(0, 1, 7)])
+    problems = list(_draws(population, grid, 24, 3))
+    faces = _counted_face_runs(monkeypatch)
+    certified, face_route = _solve_both_routes(monkeypatch, problems)
+    # every draw's face is its main vertex: no face LP ran until it was forced
+    assert len(faces) == len(problems)
+    for got, want in zip(certified, face_route):
+        np.testing.assert_allclose(got[0], want[0], rtol=0, atol=1e-12)
+        assert got[1] == want[1] and got[2] == want[2]
+        assert got[3] is None and want[3] is None
+
+
+def test_one_vertex_certificate_never_hides_a_tie(monkeypatch):
+    problems = list(_tie_instances())
+    faces = _counted_face_runs(monkeypatch)
+    certified, face_route = _solve_both_routes(monkeypatch, problems)
+    runs = len(faces) - len(problems)  # the face runs of the certified route
+    tied = [want[3] is not None for want in face_route]
+    assert sum(tied) >= 3
+    # a face with two optimal vertices holds a nonbasic column, so its face
+    # LPs still run, and both routes give the same two vertices
+    assert runs >= sum(tied)
+    for got, want, tie in zip(certified, face_route, tied):
+        np.testing.assert_allclose(got[0], want[0], rtol=0, atol=1e-12)
+        assert (got[3] is not None) == tie
+        if tie:
+            np.testing.assert_allclose(got[3], want[3], rtol=0, atol=1e-12)
+    assert all(barycenter_fixed_support(p).multiple_optima == tie
+               for p, tie in zip(problems, tied))
+
+
 def _statuses(basis):
     return list(basis.col_status), list(basis.row_status)
 
@@ -524,10 +589,10 @@ def test_failed_warm_run_is_rerun_cold_once(monkeypatch, caplog):
     np.testing.assert_allclose(got[0], want[0], rtol=0, atol=1e-12)
     assert got[1] == want[1] and got[2] == want[2]
     assert (got[3] is None) == (want[3] is None)
-    # the cold re-run's basis replaced the stale one, and both face runs
-    # went on to the same model, with no face LP rejected
+    # the cold re-run's basis replaced the stale one; its face is one vertex,
+    # so the failed warm run and its cold re-run of the same model are all
     assert _statuses(bases[key]) == _statuses(cold.basis()) != _statuses(stale)
-    assert len(models) == 4 and all(model is models[0] for model in models)
+    assert len(models) == 2 and all(model is models[0] for model in models)
 
 
 def test_dual_infeasible_main_run_raises(monkeypatch):

@@ -82,6 +82,41 @@ def test_lln_bit_reproducible():
     assert not r1.incomplete
 
 
+def test_lln_solves_each_distinct_draw_once(monkeypatch):
+    import mkbary.consistency as consistency
+    from mkbary import BarycenterProblem, barycenter_fixed_support, transport_costs
+
+    pop = random_population(3, 9, [0.0, 0.0], [1.0, 1.0], 3)
+    n_grid, seeds = [2, 4], range(8)
+    solved = []
+
+    def counting(problem, **kwargs):
+        solved.append(problem)
+        return barycenter_fixed_support(problem, **kwargs)
+
+    monkeypatch.setattr(consistency, "barycenter_fixed_support", counting)
+    report = lln_experiment(pop, n_grid, seeds, GRID5, SQ)
+    base = barycenter_fixed_support(BarycenterProblem.make(list(zip(pop.atoms, pop.probs)),
+                                                           GRID5, SQ))
+    reps = [base.measure] + ([base.alt_measure] if base.multiple_optima else [])
+    draws = {}
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        for n in n_grid:
+            freq = np.bincount(rng.choice(3, size=n, p=pop.probs), minlength=3) / n
+            draws[(n, seed)] = freq
+    # the population's barycenter, then one LP per distinct frequency vector
+    assert len(solved) == 1 + len({f.tobytes() for f in draws.values()}) < 1 + len(draws)
+    # every record, repeated or not, is its draw solved alone and cold
+    for n, seed, j_bar, meta_j, _ in report.records:
+        freq = draws[(n, seed)]
+        inputs = [(m, f) for m, f in zip(pop.atoms, freq) if f > 0]
+        emp = barycenter_fixed_support(BarycenterProblem.make(inputs, GRID5, SQ))
+        assert abs(j_bar - min(transport_costs([(emp.measure, r) for r in reps], SQ))) <= 1e-12
+        lifted = meta_distance(MetaDistribution.make(*zip(*inputs)), pop, SQ)
+        assert abs(meta_j - lifted) <= 1e-12
+
+
 def test_perturbation_zero_delta_and_monotone_meta():
     pop = MetaDistribution.dirac(generate_random_measure(8, [0.0, 0.0], [1.0, 1.0], 4))
     report = perturbation_experiment(pop, [0.0, 0.01, 0.05, 0.1], GRID5, SQ)
@@ -109,8 +144,9 @@ def test_meta_distribution_validation():
 
 
 def test_lln_and_perturb_defaults_take_the_face_route(caplog):
-    # every tie-break of the default `verify lln` and `verify perturb` runs
-    # on the optimal face; a fallback would log a warning
+    # every barycenter of the default `verify lln` and `verify perturb` is
+    # its optimal face's one vertex or tie-broken on that face; a fallback
+    # would log a warning
     from mkbary.verify import run_suite
 
     with caplog.at_level("WARNING", logger="mkbary"):

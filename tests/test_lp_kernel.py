@@ -176,6 +176,79 @@ def test_kept_model_matches_cold_solve_on_joint_barycenter_lps():
                 assert warm.fun - rhs @ warm.duals <= tol
 
 
+def _strategy(model):
+    return model._highs.getOptionValue("simplex_strategy")[1]
+
+
+def _cost_changed_barycenter_lp(seed):
+    """A joint barycenter LP solved cold, and the costs of new input weights
+    on the same constraint system."""
+    from mkbary.barycenter import _joint_lp_system
+
+    rng = np.random.default_rng(seed)
+    grid = np.array([[x, y] for x in np.linspace(0, 1, 6) for y in np.linspace(0, 1, 6)])
+    measures = [generate_random_measure(10 * seed + i, [0, 0], [1, 1], 5) for i in range(3)]
+    c, A, rhs, _, _ = _joint_lp_system(list(zip(measures, rng.dirichlet(np.ones(3)))),
+                                       COSTS[seed % 3], grid)
+    model = lp.Model(c, A, rhs)
+    assert model.run().status == 0
+    c2 = _joint_lp_system(list(zip(measures, rng.dirichlet(np.ones(3)))), COSTS[seed % 3],
+                          grid)[0]
+    return model, c2, A, rhs
+
+
+def test_start_basis_model_runs_primal_simplex():
+    dual = int(lp._OPTIONS.simplex_strategy)
+    for seed in range(4):
+        model, c2, A, rhs = _cost_changed_barycenter_lp(seed)
+        assert _strategy(model) == dual
+        started = lp.Model(c2, A, rhs, model.basis())
+        # only the costs changed, so the saved basis is primal feasible
+        assert _strategy(started) == lp._PRIMAL
+        got, cold = started.run(), lp.solve(c2, A, rhs)
+        assert got.status == cold.status == 0
+        assert abs(got.fun - cold.fun) <= GAP_TOL * (1.0 + abs(cold.fun))
+
+
+def test_cold_rerun_of_a_start_basis_model_runs_dual_simplex(monkeypatch, caplog):
+    model, c2, A, rhs = _cost_changed_barycenter_lp(5)
+    started = lp.Model(c2, A, rhs, model.basis())
+    real = lp.Model._run_once
+    strategies = []
+
+    def fails_first(self):
+        strategies.append(_strategy(self))
+        res = real(self)
+        return lp.Solution(4, "forced", None, None, None, res.nit) if len(strategies) == 1 else res
+
+    with caplog.at_level(logging.WARNING, logger="mkbary"), monkeypatch.context() as mp:
+        mp.setattr(lp.Model, "_run_once", fails_first)
+        got = started.run()
+    assert strategies == [lp._PRIMAL, int(lp._OPTIONS.simplex_strategy)]
+    _assert_same_solution(got, lp.solve(c2, A, rhs))
+    assert len(_mkbary_messages(caplog)) == 1
+
+
+def test_basic_columns_are_the_basic_column_statuses():
+    rng = np.random.default_rng(31)
+    transport = lp.Model(rng.uniform(size=63), _system([(7, 9)]),
+                         np.concatenate([rng.dirichlet(np.ones(7)), rng.dirichlet(np.ones(9))[:-1]]))
+    # HiGHS holds no basis before the first run, and reports that as an error
+    assert transport.basic_columns().tolist() == []
+    assert transport.run().status == 0
+    barycenter, c2, _, _ = _cost_changed_barycenter_lp(2)
+    basic = lp._highs.HighsBasisStatus.kBasic
+    # each model after its cold run, then after a warm run on new costs
+    for model, costs in ((transport, rng.uniform(size=63)), (barycenter, c2)):
+        for warm in (False, True):
+            if warm:
+                model.set_costs(costs)
+                assert model.run().status == 0
+            got = model.basic_columns()
+            want = [j for j, status in enumerate(model.basis().col_status) if status == basic]
+            assert got.dtype == np.int32 and sorted(got.tolist()) == want
+
+
 def _north_west_corner(a, b):
     """The support of the north-west-corner plan, as flat columns."""
     a, b, i, j, support = a.copy(), b.copy(), 0, 0, [0]
