@@ -1,17 +1,19 @@
 """Frechet barycenter solvers for weighted families of discrete measures.
 
-Three routes:
+Three routes, one per constraint kind; each raises ValueError on another:
 
-* ``barycenter_fixed_support``: one joint LP over couplings and candidate
-  weights; globally optimal on the simplex over a candidate atom set,
-  with a duality-gap certificate and a deterministic tie-break: the
-  optimal vertex of least graded weight sum_k k w_k over the candidates,
-  found on the optimal face cut from the gap tolerance, unless the main
-  LP's basis holds every face column and so proves the face one vertex.
-* ``barycenter_free_support``: alternating minimization over atom
-  locations and the fixed-support LP; local certificate only.
-* ``barycenter_quantile_1d``: exact solution on the line for convex
-  translation costs via the common refinement of quantile functions.
+* ``barycenter_fixed_support`` (``simplex_over``): one joint LP over
+  couplings and candidate weights; globally optimal on the simplex over a
+  candidate atom set, with a duality-gap certificate and a deterministic
+  tie-break: the optimal vertex of least graded weight sum_k k w_k over
+  the candidates, found on the optimal face cut from the gap tolerance,
+  unless the main LP's basis holds every face column and so proves the
+  face one vertex.
+* ``barycenter_free_support`` (``free``): alternating minimization over
+  atom locations and the fixed-support LP; local certificate only.
+* ``barycenter_quantile_1d`` (``quantile_1d``): exact solution on the line
+  for convex translation costs via the common refinement of quantile
+  functions.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .measures import (
     GroundSpace,
     _as_indices,
     canonicalize,
+    json_field,
     measure_from_json,
     measure_to_json,
     merge_equal_measures,
@@ -89,14 +92,19 @@ def constraint_from_json(obj: dict) -> Constraint:
     a box mesh), ``free`` or ``quantile_1d``."""
     kind = obj.get("kind")
     if kind == "simplex_over":
-        return Constraint.simplex_over(obj["atoms"])
+        return Constraint.simplex_over(json_field(obj, "atoms", "numbers", "constraint"))
     if kind == "grid":
-        (lo, hi), shape = obj["box"], obj["shape"]
+        box = json_field(obj, "box", "numbers", "constraint")
+        shape = json_field(obj, "shape", "numbers", "constraint")
+        if shape.ndim != 1 or box.shape != (2, len(shape)):
+            raise ValueError("grid constraint needs a 'shape' per axis and a 'box' [lo, hi] "
+                             "with one bound per axis in each")
+        lo, hi = box
         axes = [np.linspace(lo[i], hi[i], int(shape[i])) for i in range(len(shape))]
         mesh = np.meshgrid(*axes, indexing="ij")
         return Constraint.simplex_over(np.stack([m.ravel() for m in mesh], axis=-1))
     if kind == "free":
-        return Constraint.free(int(obj["k"]))
+        return Constraint.free(int(json_field(obj, "k", "number", "constraint")))
     if kind == "quantile_1d":
         return Constraint.quantile_1d()
     raise ValueError(f"unknown constraint kind {kind!r}")
@@ -202,10 +210,20 @@ def _split_gammas(x: np.ndarray, inputs, K: int):
     return blocks
 
 
-def _clip_dust(w: np.ndarray, rel: float = 1e-12) -> np.ndarray:
+# candidate weights below this share of the largest (or of 1) are LP dust
+DUST_REL = 1e-12
+
+
+def _clip_dust(w: np.ndarray) -> np.ndarray:
     w = w.copy()
-    w[w < rel * max(1.0, w.max())] = 0.0
+    w[w < DUST_REL * max(1.0, w.max())] = 0.0
     return w
+
+
+def _require_kind(problem: BarycenterProblem, kind: str, route: str) -> None:
+    if problem.constraint.kind != kind:
+        raise ValueError(f"{route} solver needs a {kind} constraint, "
+                         f"not {problem.constraint.kind}")
 
 
 def _face_tie_break(model: lp.Model, c_vec, off_face, h, value, tol):
@@ -316,8 +334,7 @@ def barycenter_fixed_support(problem: BarycenterProblem, *,
     ``_bases`` holds the start bases of one experiment run (see
     ``_fixed_support_lp``); it is not part of the public interface.
     """
-    if problem.constraint.kind != "simplex_over":
-        raise ValueError("fixed-support solver needs a candidate atom set")
+    _require_kind(problem, "simplex_over", "fixed-support")
     S = problem.constraint.atoms
     if problem.space.kind == "finite":
         S = _as_indices(problem.space, S.reshape(-1))
@@ -399,33 +416,35 @@ def _farthest_point_init(pool: np.ndarray, k: int, cost: CostSpec, seed: int) ->
     return pool[np.array(chosen)]
 
 
-def barycenter_free_support(
-    problem: BarycenterProblem, k: Optional[int] = None, init_seed: int = 0,
-    max_iter: int = 200, rel_tol: float = 1e-8,
-) -> BarycenterResult:
+# the free-support run stops after FREE_MAX_ITER LPs, or once an LP lowers
+# the objective by at most FREE_REL_TOL (1 + |previous objective|)
+FREE_MAX_ITER = 200
+FREE_REL_TOL = 1e-8
+
+
+def barycenter_free_support(problem: BarycenterProblem, init_seed: int = 0) -> BarycenterResult:
     """Alternate between the fixed-support LP and per-atom convex updates.
 
-    Needs a euclidean space and a convex translation cost; the trace of
-    LP objectives is nonincreasing by construction and the run stops once
-    the relative decrease drops below ``rel_tol``.
+    Places at most the ``free`` constraint's budget k of atoms, starting
+    from a farthest-point pick seeded by ``init_seed``.  Needs a euclidean
+    space and a convex translation cost; the trace of LP objectives is
+    nonincreasing by construction and the run stops once the relative
+    decrease drops below ``FREE_REL_TOL``.
     """
+    _require_kind(problem, "free", "free-support")
     if problem.space.kind != "euclidean":
         raise NotConvexCost("free-support solver needs a euclidean space")
     if not problem.cost.is_convex_translation:
         raise NotConvexCost("free-support solver needs a convex translation cost")
-    if k is None:
-        k = problem.constraint.k if problem.constraint.k else 1
-    if k < 1:
-        raise ValueError("atom budget k must be >= 1")
     pool = np.concatenate([m.atoms for m, _ in problem.inputs])
-    S = _farthest_point_init(pool, k, problem.cost, init_seed)
+    S = _farthest_point_init(pool, problem.constraint.k, problem.cost, init_seed)
 
     trace = []
     prev = None
     w = None
     S_solved = S
     last_decrease = float("inf")
-    for it in range(max_iter):
+    for it in range(FREE_MAX_ITER):
         w, value, _, _, gammas = _fixed_support_lp(
             problem.inputs, problem.cost, S, tie_break=False
         )
@@ -433,7 +452,7 @@ def barycenter_free_support(
         trace.append((it, value))
         if prev is not None:
             last_decrease = prev - value
-            if last_decrease <= rel_tol * (1.0 + abs(prev)):
+            if last_decrease <= FREE_REL_TOL * (1.0 + abs(prev)):
                 break
         prev = value
 
@@ -468,6 +487,7 @@ def barycenter_quantile_1d(problem: BarycenterProblem) -> BarycenterResult:
     sum_i lambda_i g(F_i^{-1}(t) - m) is constant, which yields the
     barycenter atoms directly, one ``_convex_argmin`` per segment.
     """
+    _require_kind(problem, "quantile_1d", "quantile")
     if problem.space.kind != "euclidean" or problem.space.dim != 1:
         raise NotOneDimensional("quantile solver needs measures on the line")
     if not problem.cost.is_convex_translation:
@@ -509,9 +529,12 @@ def barycenter_quantile_1d(problem: BarycenterProblem) -> BarycenterResult:
 def problem_from_json(obj: dict) -> BarycenterProblem:
     from .costs import cost_from_json
 
-    inputs = [(measure_from_json(e["measure"]), float(e["lambda"])) for e in obj["inputs"]]
-    return BarycenterProblem.make(inputs, constraint_from_json(obj["constraint"]),
-                                  cost_from_json(obj["cost"]))
+    inputs = [(measure_from_json(json_field(e, "measure", "object", "input")),
+               float(json_field(e, "lambda", "number", "input")))
+              for e in json_field(obj, "inputs", "objects", "problem")]
+    return BarycenterProblem.make(
+        inputs, constraint_from_json(json_field(obj, "constraint", "object", "problem")),
+        cost_from_json(json_field(obj, "cost", "object", "problem")))
 
 
 def result_to_json(result: BarycenterResult) -> dict:

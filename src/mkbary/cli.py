@@ -7,9 +7,13 @@ before computing, writes primary outputs deterministically, and leaves one
 ``manifest.json`` next to them.
 
 Exit codes: 0 success / suite pass, 1 suite fail, 2 parse error (input
-validation), 3 numerical error (a solver's certificate or marginal check
-failed, or a growth-constant computation hit an unbounded ratio or a
-failed construction), 4 usage error.
+validation, including JSON of the wrong type), 3 numerical error (a
+solver's certificate or marginal check failed, or a growth-constant
+computation hit an unbounded ratio or a failed construction), 4 usage
+error.
+
+``barycenter`` runs the route of the problem file's constraint kind;
+``--method``, when given, must name that route.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from .errors import (
     NumericalFailure,
     UnboundedRatio,
 )
-from .measures import measure_from_json
+from .measures import json_name, measure_from_json
 from .transport import _plan_fields, solve_transport
 from .verify import SUITES, run_suite
 
@@ -58,12 +62,20 @@ class ParseError(Exception):
     pass
 
 
-def _load_json(path: str):
+# the ``--method`` name of the route for each constraint kind
+METHODS = {"simplex_over": "fixed", "free": "free", "quantile_1d": "quantile1d"}
+
+
+def _load_json(path: str) -> dict:
+    """The JSON object in ``path``; any other file is a ParseError."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            obj = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ParseError(f"{path}: the top level must be a JSON object, not {json_name(obj)}")
+    return obj
 
 
 def _write_manifest(out_dir: Path, subcommand: str, inputs: list, outputs: list,
@@ -123,7 +135,7 @@ def cmd_transport(args) -> int:
     nu_obj = _load_json(args.nu)
     mu = measure_from_json(mu_obj)
     # two measures on one finite space validate its distance matrix once
-    same = isinstance(nu_obj, dict) and nu_obj.get("space") == mu_obj.get("space")
+    same = nu_obj.get("space") == mu_obj.get("space")
     nu = measure_from_json(nu_obj, space=mu.space if same else None)
     cost = cost_from_json(_load_json(args.cost))
     out_dir = Path(args.out_dir)
@@ -149,20 +161,17 @@ def cmd_transport(args) -> int:
 def cmd_barycenter(args) -> int:
     started = time.time()
     problem = problem_from_json(_load_json(args.problem))
-    method = args.method
-    if method is None:
-        method = {"simplex_over": "fixed", "free": "free",
-                  "quantile_1d": "quantile1d"}[problem.constraint.kind]
-    if method == "quantile1d":
-        result = barycenter_quantile_1d(problem)
-    elif method == "free":
+    kind = problem.constraint.kind
+    method = METHODS[kind]
+    if args.method not in (None, method):
+        raise UsageError(f"--method {args.method} does not solve the problem file's "
+                         f"{kind} constraint; its route is {method}")
+    if kind == "free":
         result = barycenter_free_support(problem, init_seed=args.seed)
-    elif method == "fixed":
-        if problem.constraint.kind != "simplex_over":
-            raise UsageError("--method fixed needs a candidate atom set in the problem file")
-        result = barycenter_fixed_support(problem)
+    elif kind == "quantile_1d":
+        result = barycenter_quantile_1d(problem)
     else:
-        raise UsageError(f"unknown method {method!r}")
+        result = barycenter_fixed_support(problem)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / "barycenter.json"
@@ -226,7 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("barycenter", help="solve a barycenter problem file")
     p.add_argument("problem")
-    p.add_argument("--method", choices=["fixed", "free", "quantile1d"], default=None)
+    p.add_argument("--method", choices=list(METHODS.values()), default=None,
+                   help="optional; must name the route of the file's constraint")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_barycenter)

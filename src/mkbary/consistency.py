@@ -12,7 +12,6 @@ fixed direction field scaled by delta so both tracks are deterministic.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 import numpy as np
 
@@ -22,6 +21,7 @@ from .measures import (
     DiscreteMeasure,
     GroundSpace,
     canonicalize,
+    json_field,
     measure_from_json,
     merge_equal_measures,
 )
@@ -109,10 +109,9 @@ USC_EPS = 0.05
 
 @dataclass
 class ExperimentReport:
-    records: list          # lln: (n, seed, j_to_bary, meta_j, runtime)
+    records: list  # lln: (n, seed, j_to_bary, meta_j); perturb: (delta, meta_j, j_to_bary)
     summary: dict
-    incomplete: bool = False
-    errors: list = field(default_factory=list)
+    errors: list = field(default_factory=list)  # lln: (n, seed, message) per hole
 
 
 def _population_barycenter(population: MetaDistribution, constraint: Constraint,
@@ -157,7 +156,6 @@ def lln_experiment(
     for seed in seeds:
         rng = np.random.default_rng(seed)
         for n in n_grid:
-            t0 = time.perf_counter()
             try:
                 idx = rng.choice(K, size=n, p=population.probs)
                 freq = np.bincount(idx, minlength=K) / n
@@ -176,7 +174,7 @@ def lln_experiment(
                     )
                     solved[key] = min(sol[1] for sol in sols[:-1]), sols[-1][1]
                 j_bar, meta_j = solved[key]
-                records.append((n, seed, j_bar, meta_j, time.perf_counter() - t0))
+                records.append((n, seed, j_bar, meta_j))
             except Exception as exc:  # record the hole, keep the report partial
                 errors.append((n, seed, repr(exc)))
     records.sort(key=lambda r: (r[0], r[1]))
@@ -192,8 +190,7 @@ def lln_experiment(
         "population_objective": pop_result.objective,
         "multiple_optima": pop_result.multiple_optima,
     }
-    return ExperimentReport(records=records, summary=summary, incomplete=bool(errors),
-                            errors=errors)
+    return ExperimentReport(records=records, summary=summary, errors=errors)
 
 
 def perturbation_experiment(
@@ -222,7 +219,6 @@ def perturbation_experiment(
 
     rows = []
     for delta in deltas:
-        t0 = time.perf_counter()
         jittered = [
             canonicalize(m.atoms + delta * off, m.weights, m.space)
             for m, off in zip(population.atoms, offsets)
@@ -234,12 +230,12 @@ def perturbation_experiment(
         )
         emp = barycenter_fixed_support(problem, _bases=bases)
         j_bar = min(transport_costs([(emp.measure, rep) for rep in reps], cost))
-        rows.append((delta, meta_j, j_bar, time.perf_counter() - t0))
+        rows.append((delta, meta_j, j_bar))
 
     # largest delta up to which the barycenter stays USC_EPS-close: recorded,
     # never claimed universal
     usc_threshold = 0.0
-    for delta, _, j_bar, _ in sorted(rows):
+    for delta, _, j_bar in sorted(rows):
         if j_bar <= USC_EPS:
             usc_threshold = delta
         else:
@@ -260,12 +256,17 @@ def perturbation_experiment(
 # ---------------------------------------------------------------------------
 
 def population_from_json(obj: dict) -> MetaDistribution:
+    """A ``generator`` (box [lo, hi], count, seed 0, max_atoms 5) or explicit
+    ``measures`` with their ``probs``."""
     if "generator" in obj:
-        g = obj["generator"]
-        box = g["box"]
-        return random_population(
-            int(g["count"]), int(g.get("seed", 0)), box[0], box[1],
-            int(g.get("max_atoms", 5)),
-        )
-    measures = [measure_from_json(m) for m in obj["measures"]]
-    return MetaDistribution.make(measures, obj["probs"])
+        g = {"seed": 0, "max_atoms": 5,
+             **json_field(obj, "generator", "object", "population")}
+        box = json_field(g, "box", "numbers", "generator")
+        if len(box) != 2:
+            raise ValueError("generator 'box' must be [lo, hi]")
+        count, seed, max_atoms = (int(json_field(g, key, "number", "generator"))
+                                  for key in ("count", "seed", "max_atoms"))
+        return random_population(count, seed, box[0], box[1], max_atoms)
+    measures = [measure_from_json(m)
+                for m in json_field(obj, "measures", "objects", "population")]
+    return MetaDistribution.make(measures, json_field(obj, "probs", "numbers", "population"))

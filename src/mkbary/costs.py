@@ -29,7 +29,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConstructionFailed, SpaceMismatch, UnboundedRatio
-from .measures import DiscreteMeasure, GroundSpace, _triple_slabs
+from .measures import DiscreteMeasure, GroundSpace, _triple_slabs, json_field
 
 log = logging.getLogger("mkbary")
 
@@ -354,13 +354,11 @@ def _check_relaxed_on_triples(cost: CostSpec, eps, A_eps, C_eps, X, Y, Z):
         raise ConstructionFailed(f"relaxed inequality fails at eps={eps}", (X[i], Y[i], Z[i]))
 
 
-def relaxed_constants(
-    cost: CostSpec,
-    eps: float,
-    box: Optional[tuple] = None,
-    dim: int = 2,
-    n_triples: int = DEFAULT_GRID_SIZE,
-) -> RelaxedConstants:
+# bounds of the cube whose Halton triples re-verify euclidean relaxed constants
+RELAXED_BOX = (-1.0, 1.0)
+
+
+def relaxed_constants(cost: CostSpec, eps: float, dim: int = 2) -> RelaxedConstants:
     """Constants (A_eps, C_eps) for c(x,y) <= A_eps + (1+eps) c(x,z) + C_eps c(y,z).
 
     For subadditive costs the pair (0, 1) is returned; for convex
@@ -368,9 +366,9 @@ def relaxed_constants(
     smallest k making 2**(-k) B < eps; for finite_matrix tables the exact
     sup is enumerated in slabs of x (a metric power on a finite space
     enters as ``CostSpec.finite_matrix(space.rho ** p)``).  The result is always
-    re-verified on the deterministic grid (or all triples of a finite
-    space) and a violation raises ``ConstructionFailed`` with the witness
-    triple.
+    re-verified on DEFAULT_GRID_SIZE Halton triples of the cube
+    RELAXED_BOX**dim (or all triples of a finite space) and a violation
+    raises ``ConstructionFailed`` with the witness triple.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -413,15 +411,9 @@ def relaxed_constants(
         C_eps = gc.B ** (k + 1)
         A_eps = eps if gc.provenance == "sampled_lower_bound" else 0.0
 
-    if box is None:
-        lo, hi = -1.0, 1.0
-    else:
-        lo, hi = box
     if cost.kind == "translation":
         dim = cost.g_dim
-    lo_v = np.broadcast_to(np.asarray(lo, dtype=float), (dim,))
-    hi_v = np.broadcast_to(np.asarray(hi, dtype=float), (dim,))
-    pts = halton_sample(n_triples, 3 * dim, np.tile(lo_v, 3), np.tile(hi_v, 3))
+    pts = halton_sample(DEFAULT_GRID_SIZE, 3 * dim, *RELAXED_BOX)
     X = pts[:, :dim]
     Y = pts[:, dim : 2 * dim]
     Z = pts[:, 2 * dim :]
@@ -504,10 +496,18 @@ def cost_to_json(cost: CostSpec) -> dict:
 def cost_from_json(obj: dict) -> CostSpec:
     kind = obj.get("kind")
     declared = obj.get("declared_constants")
+    if declared is not None:
+        json_field(obj, "declared_constants", "object", "cost")
+        for key in ("A", "B", "q", "q0"):
+            if key in declared:
+                json_field(declared, key, "number", "declared_constants")
     if kind == "metric_power":
-        return CostSpec.metric_power(float(obj["p"]), declared=declared)
+        return CostSpec.metric_power(float(json_field(obj, "p", "number", "cost")),
+                                     declared=declared)
     if kind == "norm_power":
-        return CostSpec.norm_power(float(obj["p"]), declared=declared)
+        return CostSpec.norm_power(float(json_field(obj, "p", "number", "cost")),
+                                   declared=declared)
     if kind == "finite_matrix":
-        return CostSpec.finite_matrix(obj["values"], declared=declared)
+        return CostSpec.finite_matrix(json_field(obj, "values", "numbers", "cost"),
+                                      declared=declared)
     raise ValueError(f"unknown cost kind {kind!r}")

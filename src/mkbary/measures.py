@@ -440,6 +440,45 @@ def tail_cost(nu: DiscreteMeasure, x0, R: float, cost) -> float:
 # JSON wire format
 # ---------------------------------------------------------------------------
 
+# field kind -> (python types, what the error calls it)
+_JSON_KINDS = {
+    "object": (dict, "an object"),
+    "objects": (list, "an array of objects"),
+    "number": ((int, float), "a number"),
+    "numbers": (list, "an array of numbers"),
+}
+_JSON_NAMES = {dict: "object", list: "array", str: "string", int: "number", float: "number",
+               bool: "boolean", type(None): "null"}
+
+
+def json_name(value) -> str:
+    """The JSON type of a value decoded by ``json``: object, array, string, number,
+    boolean or null (the Python type name for anything else)."""
+    return _JSON_NAMES.get(type(value), type(value).__name__)
+
+
+def json_field(obj: dict, key: str, kind: str, what: str):
+    """``obj[key]``, checked to be of the JSON ``kind`` in ``_JSON_KINDS``.
+
+    Every loader reads its fields through this, so a file of the wrong shape
+    raises a ValueError naming the field instead of a TypeError inside a
+    constructor; a missing key still raises KeyError.  ``numbers`` returns
+    a float array.
+    """
+    value = obj[key]
+    types, noun = _JSON_KINDS[kind]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ValueError(f"{what} field {key!r} must be {noun}, not {json_name(value)}")
+    if kind == "objects" and not all(isinstance(v, dict) for v in value):
+        raise ValueError(f"{what} field {key!r} must be {noun}")
+    if kind == "numbers":
+        try:
+            return np.asarray(value, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{what} field {key!r} must be {noun}") from exc
+    return value
+
+
 def space_to_json(space: GroundSpace) -> dict:
     if space.kind == "euclidean":
         return {"kind": "euclidean", "dim": space.dim}
@@ -449,10 +488,10 @@ def space_to_json(space: GroundSpace) -> dict:
 def space_from_json(obj: dict) -> GroundSpace:
     kind = obj.get("kind")
     if kind == "euclidean":
-        return GroundSpace.euclidean(int(obj["dim"]))
+        return GroundSpace.euclidean(int(json_field(obj, "dim", "number", "space")))
     if kind == "finite":
-        rho = np.asarray(obj["rho"], dtype=float)
-        if "n" in obj and int(obj["n"]) != rho.shape[0]:
+        rho = json_field(obj, "rho", "numbers", "space")
+        if "n" in obj and int(json_field(obj, "n", "number", "space")) != rho.shape[0]:
             raise ValueError("declared point count disagrees with rho shape")
         return GroundSpace.finite(rho)
     raise ValueError(f"unknown space kind {kind!r}")
@@ -469,5 +508,6 @@ def measure_to_json(measure: DiscreteMeasure) -> dict:
 def measure_from_json(obj: dict, space: Optional[GroundSpace] = None) -> DiscreteMeasure:
     """Load a measure; a given ``space`` stands in for the file's own, unparsed."""
     if space is None:
-        space = space_from_json(obj["space"])
-    return canonicalize(obj["atoms"], obj["weights"], space)
+        space = space_from_json(json_field(obj, "space", "object", "measure"))
+    return canonicalize(json_field(obj, "atoms", "numbers", "measure"),
+                        json_field(obj, "weights", "numbers", "measure"), space)

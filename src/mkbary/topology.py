@@ -47,8 +47,8 @@ def _final_third(values):
     return values[-k:]
 
 
-def _strictly_small(track, tol) -> bool:
-    return max(_final_third(track)) <= tol
+def _strictly_small(track) -> bool:
+    return max(_final_third(track)) <= VERDICT_TOL
 
 
 def _decaying(track) -> bool:
@@ -64,12 +64,11 @@ def check_convergence(
     limit: DiscreteMeasure,
     reference: DiscreteMeasure,
     cost: CostSpec,
-    tol: float = VERDICT_TOL,
 ) -> SequenceDiagnostics:
     """Record transport and weak tracks for nu_n against nu* and classify.
 
     ``consistent_with_J_convergence`` needs both the weak proxy and
-    |J(mu, nu_n) - J(mu, nu*)| below ``tol`` on the final third;
+    |J(mu, nu_n) - J(mu, nu*)| below ``VERDICT_TOL`` on the final third;
     ``weak_only`` needs the proxy small or decaying while the reference
     track is not; anything else is ``divergent``.  Thresholds are
     reporting configuration, not truth claims: the raw tracks travel with
@@ -91,8 +90,8 @@ def check_convergence(
     fwd, bwd, proxy, ref = (values[1 + k::4] for k in range(4))
     ref_err = [abs(v - ref_limit) for v in ref]
 
-    proxy_small = _strictly_small(proxy, tol)
-    ref_small = _strictly_small(ref_err, tol)
+    proxy_small = _strictly_small(proxy)
+    ref_small = _strictly_small(ref_err)
     if proxy_small and ref_small:
         verdict = "consistent_with_J_convergence"
     elif proxy_small or _decaying(proxy):

@@ -46,6 +46,8 @@ from .errors import CertificateViolation, MarginalMismatch, NumericalFailure, To
 from .measures import DiscreteMeasure, mixture
 
 GAP_TOL = 1e-9
+# absolute tolerance of every invariant ``TransportPlan.check`` tests
+CHECK_TOL = 1e-9
 # Cap on the LP variables of one block-diagonal HiGHS call.  HiGHS memory
 # grows with the number of blocks, so an uncapped batch of thousands of tiny
 # LPs costs megabytes; near a thousand variables the per-call overhead is
@@ -79,8 +81,9 @@ class TransportPlan:
     duals: Optional[tuple] = None  # (u over source atoms, v over target atoms)
     gap: Optional[float] = None
 
-    def check(self, cost_matrix: Optional[np.ndarray] = None, tol: float = 1e-9) -> None:
-        """Check the marginal, objective, and dual-feasibility invariants.
+    def check(self, cost_matrix: np.ndarray) -> None:
+        """Check the marginal, objective, and dual-feasibility invariants
+        against the plan's ``cost_matrix``, each to within CHECK_TOL.
 
         Raises CertificateViolation naming the first invariant that fails;
         unlike ``assert`` this also runs under ``python -O``.
@@ -89,20 +92,20 @@ class TransportPlan:
             if not ok:
                 raise CertificateViolation(f"transport plan fails its {what} check")
 
-        require(np.allclose(self.coupling.sum(axis=1), self.source.weights, atol=tol),
+        require(np.allclose(self.coupling.sum(axis=1), self.source.weights, atol=CHECK_TOL),
                 "source marginal")
-        require(np.allclose(self.coupling.sum(axis=0), self.target.weights, atol=tol),
+        require(np.allclose(self.coupling.sum(axis=0), self.target.weights, atol=CHECK_TOL),
                 "target marginal")
-        require(np.all(self.coupling >= -tol), "nonnegativity")
-        if cost_matrix is not None:
-            require(abs(float((self.coupling * cost_matrix).sum()) - self.objective) <= tol,
-                    "objective")
-            if self.duals is not None:
-                u, v = self.duals
-                require(np.all(u[:, None] + v[None, :] <= cost_matrix + tol), "dual feasibility")
-                dual_obj = float(self.source.weights @ u + self.target.weights @ v)
-                require(self.objective - dual_obj <= tol * (1.0 + abs(self.objective)),
-                        "duality gap")
+        require(np.all(self.coupling >= -CHECK_TOL), "nonnegativity")
+        require(abs(float((self.coupling * cost_matrix).sum()) - self.objective) <= CHECK_TOL,
+                "objective")
+        if self.duals is not None:
+            u, v = self.duals
+            require(np.all(u[:, None] + v[None, :] <= cost_matrix + CHECK_TOL),
+                    "dual feasibility")
+            dual_obj = float(self.source.weights @ u + self.target.weights @ v)
+            require(self.objective - dual_obj <= CHECK_TOL * (1.0 + abs(self.objective)),
+                    "duality gap")
 
 
 def _marginal_columns(shapes, cols: np.ndarray) -> lp.CSC:

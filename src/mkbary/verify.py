@@ -3,7 +3,8 @@
 Each suite draws seeded random instances, checks one family of
 inequalities or one experiment-level claim, and reports per-assertion
 rows (with witnesses on failure) that the CLI writes to CSV.  All suites
-are deterministic for a fixed config.
+are deterministic for a fixed config.  Each suite reads exactly the keys of
+its entry in ``DEFAULTS``; a config key outside it is a ValueError.
 """
 
 from __future__ import annotations
@@ -20,7 +21,14 @@ from .consistency import (
     population_from_json,
 )
 from .costs import CostSpec, cost_from_json, growth_constants
-from .measures import GroundSpace, canonicalize, dirac, mixture, truncate_to_ball
+from .measures import (
+    GroundSpace,
+    canonicalize,
+    dirac,
+    json_field,
+    mixture,
+    truncate_to_ball,
+)
 from .topology import check_convergence
 from .transport import glue, solve_transport_batch, transport_costs
 
@@ -36,8 +44,53 @@ class SuiteResult:
     summary: dict
 
 
-def _cost_from_config(config: dict, default: dict) -> CostSpec:
-    return cost_from_json(config.get("cost", default))
+_SQUARED = {"kind": "norm_power", "p": 2}
+_GRID_9X9 = {"kind": "grid", "shape": [9, 9], "box": [[0.0, 0.0], [1.0, 1.0]]}
+
+# every key each suite reads, with its default
+DEFAULTS = {
+    "convexity": {"seed": 0, "count": 200, "max_atoms": 4, "cost": _SQUARED,
+                  "t_grid": [0.0, 0.25, 0.5, 0.75, 1.0]},
+    "triangle": {"seed": 0, "count": 200, "max_atoms": 4, "cost": _SQUARED},
+    # q None: each power's own growth exponent
+    "q-triangle": {"seed": 0, "count": 200, "max_atoms": 4, "powers": [1.0, 2.0, 4.0],
+                   "q": None},
+    "criterion": {"seed": 0, "cost": _SQUARED, "escape_n": list(range(2, 14)),
+                  "trunc_n": list(range(1, 10))},
+    # lln draws one sample per entry of ``seeds``, so it has no ``seed``
+    "lln": {"population": {"generator": {"box": [[0.0, 0.0], [1.0, 1.0]], "count": 4,
+                                         "max_atoms": 5, "seed": 1}},
+            "constraint": _GRID_9X9, "n_grid": [4, 16, 64], "seeds": list(range(20)),
+            "cost": _SQUARED},
+    "perturb": {"seed": 0,
+                "population": {"generator": {"box": [[0.0, 0.0], [1.0, 1.0]], "count": 1,
+                                             "max_atoms": 4, "seed": 2}},
+                "constraint": _GRID_9X9, "deltas": [0.0, 0.01, 0.05, 0.1], "cost": _SQUARED},
+}
+
+
+def _settings(suite: str, config: dict) -> dict:
+    """``config`` over the suite's defaults, before any solve.
+
+    Rejects a key the suite does not read, and a value whose JSON type is
+    not its default's: an object, an array of numbers, or a number (``null``
+    too where the default is ``None``).
+    """
+    defaults = DEFAULTS[suite]
+    unknown = sorted(set(config) - set(defaults))
+    if unknown:
+        raise ValueError(f"{suite} reads no {', '.join(map(repr, unknown))}; "
+                         f"its keys are {', '.join(map(repr, sorted(defaults)))}")
+    for key, value in config.items():
+        default = defaults[key]
+        if isinstance(default, dict):
+            json_field(config, key, "object", suite)
+        elif isinstance(default, list):
+            if json_field(config, key, "numbers", suite).ndim != 1:
+                raise ValueError(f"{suite} field {key!r} must be a flat array of numbers")
+        elif value is not None or default is not None:
+            json_field(config, key, "number", suite)
+    return {**defaults, **config}
 
 
 def _measure_stream(seed: int, box_lo, box_hi, max_atoms: int):
@@ -51,11 +104,10 @@ def _measure_stream(seed: int, box_lo, box_hi, max_atoms: int):
 
 def run_convexity(config: dict) -> SuiteResult:
     """J(mixture, mixture) <= mixture of J, over random quadruples and a t grid."""
-    seed = int(config.get("seed", 0))
-    count = int(config.get("count", 200))
-    t_grid = config.get("t_grid", [0.0, 0.25, 0.5, 0.75, 1.0])
-    cost = _cost_from_config(config, {"kind": "norm_power", "p": 2})
-    gen = _measure_stream(seed, [-1, -1], [1, 1], int(config.get("max_atoms", 4)))
+    cfg = _settings("convexity", config)
+    count, t_grid = int(cfg["count"]), cfg["t_grid"]
+    cost = cost_from_json(cfg["cost"])
+    gen = _measure_stream(int(cfg["seed"]), [-1, -1], [1, 1], int(cfg["max_atoms"]))
 
     quads = [tuple(next(gen) for _ in range(4)) for _ in range(count)]
     pairs = []
@@ -82,12 +134,12 @@ def run_convexity(config: dict) -> SuiteResult:
 
 def run_triangle(config: dict) -> SuiteResult:
     """Inherited weak triangle with analytic (A, B) plus the gluing upper bound."""
-    seed = int(config.get("seed", 0))
-    count = int(config.get("count", 200))
-    cost = _cost_from_config(config, {"kind": "norm_power", "p": 2})
+    cfg = _settings("triangle", config)
+    count = int(cfg["count"])
+    cost = cost_from_json(cfg["cost"])
     gc = growth_constants(cost)
     A, B = gc.A, gc.B
-    gen = _measure_stream(seed, [-1, -1], [1, 1], int(config.get("max_atoms", 4)))
+    gen = _measure_stream(int(cfg["seed"]), [-1, -1], [1, 1], int(cfg["max_atoms"]))
 
     triples = [tuple(next(gen) for _ in range(3)) for _ in range(count)]
     plans = iter(solve_transport_batch(
@@ -130,11 +182,9 @@ def _triple_witness(mu, nu, lam) -> str:
 
 def run_q_triangle(config: dict) -> SuiteResult:
     """J**(1/q) triangle inequality for norm-power costs."""
-    seed = int(config.get("seed", 0))
-    count = int(config.get("count", 200))
-    ps = config.get("powers", [1.0, 2.0, 4.0])
-    q_override = config.get("q")
-    gen = _measure_stream(seed, [-1, -1], [1, 1], int(config.get("max_atoms", 4)))
+    cfg = _settings("q-triangle", config)
+    count, ps, q_override = int(cfg["count"]), cfg["powers"], cfg["q"]
+    gen = _measure_stream(int(cfg["seed"]), [-1, -1], [1, 1], int(cfg["max_atoms"]))
 
     rows, ok = [], True
     for p in ps:
@@ -162,11 +212,10 @@ def run_q_triangle(config: dict) -> SuiteResult:
 
 def run_criterion(config: dict) -> SuiteResult:
     """Escaping-mass family is weak-only; truncation families converge."""
-    cost = _cost_from_config(config, {"kind": "norm_power", "p": 2})
+    cfg = _settings("criterion", config)
+    cost = cost_from_json(cfg["cost"])
     line = GroundSpace.euclidean(1)
-    escape_ns = config.get("escape_n", list(range(2, 14)))
-    trunc_ns = config.get("trunc_n", list(range(1, 10)))
-    seed = int(config.get("seed", 0))
+    escape_ns, trunc_ns, seed = cfg["escape_n"], cfg["trunc_n"], int(cfg["seed"])
 
     rows, ok = [], True
     origin = dirac(line, [0.0])
@@ -196,21 +245,9 @@ def run_criterion(config: dict) -> SuiteResult:
     )
 
 
-DEFAULT_LLN_CONFIG = {
-    "population": {"generator": {"box": [[0.0, 0.0], [1.0, 1.0]], "count": 4,
-                                 "max_atoms": 5, "seed": 1}},
-    "constraint": {"kind": "grid", "shape": [9, 9], "box": [[0.0, 0.0], [1.0, 1.0]]},
-    "n_grid": [4, 16, 64],
-    "seeds": list(range(20)),
-    "cost": {"kind": "norm_power", "p": 2},
-}
-
-
 def run_lln(config: dict) -> SuiteResult:
     """Empirical barycenters approach the population barycenter as n grows."""
-    if "seed" in config:
-        raise ValueError("lln draws one sample per entry of 'seeds'; it takes no 'seed'")
-    cfg = {**DEFAULT_LLN_CONFIG, **config}
+    cfg = _settings("lln", config)
     population = population_from_json(cfg["population"])
     constraint = constraint_from_json(cfg["constraint"])
     cost = cost_from_json(cfg["cost"])
@@ -221,8 +258,8 @@ def run_lln(config: dict) -> SuiteResult:
     decay_ok = med_j[n_hi] <= 0.5 * med_j[n_lo]
     ns = sorted(med_meta)
     meta_ok = all(med_meta[a] > med_meta[b] for a, b in zip(ns, ns[1:]))
-    passed = decay_ok and meta_ok and not report.incomplete
-    rows = [[n, s, jb, mj, 1] for n, s, jb, mj, _ in report.records]
+    passed = decay_ok and meta_ok and not report.errors
+    rows = [[n, s, jb, mj, 1] for n, s, jb, mj in report.records]
     return SuiteResult(
         name="lln", passed=passed,
         columns=["n", "seed", "j_to_population_barycenter", "meta_j", "passed"],
@@ -232,23 +269,14 @@ def run_lln(config: dict) -> SuiteResult:
     )
 
 
-DEFAULT_PERTURB_CONFIG = {
-    "population": {"generator": {"box": [[0.0, 0.0], [1.0, 1.0]], "count": 1,
-                                 "max_atoms": 4, "seed": 2}},
-    "constraint": {"kind": "grid", "shape": [9, 9], "box": [[0.0, 0.0], [1.0, 1.0]]},
-    "deltas": [0.0, 0.01, 0.05, 0.1],
-    "cost": {"kind": "norm_power", "p": 2},
-}
-
-
 def run_perturb(config: dict) -> SuiteResult:
     """Zero at delta=0 and a nondecreasing lifted track on Dirac populations."""
-    cfg = {**DEFAULT_PERTURB_CONFIG, **config}
+    cfg = _settings("perturb", config)
     population = population_from_json(cfg["population"])
     constraint = constraint_from_json(cfg["constraint"])
     cost = cost_from_json(cfg["cost"])
     report = perturbation_experiment(
-        population, cfg["deltas"], constraint, cost, seed=int(cfg.get("seed", 0))
+        population, cfg["deltas"], constraint, cost, seed=int(cfg["seed"])
     )
     meta_track = report.summary["meta_j_track"]
     j_track = report.summary["j_track"]
@@ -261,7 +289,7 @@ def run_perturb(config: dict) -> SuiteResult:
     if dirac_pop:
         mono_ok = all(b >= a - 1e-12 for a, b in zip(meta_track, meta_track[1:]))
     passed = zero_ok and mono_ok
-    rows = [[d, mj, jb, 1] for d, mj, jb, _ in report.records]
+    rows = [[d, mj, jb, 1] for d, mj, jb in report.records]
     return SuiteResult(
         name="perturb", passed=passed,
         columns=["delta", "meta_j", "j_to_base_barycenter", "passed"],

@@ -177,7 +177,7 @@ def test_c09_law_of_large_numbers():
     elapsed = time.monotonic() - t0
     decay_ok = med_j[64] <= 0.5 * med_j[4]
     meta_ok = med_meta[4] > med_meta[16] > med_meta[64]
-    ok = decay_ok and meta_ok and not report.incomplete and elapsed < 300.0
+    ok = decay_ok and meta_ok and not report.errors and elapsed < 300.0
     _report(9, "law of large numbers", ok,
             f"median_j {med_j}, median_meta {med_meta}, {elapsed:.1f}s")
 

@@ -80,14 +80,14 @@ def test_free_support_midpoint():
         prob = BarycenterProblem.make(
             [(dirac(LINE, a), 0.5), (dirac(LINE, b), 0.5)], Constraint.free(1), SQ
         )
-        res = barycenter_free_support(prob, k=1)
+        res = barycenter_free_support(prob)
         assert res.measure.same_as(dirac(LINE, [(a[0] + b[0]) / 2]), atol=1e-9)
         assert res.certificate.kind == "local_stationary"
 
 
 def test_free_support_quartic_midpoint():
     prob = two_dirac_problem(Constraint.free(1), QUARTIC)
-    res = barycenter_free_support(prob, k=1)
+    res = barycenter_free_support(prob)
     assert res.measure.same_as(dirac(LINE, [0.5]), atol=1e-9)
     assert res.objective == pytest.approx(0.5**4, abs=1e-12)
 
@@ -95,7 +95,7 @@ def test_free_support_quartic_midpoint():
 def test_free_support_and_quantile_place_the_abs_atom_alike():
     # every point of [0, 1] is optimal; both routes take the middle of the
     # weighted-median interval
-    free = barycenter_free_support(two_dirac_problem(Constraint.free(1), ABS), k=1)
+    free = barycenter_free_support(two_dirac_problem(Constraint.free(1), ABS))
     quantile = barycenter_quantile_1d(two_dirac_problem(Constraint.quantile_1d(), ABS))
     for res in (free, quantile):
         assert res.measure.atoms.tolist() == [[0.5]]
@@ -137,7 +137,7 @@ def test_convex_argmin_matches_a_dense_grid(seed):
 def test_free_support_fixed_point():
     m = canonicalize([[0.0], [1.0], [3.0]], [0.2, 0.3, 0.5], LINE)
     prob = BarycenterProblem.make([(m, 1.0)], Constraint.free(3), SQ)
-    res = barycenter_free_support(prob, k=3)
+    res = barycenter_free_support(prob)
     assert res.objective == pytest.approx(0.0, abs=1e-9)
     assert res.measure.same_as(m, atol=1e-8)
 
@@ -146,7 +146,7 @@ def test_free_support_trace_nonincreasing():
     for seed in range(5):
         ms = [generate_random_measure(seed * 10 + i, [-1, -1], [1, 1], 4) for i in range(3)]
         prob = BarycenterProblem.make([(m, 1.0) for m in ms], Constraint.free(3), SQ)
-        res = barycenter_free_support(prob, k=3, init_seed=seed)
+        res = barycenter_free_support(prob, init_seed=seed)
         values = [v for _, v in res.trace]
         assert all(b <= a + 1e-9 for a, b in zip(values, values[1:]))
         assert values[-1] <= values[0] + 1e-9
@@ -155,7 +155,7 @@ def test_free_support_trace_nonincreasing():
 def test_free_support_rejects_nonconvex():
     prob = two_dirac_problem(Constraint.free(1), CostSpec.metric_power(0.5))
     with pytest.raises(NotConvexCost):
-        barycenter_free_support(prob, k=1)
+        barycenter_free_support(prob)
 
 
 def test_quantile_two_diracs():
@@ -283,10 +283,10 @@ def test_translation_equivariance_free_support():
     shift = np.array([0.5, -0.25])
     ms = [generate_random_measure(700 + i, [-1, -1], [1, 1], 3) for i in range(2)]
     prob = BarycenterProblem.make([(m, 1.0) for m in ms], Constraint.free(2), SQ)
-    res = barycenter_free_support(prob, k=2, init_seed=1)
+    res = barycenter_free_support(prob, init_seed=1)
     shifted = [pushforward(m, lambda x: x + shift) for m in ms]
     prob_s = BarycenterProblem.make([(m, 1.0) for m in shifted], Constraint.free(2), SQ)
-    res_s = barycenter_free_support(prob_s, k=2, init_seed=1)
+    res_s = barycenter_free_support(prob_s, init_seed=1)
     np.testing.assert_allclose(res_s.measure.atoms, res.measure.atoms + shift, atol=1e-9)
     assert res_s.objective == pytest.approx(res.objective, abs=1e-9)
 

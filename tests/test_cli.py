@@ -6,8 +6,19 @@ from pathlib import Path
 
 import pytest
 
-from mkbary import ConstructionFailed, NumericalFailure, cli, glue, solve_transport
+from mkbary import (
+    ConstructionFailed,
+    NumericalFailure,
+    barycenter_fixed_support,
+    barycenter_free_support,
+    barycenter_quantile_1d,
+    cli,
+    glue,
+    problem_from_json,
+    solve_transport,
+)
 from mkbary.cli import main
+from mkbary.verify import SUITES
 
 MEASURE_01 = {"space": {"kind": "euclidean", "dim": 1},
               "atoms": [[0.0], [1.0]], "weights": [0.5, 0.5]}
@@ -263,6 +274,103 @@ def test_barycenter_wrong_method_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "barycenter.json").exists()
 
 
+ROUTE_CONSTRAINTS = {"simplex_over": {"kind": "simplex_over", "atoms": [[0.0], [1.0]]},
+                     "free": {"kind": "free", "k": 1},
+                     "quantile_1d": {"kind": "quantile_1d"}}
+ROUTES = {"fixed": barycenter_fixed_support, "free": barycenter_free_support,
+          "quantile1d": barycenter_quantile_1d}
+
+
+@pytest.mark.parametrize("kind", list(ROUTE_CONSTRAINTS))
+@pytest.mark.parametrize("method", list(ROUTES))
+def test_the_constraint_picks_the_barycenter_route(tmp_path, capsys, kind, method):
+    dirac = {"space": {"kind": "euclidean", "dim": 1}, "weights": [1.0]}
+    problem = {"inputs": [{"measure": dict(dirac, atoms=[[x]]), "lambda": 0.5}
+                          for x in (0.0, 1.0)],
+               "constraint": ROUTE_CONSTRAINTS[kind], "cost": COST_SQ}
+    pf = write(tmp_path / "prob.json", problem)
+    assert main(["barycenter", pf, "--out-dir", str(tmp_path / "plain")]) == 0
+    # the candidate set {0, 1} keeps the atom off 0.5
+    assert capsys.readouterr().out == ("0.5\n" if kind == "simplex_over" else "0.25\n")
+    plain = (tmp_path / "plain" / "barycenter.json").read_bytes()
+    out = tmp_path / "flagged"
+    rc = main(["barycenter", pf, "--method", method, "--out-dir", str(out)])
+    route, prob = ROUTES[method], problem_from_json(problem)
+    if cli.METHODS[kind] == method:
+        assert rc == 0
+        assert (out / "barycenter.json").read_bytes() == plain
+        assert route(prob).objective == json.loads(plain)["objective"]
+    else:
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: --method {method} ") and err.count("\n") == 1
+        assert not out.exists()
+        needed = {m: k for k, m in cli.METHODS.items()}[method]
+        with pytest.raises(ValueError, match=f"needs a {needed} constraint, not {kind}"):
+            route(prob)
+
+
+@pytest.mark.parametrize("command", ["transport", "barycenter", "verify", "constants"])
+def test_json_of_the_wrong_type_is_a_parse_error(tmp_path, capsys, command):
+    mu = write(tmp_path / "mu.json", MEASURE_01)
+    cost = write(tmp_path / "c.json", COST_SQ)
+    for k, text in enumerate(["[1, 2]", '"x"', "5", "null"]):
+        bad = tmp_path / f"bad{k}.json"
+        bad.write_text(text)
+        argv = {"transport": ["transport", mu, str(bad), cost],
+                "barycenter": ["barycenter", str(bad)],
+                "verify": ["verify", "convexity", "--config", str(bad)],
+                "constants": ["constants", str(bad)]}[command]
+        assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"parse error: {bad}: the top level must be a JSON object, not ")
+        assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+BAD_FIELDS = [
+    ("problem", {"inputs": 5}, "problem field 'inputs' must be an array of objects, not number"),
+    ("problem", {"inputs": [5]}, "problem field 'inputs' must be an array of objects"),
+    ("problem", {"constraint": [1]}, "problem field 'constraint' must be an object, not array"),
+    ("problem", {"constraint": {"kind": "free", "k": [1]}},
+     "constraint field 'k' must be a number, not array"),
+    ("problem", {"constraint": {"kind": "grid", "shape": 5, "box": 3}},
+     "constraint field 'box' must be an array of numbers, not number"),
+    ("problem", {"inputs": [{"measure": MEASURE_01, "lambda": [1]}]},
+     "input field 'lambda' must be a number, not array"),
+    ("measure", {"weights": {"a": 1}},
+     "measure field 'weights' must be an array of numbers, not object"),
+    ("measure", {"atoms": [{}, {}]}, "measure field 'atoms' must be an array of numbers"),
+    ("measure", {"space": 5}, "measure field 'space' must be an object, not number"),
+    ("measure", {"space": {"kind": "euclidean", "dim": [1]}},
+     "space field 'dim' must be a number, not array"),
+    ("cost", {"p": [2]}, "cost field 'p' must be a number, not array"),
+    ("cost", {"declared_constants": 5},
+     "cost field 'declared_constants' must be an object, not number"),
+    ("config", {"count": [1]}, "convexity field 'count' must be a number, not array"),
+    ("config", {"t_grid": 5}, "convexity field 't_grid' must be an array of numbers, not number"),
+    ("config", {"cost": 5}, "convexity field 'cost' must be an object, not number"),
+]
+
+
+@pytest.mark.parametrize("where, fields, message", BAD_FIELDS)
+def test_fields_of_the_wrong_type_are_parse_errors(tmp_path, capsys, where, fields, message):
+    problem = {"inputs": [{"measure": MEASURE_01, "lambda": 1.0}],
+               "constraint": {"kind": "free", "k": 1}, "cost": COST_SQ}
+    obj = {"problem": problem, "measure": MEASURE_01, "cost": COST_SQ, "config": {}}[where]
+    bad = write(tmp_path / "bad.json", {**obj, **fields})
+    good_mu = write(tmp_path / "mu.json", MEASURE_01)
+    good_cost = write(tmp_path / "c.json", COST_SQ)
+    argv = {"problem": ["barycenter", bad],
+            "measure": ["transport", good_mu, bad, good_cost],
+            "cost": ["transport", good_mu, good_mu, bad],
+            "config": ["verify", "convexity", "--config", bad]}[where]
+    out = tmp_path / "out"
+    assert main(argv + ["--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == f"parse error: {message}\n"
+    assert not out.exists()
+
+
 def test_constants_output(tmp_path, capsys):
     cost = write(tmp_path / "c.json", COST_SQ)
     rc = main(["constants", cost, "--out-dir", str(tmp_path)])
@@ -383,15 +491,6 @@ def test_verify_too_small_q_fails_with_witness(tmp_path, capsys):
     assert failed and all("mu[" in r["witness"] for r in failed)
 
 
-def test_verify_deterministic_outputs(tmp_path):
-    cfg = write(tmp_path / "cfg.json", {"count": 8})
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert main(["verify", "convexity", "--config", cfg, "--out-dir", str(out1)]) == 0
-    assert main(["verify", "convexity", "--config", cfg, "--out-dir", str(out2)]) == 0
-    assert (out1 / "convexity.csv").read_bytes() == (out2 / "convexity.csv").read_bytes()
-    assert (out1 / "convexity_summary.json").read_bytes() == (out2 / "convexity_summary.json").read_bytes()
-
-
 def test_verify_criterion_suite(tmp_path, capsys):
     rc = main(["verify", "criterion", "--out-dir", str(tmp_path)])
     assert rc == 0
@@ -409,6 +508,53 @@ SMALL_LLN = {
 }
 
 
+SMALL_PERTURB = {
+    "population": {"generator": {"box": [[0.0, 0.0], [1.0, 1.0]], "count": 1,
+                                 "max_atoms": 3, "seed": 2}},
+    "constraint": {"kind": "grid", "shape": [5, 5], "box": [[0.0, 0.0], [1.0, 1.0]]},
+    "deltas": [0.0, 0.05],
+    "cost": {"kind": "norm_power", "p": 2},
+}
+SMALL_CONFIGS = {"convexity": {"count": 8}, "triangle": {"count": 8}, "q-triangle": {"count": 4},
+                 "criterion": {"trunc_n": [1, 2, 3]}, "lln": SMALL_LLN,
+                 "perturb": SMALL_PERTURB}
+
+
+def test_verify_deterministic_outputs(tmp_path):
+    assert set(SMALL_CONFIGS) == set(SUITES)
+    for suite, config in SMALL_CONFIGS.items():
+        cfg = write(tmp_path / f"{suite}.json", config)
+        out1, out2 = tmp_path / suite / "a", tmp_path / suite / "b"
+        assert main(["verify", suite, "--config", cfg, "--out-dir", str(out1)]) == 0
+        assert main(["verify", suite, "--config", cfg, "--out-dir", str(out2)]) == 0
+        for name in (f"{suite}.csv", f"{suite}_summary.json"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+# per suite, a key it does not read (the other suites read each of them)
+FOREIGN_KEYS = {"convexity": "deltas", "triangle": "t_grid", "q-triangle": "cost",
+                "criterion": "count", "lln": "count", "perturb": "count"}
+
+
+@pytest.mark.parametrize("suite", list(FOREIGN_KEYS))
+def test_verify_rejects_a_key_the_suite_does_not_read(tmp_path, capsys, monkeypatch, suite):
+    from mkbary import lp
+
+    def no_lp(*args):
+        raise AssertionError("an LP ran before the config was checked")
+
+    monkeypatch.setattr(lp, "Model", no_lp)  # every LP, one-shot or kept, starts here
+    key = FOREIGN_KEYS[suite]
+    for config in ({key: 5}, {**SMALL_CONFIGS[suite], "bogus": "x"}):
+        cfg = write(tmp_path / "cfg.json", config)
+        assert main(["verify", suite, "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"parse error: {suite} reads no ") and err.count("\n") == 1
+        assert repr(next(iter(set(config) - set(SMALL_CONFIGS[suite])))) in err
+        assert not (tmp_path / f"{suite}.csv").exists()
+        assert not (tmp_path / "manifest.json").exists()
+
+
 def test_verify_lln_and_perturb_cli(tmp_path, capsys):
     cfg = write(tmp_path / "lln.json", SMALL_LLN)
     rc = main(["verify", "lln", "--config", cfg, "--jobs", "2", "--out-dir", str(tmp_path)])
@@ -417,13 +563,7 @@ def test_verify_lln_and_perturb_cli(tmp_path, capsys):
     assert lln_csv[0] == "n,seed,j_to_population_barycenter,meta_j,passed"
     assert len(lln_csv) == 1 + 2 * 3  # header + |n_grid| * |seeds|
 
-    perturb_cfg = write(tmp_path / "p.json", {
-        "population": {"generator": {"box": [[0.0, 0.0], [1.0, 1.0]], "count": 1,
-                                     "max_atoms": 3, "seed": 2}},
-        "constraint": {"kind": "grid", "shape": [5, 5], "box": [[0.0, 0.0], [1.0, 1.0]]},
-        "deltas": [0.0, 0.05],
-        "cost": {"kind": "norm_power", "p": 2},
-    })
+    perturb_cfg = write(tmp_path / "p.json", SMALL_PERTURB)
     rc = main(["verify", "perturb", "--config", perturb_cfg, "--out-dir", str(tmp_path)])
     assert rc == 0
     assert (tmp_path / "perturb.csv").exists()

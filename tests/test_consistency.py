@@ -67,7 +67,7 @@ def test_generator_deterministic_and_bounded():
 def test_lln_single_atom_population():
     pop = MetaDistribution.dirac(generate_random_measure(3, [0.0, 0.0], [1.0, 1.0], 3))
     report = lln_experiment(pop, [2, 4], [0, 1], GRID5, SQ)
-    for _, _, j_bar, meta_j, _ in report.records:
+    for _, _, j_bar, meta_j in report.records:
         assert j_bar <= 1e-9
         assert meta_j <= 1e-12
 
@@ -76,10 +76,8 @@ def test_lln_bit_reproducible():
     pop = random_population(3, 9, [0.0, 0.0], [1.0, 1.0], 3)
     r1 = lln_experiment(pop, [2, 4], [0, 1, 2], GRID5, SQ)
     r2 = lln_experiment(pop, [2, 4], [0, 1, 2], GRID5, SQ)
-    a = [(n, s, j, m) for n, s, j, m, _ in r1.records]
-    b = [(n, s, j, m) for n, s, j, m, _ in r2.records]
-    assert a == b  # bit-identical, runtimes excluded
-    assert not r1.incomplete
+    assert r1.records == r2.records  # bit-identical
+    assert not r1.errors
 
 
 def test_lln_solves_each_distinct_draw_once(monkeypatch):
@@ -108,7 +106,7 @@ def test_lln_solves_each_distinct_draw_once(monkeypatch):
     # the population's barycenter, then one LP per distinct frequency vector
     assert len(solved) == 1 + len({f.tobytes() for f in draws.values()}) < 1 + len(draws)
     # every record, repeated or not, is its draw solved alone and cold
-    for n, seed, j_bar, meta_j, _ in report.records:
+    for n, seed, j_bar, meta_j in report.records:
         freq = draws[(n, seed)]
         inputs = [(m, f) for m, f in zip(pop.atoms, freq) if f > 0]
         emp = barycenter_fixed_support(BarycenterProblem.make(inputs, GRID5, SQ))
@@ -128,7 +126,7 @@ def test_perturbation_zero_delta_and_monotone_meta():
     # keep the perturbed barycenter usc_eps-close to the base one
     thr = report.summary["usc_threshold"]
     eps = report.summary["usc_eps"]
-    for delta, _, j_bar, _ in report.records:
+    for delta, _, j_bar in report.records:
         if delta <= thr:
             assert j_bar <= eps
 
@@ -159,10 +157,10 @@ def test_kept_bases_match_runs_without_them(monkeypatch):
     # per-run start bases and with every barycenter LP solved cold
     import mkbary.consistency as consistency
     from mkbary.costs import cost_from_json
-    from mkbary.verify import DEFAULT_LLN_CONFIG, DEFAULT_PERTURB_CONFIG
+    from mkbary.verify import DEFAULTS
 
     def experiments():
-        lln, per = DEFAULT_LLN_CONFIG, DEFAULT_PERTURB_CONFIG
+        lln, per = DEFAULTS["lln"], DEFAULTS["perturb"]
         return (
             lln_experiment(consistency.population_from_json(lln["population"]), lln["n_grid"],
                            lln["seeds"], constraint_from_json(lln["constraint"]),
@@ -182,4 +180,4 @@ def test_kept_bases_match_runs_without_them(monkeypatch):
     for warm_report, cold_report in zip(kept, cold):
         assert len(warm_report.records) == len(cold_report.records)
         for got, want in zip(warm_report.records, cold_report.records):
-            np.testing.assert_allclose(got[:-1], want[:-1], rtol=0, atol=1e-15)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
