@@ -104,7 +104,7 @@ def constraint_from_json(obj: dict) -> Constraint:
         mesh = np.meshgrid(*axes, indexing="ij")
         return Constraint.simplex_over(np.stack([m.ravel() for m in mesh], axis=-1))
     if kind == "free":
-        return Constraint.free(int(json_field(obj, "k", "number", "constraint")))
+        return Constraint.free(json_field(obj, "k", "integer", "constraint"))
     if kind == "quantile_1d":
         return Constraint.quantile_1d()
     raise ValueError(f"unknown constraint kind {kind!r}")
@@ -169,8 +169,19 @@ def objective(nu: DiscreteMeasure, problem: BarycenterProblem) -> float:
 # Fixed-support joint LP
 # ---------------------------------------------------------------------------
 
-def _joint_lp_system(inputs, cost: CostSpec, S: np.ndarray):
-    """Assemble the joint LP over (coupling blocks, candidate weights).
+@dataclass
+class _System:
+    """The constraint side of a joint LP, and the last optimal basis of a model of it."""
+
+    A: lp.CSC
+    rhs: np.ndarray
+    n_gamma: int
+    K: int
+    basis: object = None
+
+
+def _joint_lp_rows(inputs, K: int) -> _System:
+    """The constraint rows of the joint LP over (coupling blocks, candidate weights).
 
     Input i adds its n_i x K coupling and n_i + K rows: the row marginals
     sum_k gamma_jk = mu_j, then the ties sum_j gamma_jk - w_k = 0.  The last
@@ -179,13 +190,11 @@ def _joint_lp_system(inputs, cost: CostSpec, S: np.ndarray):
     and in its tie row, w_k holds -1 in the k-th tie row of every input and
     1 in the last row.
     """
-    K = len(S)
     n_gamma = K * sum(m.n_atoms for m, _ in inputs)
-    c_parts, gamma_rows, tie_rows, rhs = [], [], [], []
+    gamma_rows, tie_rows, rhs = [], [], []
     r = 0
-    for m, lam in inputs:
+    for m, _ in inputs:
         sz = m.n_atoms
-        c_parts.append(lam * cost.table(m.space, m.atoms, S).ravel())
         gamma_rows.append(np.stack([r + np.repeat(np.arange(sz), K),
                                     r + sz + np.tile(np.arange(K), sz)], axis=1).ravel())
         tie_rows.append(r + sz + np.arange(K))
@@ -199,7 +208,31 @@ def _joint_lp_system(inputs, cost: CostSpec, S: np.ndarray):
     data = np.concatenate([np.ones(2 * n_gamma),
                            np.tile(np.append(np.full(n_ties, -1.0), 1.0), K)])
     A = lp.CSC(data, indices, indptr, (r + 1, n_gamma + K))
-    return np.concatenate(c_parts + [np.zeros(K)]), A, np.concatenate(rhs + [[1.0]]), n_gamma, K
+    return _System(A, np.concatenate(rhs + [[1.0]]), n_gamma, K)
+
+
+def _joint_lp_system(inputs, cost: CostSpec, S: np.ndarray, systems: Optional[dict] = None):
+    """The joint LP's costs and its ``_System`` (see ``_joint_lp_rows``).
+
+    The costs are lambda_i times input i's cost table on the candidates,
+    then 0 for every weight.  ``systems`` holds the ``_System`` of each
+    constraint system one experiment run has met, keyed by the inputs' atom
+    counts and weights and the candidate set: A and rhs are assembled once,
+    and the last optimal basis is kept, so that a later LP of the same
+    system, which differs only in its costs, starts warm.  It keeps bases
+    rather than models: a model takes about a kilobyte per column.  With no
+    ``systems``, the system is assembled afresh.
+    """
+    K = len(S)
+    key = (tuple((m.n_atoms, m.weights.tobytes()) for m, _ in inputs), S.shape, S.tobytes())
+    system = None if systems is None else systems.get(key)
+    if system is None:
+        system = _joint_lp_rows(inputs, K)
+        if systems is not None:
+            systems[key] = system
+    c = np.concatenate([lam * cost.table(m.space, m.atoms, S).ravel() for m, lam in inputs]
+                       + [np.zeros(K)])
+    return c, system
 
 
 def _split_gammas(x: np.ndarray, inputs, K: int):
@@ -251,7 +284,7 @@ def _face_tie_break(model: lp.Model, c_vec, off_face, h, value, tol):
 
 
 def _fixed_support_lp(inputs, cost: CostSpec, S: np.ndarray, tie_break: bool = True,
-                      bases: Optional[dict] = None):
+                      systems: Optional[dict] = None):
     """Globally optimal candidate weights for a fixed atom set.
 
     Returns (weights, value, gap, alt_weights, gammas): alt_weights is a
@@ -274,22 +307,20 @@ def _fixed_support_lp(inputs, cost: CostSpec, S: np.ndarray, tie_break: bool = T
     is rejected, the main LP's vertex is returned untie-broken and a
     warning goes to the ``mkbary`` logger.
 
-    ``bases`` keeps the last optimal basis of each constraint system, keyed
-    by the inputs' atom counts and weights and the candidate set, so that a
-    later LP of the same system, which differs only in its costs, starts
-    warm.  It keeps bases rather than models: a model takes about a
-    kilobyte per column.  A warm run that is not optimal is re-run cold by
+    ``systems`` (see ``_joint_lp_system``) supplies the assembled system and
+    its start basis, and keeps this run's optimal basis for the next LP of
+    the system.  A warm run that is not optimal is re-run cold by
     the kernel on the same model, so the basis kept and the model the
     tie-break runs on are those of the run whose answer is returned.
     """
-    c_vec, A, rhs, n_gamma, K = _joint_lp_system(inputs, cost, S)
-    key = (tuple((m.n_atoms, m.weights.tobytes()) for m, _ in inputs), S.shape, S.tobytes())
-    model = lp.Model(c_vec, A, rhs, None if bases is None else bases.get(key))
+    c_vec, system = _joint_lp_system(inputs, cost, S, systems)
+    A, rhs, n_gamma, K = system.A, system.rhs, system.n_gamma, system.K
+    model = lp.Model(c_vec, A, rhs, system.basis)
     res = model.run()
     if res.status != 0:
         raise NumericalFailure(f"barycenter LP failed: {res.message}")
-    if bases is not None:
-        bases[key] = model.basis()
+    if systems is not None:
+        system.basis = model.basis()
     value = float(res.fun)
     dual = float(rhs @ res.duals)
     gap = max(0.0, value - dual)
@@ -328,18 +359,18 @@ def _fixed_support_lp(inputs, cost: CostSpec, S: np.ndarray, tie_break: bool = T
 
 
 def barycenter_fixed_support(problem: BarycenterProblem, *,
-                             _bases: Optional[dict] = None) -> BarycenterResult:
+                             _systems: Optional[dict] = None) -> BarycenterResult:
     """Solve the barycenter LP on the simplex over the candidate atoms.
 
-    ``_bases`` holds the start bases of one experiment run (see
-    ``_fixed_support_lp``); it is not part of the public interface.
+    ``_systems`` holds the constraint systems of one experiment run (see
+    ``_joint_lp_system``); it is not part of the public interface.
     """
     _require_kind(problem, "simplex_over", "fixed-support")
     S = problem.constraint.atoms
     if problem.space.kind == "finite":
         S = _as_indices(problem.space, S.reshape(-1))
     w, value, gap, w_alt, _ = _fixed_support_lp(problem.inputs, problem.cost, S,
-                                                 bases=_bases)
+                                                 systems=_systems)
     measure = canonicalize(S, w / w.sum(), problem.space)
     alt = None
     if w_alt is not None:
@@ -420,9 +451,12 @@ def _farthest_point_init(pool: np.ndarray, k: int, cost: CostSpec, seed: int) ->
 # the objective by at most FREE_REL_TOL (1 + |previous objective|)
 FREE_MAX_ITER = 200
 FREE_REL_TOL = 1e-8
+# the default seed of the free-support run's farthest-point pick
+FREE_INIT_SEED = 0
 
 
-def barycenter_free_support(problem: BarycenterProblem, init_seed: int = 0) -> BarycenterResult:
+def barycenter_free_support(problem: BarycenterProblem,
+                            init_seed: int = FREE_INIT_SEED) -> BarycenterResult:
     """Alternate between the fixed-support LP and per-atom convex updates.
 
     Places at most the ``free`` constraint's budget k of atoms, starting

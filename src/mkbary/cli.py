@@ -13,7 +13,8 @@ computation hit an unbounded ratio or a failed construction), 4 usage
 error.
 
 ``barycenter`` runs the route of the problem file's constraint kind;
-``--method``, when given, must name that route.
+``--method``, when given, must name that route, and ``--seed`` (the
+start of the ``free`` route's atom pick) is for that route alone.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import scipy
 
 from . import __version__
 from .barycenter import (
+    FREE_INIT_SEED,
     barycenter_fixed_support,
     barycenter_free_support,
     barycenter_quantile_1d,
@@ -118,14 +120,19 @@ def _write_plan(fh, plan) -> None:
 
     The coupling is encoded one row at a time, so neither its m*n floats as
     Python objects nor their whole text are held at once.  "coupling" sorts
-    first among the keys.
+    first among the keys.  ``json`` writes a finite float by
+    ``float.__repr__``; a plan is mostly +0.0, so those entries are written
+    as "0.0" and only the rest (-0.0 included) go through ``float.__repr__``.
     """
     fields = json.dumps(_plan_fields(plan), sort_keys=True)
     fh.write('{"coupling": [')
     for i, row in enumerate(plan.coupling):
         if i:
             fh.write(", ")
-        fh.write(json.dumps(row.tolist()))
+        text = ["0.0"] * len(row)
+        for j in np.flatnonzero((row != 0.0) | np.signbit(row)).tolist():
+            text[j] = float.__repr__(row[j])
+        fh.write("[" + ", ".join(text) + "]")
     fh.write("], " + fields[1:] + "\n")
 
 
@@ -166,8 +173,13 @@ def cmd_barycenter(args) -> int:
     if args.method not in (None, method):
         raise UsageError(f"--method {args.method} does not solve the problem file's "
                          f"{kind} constraint; its route is {method}")
+    config = {"method": method}
     if kind == "free":
-        result = barycenter_free_support(problem, init_seed=args.seed)
+        config["seed"] = FREE_INIT_SEED if args.seed is None else args.seed
+        result = barycenter_free_support(problem, init_seed=config["seed"])
+    elif args.seed is not None:
+        raise UsageError(f"--seed {args.seed}: the {method} route of the problem file's "
+                         f"{kind} constraint draws nothing; only the free route takes a seed")
     elif kind == "quantile_1d":
         result = barycenter_quantile_1d(problem)
     else:
@@ -179,8 +191,7 @@ def cmd_barycenter(args) -> int:
         json.dump(result_to_json(result), fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(_fmt(result.objective))
-    _write_manifest(out_dir, "barycenter", [args.problem], [out_path],
-                    {"method": method, "seed": args.seed}, started)
+    _write_manifest(out_dir, "barycenter", [args.problem], [out_path], config, started)
     return 0
 
 
@@ -237,7 +248,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("problem")
     p.add_argument("--method", choices=list(METHODS.values()), default=None,
                    help="optional; must name the route of the file's constraint")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None,
+                   help=f"the free route's start seed (default {FREE_INIT_SEED}); "
+                        "no other route takes one")
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_barycenter)
 

@@ -12,7 +12,9 @@ fixed direction field scaled by delta so both tracks are deterministic.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
+
 import numpy as np
 
 from .barycenter import BarycenterProblem, Constraint, barycenter_fixed_support
@@ -26,6 +28,8 @@ from .measures import (
     merge_equal_measures,
 )
 from .transport import solve_lp_batch, solve_lp_matrix, transport_costs
+
+log = logging.getLogger("mkbary")
 
 
 @dataclass(frozen=True)
@@ -115,15 +119,38 @@ class ExperimentReport:
 
 
 def _population_barycenter(population: MetaDistribution, constraint: Constraint,
-                           cost: CostSpec, bases: dict):
+                           cost: CostSpec, systems: dict):
     problem = BarycenterProblem.make(
         [(m, p) for m, p in zip(population.atoms, population.probs)], constraint, cost
     )
-    result = barycenter_fixed_support(problem, _bases=bases)
+    result = barycenter_fixed_support(problem, _systems=systems)
     reps = [result.measure]
     if result.alt_measure is not None:
         reps.append(result.alt_measure)
     return result, reps
+
+
+def _solve_draws(pending: dict) -> dict:
+    """Each pending draw's transport LPs, all in one ``solve_lp_batch`` call.
+
+    ``pending`` maps a draw to its list of ``(C, a, b)`` triples; the result
+    maps it to their solutions, or to the repr of the exception that its
+    own LPs raised.  When the shared call raises, each draw is solved again
+    alone, with one warning, so a failing LP costs only its own draw.
+    """
+    try:
+        sols = iter(solve_lp_batch([t for triples in pending.values() for t in triples]))
+        return {key: [next(sols) for _ in triples] for key, triples in pending.items()}
+    except Exception as exc:
+        log.warning("lln: the shared transport batch of %d draws failed (%r); "
+                    "solving each draw alone", len(pending), exc)
+    out = {}
+    for key, triples in pending.items():
+        try:
+            out[key] = solve_lp_batch(triples)
+        except Exception as exc:
+            out[key] = repr(exc)
+    return out
 
 
 def lln_experiment(
@@ -140,19 +167,23 @@ def lln_experiment(
     distance to the nearest population-barycenter representative together
     with the lifted distance between the empirical and true populations.
     Fixed seeds make the run bit-reproducible.  Each barycenter LP starts
-    from the last optimal basis of its subset of population measures.  A
+    from the last optimal basis of its subset of population measures, on a
+    system assembled once (see ``barycenter._joint_lp_system``).  A
     draw depends only on its frequencies counts / n, so a draw with the
-    frequencies of an earlier one that was solved reuses its record values.
+    frequencies of an earlier one reuses its barycenter.  The J(emp, rep)
+    and lifted-distance LPs of every distinct draw are solved together,
+    after the last barycenter, in one transport batch (see ``_solve_draws``).
+    A draw whose barycenter or transport LPs raise is a hole in the report.
     """
     n_grid = sorted(int(n) for n in n_grid)
     seeds = list(seeds)
-    bases = {}
-    pop_result, reps = _population_barycenter(population, constraint, cost, bases)
+    systems = {}
+    pop_result, reps = _population_barycenter(population, constraint, cost, systems)
     K = len(population.atoms)
     j_pop = _cost_table(population.atoms, population.atoms, cost)
 
-    records, errors = [], []
-    solved = {}  # the frequencies of a draw, as bytes -> its (j_bar, meta_j)
+    draws = []  # (n, seed, the draw's frequencies as bytes, or the repr of what it raised)
+    pending = {}  # frequencies as bytes -> the draw's J(emp, rep) and lifted-distance LPs
     for seed in seeds:
         rng = np.random.default_rng(seed)
         for n in n_grid:
@@ -160,23 +191,27 @@ def lln_experiment(
                 idx = rng.choice(K, size=n, p=population.probs)
                 freq = np.bincount(idx, minlength=K) / n
                 key = freq.tobytes()
-                if key not in solved:
+                if key not in pending:
                     sel = freq > 0
                     emp_inputs = [(population.atoms[i], freq[i]) for i in range(K) if sel[i]]
                     problem = BarycenterProblem.make(emp_inputs, constraint, cost)
-                    emp = barycenter_fixed_support(problem, _bases=bases)
-                    # the J(emp, rep) LPs and the lifted-distance LP as one batch
+                    emp = barycenter_fixed_support(problem, _systems=systems)
                     C = cost.matrix
-                    sols = solve_lp_batch(
-                        [(C(emp.measure, rep), emp.measure.weights, rep.weights)
-                         for rep in reps]
-                        + [(j_pop[sel], freq[sel], population.probs)]
-                    )
-                    solved[key] = min(sol[1] for sol in sols[:-1]), sols[-1][1]
-                j_bar, meta_j = solved[key]
-                records.append((n, seed, j_bar, meta_j))
+                    pending[key] = ([(C(emp.measure, rep), emp.measure.weights, rep.weights)
+                                     for rep in reps]
+                                    + [(j_pop[sel], freq[sel], population.probs)])
+                draws.append((n, seed, key))
             except Exception as exc:  # record the hole, keep the report partial
-                errors.append((n, seed, repr(exc)))
+                draws.append((n, seed, repr(exc)))
+
+    solved = _solve_draws(pending)
+    records, errors = [], []
+    for n, seed, drawn in draws:
+        sols = solved[drawn] if isinstance(drawn, bytes) else drawn
+        if isinstance(sols, str):
+            errors.append((n, seed, sols))
+        else:
+            records.append((n, seed, min(sol[1] for sol in sols[:-1]), sols[-1][1]))
     records.sort(key=lambda r: (r[0], r[1]))
 
     med_j = {n: float(np.median([r[2] for r in records if r[0] == n])) for n in n_grid}
@@ -207,13 +242,13 @@ def perturbation_experiment(
     barycenter representative; with a shared direction field the lifted
     track is nondecreasing in delta on single-atom populations.  Each
     barycenter LP starts from the last optimal basis of LPs with the same
-    atom counts and weights.
+    atom counts and weights, on a system assembled once.
     """
     if population.space.kind != "euclidean":
         raise ValueError("perturbation harness needs a euclidean space")
     deltas = [float(d) for d in deltas]
-    bases = {}
-    pop_result, reps = _population_barycenter(population, constraint, cost, bases)
+    systems = {}
+    pop_result, reps = _population_barycenter(population, constraint, cost, systems)
     rng = np.random.default_rng(seed)
     offsets = [rng.uniform(-1.0, 1.0, size=m.atoms.shape) for m in population.atoms]
 
@@ -228,7 +263,7 @@ def perturbation_experiment(
         problem = BarycenterProblem.make(
             [(m, p) for m, p in zip(P_delta.atoms, P_delta.probs)], constraint, cost
         )
-        emp = barycenter_fixed_support(problem, _bases=bases)
+        emp = barycenter_fixed_support(problem, _systems=systems)
         j_bar = min(transport_costs([(emp.measure, rep) for rep in reps], cost))
         rows.append((delta, meta_j, j_bar))
 
@@ -264,7 +299,7 @@ def population_from_json(obj: dict) -> MetaDistribution:
         box = json_field(g, "box", "numbers", "generator")
         if len(box) != 2:
             raise ValueError("generator 'box' must be [lo, hi]")
-        count, seed, max_atoms = (int(json_field(g, key, "number", "generator"))
+        count, seed, max_atoms = (json_field(g, key, "integer", "generator")
                                   for key in ("count", "seed", "max_atoms"))
         return random_population(count, seed, box[0], box[1], max_atoms)
     measures = [measure_from_json(m)

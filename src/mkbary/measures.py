@@ -445,6 +445,7 @@ _JSON_KINDS = {
     "object": (dict, "an object"),
     "objects": (list, "an array of objects"),
     "number": ((int, float), "a number"),
+    "integer": ((int, float), "a number"),  # and integral, checked in json_field
     "numbers": (list, "an array of numbers"),
 }
 _JSON_NAMES = {dict: "object", list: "array", str: "string", int: "number", float: "number",
@@ -463,7 +464,8 @@ def json_field(obj: dict, key: str, kind: str, what: str):
     Every loader reads its fields through this, so a file of the wrong shape
     raises a ValueError naming the field instead of a TypeError inside a
     constructor; a missing key still raises KeyError.  ``numbers`` returns
-    a float array.
+    a float array.  ``integer`` takes an integral number, 2.0 too, and
+    returns it as an int; 2.5 is a ValueError, not truncated.
     """
     value = obj[key]
     types, noun = _JSON_KINDS[kind]
@@ -471,6 +473,10 @@ def json_field(obj: dict, key: str, kind: str, what: str):
         raise ValueError(f"{what} field {key!r} must be {noun}, not {json_name(value)}")
     if kind == "objects" and not all(isinstance(v, dict) for v in value):
         raise ValueError(f"{what} field {key!r} must be {noun}")
+    if kind == "integer":
+        if isinstance(value, float) and not value.is_integer():
+            raise ValueError(f"{what} field {key!r} must be an integer, not {value!r}")
+        return int(value)
     if kind == "numbers":
         try:
             return np.asarray(value, dtype=float)
@@ -488,10 +494,10 @@ def space_to_json(space: GroundSpace) -> dict:
 def space_from_json(obj: dict) -> GroundSpace:
     kind = obj.get("kind")
     if kind == "euclidean":
-        return GroundSpace.euclidean(int(json_field(obj, "dim", "number", "space")))
+        return GroundSpace.euclidean(json_field(obj, "dim", "integer", "space"))
     if kind == "finite":
         rho = json_field(obj, "rho", "numbers", "space")
-        if "n" in obj and int(json_field(obj, "n", "number", "space")) != rho.shape[0]:
+        if "n" in obj and json_field(obj, "n", "integer", "space") != rho.shape[0]:
             raise ValueError("declared point count disagrees with rho shape")
         return GroundSpace.finite(rho)
     raise ValueError(f"unknown space kind {kind!r}")

@@ -73,14 +73,15 @@ def _settings(suite: str, config: dict) -> dict:
     """``config`` over the suite's defaults, before any solve.
 
     Rejects a key the suite does not read, and a value whose JSON type is
-    not its default's: an object, an array of numbers, or a number (``null``
-    too where the default is ``None``).
+    not its default's: an object, an array of numbers, an integer (taken as
+    an int), or a number (``null`` too where the default is ``None``).
     """
     defaults = DEFAULTS[suite]
     unknown = sorted(set(config) - set(defaults))
     if unknown:
         raise ValueError(f"{suite} reads no {', '.join(map(repr, unknown))}; "
                          f"its keys are {', '.join(map(repr, sorted(defaults)))}")
+    settings = {**defaults, **config}
     for key, value in config.items():
         default = defaults[key]
         if isinstance(default, dict):
@@ -88,9 +89,11 @@ def _settings(suite: str, config: dict) -> dict:
         elif isinstance(default, list):
             if json_field(config, key, "numbers", suite).ndim != 1:
                 raise ValueError(f"{suite} field {key!r} must be a flat array of numbers")
+        elif isinstance(default, int):
+            settings[key] = json_field(config, key, "integer", suite)
         elif value is not None or default is not None:
             json_field(config, key, "number", suite)
-    return {**defaults, **config}
+    return settings
 
 
 def _measure_stream(seed: int, box_lo, box_hi, max_atoms: int):
@@ -105,9 +108,9 @@ def _measure_stream(seed: int, box_lo, box_hi, max_atoms: int):
 def run_convexity(config: dict) -> SuiteResult:
     """J(mixture, mixture) <= mixture of J, over random quadruples and a t grid."""
     cfg = _settings("convexity", config)
-    count, t_grid = int(cfg["count"]), cfg["t_grid"]
+    count, t_grid = cfg["count"], cfg["t_grid"]
     cost = cost_from_json(cfg["cost"])
-    gen = _measure_stream(int(cfg["seed"]), [-1, -1], [1, 1], int(cfg["max_atoms"]))
+    gen = _measure_stream(cfg["seed"], [-1, -1], [1, 1], cfg["max_atoms"])
 
     quads = [tuple(next(gen) for _ in range(4)) for _ in range(count)]
     pairs = []
@@ -135,11 +138,11 @@ def run_convexity(config: dict) -> SuiteResult:
 def run_triangle(config: dict) -> SuiteResult:
     """Inherited weak triangle with analytic (A, B) plus the gluing upper bound."""
     cfg = _settings("triangle", config)
-    count = int(cfg["count"])
+    count = cfg["count"]
     cost = cost_from_json(cfg["cost"])
     gc = growth_constants(cost)
     A, B = gc.A, gc.B
-    gen = _measure_stream(int(cfg["seed"]), [-1, -1], [1, 1], int(cfg["max_atoms"]))
+    gen = _measure_stream(cfg["seed"], [-1, -1], [1, 1], cfg["max_atoms"])
 
     triples = [tuple(next(gen) for _ in range(3)) for _ in range(count)]
     plans = iter(solve_transport_batch(
@@ -183,8 +186,8 @@ def _triple_witness(mu, nu, lam) -> str:
 def run_q_triangle(config: dict) -> SuiteResult:
     """J**(1/q) triangle inequality for norm-power costs."""
     cfg = _settings("q-triangle", config)
-    count, ps, q_override = int(cfg["count"]), cfg["powers"], cfg["q"]
-    gen = _measure_stream(int(cfg["seed"]), [-1, -1], [1, 1], int(cfg["max_atoms"]))
+    count, ps, q_override = cfg["count"], cfg["powers"], cfg["q"]
+    gen = _measure_stream(cfg["seed"], [-1, -1], [1, 1], cfg["max_atoms"])
 
     rows, ok = [], True
     for p in ps:
@@ -215,7 +218,7 @@ def run_criterion(config: dict) -> SuiteResult:
     cfg = _settings("criterion", config)
     cost = cost_from_json(cfg["cost"])
     line = GroundSpace.euclidean(1)
-    escape_ns, trunc_ns, seed = cfg["escape_n"], cfg["trunc_n"], int(cfg["seed"])
+    escape_ns, trunc_ns, seed = cfg["escape_n"], cfg["trunc_n"], cfg["seed"]
 
     rows, ok = [], True
     origin = dirac(line, [0.0])
@@ -276,7 +279,7 @@ def run_perturb(config: dict) -> SuiteResult:
     constraint = constraint_from_json(cfg["constraint"])
     cost = cost_from_json(cfg["cost"])
     report = perturbation_experiment(
-        population, cfg["deltas"], constraint, cost, seed=int(cfg["seed"])
+        population, cfg["deltas"], constraint, cost, seed=cfg["seed"]
     )
     meta_track = report.summary["meta_j_track"]
     j_track = report.summary["j_track"]

@@ -219,7 +219,8 @@ def test_joint_lp_system_by_hand():
 
     wide = canonicalize([[0.0], [2.0]], [0.25, 0.75], LINE)
     prob = BarycenterProblem.make([(D0, 1.0), (wide, 3.0)], Constraint.quantile_1d(), SQ)
-    c, A, rhs, n_gamma, K = _joint_lp_system(prob.inputs, SQ, np.array([[0.0], [1.0]]))
+    c, system = _joint_lp_system(prob.inputs, SQ, np.array([[0.0], [1.0]]))
+    A, rhs, n_gamma, K = system.A, system.rhs, system.n_gamma, system.K
     # columns: gamma of D0 (1x2), gamma of wide (2x2, row-major), w (2)
     expected = [
         [1, 1, 0, 0, 0, 0, 0, 0],   # D0 marginal
@@ -246,7 +247,8 @@ def test_joint_lp_system_matches_the_coo_construction():
     for seed, n_inputs in [(0, 1), (1, 2), (2, 4)]:
         inputs = [(generate_random_measure(30 * seed + i, [-1, -1], [1, 1], 2 + i), 1.0 + i)
                   for i in range(n_inputs)]
-        _, A, _, n_gamma, K = _joint_lp_system(inputs, SQ, grid)
+        system = _joint_lp_system(inputs, SQ, grid)[1]
+        A, n_gamma, K = system.A, system.n_gamma, system.K
         # the triplets (row, column, value) of the system, as csc_matrix took them
         w_cols = n_gamma + np.arange(K)
         rows, cols = [], []
@@ -358,8 +360,8 @@ def _pinned_reference(problem, value):
 
     from mkbary.barycenter import _clip_dust, _joint_lp_system
 
-    c, A, rhs, n_gamma, K = _joint_lp_system(problem.inputs, problem.cost,
-                                             problem.constraint.atoms)
+    c, system = _joint_lp_system(problem.inputs, problem.cost, problem.constraint.atoms)
+    A, rhs, n_gamma, K = system.A, system.rhs, system.n_gamma, system.K
     h = np.zeros_like(c)
     h[n_gamma:] = np.arange(1, K + 1)
     A_pin = sparse.vstack([to_scipy(A), sparse.csr_matrix(c[None, :])])
@@ -395,7 +397,7 @@ def test_tie_break_fallbacks_are_logged(monkeypatch, caplog):
     grid = np.array([[x, y] for x in np.linspace(-1, 1, 4) for y in np.linspace(-1, 1, 4)])
     prob = BarycenterProblem.make([(m, 1.0), (flip, 1.0)], Constraint.simplex_over(grid), ABS)
     untied = barycenter._fixed_support_lp(prob.inputs, prob.cost, grid, tie_break=False)
-    rows, cols = barycenter._joint_lp_system(prob.inputs, prob.cost, grid)[1].shape
+    rows, cols = barycenter._joint_lp_system(prob.inputs, prob.cost, grid)[1].A.shape
     real = lp.Model._run_once
     rejected = ("barycenter tie-break: face LP rejected; returning the main LP vertex "
                 "without tie-break")
@@ -436,7 +438,8 @@ def _one_shot_tie_break(inputs, cost, S):
     from mkbary.barycenter import _clip_dust, _joint_lp_system
     from mkbary.transport import GAP_TOL
 
-    c, A, rhs, n_gamma, K = _joint_lp_system(inputs, cost, S)
+    c, system = _joint_lp_system(inputs, cost, S)
+    A, rhs, n_gamma, K = system.A, system.rhs, system.n_gamma, system.K
     main = lp.solve(c, A, rhs)
     assert main.status == 0
     tol = GAP_TOL * (1.0 + abs(main.fun))
@@ -470,11 +473,11 @@ def test_kept_model_tie_break_matches_one_shot_route():
 
     population = [generate_random_measure(1300 + i, [0, 0], [1, 1], 5) for i in range(3)]
     grid = np.array([[x, y] for x in np.linspace(0, 1, 7) for y in np.linspace(0, 1, 7)])
-    bases = {}
+    systems = {}
     problems = list(_tie_instances()) + list(_draws(population, grid, 24, 3))
     for prob in problems:
         S = prob.constraint.atoms
-        w, value, gap, alt, _ = _fixed_support_lp(prob.inputs, prob.cost, S, bases=bases)
+        w, value, gap, alt, _ = _fixed_support_lp(prob.inputs, prob.cost, S, systems=systems)
         want, w_lo, w_hi = _one_shot_tie_break(prob.inputs, prob.cost, S)
         assert abs(value - want) <= GAP_TOL * (1.0 + abs(want)) and gap <= GAP_TOL
         np.testing.assert_allclose(w, w_lo, rtol=0, atol=1e-12)
@@ -482,7 +485,24 @@ def test_kept_model_tie_break_matches_one_shot_route():
         if alt is not None:
             np.testing.assert_allclose(alt, w_hi, rtol=0, atol=1e-12)
     # the draws share constraint systems, so most of them ran warm
-    assert len(bases) < len(problems) - 12
+    assert len(systems) < len(problems) - 12
+
+
+def test_kept_systems_are_assembled_once_with_the_same_costs():
+    from mkbary.barycenter import _joint_lp_system
+
+    population = [generate_random_measure(1300 + i, [0, 0], [1, 1], 5) for i in range(3)]
+    grid = np.array([[x, y] for x in np.linspace(0, 1, 7) for y in np.linspace(0, 1, 7)])
+    systems = {}
+    problems = list(_draws(population, grid, 12, 5))
+    for prob in problems:
+        c, system = _joint_lp_system(prob.inputs, SQ, grid, systems)
+        c_fresh, fresh = _joint_lp_system(prob.inputs, SQ, grid)
+        assert c.tobytes() == c_fresh.tobytes() and system.rhs.tobytes() == fresh.rhs.tobytes()
+        assert system.A.shape == fresh.A.shape and all(
+            np.array_equal(got, want) for got, want in zip(system.A[:3], fresh.A[:3]))
+        assert system is _joint_lp_system(prob.inputs, SQ, grid, systems)[1]
+    assert len(systems) < len(problems)
 
 
 def _counted_face_runs(monkeypatch):
@@ -502,17 +522,17 @@ def _counted_face_runs(monkeypatch):
 
 def _solve_both_routes(monkeypatch, problems):
     """Each problem by ``_fixed_support_lp`` as it is, and with the face
-    route forced by a basis that names no column; one bases dict per route."""
+    route forced by a basis that names no column; one systems dict per route."""
     from mkbary import lp
     from mkbary.barycenter import _fixed_support_lp
 
     routes = []
     for forced in (False, True):
-        bases = {}
+        systems = {}
         with monkeypatch.context() as mp:
             if forced:
                 mp.setattr(lp.Model, "basic_columns", lambda self: np.empty(0, dtype=np.int32))
-            routes.append([_fixed_support_lp(p.inputs, p.cost, p.constraint.atoms, bases=bases)
+            routes.append([_fixed_support_lp(p.inputs, p.cost, p.constraint.atoms, systems=systems)
                            for p in problems])
     return routes
 
@@ -563,13 +583,15 @@ def test_failed_warm_run_is_rerun_cold_once(monkeypatch, caplog):
     first, second = (BarycenterProblem.make(list(zip(population, lams)),
                                             Constraint.simplex_over(grid), SQ)
                      for lams in ([0.3, 0.7], [0.6, 0.4]))
-    bases = {}
-    _fixed_support_lp(first.inputs, SQ, grid, bases=bases)
-    assert len(bases) == 1
-    [(key, stale)] = bases.items()
+    systems = {}
+    _fixed_support_lp(first.inputs, SQ, grid, systems=systems)
+    assert len(systems) == 1
+    [system] = systems.values()
+    stale = system.basis
     want = _fixed_support_lp(second.inputs, SQ, grid)
-    c, A, rhs, _, _ = _joint_lp_system(second.inputs, SQ, grid)
-    cold = lp.Model(c, A, rhs)
+    c, fresh = _joint_lp_system(second.inputs, SQ, grid)
+    A = fresh.A
+    cold = lp.Model(c, A, fresh.rhs)
     assert cold.run().status == 0
     real_run = lp.Model._run_once
     models = []
@@ -582,7 +604,7 @@ def test_failed_warm_run_is_rerun_cold_once(monkeypatch, caplog):
     caplog.clear()
     with caplog.at_level("WARNING", logger="mkbary"), monkeypatch.context() as mp:
         mp.setattr(lp.Model, "_run_once", fails_first)
-        got = _fixed_support_lp(second.inputs, SQ, grid, bases=bases)
+        got = _fixed_support_lp(second.inputs, SQ, grid, systems=systems)
     assert [r.getMessage() for r in caplog.records if r.name == "mkbary"] == [
         f"LP of {A.shape[0]} rows and {A.shape[1]} columns: warm run not optimal "
         "(Iteration limit reached); re-running it cold"]
@@ -591,7 +613,7 @@ def test_failed_warm_run_is_rerun_cold_once(monkeypatch, caplog):
     assert (got[3] is None) == (want[3] is None)
     # the cold re-run's basis replaced the stale one; its face is one vertex,
     # so the failed warm run and its cold re-run of the same model are all
-    assert _statuses(bases[key]) == _statuses(cold.basis()) != _statuses(stale)
+    assert _statuses(system.basis) == _statuses(cold.basis()) != _statuses(stale)
     assert len(models) == 2 and all(model is models[0] for model in models)
 
 

@@ -17,6 +17,7 @@ from mkbary import (
     problem_from_json,
     solve_transport,
 )
+from mkbary.barycenter import FREE_INIT_SEED
 from mkbary.cli import main
 from mkbary.verify import SUITES
 
@@ -86,6 +87,32 @@ def test_plan_file_is_the_one_shot_encoding(tmp_path, capsys):
     fh = io.StringIO()
     cli._write_plan(fh, bare)
     assert fh.getvalue() == json.dumps(plan_to_json(bare), sort_keys=True) + "\n"
+
+
+def test_plan_writer_matches_json_on_signed_zeros_and_one_row():
+    import io
+
+    import numpy as np
+
+    from mkbary import measure_from_json
+    from mkbary.costs import cost_from_json
+    from mkbary.transport import plan_to_json
+
+    line = {"kind": "euclidean", "dim": 1}
+    one = {"space": line, "atoms": [[0.5]], "weights": [1.0]}
+    three = {"space": line, "atoms": [[0.0], [1.0], [2.0]], "weights": [0.25, 0.25, 0.5]}
+    cost = cost_from_json(COST_SQ)
+    row = solve_transport(measure_from_json(one), measure_from_json(three), cost)
+    square = solve_transport(measure_from_json(three), measure_from_json(three), cost)
+    signed = square.coupling.copy()
+    signed[0, 1], signed[2, 0] = -0.0, 1e-300
+    cases = [row, square, dataclasses.replace(square, coupling=signed)]
+    assert row.coupling.shape == (1, 3) and np.signbit(signed[0, 1])
+    for plan in cases:
+        fh = io.StringIO()
+        cli._write_plan(fh, plan)
+        assert fh.getvalue() == json.dumps(plan_to_json(plan), sort_keys=True) + "\n"
+    assert "-0.0" in fh.getvalue()
 
 
 def test_transport_creates_out_dir_for_plan(tmp_path, capsys):
@@ -274,6 +301,38 @@ def test_barycenter_wrong_method_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "barycenter.json").exists()
 
 
+def test_barycenter_seed_is_for_the_free_route_alone(tmp_path, capsys, monkeypatch):
+    dirac = {"space": {"kind": "euclidean", "dim": 1}, "weights": [1.0]}
+    inputs = [{"measure": dict(dirac, atoms=[[x]]), "lambda": 0.5} for x in (0.0, 1.0)]
+    for kind, solver in (("simplex_over", "barycenter_fixed_support"),
+                         ("quantile_1d", "barycenter_quantile_1d")):
+        pf = write(tmp_path / f"{kind}.json", {"inputs": inputs, "cost": COST_SQ,
+                                               "constraint": ROUTE_CONSTRAINTS[kind]})
+        out = tmp_path / f"{kind}-seeded"
+        with monkeypatch.context() as mp:
+            mp.setattr(cli, solver, lambda *a, **k: pytest.fail("solved before the seed check"))
+            assert main(["barycenter", pf, "--seed", "5", "--out-dir", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: --seed 5: ") and err.count("\n") == 1
+        assert not out.exists()
+        # without a seed the run records none
+        assert main(["barycenter", pf, "--out-dir", str(out)]) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert config == {"method": cli.METHODS[kind]}
+    free = write(tmp_path / "free.json", {"inputs": inputs, "cost": COST_SQ,
+                                          "constraint": ROUTE_CONSTRAINTS["free"]})
+    real = cli.barycenter_free_support
+    used = []
+    monkeypatch.setattr(cli, "barycenter_free_support",
+                        lambda problem, init_seed: used.append(init_seed) or real(problem, init_seed))
+    # the manifest records the seed the free route ran with
+    for argv, seed in (([], FREE_INIT_SEED), (["--seed", "5"], 5)):
+        out = tmp_path / f"free-{seed}"
+        assert main(["barycenter", free, *argv, "--out-dir", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"] == {"method": "free", "seed": seed} and used[-1] == seed
+
+
 ROUTE_CONSTRAINTS = {"simplex_over": {"kind": "simplex_over", "atoms": [[0.0], [1.0]]},
                      "free": {"kind": "free", "k": 1},
                      "quantile_1d": {"kind": "quantile_1d"}}
@@ -369,6 +428,49 @@ def test_fields_of_the_wrong_type_are_parse_errors(tmp_path, capsys, where, fiel
     assert main(argv + ["--out-dir", str(out)]) == 2
     assert capsys.readouterr().err == f"parse error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("where, key, value", [
+    ("convexity", "count", 2.5), ("convexity", "seed", 0.5), ("convexity", "max_atoms", True),
+    ("generator", "count", 2.5), ("generator", "seed", 1.5), ("generator", "max_atoms", 3.5),
+    ("constraint", "k", 1.5), ("euclidean", "dim", 1.5), ("finite", "n", 2.0000001)])
+def test_integer_settings_reject_fractions_and_booleans(tmp_path, capsys, where, key, value):
+    generator = SMALL_LLN["population"]["generator"]
+    space = {"euclidean": {"kind": "euclidean", "dim": 1},
+             "finite": {"kind": "finite", "n": 2, "rho": [[0.0, 1.0], [1.0, 0.0]]}}
+    what, obj = {
+        "convexity": ("convexity", {key: value}),
+        "generator": ("generator", {**SMALL_LLN, "population": {"generator":
+                                                                {**generator, key: value}}}),
+        "constraint": ("constraint", {"inputs": [{"measure": MEASURE_01, "lambda": 1.0}],
+                                      "constraint": {"kind": "free", key: value},
+                                      "cost": COST_SQ}),
+        "euclidean": ("space", {**MEASURE_01, "space": {**space["euclidean"], key: value}}),
+        "finite": ("space", {"space": {**space["finite"], key: value}, "atoms": [0, 1],
+                             "weights": [0.5, 0.5]}),
+    }[where]
+    bad = write(tmp_path / "bad.json", obj)
+    cost = write(tmp_path / "c.json", COST_SQ)
+    argv = {"convexity": ["verify", "convexity", "--config", bad],
+            "generator": ["verify", "lln", "--config", bad],
+            "constraint": ["barycenter", bad]}.get(where, ["transport", bad, bad, cost])
+    out = tmp_path / "out"
+    assert main(argv + ["--out-dir", str(out)]) == 2
+    noun = "a number, not boolean" if isinstance(value, bool) else f"an integer, not {value!r}"
+    assert capsys.readouterr().err == f"parse error: {what} field {key!r} must be {noun}\n"
+    assert not out.exists()
+
+
+def test_integral_floats_are_integer_settings(tmp_path, capsys):
+    runs = {}
+    for name, config in (("ints", {"count": 2, "seed": 3, "max_atoms": 2}),
+                         ("floats", {"count": 2.0, "seed": 3.0, "max_atoms": 2.0})):
+        cfg = write(tmp_path / f"{name}.json", config)
+        assert main(["verify", "convexity", "--config", cfg, "--out-dir",
+                     str(tmp_path / name)]) == 0
+        runs[name] = (tmp_path / name / "convexity.csv").read_bytes()
+    assert runs["floats"] == runs["ints"]
+    assert len(runs["ints"].splitlines()) == 1 + 2 * 5  # header + count * |t_grid|
 
 
 def test_constants_output(tmp_path, capsys):

@@ -173,7 +173,7 @@ def test_kept_bases_match_runs_without_them(monkeypatch):
     kept = experiments()
     real = consistency.barycenter_fixed_support
     monkeypatch.setattr(consistency, "barycenter_fixed_support",
-                        lambda problem, _bases: real(problem))
+                        lambda problem, _systems: real(problem))
     cold = experiments()
     assert kept[0].errors == cold[0].errors == []
     assert len(kept[0].records) == 3 * 20
@@ -181,3 +181,93 @@ def test_kept_bases_match_runs_without_them(monkeypatch):
         assert len(warm_report.records) == len(cold_report.records)
         for got, want in zip(warm_report.records, cold_report.records):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+
+
+def _lln_draws(pop, n_grid, seeds):
+    """Each (n, seed) draw's frequencies, as ``lln_experiment`` draws them."""
+    draws = {}
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        for n in n_grid:
+            draws[(n, seed)] = np.bincount(rng.choice(len(pop.atoms), size=n, p=pop.probs),
+                                           minlength=len(pop.atoms)) / n
+    return draws
+
+
+def test_lln_failed_shared_batch_resolves_each_draw_alone(monkeypatch, caplog):
+    import mkbary.consistency as consistency
+    from mkbary import NumericalFailure
+
+    pop = random_population(3, 9, [0.0, 0.0], [1.0, 1.0], 3)
+    n_grid, seeds = [2, 4], range(8)
+    unforced = lln_experiment(pop, n_grid, seeds, GRID5, SQ)
+    real, calls = consistency.solve_lp_batch, []
+
+    def forced(problems):
+        calls.append(problems)
+        if len(calls) <= 2:  # the shared batch, then the first draw's own LPs
+            raise NumericalFailure(f"forced {len(calls)}")
+        return real(problems)
+
+    monkeypatch.setattr(consistency, "solve_lp_batch", forced)
+    with caplog.at_level("WARNING", logger="mkbary"):
+        report = lln_experiment(pop, n_grid, seeds, GRID5, SQ)
+    draws = _lln_draws(pop, n_grid, seeds)
+    distinct = {f.tobytes() for f in draws.values()}
+    # one shared call of every distinct draw's LPs, then one call per draw
+    assert len(calls) == 1 + len(distinct)
+    assert [len(c) for c in calls[1:]] == [len(calls[0]) // len(distinct)] * len(distinct)
+    assert [r.getMessage() for r in caplog.records if r.name == "mkbary"] == [
+        f"lln: the shared transport batch of {len(distinct)} draws failed "
+        "(NumericalFailure('forced 1')); solving each draw alone"]
+    # the first draw's LPs fail alone: it and every draw of its frequencies are holes
+    first = draws[(n_grid[0], seeds[0])].tobytes()
+    holes = [(n, s) for (n, s), f in draws.items() if f.tobytes() == first]
+    assert [(n, s) for n, s, _ in report.errors] == holes
+    assert {msg for _, _, msg in report.errors} == {"NumericalFailure('forced 2')"}
+    kept = [r for r in unforced.records if (r[0], r[1]) not in holes]
+    assert [r[:2] for r in report.records] == [r[:2] for r in kept]
+    np.testing.assert_allclose([r[2:] for r in report.records], [r[2:] for r in kept],
+                               rtol=0, atol=1e-12)
+
+
+def test_lln_runs_its_barycenter_lps_and_one_packed_transport_batch(monkeypatch):
+    import mkbary.consistency as consistency
+    from mkbary import lp, transport
+
+    pop = random_population(3, 9, [0.0, 0.0], [1.0, 1.0], 3)
+    n_grid, seeds = [2, 4, 16], range(8)
+    runs = []  # the phase of each Model.run: "barycenter", "J" or "other"
+    phase = ["other"]
+    real_run = lp.Model.run
+
+    def counted_run(model):
+        runs.append(phase[0])
+        return real_run(model)
+
+    monkeypatch.setattr(lp.Model, "run", counted_run)
+    solvers, batches = [], []
+
+    def in_phase(name, fn, calls):
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            phase[0] = name
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                phase[0] = "other"
+        return counted
+
+    monkeypatch.setattr(consistency, "barycenter_fixed_support",
+                        in_phase("barycenter", consistency.barycenter_fixed_support, solvers))
+    monkeypatch.setattr(consistency, "solve_lp_batch",
+                        in_phase("J", consistency.solve_lp_batch, batches))
+    report = lln_experiment(pop, n_grid, seeds, GRID5, SQ)
+    assert not report.errors and len(batches) == 1
+    distinct = {f.tobytes() for f in _lln_draws(pop, n_grid, seeds).values()}
+    # one LP each for the population and every distinct draw: no face LP
+    assert len(solvers) == runs.count("barycenter") == 1 + len(distinct)
+    # every J and lifted-distance LP of more than one row and column, packed
+    sizes = [C.size for C, _, _ in batches[0] if min(C.shape) > 1]
+    blocks = transport._pack(sizes, transport.MAX_BATCH_VARS)
+    assert runs.count("J") == len(blocks) < len(distinct)

@@ -137,7 +137,8 @@ def test_kernel_matches_linprog_on_joint_barycenter_lps():
     for seed in range(4):
         inputs = [(generate_random_measure(50 * seed + i, [-1, -1], [1, 1], 3 + i), lam)
                   for i, lam in enumerate([0.2, 0.3, 0.5])]
-        c, A, rhs, _, _ = _joint_lp_system(inputs, COSTS[seed % 3], grid)
+        c, system = _joint_lp_system(inputs, COSTS[seed % 3], grid)
+        A, rhs = system.A, system.rhs
         res = _assert_matches_linprog(c, A, rhs)
         assert res.status == 0
         # the face tie-break's shape: the same system with columns fixed to 0,
@@ -155,14 +156,16 @@ def test_kept_model_matches_cold_solve_on_joint_barycenter_lps():
         measures = [generate_random_measure(100 * trial + i, [0, 0], [1, 1], 5)
                     for i in range(int(rng.integers(1, 4)))]
         cost = COSTS[trial % 3]
-        c, A, rhs, _, _ = _joint_lp_system(
+        c, system = _joint_lp_system(
             list(zip(measures, rng.dirichlet(np.ones(len(measures))))), cost, grid)
+        A, rhs = system.A, system.rhs
         model = lp.Model(c, A, rhs)
         assert model.run().status == 0
         # the same constraint system with new input weights: only the costs change
         for _ in range(3):
-            c2, A2, rhs2, _, _ = _joint_lp_system(
+            c2, system2 = _joint_lp_system(
                 list(zip(measures, rng.dirichlet(np.ones(len(measures))))), cost, grid)
+            A2, rhs2 = system2.A, system2.rhs
             assert A2.indptr.tobytes() == A.indptr.tobytes() and rhs2.tolist() == rhs.tolist()
             # a new model from the kept one's basis, and the kept one itself
             started = lp.Model(c2, A, rhs, model.basis()).run()
@@ -188,8 +191,9 @@ def _cost_changed_barycenter_lp(seed):
     rng = np.random.default_rng(seed)
     grid = np.array([[x, y] for x in np.linspace(0, 1, 6) for y in np.linspace(0, 1, 6)])
     measures = [generate_random_measure(10 * seed + i, [0, 0], [1, 1], 5) for i in range(3)]
-    c, A, rhs, _, _ = _joint_lp_system(list(zip(measures, rng.dirichlet(np.ones(3)))),
-                                       COSTS[seed % 3], grid)
+    c, system = _joint_lp_system(list(zip(measures, rng.dirichlet(np.ones(3)))),
+                                 COSTS[seed % 3], grid)
+    A, rhs = system.A, system.rhs
     model = lp.Model(c, A, rhs)
     assert model.run().status == 0
     c2 = _joint_lp_system(list(zip(measures, rng.dirichlet(np.ones(3)))), COSTS[seed % 3],
@@ -347,7 +351,8 @@ def _grid_joint_system(k, seed):
     grid = np.array([[x, y] for x in side for y in side])
     inputs = [(canonicalize(rng.uniform(size=(6, 2)), rng.dirichlet(np.ones(6)), PLANE), lam)
               for lam in rng.dirichlet(np.full(4, 4.0))]
-    c, A, rhs, _, _ = _joint_lp_system(inputs, CostSpec.norm_power(2), grid)
+    c, system = _joint_lp_system(inputs, CostSpec.norm_power(2), grid)
+    A, rhs = system.A, system.rhs
     res = lp.solve(c, A, rhs)
     assert res.status == 0
     return c, A, rhs, res.duals
@@ -643,7 +648,8 @@ def test_failed_warm_run_is_rerun_cold_as_a_new_model(monkeypatch, lp_calls, cap
     for trial in range(4):
         # a joint barycenter LP run cold, then given the costs of new input weights
         lams = [rng.dirichlet(np.ones(3)) for _ in range(2)]
-        c, A, rhs, _, _ = _joint_lp_system(list(zip(measures, lams[0])), COSTS[trial % 3], grid)
+        c, system = _joint_lp_system(list(zip(measures, lams[0])), COSTS[trial % 3], grid)
+        A, rhs = system.A, system.rhs
         model = lp.Model(c, A, rhs)
         assert model.run().status == 0
         c2 = _joint_lp_system(list(zip(measures, lams[1])), COSTS[trial % 3], grid)[0]
