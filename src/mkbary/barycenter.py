@@ -95,12 +95,15 @@ def constraint_from_json(obj: dict) -> Constraint:
         return Constraint.simplex_over(json_field(obj, "atoms", "numbers", "constraint"))
     if kind == "grid":
         box = json_field(obj, "box", "numbers", "constraint")
-        shape = json_field(obj, "shape", "numbers", "constraint")
-        if shape.ndim != 1 or box.shape != (2, len(shape)):
+        shape = json_field(obj, "shape", "integers", "constraint")
+        if not shape or box.shape != (2, len(shape)):
             raise ValueError("grid constraint needs a 'shape' per axis and a 'box' [lo, hi] "
                              "with one bound per axis in each")
+        if min(shape) < 1:
+            raise ValueError(f"grid constraint field 'shape' needs at least 1 point per axis, "
+                             f"not {shape}")
         lo, hi = box
-        axes = [np.linspace(lo[i], hi[i], int(shape[i])) for i in range(len(shape))]
+        axes = [np.linspace(lo[i], hi[i], k) for i, k in enumerate(shape)]
         mesh = np.meshgrid(*axes, indexing="ij")
         return Constraint.simplex_over(np.stack([m.ravel() for m in mesh], axis=-1))
     if kind == "free":

@@ -15,6 +15,8 @@ error.
 ``barycenter`` runs the route of the problem file's constraint kind;
 ``--method``, when given, must name that route, and ``--seed`` (the
 start of the ``free`` route's atom pick) is for that route alone.
+``verify --seed`` sets the suite's ``seed``: it is a usage error for a
+suite without one and next to a config that sets it.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from .errors import (
 )
 from .measures import json_name, measure_from_json
 from .transport import _plan_fields, solve_transport
-from .verify import SUITES, run_suite
+from .verify import DEFAULTS, SUITES, run_suite
 
 
 class UsageError(Exception):
@@ -199,7 +201,13 @@ def cmd_verify(args) -> int:
     started = time.time()
     config = _load_json(args.config) if args.config else {}
     if args.seed is not None:
-        config.setdefault("seed", args.seed)
+        if "seed" not in DEFAULTS[args.suite]:
+            raise UsageError(f"--seed {args.seed}: {args.suite} reads no 'seed'; its keys are "
+                             f"{', '.join(map(repr, sorted(DEFAULTS[args.suite])))}")
+        if "seed" in config:
+            raise UsageError(f"--seed {args.seed}: {args.config} already sets seed "
+                             f"{config['seed']!r}; give the seed in one place")
+        config["seed"] = args.seed
     result = run_suite(args.suite, config)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -259,7 +267,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None)
     p.add_argument("--jobs", type=int, default=1,
                    help="accepted and ignored: suites run in one thread")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None,
+                   help="the suite's seed, for a suite that has one and a config "
+                        "that does not set it")
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_verify)
 

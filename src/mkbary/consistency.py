@@ -301,6 +301,9 @@ def population_from_json(obj: dict) -> MetaDistribution:
             raise ValueError("generator 'box' must be [lo, hi]")
         count, seed, max_atoms = (json_field(g, key, "integer", "generator")
                                   for key in ("count", "seed", "max_atoms"))
+        for key, value in (("count", count), ("max_atoms", max_atoms)):
+            if value < 1:
+                raise ValueError(f"generator field {key!r} must be at least 1, not {value}")
         return random_population(count, seed, box[0], box[1], max_atoms)
     measures = [measure_from_json(m)
                 for m in json_field(obj, "measures", "objects", "population")]

@@ -110,8 +110,17 @@ class CostSpec:
     def translation(
         g: Callable, convex: bool = True, dim: int = 1, declared: Optional[dict] = None
     ) -> "CostSpec":
-        origin = np.zeros(dim)
-        if abs(float(g(origin))) > 1e-12:
+        probes = halton_sample(6, dim, -1.0, 1.0).reshape(2, 3, dim)
+        try:
+            shape = np.shape(g(probes))
+        except (TypeError, ValueError, IndexError) as exc:
+            raise ValueError(f"translation cost g failed on a stack of shape {probes.shape}: "
+                             f"{exc}") from exc
+        if shape != (2, 3):
+            raise ValueError("translation cost g must map difference vectors of shape "
+                             f"(..., {dim}) to costs of shape (...): a {probes.shape} stack "
+                             f"gave {shape}, not (2, 3)")
+        if abs(float(g(np.zeros(dim)))) > 1e-12:
             raise ValueError("translation cost needs g(0) = 0")
         return CostSpec(kind="translation", g=g, g_convex=convex, g_dim=dim,
                         declared=_check_declared(declared))
@@ -144,7 +153,7 @@ class CostSpec:
             return bool(np.allclose(self.values, self.values.T, atol=0.0))
         if self.kind == "translation":
             probes = halton_sample(16, self.g_dim, -1.0, 1.0)
-            return all(abs(float(self.g(u)) - float(self.g(-u))) <= 1e-12 for u in probes)
+            return bool(np.all(np.abs(self.g(probes) - self.g(-probes)) <= 1e-12))
         return True
 
     def evaluate(self, x, y) -> float:
@@ -172,16 +181,7 @@ class CostSpec:
             Y = np.atleast_2d(np.asarray(Y, dtype=float))
             if X.shape[1] != space.dim or Y.shape[1] != space.dim:
                 raise SpaceMismatch(f"points do not fit R^{space.dim}")
-            if self.kind == "translation":
-                out = np.empty((X.shape[0], Y.shape[0]))
-                for i in range(X.shape[0]):
-                    for j in range(Y.shape[0]):
-                        out[i, j] = float(self.g(X[i] - Y[j]))
-                return out
-            if self.kind in ("metric_power", "norm_power"):
-                sq = np.sum((X[:, None, :] - Y[None, :, :]) ** 2, axis=-1)
-                return sq ** (self.p / 2.0)
-            raise SpaceMismatch(f"{self.kind} cost cannot score euclidean points")
+            return self._pair_costs(X[:, None, :], Y[None, :, :])
         ix = np.ix_(np.asarray(X).astype(int).ravel(), np.asarray(Y).astype(int).ravel())
         if self.kind == "finite_matrix":
             if self.values.shape[0] != space.n_points:
@@ -190,6 +190,17 @@ class CostSpec:
         if self.kind == "metric_power":
             return space.rho[ix] ** self.p
         raise SpaceMismatch(f"{self.kind} cost needs a euclidean space")
+
+    def _pair_costs(self, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+        """c(p, q) for euclidean points P and Q of shape (..., d), broadcast against
+        each other: one call of an array ``g``, or one array formula for a power."""
+        D = P - Q
+        if self.kind == "translation":
+            return np.asarray(self.g(D), dtype=float)
+        if self.kind in ("metric_power", "norm_power"):
+            np.square(D, out=D)  # in place: D is this call's own temporary
+            return np.sum(D, axis=-1) ** (self.p / 2.0)
+        raise SpaceMismatch(f"{self.kind} cost cannot score euclidean points")
 
     def pair_matrix(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """``table`` between two euclidean point arrays (m, d) x (n, d)."""
@@ -268,13 +279,14 @@ def _enumerate_B_finite(c: np.ndarray, cap: float) -> float:
     return best
 
 
-def growth_constants(cost: CostSpec, cap: float = RATIO_CAP,
-                     sample_size: int = DEFAULT_GRID_SIZE) -> GrowthConstants:
+def growth_constants(cost: CostSpec, cap: float = RATIO_CAP) -> GrowthConstants:
     """Structural constants for a cost, analytic where possible.
 
     Built-in powers get closed forms (A=0, B=2**(p-1) for p >= 1, B=1 for
     p < 1); finite tables are enumerated exactly, slab by slab; custom g is
-    sampled on a deterministic grid and flagged ``sampled_lower_bound``.
+    sampled on DEFAULT_GRID_SIZE Halton pairs (u, v) plus the pairs (u, u),
+    as the largest g(u + v) / (g(u) + g(v)) over denominators above 1e-15,
+    and flagged ``sampled_lower_bound``.
     """
     if cost.declared is not None:
         A = float(cost.declared.get("A", 0.0))
@@ -300,19 +312,20 @@ def growth_constants(cost: CostSpec, cap: float = RATIO_CAP,
 
     # custom translation cost: deterministic sampled lower bound
     d = cost.g_dim
-    uv = halton_sample(sample_size, 2 * d, -1.0, 1.0)
-    u, v = uv[:, :d], uv[:, d:]
+    uv = halton_sample(DEFAULT_GRID_SIZE, 2 * d, -1.0, 1.0)
     # include u = v pairs: ratios along rays often attain the sup
-    u = np.concatenate([u, uv[:, :d]])
-    v = np.concatenate([v, uv[:, :d]])
-    best = 0.0
-    for ui, vi in zip(u, v):
-        den = float(cost.g(ui)) + float(cost.g(vi))
-        if den <= 1e-15:
-            continue
-        r = float(cost.g(ui + vi)) / den
-        if r > best:
-            best = r
+    u = np.concatenate([uv[:, :d], uv[:, :d]])
+    v = np.concatenate([uv[:, d:], uv[:, :d]])
+
+    def g(w):
+        return np.asarray(cost.g(w), dtype=float)
+
+    den = g(u) + g(v)
+    keep = den > 1e-15
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratios = g(u + v)[keep] / den[keep]
+    ratios = ratios[ratios > 0.0]  # a NaN ratio counts for nothing
+    best = float(ratios.max()) if ratios.size else 0.0
     if best > cap:
         raise UnboundedRatio(f"sampled growth ratio {best:.3g} exceeds cap {cap:.3g}")
     if best < 1.0:
@@ -339,11 +352,7 @@ def _check_relaxed_on_triples(cost: CostSpec, eps, A_eps, C_eps, X, Y, Z):
     A violation raises ``ConstructionFailed`` naming the first failing
     triple in input order.
     """
-    origin = np.zeros((1, X.shape[1]))
-
-    def c(P, Q):  # c(p_i, q_i) row by row; euclidean costs are translation invariant
-        return cost.pair_matrix(P - Q, origin)[:, 0]
-
+    c = cost._pair_costs  # c(p_i, q_i) row by row
     cxy = c(X, Y)
     slack = 1e-9 * (1.0 + cxy)
     lhs1 = A_eps + (1.0 + eps) * c(X, Z) + C_eps * c(Y, Z)
@@ -435,42 +444,60 @@ def consistency_check(cost: CostSpec, sample: list) -> ConsistencyReport:
     """Diagnostic for c(x,y)=0 iff x=y and co-vanishing of c along shrinking steps.
 
     Integer sample points are finite-space indices; a metric power on a
-    finite space enters as ``CostSpec.finite_matrix(space.rho ** p)``.
+    finite space enters as ``CostSpec.finite_matrix(space.rho ** p)``,
+    which takes integer points only.  A norm or translation cost scores
+    integer points as points of the line.  Pairs (x, y) of the sample are
+    scored in one table.  Each euclidean x is then stepped by 2**-k u,
+    k = 0..16, along every axis u and the diagonal, and c(x, x + h u) and
+    c(x + h u, x), each scored for all x, u and h in one array, must fall
+    to 0 without rising by more than 1e-12 a step.
     """
     if not sample:
         raise ValueError("sample must be nonempty")
-    failures = []
     finite_points = isinstance(sample[0], (int, np.integer))
     if finite_points and cost.kind == "metric_power":
         raise SpaceMismatch("metric_power cannot score finite-space indices; "
                             "pass finite_matrix(rho ** p)")
+    if finite_points:
+        idx = np.array([int(x) for x in sample])
+        same = idx[:, None] == idx[None, :]
+    if cost.kind == "finite_matrix":
+        if not finite_points:
+            raise SpaceMismatch("finite_matrix scores finite-space indices; "
+                                "pass integer sample points")
+        table = cost.values[np.ix_(idx, idx)]
+    else:
+        pts = [np.atleast_1d(np.asarray(x, dtype=float)) for x in sample]
+        if len({p.shape for p in pts}) > 1:
+            raise SpaceMismatch("points have different dimensions")
+        P = np.array(pts)
+        table = cost.pair_matrix(P, P)
+        if not finite_points:
+            same = np.isclose(P[:, None, :], P[None, :, :], atol=1e-12).all(axis=-1)
 
-    for x in sample:
-        for y in sample:
-            c = cost.evaluate(x, y)
-            if finite_points:
-                same = int(x) == int(y)
-            else:
-                same = np.allclose(np.atleast_1d(x), np.atleast_1d(y), atol=1e-12)
-            if same and abs(c) > 1e-12:
-                failures.append(("nonzero_on_diagonal", x, y, c))
-            if not same and c <= 1e-12:
-                failures.append(("zero_off_diagonal", x, y, c))
+    failures = []
+    bad = (same & (np.abs(table) > 1e-12)) | (~same & (table <= 1e-12))
+    for i, j in np.argwhere(bad):
+        kind = "nonzero_on_diagonal" if same[i, j] else "zero_off_diagonal"
+        failures.append((kind, sample[i], sample[j], float(table[i, j])))
 
     if not finite_points:
-        d = np.atleast_1d(np.asarray(sample[0], dtype=float)).shape[0]
-        dirs = list(np.eye(d))
-        dirs.append(np.ones(d) / math.sqrt(d))
+        d = P.shape[1]
+        dirs = np.vstack([np.eye(d), np.ones(d) / math.sqrt(d)])
         hs = 2.0 ** -np.arange(0, 17)
-        for x in sample:
-            xv = np.atleast_1d(np.asarray(x, dtype=float))
-            for u in dirs:
-                fwd = [cost.evaluate(xv, xv + h * u) for h in hs]
-                bwd = [cost.evaluate(xv + h * u, xv) for h in hs]
-                for name, track in (("forward", fwd), ("backward", bwd)):
-                    if any(track[i + 1] > track[i] + 1e-12 for i in range(len(track) - 1)):
+        X = P[:, None, None, :]
+        moved = X + hs[None, None, :, None] * dirs[None, :, None, :]  # (x, u, h, d)
+        tracks = (("forward", cost._pair_costs(X, moved)),
+                  ("backward", cost._pair_costs(moved, X)))
+        rising = {name: (track[..., 1:] > track[..., :-1] + 1e-12).any(axis=-1)
+                  for name, track in tracks}
+        lingering = {name: track[..., -1] > 1e-9 for name, track in tracks}
+        for i, xv in enumerate(P):
+            for k, u in enumerate(dirs):
+                for name, _ in tracks:
+                    if rising[name][i, k]:
                         failures.append(("not_monotone", name, tuple(xv), tuple(u)))
-                    if track[-1] > 1e-9:
+                    if lingering[name][i, k]:
                         failures.append(("not_vanishing", name, tuple(xv), tuple(u)))
     return ConsistencyReport(passed=not failures, failures=failures)
 

@@ -447,6 +447,7 @@ _JSON_KINDS = {
     "number": ((int, float), "a number"),
     "integer": ((int, float), "a number"),  # and integral, checked in json_field
     "numbers": (list, "an array of numbers"),
+    "integers": (list, "a flat array of integers"),
 }
 _JSON_NAMES = {dict: "object", list: "array", str: "string", int: "number", float: "number",
                bool: "boolean", type(None): "null"}
@@ -465,7 +466,8 @@ def json_field(obj: dict, key: str, kind: str, what: str):
     raises a ValueError naming the field instead of a TypeError inside a
     constructor; a missing key still raises KeyError.  ``numbers`` returns
     a float array.  ``integer`` takes an integral number, 2.0 too, and
-    returns it as an int; 2.5 is a ValueError, not truncated.
+    returns it as an int; 2.5 is a ValueError, not truncated.  ``integers``
+    takes a flat array of such numbers and returns a list of ints.
     """
     value = obj[key]
     types, noun = _JSON_KINDS[kind]
@@ -477,6 +479,12 @@ def json_field(obj: dict, key: str, kind: str, what: str):
         if isinstance(value, float) and not value.is_integer():
             raise ValueError(f"{what} field {key!r} must be an integer, not {value!r}")
         return int(value)
+    if kind == "integers":
+        for v in value:
+            if (isinstance(v, bool) or not isinstance(v, (int, float))
+                    or (isinstance(v, float) and not v.is_integer())):
+                raise ValueError(f"{what} field {key!r} must be {noun}, not one holding {v!r}")
+        return [int(v) for v in value]
     if kind == "numbers":
         try:
             return np.asarray(value, dtype=float)

@@ -638,14 +638,18 @@ FOREIGN_KEYS = {"convexity": "deltas", "triangle": "t_grid", "q-triangle": "cost
                 "criterion": "count", "lln": "count", "perturb": "count"}
 
 
-@pytest.mark.parametrize("suite", list(FOREIGN_KEYS))
-def test_verify_rejects_a_key_the_suite_does_not_read(tmp_path, capsys, monkeypatch, suite):
+def _no_lp(monkeypatch):
     from mkbary import lp
 
     def no_lp(*args):
         raise AssertionError("an LP ran before the config was checked")
 
     monkeypatch.setattr(lp, "Model", no_lp)  # every LP, one-shot or kept, starts here
+
+
+@pytest.mark.parametrize("suite", list(FOREIGN_KEYS))
+def test_verify_rejects_a_key_the_suite_does_not_read(tmp_path, capsys, monkeypatch, suite):
+    _no_lp(monkeypatch)
     key = FOREIGN_KEYS[suite]
     for config in ({key: 5}, {**SMALL_CONFIGS[suite], "bogus": "x"}):
         cfg = write(tmp_path / "cfg.json", config)
@@ -672,15 +676,91 @@ def test_verify_lln_and_perturb_cli(tmp_path, capsys):
 
 
 def test_verify_lln_rejects_a_top_level_seed(tmp_path, capsys):
-    # lln draws from ``seeds``; a ``seed`` it would ignore is a parse error
+    # lln draws from ``seeds``; a ``seed`` it would ignore is a parse error in
+    # the config and a usage error as ``--seed``
     cfg = write(tmp_path / "lln.json", SMALL_LLN)
     seeded = write(tmp_path / "seeded.json", {**SMALL_LLN, "seed": 3})
-    for k, argv in enumerate([["--config", cfg, "--seed", "3"], ["--config", seeded]]):
+    for k, (argv, code, kind) in enumerate([(["--config", cfg, "--seed", "3"], 4, "usage"),
+                                            (["--config", seeded], 2, "parse")]):
         out_dir = tmp_path / f"out-{k}"
-        assert main(["verify", "lln", *argv, "--out-dir", str(out_dir)]) == 2
+        assert main(["verify", "lln", *argv, "--out-dir", str(out_dir)]) == code
         err = capsys.readouterr().err
-        assert err.startswith("parse error: ") and "'seeds'" in err
-        assert not (out_dir / "lln.csv").exists()
+        assert err.startswith(f"{kind} error: ") and "'seeds'" in err
+        assert not out_dir.exists()
+
+
+def test_verify_seed_flag_has_one_home(tmp_path, capsys, monkeypatch):
+    _no_lp(monkeypatch)
+    seeded = write(tmp_path / "seeded.json", {"seed": 5, "count": 2})
+    for suite, argv, message in (
+            ("convexity", ["--config", seeded, "--seed", "9"],
+             f"--seed 9: {seeded} already sets seed 5; give the seed in one place"),
+            ("lln", ["--seed", "3"], "--seed 3: lln reads no 'seed'; its keys are 'constraint', "
+                                     "'cost', 'n_grid', 'population', 'seeds'")):
+        out = tmp_path / "out"
+        assert main(["verify", suite, *argv, "--out-dir", str(out)]) == 4
+        assert capsys.readouterr() == ("", f"usage error: {message}\n")
+        assert not out.exists()
+    # a seed in one place is recorded in the manifest
+    monkeypatch.undo()
+    unseeded = write(tmp_path / "unseeded.json", {"count": 2})
+    for name, argv in (("file", ["--config", seeded]),
+                       ("flag", ["--config", unseeded, "--seed", "5"])):
+        out = tmp_path / name
+        assert main(["verify", "convexity", *argv, "--out-dir", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"] == {"count": 2, "seed": 5}
+
+
+@pytest.mark.parametrize("suite, config, message", [
+    ("lln", {"n_grid": [2.5, 8]},
+     "lln field 'n_grid' must be a flat array of integers, not one holding 2.5"),
+    ("lln", {"seeds": [1.5]},
+     "lln field 'seeds' must be a flat array of integers, not one holding 1.5"),
+    ("lln", {"seeds": [0, True]},
+     "lln field 'seeds' must be a flat array of integers, not one holding True"),
+    ("lln", {"n_grid": [[4], 8]},
+     "lln field 'n_grid' must be a flat array of integers, not one holding [4]"),
+    ("lln", {"constraint": {**SMALL_LLN["constraint"], "shape": [5.7, 5]}},
+     "constraint field 'shape' must be a flat array of integers, not one holding 5.7"),
+    ("lln", {"constraint": {**SMALL_LLN["constraint"], "shape": [5, 0]}},
+     "grid constraint field 'shape' needs at least 1 point per axis, not [5, 0]"),
+    ("lln", {"n_grid": [0, 8]}, "lln field 'n_grid' entries must be at least 1, not [0, 8]"),
+    ("criterion", {"escape_n": [0, 2, 3]},
+     "criterion field 'escape_n' entries must be at least 1, not [0, 2, 3]"),
+    ("convexity", {"count": -3}, "convexity field 'count' must be at least 1, not -3"),
+    ("triangle", {"count": 0}, "triangle field 'count' must be at least 1, not 0"),
+    ("q-triangle", {"max_atoms": 0}, "q-triangle field 'max_atoms' must be at least 1, not 0"),
+    ("q-triangle", {"q": 0}, "q-triangle field 'q' must be at least 1, not 0"),
+    ("q-triangle", {"q": 0.5}, "q-triangle field 'q' must be at least 1, not 0.5"),
+    ("lln", {"population": {"generator": {**SMALL_LLN["population"]["generator"], "count": 0}}},
+     "generator field 'count' must be at least 1, not 0"),
+    ("perturb", {"population": {"generator": {"box": [[0, 0], [1, 1]], "max_atoms": 0,
+                                              "count": 1}}},
+     "generator field 'max_atoms' must be at least 1, not 0"),
+    *[(suite, {key: []}, f"{suite} field {key!r} must not be empty")
+      for suite, key in (("lln", "seeds"), ("lln", "n_grid"), ("perturb", "deltas"),
+                         ("convexity", "t_grid"), ("q-triangle", "powers"),
+                         ("criterion", "escape_n"), ("criterion", "trunc_n"))],
+])
+def test_verify_settings_that_check_nothing_are_parse_errors(tmp_path, capsys, monkeypatch,
+                                                             suite, config, message):
+    _no_lp(monkeypatch)
+    base = SMALL_LLN if suite == "lln" else {}
+    cfg = write(tmp_path / "cfg.json", {**base, **config})
+    out = tmp_path / "out"
+    assert main(["verify", suite, "--config", cfg, "--out-dir", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"parse error: {message}\n")
+    assert not out.exists()
+
+
+def test_verify_integer_arrays_take_integral_floats(tmp_path, capsys):
+    runs = {}
+    for name, n_grid in (("ints", [2, 8]), ("floats", [2.0, 8.0])):
+        cfg = write(tmp_path / f"{name}.json", {**SMALL_LLN, "n_grid": n_grid})
+        assert main(["verify", "lln", "--config", cfg, "--out-dir", str(tmp_path / name)]) == 0
+        runs[name] = (tmp_path / name / "lln.csv").read_bytes()
+    assert runs["floats"] == runs["ints"]
 
 
 FINITE_3 = {"kind": "finite", "n": 3, "rho": [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]}

@@ -14,7 +14,7 @@ from mkbary import (
     growth_constants,
     relaxed_constants,
 )
-from mkbary.costs import cost_from_json, cost_to_json, halton_sample
+from mkbary.costs import DEFAULT_GRID_SIZE, cost_from_json, cost_to_json, halton_sample
 
 LINE = GroundSpace.euclidean(1)
 PLANE = GroundSpace.euclidean(2)
@@ -42,7 +42,8 @@ def test_cost_matrix_examples():
     finite = GroundSpace.finite(rho)
 
     def skew(u):  # convex and asymmetric: 2u on the right, -u on the left
-        return float(2.0 * max(u[0], 0.0) - min(u[0], 0.0) + np.sum(u[1:] ** 2))
+        return (2.0 * np.maximum(u[..., 0], 0.0) - np.minimum(u[..., 0], 0.0)
+                + np.sum(u[..., 1:] ** 2, axis=-1))
 
     skews = {1: CostSpec.translation(skew, dim=1), 2: CostSpec.translation(skew, dim=2)}
     table3 = CostSpec.finite_matrix([[0.0, 1.0, 3.0], [2.0, 0.0, 1.0], [1.0, 2.0, 0.0]])
@@ -95,8 +96,8 @@ def test_growth_constants_declared():
 
 
 def test_growth_constants_custom_sampled():
-    c = CostSpec.translation(lambda u: float(u[0] ** 2), convex=True, dim=1)
-    g = growth_constants(c, sample_size=2000)
+    c = CostSpec.translation(lambda u: u[..., 0] ** 2, convex=True, dim=1)
+    g = growth_constants(c)
     assert g.provenance == "sampled_lower_bound"
     assert g.B == pytest.approx(2.0, rel=1e-6)  # attained on the u = v diagonal
 
@@ -111,9 +112,9 @@ def test_growth_constants_finite_enumeration():
 def test_sampled_B_clamp_is_logged(caplog):
     # sqrt|u| is subadditive, so g(u+v) / (g(u) + g(v)) < 1 unless u or v is 0,
     # and no 2-D Halton point is 0
-    root = CostSpec.translation(lambda u: float(np.sqrt(np.linalg.norm(u))), dim=2)
+    root = CostSpec.translation(lambda u: np.sqrt(np.linalg.norm(u, axis=-1)), dim=2)
     with caplog.at_level("WARNING", logger="mkbary"):
-        g = growth_constants(root, sample_size=500)
+        g = growth_constants(root)
     assert g.B == 1.0 and g.provenance == "sampled_lower_bound"
     assert [r.getMessage() for r in caplog.records if r.name == "mkbary"] == [
         "sampled B < 1 clamped to 1 (convex g cannot have B < 1)"]
@@ -221,7 +222,7 @@ def test_cost_json_roundtrip():
         again = cost_from_json(cost_to_json(c))
         assert again.kind == c.kind
     with pytest.raises(ValueError):
-        cost_to_json(CostSpec.translation(lambda u: float(abs(u[0])), dim=1))
+        cost_to_json(CostSpec.translation(lambda u: np.abs(u[..., 0]), dim=1))
 
 
 def test_halton_matches_scipy_unscrambled():
@@ -248,7 +249,7 @@ def _first_scalar_violation(cost, eps, A_eps, C_eps, X, Y, Z):
 def test_relaxed_check_names_the_scalar_loops_triple():
     from mkbary.costs import _check_relaxed_on_triples
 
-    quartic = CostSpec.translation(lambda u: float(np.sum(u**4)), dim=2)
+    quartic = CostSpec.translation(lambda u: np.sum(u**4, axis=-1), dim=2)
     for cost, dim, C_eps in ((CostSpec.norm_power(2), 1, 1.0), (CostSpec.norm_power(3), 2, 1.5),
                              (CostSpec.metric_power(2), 3, 2.0), (quartic, 2, 4.0)):
         pts = halton_sample(2000, 3 * dim, -1.0, 1.0)
@@ -395,3 +396,148 @@ def test_finite_constants_bounded_memory():
             tracemalloc.stop()
         # one n**3 temporary would be 125 MB; the table itself is 0.5 MB
         assert peak < 64 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# Custom translation costs: one array call of g per array
+# ---------------------------------------------------------------------------
+
+def _quartic(u):
+    return np.sum(u**4, axis=-1)
+
+
+def _square_root(u):
+    return np.sqrt(np.linalg.norm(u, axis=-1))
+
+
+def _square(u):
+    return u[..., 0] ** 2
+
+
+def test_translation_g_must_score_stacks_of_differences():
+    for g in (lambda u: float(np.sum(u**4)),  # one point only
+              lambda u: np.sum(u**4, axis=0),  # reduces over the stack, not the vector
+              lambda u: float(u[0] ** 2)):
+        with pytest.raises(ValueError, match="translation cost g"):
+            CostSpec.translation(g, dim=2)
+    with pytest.raises(ValueError, match="g\\(0\\) = 0"):
+        CostSpec.translation(lambda u: 1.0 + _quartic(u), dim=2)
+
+
+def test_translation_costs_call_g_once_per_array():
+    calls = []
+
+    def counted(u):
+        calls.append(np.shape(u))
+        return _quartic(u)
+
+    cost = CostSpec.translation(counted, dim=2)
+    rng = np.random.default_rng(8)
+    X, Y = rng.normal(size=(64, 2)), rng.normal(size=(289, 2))
+    for check, n_calls in ((lambda: cost.table(PLANE, X, Y), 1),
+                           (lambda: cost.pair_matrix(Y, X), 1),
+                           (lambda: growth_constants(cost), 3),
+                           (lambda: cost.is_symmetric, 2)):
+        calls.clear()
+        check()
+        assert len(calls) == n_calls
+    calls.clear()
+    cost.table(PLANE, X, Y)
+    assert calls == [(64, 289, 2)]
+
+
+def _per_pair_B(g, d, sample_size=DEFAULT_GRID_SIZE):
+    """The sampled B of a translation cost as one g call per point (the former loop)."""
+    uv = halton_sample(sample_size, 2 * d, -1.0, 1.0)
+    u = np.concatenate([uv[:, :d], uv[:, :d]])
+    v = np.concatenate([uv[:, d:], uv[:, :d]])
+    best = 0.0
+    for ui, vi in zip(u, v):
+        den = float(g(ui)) + float(g(vi))
+        if den <= 1e-15:
+            continue
+        r = float(g(ui + vi)) / den
+        if r > best:
+            best = r
+    return max(best, 1.0)
+
+
+def _saturating_square(u):  # its largest ratios lie where g(u) + g(v) is below 1e-3
+    return u[..., 0] ** 2 / (1.0 + 1e4 * u[..., 0] ** 2)
+
+
+def test_sampled_B_equals_the_per_pair_loop():
+    for g, d in ((_square, 1), (_quartic, 2), (_square_root, 2), (_saturating_square, 1)):
+        gc = growth_constants(CostSpec.translation(g, dim=d))
+        assert gc.B == _per_pair_B(g, d) and gc.provenance == "sampled_lower_bound"
+    assert growth_constants(CostSpec.translation(_quartic, dim=2)).B == 8.0
+
+
+def _per_pair_consistency(cost, sample):
+    """consistency_check's failures as one ``evaluate`` per pair and step (the former loops)."""
+    failures = []
+    finite_points = isinstance(sample[0], (int, np.integer))
+    for x in sample:
+        for y in sample:
+            c = cost.evaluate(x, y)
+            if finite_points:
+                same = int(x) == int(y)
+            else:
+                same = np.allclose(np.atleast_1d(x), np.atleast_1d(y), atol=1e-12)
+            if same and abs(c) > 1e-12:
+                failures.append(("nonzero_on_diagonal", x, y, c))
+            if not same and c <= 1e-12:
+                failures.append(("zero_off_diagonal", x, y, c))
+    if not finite_points:
+        d = np.atleast_1d(np.asarray(sample[0], dtype=float)).shape[0]
+        dirs = list(np.eye(d)) + [np.ones(d) / np.sqrt(d)]
+        hs = 2.0 ** -np.arange(0, 17)
+        for x in sample:
+            xv = np.atleast_1d(np.asarray(x, dtype=float))
+            for u in dirs:
+                fwd = [cost.evaluate(xv, xv + h * u) for h in hs]
+                bwd = [cost.evaluate(xv + h * u, xv) for h in hs]
+                for name, track in (("forward", fwd), ("backward", bwd)):
+                    if any(track[i + 1] > track[i] + 1e-12 for i in range(len(track) - 1)):
+                        failures.append(("not_monotone", name, tuple(xv), tuple(u)))
+                    if track[-1] > 1e-9:
+                        failures.append(("not_vanishing", name, tuple(xv), tuple(u)))
+    return failures
+
+
+def test_consistency_check_equals_the_per_pair_loops():
+    # free to the right, and a wobbling cost that does not vanish to the left
+    def one_sided(u):
+        return np.where(u[..., 0] < 0.0, 1.0 + np.sin(10.0 * u[..., 0]) ** 2,
+                        0.0) + np.sum(u[..., 1:] ** 2, axis=-1)
+
+    rng = np.random.default_rng(11)
+    line = [np.array([v]) for v in (0.0, 1.0, 1.000001, -0.5)]
+    plane = [rng.normal(size=2) for _ in range(3)] + [np.array([0.3, 0.3 + 1e-7])]
+    plane.append(plane[-1] + 1e-7)
+    cases = [(CostSpec.translation(one_sided, dim=1), line),
+             (CostSpec.translation(one_sided, dim=2), plane),
+             (CostSpec.translation(_quartic, dim=2), plane),
+             (CostSpec.norm_power(2), line), (CostSpec.norm_power(4), plane),
+             # 2 h**2 is above 1e-9 at h = 2**-15 and below it at the last step, 2**-16
+             (CostSpec.translation(lambda u: 2.0 * np.sum(u**2, axis=-1), dim=2), plane),
+             (CostSpec.metric_power(2), [0.5, 1.5, 1.5]),
+             (CostSpec.norm_power(2), [0, 1, 1, 3]),  # integers as points of the line
+             (CostSpec.finite_matrix([[0.0, 1e-12, 1.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]]),
+              [0, 1, 2, 2, np.int64(1)])]
+    kinds = set()
+    for cost, sample in cases:
+        rep = consistency_check(cost, sample)
+        ref = _per_pair_consistency(cost, sample)
+        assert len(rep.failures) == len(ref)
+        for got, want in zip(rep.failures, ref):
+            assert got[0] == want[0] and len(got) == len(want)
+            assert all(np.array_equal(a, b) for a, b in zip(got[1:], want[1:]))
+        assert rep.passed == (not ref)
+        kinds |= {f[0] for f in ref}
+    assert kinds == {"nonzero_on_diagonal", "zero_off_diagonal", "not_monotone",
+                     "not_vanishing"}
+    with pytest.raises(SpaceMismatch):
+        consistency_check(CostSpec.norm_power(2), [np.zeros(1), np.zeros(2)])
+    with pytest.raises(SpaceMismatch):  # a table scores indices, not points of the line
+        consistency_check(CostSpec.finite_matrix([[0.0, 1.0], [1.0, 0.0]]), [0.0, 1.0])
