@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from . import lp
-from .costs import CostSpec
+from .costs import CostSpec, cost_from_json
 from .errors import (
     NotConvexCost,
     NotOneDimensional,
@@ -37,6 +37,7 @@ from .measures import (
     _as_indices,
     canonicalize,
     json_field,
+    json_keys,
     measure_from_json,
     measure_to_json,
     merge_equal_measures,
@@ -87,30 +88,33 @@ class Constraint:
         return Constraint(kind="quantile_1d")
 
 
+# constraint kind -> the keys besides ``kind``
+_CONSTRAINT_KEYS = {"simplex_over": ("atoms",), "grid": ("box", "shape"), "free": ("k",),
+                    "quantile_1d": ()}
+
+
 def constraint_from_json(obj: dict) -> Constraint:
     """Parse a constraint: ``simplex_over``, ``grid`` (a candidate simplex on
     a box mesh), ``free`` or ``quantile_1d``."""
     kind = obj.get("kind")
+    if kind not in _CONSTRAINT_KEYS:
+        raise ValueError(f"unknown constraint kind {kind!r}")
+    json_keys(obj, ("kind", *_CONSTRAINT_KEYS[kind]), f"{kind} constraint")
     if kind == "simplex_over":
         return Constraint.simplex_over(json_field(obj, "atoms", "numbers", "constraint"))
     if kind == "grid":
         box = json_field(obj, "box", "numbers", "constraint")
-        shape = json_field(obj, "shape", "integers", "constraint")
-        if not shape or box.shape != (2, len(shape)):
+        shape = json_field(obj, "shape", "integers", "constraint", least=1)
+        if box.shape != (2, len(shape)):
             raise ValueError("grid constraint needs a 'shape' per axis and a 'box' [lo, hi] "
                              "with one bound per axis in each")
-        if min(shape) < 1:
-            raise ValueError(f"grid constraint field 'shape' needs at least 1 point per axis, "
-                             f"not {shape}")
         lo, hi = box
         axes = [np.linspace(lo[i], hi[i], k) for i, k in enumerate(shape)]
         mesh = np.meshgrid(*axes, indexing="ij")
         return Constraint.simplex_over(np.stack([m.ravel() for m in mesh], axis=-1))
     if kind == "free":
         return Constraint.free(json_field(obj, "k", "integer", "constraint"))
-    if kind == "quantile_1d":
-        return Constraint.quantile_1d()
-    raise ValueError(f"unknown constraint kind {kind!r}")
+    return Constraint.quantile_1d()
 
 
 @dataclass(frozen=True)
@@ -563,12 +567,15 @@ def barycenter_quantile_1d(problem: BarycenterProblem) -> BarycenterResult:
 # JSON wire format
 # ---------------------------------------------------------------------------
 
-def problem_from_json(obj: dict) -> BarycenterProblem:
-    from .costs import cost_from_json
+def _input_from_json(obj: dict):
+    json_keys(obj, ("measure", "lambda"), "input")
+    return (measure_from_json(json_field(obj, "measure", "object", "input")),
+            float(json_field(obj, "lambda", "number", "input")))
 
-    inputs = [(measure_from_json(json_field(e, "measure", "object", "input")),
-               float(json_field(e, "lambda", "number", "input")))
-              for e in json_field(obj, "inputs", "objects", "problem")]
+
+def problem_from_json(obj: dict) -> BarycenterProblem:
+    json_keys(obj, ("inputs", "constraint", "cost"), "problem")
+    inputs = [_input_from_json(e) for e in json_field(obj, "inputs", "objects", "problem")]
     return BarycenterProblem.make(
         inputs, constraint_from_json(json_field(obj, "constraint", "object", "problem")),
         cost_from_json(json_field(obj, "cost", "object", "problem")))

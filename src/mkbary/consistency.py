@@ -24,6 +24,7 @@ from .measures import (
     GroundSpace,
     canonicalize,
     json_field,
+    json_keys,
     measure_from_json,
     merge_equal_measures,
 )
@@ -174,9 +175,16 @@ def lln_experiment(
     and lifted-distance LPs of every distinct draw are solved together,
     after the last barycenter, in one transport batch (see ``_solve_draws``).
     A draw whose barycenter or transport LPs raise is a hole in the report.
+    A repeated entry of ``n_grid`` or ``seeds`` is a ValueError, before any
+    solve: it would give a second row for the same (n, seed).
     """
     n_grid = sorted(int(n) for n in n_grid)
     seeds = list(seeds)
+    for name, values in (("n_grid", n_grid), ("seeds", seeds)):
+        repeated = sorted({v for v in values if values.count(v) > 1})
+        if repeated:
+            raise ValueError(f"lln field {name!r} repeats {repeated}; "
+                             "each entry must be distinct")
     systems = {}
     pop_result, reps = _population_barycenter(population, constraint, cost, systems)
     K = len(population.atoms)
@@ -294,17 +302,17 @@ def population_from_json(obj: dict) -> MetaDistribution:
     """A ``generator`` (box [lo, hi], count, seed 0, max_atoms 5) or explicit
     ``measures`` with their ``probs``."""
     if "generator" in obj:
-        g = {"seed": 0, "max_atoms": 5,
-             **json_field(obj, "generator", "object", "population")}
+        json_keys(obj, ("generator",), "population")
+        g = json_field(obj, "generator", "object", "population")
+        json_keys(g, ("box", "count", "seed", "max_atoms"), "generator")
+        g = {"seed": 0, "max_atoms": 5, **g}
         box = json_field(g, "box", "numbers", "generator")
         if len(box) != 2:
             raise ValueError("generator 'box' must be [lo, hi]")
-        count, seed, max_atoms = (json_field(g, key, "integer", "generator")
-                                  for key in ("count", "seed", "max_atoms"))
-        for key, value in (("count", count), ("max_atoms", max_atoms)):
-            if value < 1:
-                raise ValueError(f"generator field {key!r} must be at least 1, not {value}")
+        count, seed, max_atoms = (json_field(g, key, "integer", "generator", least=least)
+                                  for key, least in (("count", 1), ("seed", 0), ("max_atoms", 1)))
         return random_population(count, seed, box[0], box[1], max_atoms)
+    json_keys(obj, ("measures", "probs"), "population")
     measures = [measure_from_json(m)
                 for m in json_field(obj, "measures", "objects", "population")]
     return MetaDistribution.make(measures, json_field(obj, "probs", "numbers", "population"))

@@ -29,7 +29,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConstructionFailed, SpaceMismatch, UnboundedRatio
-from .measures import DiscreteMeasure, GroundSpace, _triple_slabs, json_field
+from .measures import DiscreteMeasure, GroundSpace, _triple_slabs, json_field, json_keys
 
 log = logging.getLogger("mkbary")
 
@@ -520,13 +520,21 @@ def cost_to_json(cost: CostSpec) -> dict:
     return out
 
 
+# cost kind -> the keys besides ``kind`` and ``declared_constants``
+_COST_KEYS = {"metric_power": ("p",), "norm_power": ("p",), "finite_matrix": ("values",)}
+
+
 def cost_from_json(obj: dict) -> CostSpec:
     kind = obj.get("kind")
+    if kind not in _COST_KEYS:
+        raise ValueError(f"unknown cost kind {kind!r}")
+    json_keys(obj, ("kind", "declared_constants", *_COST_KEYS[kind]), f"{kind} cost")
     declared = obj.get("declared_constants")
     if declared is not None:
         json_field(obj, "declared_constants", "object", "cost")
+        json_keys(declared, ("A", "B", "q", "q0"), "declared_constants")
         for key in ("A", "B", "q", "q0"):
-            if key in declared:
+            if key in declared or key == "B":  # B is required, the others optional
                 json_field(declared, key, "number", "declared_constants")
     if kind == "metric_power":
         return CostSpec.metric_power(float(json_field(obj, "p", "number", "cost")),
@@ -534,7 +542,5 @@ def cost_from_json(obj: dict) -> CostSpec:
     if kind == "norm_power":
         return CostSpec.norm_power(float(json_field(obj, "p", "number", "cost")),
                                    declared=declared)
-    if kind == "finite_matrix":
-        return CostSpec.finite_matrix(json_field(obj, "values", "numbers", "cost"),
-                                      declared=declared)
-    raise ValueError(f"unknown cost kind {kind!r}")
+    return CostSpec.finite_matrix(json_field(obj, "values", "numbers", "cost"),
+                                  declared=declared)

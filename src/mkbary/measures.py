@@ -459,37 +459,53 @@ def json_name(value) -> str:
     return _JSON_NAMES.get(type(value), type(value).__name__)
 
 
-def json_field(obj: dict, key: str, kind: str, what: str):
-    """``obj[key]``, checked to be of the JSON ``kind`` in ``_JSON_KINDS``.
+def json_keys(obj: dict, keys, what: str) -> None:
+    """Raise a ValueError naming every key of ``obj`` outside ``keys``."""
+    unknown = sorted(set(obj) - set(keys))
+    if unknown:
+        raise ValueError(f"{what} reads no {', '.join(map(repr, unknown))}; "
+                         f"its keys are {', '.join(map(repr, sorted(keys)))}")
+
+
+def json_field(obj: dict, key: str, kind: str, what: str, least=None):
+    """``obj[key]``, checked to be present and of the JSON ``kind`` in ``_JSON_KINDS``.
 
     Every loader reads its fields through this, so a file of the wrong shape
-    raises a ValueError naming the field instead of a TypeError inside a
-    constructor; a missing key still raises KeyError.  ``numbers`` returns
-    a float array.  ``integer`` takes an integral number, 2.0 too, and
-    returns it as an int; 2.5 is a ValueError, not truncated.  ``integers``
-    takes a flat array of such numbers and returns a list of ints.
+    raises a ValueError naming the field instead of a KeyError or a
+    TypeError inside a constructor.  An array must not be empty.  ``numbers``
+    returns a float array.  ``integer`` takes an integral number, 2.0 too,
+    and returns it as an int; 2.5 is a ValueError, not truncated.
+    ``integers`` takes a flat array of such numbers and returns a list of
+    ints.  With ``least``, the number, or every entry of the array, must be
+    at least ``least``.
     """
+    if key not in obj:
+        raise ValueError(f"{what} field {key!r} is missing")
     value = obj[key]
     types, noun = _JSON_KINDS[kind]
     if isinstance(value, bool) or not isinstance(value, types):
         raise ValueError(f"{what} field {key!r} must be {noun}, not {json_name(value)}")
+    if isinstance(value, list) and not value:
+        raise ValueError(f"{what} field {key!r} must not be empty")
     if kind == "objects" and not all(isinstance(v, dict) for v in value):
         raise ValueError(f"{what} field {key!r} must be {noun}")
     if kind == "integer":
         if isinstance(value, float) and not value.is_integer():
             raise ValueError(f"{what} field {key!r} must be an integer, not {value!r}")
-        return int(value)
-    if kind == "integers":
+        value = int(value)
+    elif kind == "integers":
         for v in value:
             if (isinstance(v, bool) or not isinstance(v, (int, float))
                     or (isinstance(v, float) and not v.is_integer())):
                 raise ValueError(f"{what} field {key!r} must be {noun}, not one holding {v!r}")
-        return [int(v) for v in value]
-    if kind == "numbers":
+        value = [int(v) for v in value]
+    elif kind == "numbers":
         try:
-            return np.asarray(value, dtype=float)
+            value = np.asarray(value, dtype=float)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{what} field {key!r} must be {noun}") from exc
+    if least is not None and not np.all(np.asarray(value) >= least):
+        raise ValueError(f"{what} field {key!r} must be at least {least}, not {obj[key]!r}")
     return value
 
 
@@ -499,16 +515,21 @@ def space_to_json(space: GroundSpace) -> dict:
     return {"kind": "finite", "n": space.n_points, "rho": space.rho.tolist()}
 
 
+# space kind -> the keys besides ``kind``
+_SPACE_KEYS = {"euclidean": ("dim",), "finite": ("n", "rho")}
+
+
 def space_from_json(obj: dict) -> GroundSpace:
     kind = obj.get("kind")
+    if kind not in _SPACE_KEYS:
+        raise ValueError(f"unknown space kind {kind!r}")
+    json_keys(obj, ("kind", *_SPACE_KEYS[kind]), f"{kind} space")
     if kind == "euclidean":
         return GroundSpace.euclidean(json_field(obj, "dim", "integer", "space"))
-    if kind == "finite":
-        rho = json_field(obj, "rho", "numbers", "space")
-        if "n" in obj and json_field(obj, "n", "integer", "space") != rho.shape[0]:
-            raise ValueError("declared point count disagrees with rho shape")
-        return GroundSpace.finite(rho)
-    raise ValueError(f"unknown space kind {kind!r}")
+    rho = json_field(obj, "rho", "numbers", "space")
+    if "n" in obj and json_field(obj, "n", "integer", "space") != rho.shape[0]:
+        raise ValueError("declared point count disagrees with rho shape")
+    return GroundSpace.finite(rho)
 
 
 def measure_to_json(measure: DiscreteMeasure) -> dict:
@@ -521,6 +542,7 @@ def measure_to_json(measure: DiscreteMeasure) -> dict:
 
 def measure_from_json(obj: dict, space: Optional[GroundSpace] = None) -> DiscreteMeasure:
     """Load a measure; a given ``space`` stands in for the file's own, unparsed."""
+    json_keys(obj, ("space", "atoms", "weights"), "measure")
     if space is None:
         space = space_from_json(json_field(obj, "space", "object", "measure"))
     return canonicalize(json_field(obj, "atoms", "numbers", "measure"),

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .costs import CostSpec
-from .measures import DiscreteMeasure, _as_point, _cutoff, _sort_and_merge, canonicalize
+from .measures import DiscreteMeasure, _as_point, _cutoff, _sort_and_merge, canonicalize, tail_cost
 from .transport import TransportPlan, solve_lp_batch, solve_lp_matrix
 
 VERDICT_TOL = 1e-6
@@ -158,8 +158,6 @@ def truncate_plan(gamma: TransportPlan, x0, R: float, cost: CostSpec):
 
 def uniform_tail_radius(family, x0, cost: CostSpec, eps: float) -> float:
     """Smallest doubling radius at which every member's tail cost is <= eps."""
-    from .measures import tail_cost
-
     R = 1.0
     for _ in range(200):
         if max(tail_cost(nu, x0, R, cost) for nu in family) <= eps:

@@ -26,6 +26,7 @@ from .measures import (
     canonicalize,
     dirac,
     json_field,
+    json_keys,
     mixture,
     truncate_to_ball,
 )
@@ -72,49 +73,34 @@ DEFAULTS = {
 # array settings whose entries are integers
 _INTEGER_ARRAYS = {"n_grid", "seeds", "escape_n"}
 # the least value a setting, or every entry of an array setting, may take
-_FLOORS = {"count": 1, "max_atoms": 1, "q": 1, "n_grid": 1, "escape_n": 1}
+_FLOORS = {"seed": 0, "seeds": 0, "count": 1, "max_atoms": 1, "q": 1, "n_grid": 1,
+           "escape_n": 1}
 
 
 def _settings(suite: str, config: dict) -> dict:
     """``config`` over the suite's defaults, before any solve.
 
-    Rejects a key the suite does not read, and a value whose JSON type is
-    not its default's: an object, a flat array of numbers (of integers, for
-    ``_INTEGER_ARRAYS``, taken as ints), an integer (taken as an int), or a
-    number (``null`` too where the default is ``None``).  An array must not
-    be empty, and a value under its floor in ``_FLOORS`` is rejected too.
+    Rejects a key the suite does not read, a value whose JSON type is not
+    its default's (an object, a flat array of numbers, of integers for
+    ``_INTEGER_ARRAYS``, taken as ints, an integer, taken as an int, or a
+    number, ``null`` too where the default is ``None``), and a value under
+    its floor in ``_FLOORS``, by the rules of ``json_field``.
     """
     defaults = DEFAULTS[suite]
-    unknown = sorted(set(config) - set(defaults))
-    if unknown:
-        raise ValueError(f"{suite} reads no {', '.join(map(repr, unknown))}; "
-                         f"its keys are {', '.join(map(repr, sorted(defaults)))}")
+    json_keys(config, defaults, suite)
     settings = {**defaults, **config}
     for key, value in config.items():
         default = defaults[key]
-        if isinstance(default, dict):
-            json_field(config, key, "object", suite)
+        if value is None and default is None:
             continue
-        if key in _INTEGER_ARRAYS:
-            values = settings[key] = json_field(config, key, "integers", suite)
-        elif isinstance(default, list):
-            values = json_field(config, key, "numbers", suite)
-            if values.ndim != 1:
-                raise ValueError(f"{suite} field {key!r} must be a flat array of numbers")
-        elif isinstance(default, int):
-            settings[key] = json_field(config, key, "integer", suite)
-            values = [settings[key]]
-        elif value is None and default is None:
-            continue
-        else:
-            values = [json_field(config, key, "number", suite)]
-        if len(values) == 0:
-            raise ValueError(f"{suite} field {key!r} must not be empty")
-        floor = _FLOORS.get(key)
-        if floor is not None and not all(v >= floor for v in values):
-            what = " entries" if isinstance(default, list) else ""
-            raise ValueError(f"{suite} field {key!r}{what} must be at least {floor}, "
-                             f"not {value!r}")
+        kind = ("object" if isinstance(default, dict) else "integers" if key in _INTEGER_ARRAYS
+                else "numbers" if isinstance(default, list)
+                else "integer" if isinstance(default, int) else "number")
+        checked = json_field(config, key, kind, suite, least=_FLOORS.get(key))
+        if kind == "numbers" and checked.ndim != 1:
+            raise ValueError(f"{suite} field {key!r} must be a flat array of numbers")
+        if kind in ("integer", "integers"):
+            settings[key] = checked
     return settings
 
 

@@ -724,10 +724,10 @@ def test_verify_seed_flag_has_one_home(tmp_path, capsys, monkeypatch):
     ("lln", {"constraint": {**SMALL_LLN["constraint"], "shape": [5.7, 5]}},
      "constraint field 'shape' must be a flat array of integers, not one holding 5.7"),
     ("lln", {"constraint": {**SMALL_LLN["constraint"], "shape": [5, 0]}},
-     "grid constraint field 'shape' needs at least 1 point per axis, not [5, 0]"),
-    ("lln", {"n_grid": [0, 8]}, "lln field 'n_grid' entries must be at least 1, not [0, 8]"),
+     "constraint field 'shape' must be at least 1, not [5, 0]"),
+    ("lln", {"n_grid": [0, 8]}, "lln field 'n_grid' must be at least 1, not [0, 8]"),
     ("criterion", {"escape_n": [0, 2, 3]},
-     "criterion field 'escape_n' entries must be at least 1, not [0, 2, 3]"),
+     "criterion field 'escape_n' must be at least 1, not [0, 2, 3]"),
     ("convexity", {"count": -3}, "convexity field 'count' must be at least 1, not -3"),
     ("triangle", {"count": 0}, "triangle field 'count' must be at least 1, not 0"),
     ("q-triangle", {"max_atoms": 0}, "q-triangle field 'max_atoms' must be at least 1, not 0"),
@@ -742,6 +742,12 @@ def test_verify_seed_flag_has_one_home(tmp_path, capsys, monkeypatch):
       for suite, key in (("lln", "seeds"), ("lln", "n_grid"), ("perturb", "deltas"),
                          ("convexity", "t_grid"), ("q-triangle", "powers"),
                          ("criterion", "escape_n"), ("criterion", "trunc_n"))],
+    ("convexity", {"seed": -1}, "convexity field 'seed' must be at least 0, not -1"),
+    # criterion draws from seed + 7, so -7..-1 used to run
+    ("criterion", {"seed": -3}, "criterion field 'seed' must be at least 0, not -3"),
+    ("lln", {"seeds": [-1, 0]}, "lln field 'seeds' must be at least 0, not [-1, 0]"),
+    ("lln", {"population": {"generator": {**SMALL_LLN["population"]["generator"], "seed": -1}}},
+     "generator field 'seed' must be at least 0, not -1"),
 ])
 def test_verify_settings_that_check_nothing_are_parse_errors(tmp_path, capsys, monkeypatch,
                                                              suite, config, message):
@@ -791,6 +797,96 @@ def test_finite_indices_that_are_not_points_are_parse_errors(tmp_path, capsys, m
     assert "is not an index of the finite space of size 3" in err
     assert not (tmp_path / "barycenter.json").exists()
 
+
+
+
+GENERATOR = SMALL_LLN["population"]["generator"]
+PROBLEM = {"inputs": [{"measure": MEASURE_01, "lambda": 1.0}],
+           "constraint": {"kind": "free", "k": 1}, "cost": COST_SQ}
+
+# (the command that reads the file, the file, the parse error)
+BROKEN_RULES = [
+    # a missing key
+    ("lln", {**SMALL_LLN, "population": {"generator": {"box": GENERATOR["box"]}}},
+     "generator field 'count' is missing"),
+    ("constants", {**COST_SQ, "declared_constants": {"A": 0.0}},
+     "declared_constants field 'B' is missing"),
+    ("transport", {"space": MEASURE_01["space"], "atoms": [[0.0]]},
+     "measure field 'weights' is missing"),
+    ("barycenter", {"inputs": PROBLEM["inputs"], "constraint": PROBLEM["constraint"]},
+     "problem field 'cost' is missing"),
+    # an empty array
+    ("transport", {**MEASURE_01, "atoms": [], "weights": []},
+     "measure field 'atoms' must not be empty"),
+    ("transport", {**MEASURE_01, "weights": []}, "measure field 'weights' must not be empty"),
+    ("barycenter", {**PROBLEM, "inputs": []}, "problem field 'inputs' must not be empty"),
+    ("barycenter", {**PROBLEM, "constraint": {"kind": "grid", "box": [[0.0], [1.0]], "shape": []}},
+     "constraint field 'shape' must not be empty"),
+    ("lln", {**SMALL_LLN, "population": {"measures": [], "probs": []}},
+     "population field 'measures' must not be empty"),
+    # an unknown key, one per object kind
+    ("lln", {**SMALL_LLN, "population": {"generator": GENERATOR, "probs": [1.0]}},
+     "population reads no 'probs'; its keys are 'generator'"),
+    ("lln", {**SMALL_LLN, "population": {"measures": [MEASURE_01], "probs": [1.0], "count": 1}},
+     "population reads no 'count'; its keys are 'measures', 'probs'"),
+    ("lln", {**SMALL_LLN, "population": {"generator": {**GENERATOR, "max_atom": 1}}},
+     "generator reads no 'max_atom'; its keys are 'box', 'count', 'max_atoms', 'seed'"),
+    ("lln", {**SMALL_LLN, "constraint": {**SMALL_LLN["constraint"], "atoms": [[0.5, 0.5]]}},
+     "grid constraint reads no 'atoms'; its keys are 'box', 'kind', 'shape'"),
+    ("barycenter", {**PROBLEM, "constraint": {"kind": "simplex_over", "atoms": [[0.0]], "k": 1}},
+     "simplex_over constraint reads no 'k'; its keys are 'atoms', 'kind'"),
+    ("barycenter", {**PROBLEM, "constraint": {"kind": "free", "k": 1, "atoms": [[0.0]]}},
+     "free constraint reads no 'atoms'; its keys are 'k', 'kind'"),
+    ("barycenter", {**PROBLEM, "constraint": {"kind": "quantile_1d", "k": 1}},
+     "quantile_1d constraint reads no 'k'; its keys are 'kind'"),
+    ("barycenter", {**PROBLEM, "seed": 3},
+     "problem reads no 'seed'; its keys are 'constraint', 'cost', 'inputs'"),
+    ("barycenter", {**PROBLEM, "inputs": [{"measure": MEASURE_01, "lambda": 1.0, "weight": 1.0}]},
+     "input reads no 'weight'; its keys are 'lambda', 'measure'"),
+    ("transport", {**MEASURE_01, "weight": [1.0]},
+     "measure reads no 'weight'; its keys are 'atoms', 'space', 'weights'"),
+    ("transport", {**MEASURE_01, "space": {"kind": "euclidean", "dim": 1, "n": 1}},
+     "euclidean space reads no 'n'; its keys are 'dim', 'kind'"),
+    ("transport", {"space": {**FINITE_3, "dim": 3}, "atoms": [0, 1], "weights": [0.5, 0.5]},
+     "finite space reads no 'dim'; its keys are 'kind', 'n', 'rho'"),
+    ("constants", {**COST_SQ, "declared": {"B": 7}},
+     "norm_power cost reads no 'declared'; its keys are 'declared_constants', 'kind', 'p'"),
+    ("constants", {"kind": "metric_power", "p": 1, "q": 2},
+     "metric_power cost reads no 'q'; its keys are 'declared_constants', 'kind', 'p'"),
+    ("constants", {"kind": "finite_matrix", "values": [[0.0, 1.0], [1.0, 0.0]], "p": 2},
+     "finite_matrix cost reads no 'p'; its keys are 'declared_constants', 'kind', 'values'"),
+    ("constants", {**COST_SQ, "declared_constants": {"B": 2.0, "b": 1.0}},
+     "declared_constants reads no 'b'; its keys are 'A', 'B', 'q', 'q0'"),
+    # a repeated lln entry, which would write two rows for one (n, seed)
+    ("lln", {**SMALL_LLN, "n_grid": [2, 8, 2]},
+     "lln field 'n_grid' repeats [2]; each entry must be distinct"),
+    ("lln", {**SMALL_LLN, "seeds": [0, 1, 2, 1, 0]},
+     "lln field 'seeds' repeats [0, 1]; each entry must be distinct"),
+]
+
+
+@pytest.mark.parametrize("command, obj, message", BROKEN_RULES)
+def test_input_files_that_break_a_rule_are_parse_errors(tmp_path, capsys, monkeypatch,
+                                                        command, obj, message):
+    _no_lp(monkeypatch)
+    bad = write(tmp_path / "bad.json", obj)
+    cost = write(tmp_path / "c.json", COST_SQ)
+    argv = {"transport": ["transport", bad, bad, cost],
+            "barycenter": ["barycenter", bad],
+            "constants": ["constants", bad]}.get(command, ["verify", command, "--config", bad])
+    out = tmp_path / "out"
+    assert main(argv + ["--out-dir", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"parse error: {message}\n")
+    assert not out.exists()
+
+
+def test_a_negative_seed_flag_is_a_parse_error(tmp_path, capsys, monkeypatch):
+    _no_lp(monkeypatch)
+    out = tmp_path / "out"
+    assert main(["verify", "triangle", "--seed", "-2", "--out-dir", str(out)]) == 2
+    assert capsys.readouterr() == ("", "parse error: triangle field 'seed' must be at least 0, "
+                                       "not -2\n")
+    assert not out.exists()
 
 def test_verify_lln_summary_counts_its_holes(tmp_path, capsys, monkeypatch):
     import mkbary.consistency as consistency
