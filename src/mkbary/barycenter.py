@@ -147,8 +147,12 @@ class Certificate:
 
     ``lp_optimal``: the fixed-support LP's duality gap.  ``local_stationary``:
     the free-support run's last objective decrease, no global claim.
-    ``quantile_1d``: |LP objective - closed-form cost of the monotone
-    coupling|, the objective computed two independent ways.
+    ``quantile_1d``: |objective - closed-form cost of the monotone coupling
+    over the common quantile refinement|, the objective computed two
+    independent ways.  The objective sums lambda_i J(mu_i, nu) over per-input
+    transport plans, each certified by its own potentials: north-west-corner
+    plans for problems above ``transport.MAX_BATCH_VARS`` variables (their
+    cost matrices are Monge on the line), LP plans below.
     """
 
     kind: str  # lp_optimal | local_stationary | quantile_1d

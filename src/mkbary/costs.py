@@ -150,7 +150,7 @@ class CostSpec:
     @property
     def is_symmetric(self) -> bool:
         if self.kind == "finite_matrix":
-            return bool(np.allclose(self.values, self.values.T, atol=0.0))
+            return bool(np.allclose(self.values, self.values.T, atol=0.0, rtol=0.0))
         if self.kind == "translation":
             probes = halton_sample(16, self.g_dim, -1.0, 1.0)
             return bool(np.all(np.abs(self.g(probes) - self.g(-probes)) <= 1e-12))

@@ -81,7 +81,7 @@ class GroundSpace:
                 raise ValueError("finite space needs at least one point")
             if not np.isfinite(rho).all():
                 raise ValueError("distance matrix entries must be finite")
-            if not np.allclose(rho, rho.T, atol=1e-12):
+            if not np.allclose(rho, rho.T, atol=1e-12, rtol=0.0):
                 raise ValueError("distance matrix must be symmetric")
             if np.any(np.abs(np.diag(rho)) > 1e-12):
                 raise ValueError("distance matrix must have zero diagonal")
@@ -117,7 +117,7 @@ class GroundSpace:
         if self.rho is other.rho:
             return True
         return self.rho.shape == other.rho.shape and np.allclose(
-            self.rho, other.rho, atol=1e-12
+            self.rho, other.rho, atol=1e-12, rtol=0.0
         )
 
 

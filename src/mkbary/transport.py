@@ -7,27 +7,40 @@ marginal constraints and certifies optimality with a feasible dual pair
 enumerating every basis of the transportation polytope; it shares no code
 path with the LP and serves as the independent oracle.
 
+``solve_lp_batch`` takes four routes, in this order.  A 1xn or nx1 problem
+has a single feasible plan.  A problem with more than ``MAX_BATCH_VARS``
+variables whose cost matrix is Monge (C_ij + C_i+1,j+1 <= C_i,j+1 + C_i+1,j
+in the stored atom order, as for a convex translation cost on the line)
+takes the north-west-corner plan, which is then optimal (Hoffman 1963;
+Peyre & Cuturi 2019, section 2.6), with row potentials read off its
+staircase.  Any other problem of that size goes through the shortlist
+below, and so does a Monge problem whose plan fails its certificate, with
+one warning.  The remaining small problems are packed into block-diagonal
+LPs.  Smaller problems are not tested for the Monge property: that test
+costs more than the LPs it would save.
+
 Every transport LP is built by ``_marginal_columns``: the sparse marginal
 rows of one or more problems (two nonzeros per column, block-diagonal
 across problems), restricted to a set of columns.  Small problems are
 packed into block-diagonal calls on all their columns, each one cold run
 of the LP kernel ``mkbary.lp`` in ``_solve_columns``.
 
-A problem with more than ``MAX_BATCH_VARS`` variables goes through a
-shortlist instead (Gottschlich & Schuhmacher 2014; Schmitzer 2016).  The
-LP starts on the ``SHORTLIST_K`` cheapest columns of every row and every
-column plus the support of the north-west-corner plan, so it is always
-feasible.  Each round solves the LP on the current columns, prices all
-m*n reduced costs C - u (+) v from its equality duals in one pass and adds
-the columns below the solver's dual tolerance, at most ``SHORTLIST_K`` of
-every row and every column, most violated first.  The rounds run on one
-kept ``lp.Model``: the new columns are appended to it and enter at 0, so
-the last basis stays feasible and the next round starts warm from it (the
+The shortlist (Gottschlich & Schuhmacher 2014; Schmitzer 2016) solves a
+large problem on a few of its columns.  The LP starts on the
+``SHORTLIST_K`` cheapest columns of every row and every column plus the
+support of the north-west-corner plan, so it is always feasible.  Each
+round solves the LP on the current columns, prices all m*n reduced costs
+C - u (+) v from its equality duals in one pass and adds the columns below
+the solver's dual tolerance, at most ``SHORTLIST_K`` of every row and
+every column, most violated first.  The rounds run on one kept
+``lp.Model``: the new columns are appended to it and enter at 0, so the
+last basis stays feasible and the next round starts warm from it (the
 kernel re-runs a warm round that is not optimal cold, on the same model).
 When no column is missing, the plan is scattered back to m x n and
-polished and certified over the full C, exactly like a plan of the full
-LP.  After ``SHORTLIST_MAX_ROUNDS`` rounds a last round solves the full LP
-cold through ``_solve_columns``, with one warning on the ``mkbary`` logger.
+polished and certified over the full C, exactly like a plan of the full LP
+or a north-west-corner plan.  After ``SHORTLIST_MAX_ROUNDS`` rounds a last
+round solves the full LP cold through ``_solve_columns``, with one warning
+on the ``mkbary`` logger.
 """
 
 from __future__ import annotations
@@ -92,10 +105,10 @@ class TransportPlan:
             if not ok:
                 raise CertificateViolation(f"transport plan fails its {what} check")
 
-        require(np.allclose(self.coupling.sum(axis=1), self.source.weights, atol=CHECK_TOL),
-                "source marginal")
-        require(np.allclose(self.coupling.sum(axis=0), self.target.weights, atol=CHECK_TOL),
-                "target marginal")
+        require(np.allclose(self.coupling.sum(axis=1), self.source.weights,
+                            atol=CHECK_TOL, rtol=0.0), "source marginal")
+        require(np.allclose(self.coupling.sum(axis=0), self.target.weights,
+                            atol=CHECK_TOL, rtol=0.0), "target marginal")
         require(np.all(self.coupling >= -CHECK_TOL), "nonnegativity")
         require(abs(float((self.coupling * cost_matrix).sum()) - self.objective) <= CHECK_TOL,
                 "objective")
@@ -151,10 +164,26 @@ def _pack(sizes, cap: int):
 def _polish(C: np.ndarray, u: np.ndarray):
     """Potentials (u, v) by a c-transform of the row duals over all of C.
 
-    Dual feasibility then holds exactly, whatever columns the solver saw.
+    Dual feasibility then holds, whatever columns the solver saw.  At large
+    costs the sum u_i + v_j can still round above C_ij by more than
+    CHECK_TOL (up to 2e-6 at costs near 1e12), so such a row is lowered by
+    its excess, and by at least one unit in the last place, until it is not.
+    Potentials that are not finite raise NumericalFailure.
     """
-    v = np.min(C - u[:, None], axis=0)
-    return np.min(C - v[None, :], axis=1), v
+    work = C - u[:, None]
+    v = work.min(axis=0)
+    u = np.subtract(C, v, out=work).min(axis=1)
+    while True:
+        np.add(u[:, None], v, out=work)  # the excess u (+) v - C, in the same buffer
+        work -= C
+        over = work.max(axis=1)
+        worst = over.max()
+        if worst <= CHECK_TOL:
+            return u, v
+        if not np.isfinite(worst):  # inf or NaN, which no lowering mends
+            raise NumericalFailure("c-transform potentials are not finite")
+        high = over > CHECK_TOL
+        u[high] = np.minimum(u[high] - over[high], np.nextafter(u[high], -np.inf))
 
 
 def _certify(k: int, x: np.ndarray, C: np.ndarray, a: np.ndarray, b: np.ndarray, u, v):
@@ -200,6 +229,67 @@ def _solve_columns(problems, ks):
     return sols
 
 
+def _staircase(a: np.ndarray, b: np.ndarray):
+    """Cells ``(rows, cols)`` and masses of the north-west-corner plan of ``a`` and ``b``.
+
+    The staircase steps down when row i runs out no later than column j, so
+    its m+n-1 cells are cut at the merged partial sums of a and b, and each
+    cell holds the mass between two consecutive cuts.
+    """
+    steps = np.concatenate([np.cumsum(a)[:-1], np.cumsum(b)[:-1]])
+    order = np.argsort(steps, kind="stable")
+    down = order < len(a) - 1
+    rows = np.concatenate([[0], np.cumsum(down)])
+    cols = np.concatenate([[0], np.cumsum(~down)])
+    cuts = np.concatenate([[0.0], steps[order], [a.sum()]])
+    return rows, cols, np.clip(np.diff(cuts), 0.0, None)
+
+
+def _is_monge(C: np.ndarray) -> bool:
+    """Whether C[i,j] + C[i+1,j+1] <= C[i,j+1] + C[i+1,j] for all i, j.
+
+    The slack 1e-12 (1 + max|C|) admits the cross differences of |x - y|
+    on the line, which are zero in exact arithmetic but round either way.
+    A matrix with an inf or NaN entry has no finite slack and is not
+    Monge here, so it goes to the LP, which rejects it.  The rows are
+    tested in blocks of 32, so a matrix that is not Monge, as in the plane
+    or on a finite space, usually fails after the first block.
+    """
+    tol = 1e-12 * (1.0 + max(C.max(), -C.min()))  # NaN if C holds a NaN
+    if not np.isfinite(tol):
+        return False
+    for i in range(0, C.shape[0] - 1, 32):
+        B = C[i:i + 33]
+        if np.any(B[:-1, :-1] + B[1:, 1:] > B[:-1, 1:] + B[1:, :-1] + tol):
+            return False
+    return True
+
+
+def _solve_large(problems, k: int):
+    """Certified solution of ``problems[k]``, a problem too large for a batch.
+
+    On a Monge cost matrix the north-west-corner plan is optimal (Hoffman
+    1963), so it is certified without an LP.  Its row potentials satisfy
+    u_i + v_j = C_ij on every cell of the staircase, so u changes by the
+    cost difference of each down step.  Otherwise, or when its certificate
+    fails (with one warning), the shortlist solves the LP.
+    """
+    C, a, b = problems[k]
+    if _is_monge(C):
+        rows, cols, mass = _staircase(a, b)
+        x = np.zeros(C.shape)
+        x[rows, cols] = mass
+        down = np.diff(rows) > 0
+        u = np.concatenate([[0.0], np.cumsum(np.diff(C[rows, cols])[down])])
+        try:
+            return _certify(k, x, C, a, b, *_polish(C, u))
+        except NumericalFailure as exc:
+            log.warning("transport LP block %d: north-west-corner plan on a Monge cost "
+                        "matrix not certified (%s); solving the LP", k, exc)
+    x, u = _solve_shortlist(problems, k)
+    return _certify(k, x, C, a, b, *_polish(C, u))
+
+
 def _cheapest(M: np.ndarray) -> np.ndarray:
     """Mask of the ``SHORTLIST_K`` smallest entries of every row and every column of M."""
     m, n = M.shape
@@ -230,10 +320,8 @@ def _solve_shortlist(problems, k: int):
     m, n = C.shape
     costs = C.ravel()
     keep = _cheapest(C)
-    # the staircase steps down when row i runs out no later than column j
-    steps = np.concatenate([np.cumsum(a)[:-1], np.cumsum(b)[:-1]])
-    down = np.argsort(steps, kind="stable") < m - 1
-    keep[np.concatenate([[0], np.cumsum(down)]), np.concatenate([[0], np.cumsum(~down)])] = True
+    rows, cols, _ = _staircase(a, b)
+    keep[rows, cols] = True
     model, new = None, np.flatnonzero(keep)
     for _ in range(SHORTLIST_MAX_ROUNDS):
         block = _marginal_columns([(m, n)], new)
@@ -270,7 +358,8 @@ def solve_lp_batch(problems) -> list:
     Returns one ``(coupling, objective, u, v, gap)`` tuple per problem, in
     order.  1xn and nx1 problems have a single feasible plan and skip the
     solver.  A problem of more than ``MAX_BATCH_VARS`` variables is solved
-    alone by shortlist column generation, or by its full LP when the
+    alone: by its north-west-corner plan when its cost matrix is Monge,
+    else by shortlist column generation, or by its full LP when the
     shortlist hits its round cap.  The others are packed in order into
     block-diagonal HiGHS calls of at most ``MAX_BATCH_VARS`` variables.
     Every plan is polished by a c-transform over its full cost matrix and
@@ -289,8 +378,7 @@ def solve_lp_batch(problems) -> list:
         elif n == 1:
             out[k] = _certify(k, a[:, None].copy(), C, a, b, C[:, 0].copy(), np.zeros(1))
         elif m * n > MAX_BATCH_VARS:
-            x, u = _solve_shortlist(problems, k)
-            out[k] = _certify(k, x, C, a, b, *_polish(C, u))
+            out[k] = _solve_large(problems, k)
         else:
             small.append(k)
 
@@ -414,9 +502,9 @@ def glue(gamma1: TransportPlan, gamma2: TransportPlan) -> GluedCoupling:
         raise MarginalMismatch("plans do not share their second marginal")
     sigma = np.einsum("ik,jk->ijk", gamma1.coupling, gamma2.coupling) / lam.weights[None, None, :]
     out = GluedCoupling(first=gamma1.source, second=gamma2.source, shared=lam, sigma=sigma)
-    if not np.allclose(out.marginal_xz(), gamma1.coupling, atol=1e-9):
+    if not np.allclose(out.marginal_xz(), gamma1.coupling, atol=1e-9, rtol=0.0):
         raise MarginalMismatch("gluing failed to reproduce the first plan")
-    if not np.allclose(out.marginal_yz(), gamma2.coupling, atol=1e-9):
+    if not np.allclose(out.marginal_yz(), gamma2.coupling, atol=1e-9, rtol=0.0):
         raise MarginalMismatch("gluing failed to reproduce the second plan")
     return out
 

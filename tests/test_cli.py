@@ -513,6 +513,15 @@ def test_transport_rejects_an_overflowing_table(tmp_path, capsys):
     assert capsys.readouterr() == ("", "parse error: distance matrix entries must be finite\n")
 
 
+def test_transport_rejects_a_nearly_symmetric_rho(tmp_path, capsys):
+    # rho(0,1) and rho(1,0) differ by 4e-6, within numpy's default relative
+    # slack: J(delta_0, delta_1) would be 1.0 and J(delta_1, delta_0) 1.000004
+    mu, nu = _one_by_two(tmp_path, [[0, 1.0], [1.000004, 0]])
+    cost = write(tmp_path / "c.json", {"kind": "metric_power", "p": 1})
+    assert main(["transport", mu, nu, cost, "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr() == ("", "parse error: distance matrix must be symmetric\n")
+
+
 def test_transport_rejects_a_nan_table(tmp_path, capsys):
     # NaN passes the sign and diagonal checks, and no triangle check fails on it
     mu, nu = _one_by_two(tmp_path, [[0, 1], [1, 0]])

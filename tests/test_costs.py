@@ -205,6 +205,7 @@ def test_asymmetric_finite_matrix():
     vals = np.array([[0.0, 1.0, 3.0], [2.0, 0.0, 1.0], [1.0, 2.0, 0.0]])
     c = CostSpec.finite_matrix(vals)
     assert not c.is_symmetric
+    assert not CostSpec.finite_matrix([[0.0, 1.0], [1.000004, 0.0]]).is_symmetric
     g = growth_constants(c)
     # every one of the four variants must hold with the enumerated B
     n = 3

@@ -490,9 +490,15 @@ def _full_lp(monkeypatch, C, a, b):
 
 
 def _check_shortlist(monkeypatch, lp_calls, C, a, b):
-    """Solve by the shortlist and check the result against the full LP."""
+    """Solve by the shortlist and check the result against the full LP.
+
+    The Monge test is switched off, so a problem on the line reaches the
+    shortlist too.
+    """
     lp_calls.clear()
-    x, obj, u, v, gap = solve_lp_matrix(C, a, b)
+    with monkeypatch.context() as mp:
+        mp.setattr(transport, "_is_monge", lambda C: False)
+        x, obj, u, v, gap = solve_lp_matrix(C, a, b)
     assert lp_calls and max(lp_calls) < C.size
     _, full = _full_lp(monkeypatch, C, a, b)
     assert abs(obj - full) <= GAP_TOL * (1 + abs(full))
@@ -525,6 +531,8 @@ def test_shortlist_matches_oracle_on_4x4(monkeypatch, lp_calls):
     # problem starts on at most 4 + 4 + 7 of its 16 columns
     monkeypatch.setattr(transport, "MAX_BATCH_VARS", 4)
     monkeypatch.setattr(transport, "SHORTLIST_K", 1)
+    # some 4x4 cost matrices in the plane are Monge; the shortlist is under test
+    monkeypatch.setattr(transport, "_is_monge", lambda C: False)
     rng = np.random.default_rng(300)
     repriced = 0
     for k in range(60):
@@ -597,6 +605,96 @@ def test_shortlist_round_cap_falls_back_to_full_lp(monkeypatch, lp_calls, caplog
         "solving the full LP"]
     np.testing.assert_array_equal(x, full_x)
     assert obj == full
+
+
+LINE = GroundSpace.euclidean(1)
+
+
+def _line_pair(rng, m, n, scale):
+    return tuple(canonicalize(scale * rng.uniform(size=(k, 1)), rng.dirichlet(np.ones(k)), LINE)
+                 for k in (m, n))
+
+
+def test_monge_route_matches_the_shortlist_and_the_full_lp(lp_calls):
+    # every power at every scale; |x - y|^4 on atoms in [0, 1000] costs up to
+    # 1e12, where u_i + v_j rounds to within 2e-6 of C_ij
+    rng = np.random.default_rng(25)
+    for k in range(12):
+        p, scale = (1.0, 1.5, 2.0, 4.0)[k % 4], (1e-3, 1.0, 1e3)[k % 3]
+        cost = CostSpec.norm_power(p)
+        mu, nu = _line_pair(rng, *rng.integers(33, 257, size=2), scale)
+        C, a, b = cost.matrix(mu, nu), mu.weights, nu.weights
+        assert transport._is_monge(C)
+        lp_calls.clear()
+        [plan] = solve_transport_batch([(mu, nu)], cost)
+        assert lp_calls == []  # no HiGHS run
+        plan.check(C)
+        assert plan.gap <= GAP_TOL * (1 + plan.objective)
+        x, u = transport._solve_shortlist([(C, a, b)], 0)
+        _, shortlist, u, v, _ = transport._certify(0, x, C, a, b, *transport._polish(C, u))
+        assert np.all(u[:, None] + v[None, :] <= C + transport.CHECK_TOL)
+        [(x, _)] = transport._solve_columns([(C, a, b)], [0])
+        full = float((x * C).sum())
+        for other in (shortlist, full):
+            assert abs(plan.objective - other) <= GAP_TOL * (1 + abs(other))
+
+
+def test_staircase_matches_the_oracle_up_to_4x4():
+    rng = np.random.default_rng(26)
+    for k in range(60):
+        mu, nu = _line_pair(rng, *rng.integers(1, 5, size=2), 2.0)
+        cost = COSTS[k % 2]  # |x - y| and |x - y|^2
+        rows, cols, mass = transport._staircase(mu.weights, nu.weights)
+        assert len(rows) == mu.n_atoms + nu.n_atoms - 1
+        C = cost.matrix(mu, nu)
+        oracle = brute_force_transport(mu, nu, cost)
+        assert abs(mass @ C[rows, cols] - oracle) <= GAP_TOL * (1 + oracle)
+
+
+def test_plane_problems_never_take_the_monge_route(lp_calls, caplog):
+    for seed in range(5):
+        mu, nu = _large_pair(40, seed)
+        C = CostSpec.norm_power(2).matrix(mu, nu)
+        assert not transport._is_monge(C)
+        lp_calls.clear()
+        with caplog.at_level(logging.WARNING, logger="mkbary"):
+            solve_lp_matrix(C, mu.weights, nu.weights)
+        assert lp_calls and max(lp_calls) < C.size  # the shortlist's kept model
+    assert not caplog.records  # so no staircase plan was tried and refused
+
+
+def test_uncertified_staircase_falls_back_to_the_shortlist(monkeypatch, lp_calls, caplog):
+    # a plane cost matrix let through the Monge test: its staircase plan is
+    # feasible but not optimal, so its gap check fails
+    mu, nu = _large_pair(40, 27)
+    C, a, b = CostSpec.norm_power(2).matrix(mu, nu), mu.weights, nu.weights
+    _, honest, _, _, _ = solve_lp_matrix(C, a, b)
+    monkeypatch.setattr(transport, "_is_monge", lambda C: True)
+    lp_calls.clear()
+    with caplog.at_level(logging.WARNING, logger="mkbary"):
+        x, obj, _, _, _ = solve_lp_matrix(C, a, b)
+    assert lp_calls and max(lp_calls) < C.size
+    [message] = [r.getMessage() for r in caplog.records if r.name == "mkbary"]
+    assert message.startswith("transport LP block 0: north-west-corner plan on a Monge cost "
+                              "matrix not certified (transport LP block 0: duality gap")
+    assert abs(obj - honest) <= GAP_TOL * (1 + honest)
+
+
+def test_large_costs_that_overflow_are_rejected(lp_calls):
+    # (1e200)^2 is inf: such a matrix is not taken for Monge, and the LP
+    # refuses it as it refuses any cost that is not finite
+    atoms = np.linspace(0.0, 1.0, 33)[:, None]
+    atoms[-1] = 1e200
+    mu = canonicalize(atoms, np.full(33, 1 / 33), LINE)
+    with np.errstate(over="ignore"):
+        C = CostSpec.norm_power(2).matrix(mu, mu)
+    assert np.isinf(C).any() and not transport._is_monge(C)
+    assert not transport._is_monge(np.where(np.isinf(C), np.nan, C))
+    with pytest.raises(ValueError, match="LP costs must be finite"), np.errstate(over="ignore"):
+        solve_transport_batch([(mu, mu)], CostSpec.norm_power(2))
+    # potentials that are not finite end the polish instead of looping on NaN
+    with pytest.raises(NumericalFailure, match="not finite"), np.errstate(invalid="ignore"):
+        transport._polish(np.ones((3, 3)), np.array([np.inf, 0.0, 0.0]))
 
 
 def _failing_runs(monkeypatch, lp_calls, fails, call):

@@ -383,6 +383,8 @@ def test_measure_json_mass_gate():
 def test_finite_space_validation():
     with pytest.raises(ValueError):
         GroundSpace.finite([[0.0, 1.0], [2.0, 0.0]])  # asymmetric
+    with pytest.raises(ValueError, match="symmetric"):  # within numpy's default rtol
+        GroundSpace.finite([[0.0, 1.0], [1.000004, 0.0]])
     with pytest.raises(ValueError):
         GroundSpace.finite([[0.0, 5.0, 1.0], [5.0, 0.0, 1.0], [1.0, 1.0, 0.0]])  # triangle
     for bad in (np.inf, np.nan):  # no triangle check can fail on these
@@ -447,3 +449,4 @@ def test_same_as_skips_the_comparison_for_a_shared_rho(monkeypatch):
         assert first.same_as(second)
     assert first.same_as(copy)
     assert not first.same_as(GroundSpace.finite(2 * rho))
+    assert not first.same_as(GroundSpace.finite(rho + 4e-6 * (rho > 0)))

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from mkbary import (
+    CertificateViolation,
     CostSpec,
     GroundSpace,
     MarginalMismatch,
@@ -238,6 +241,23 @@ def test_glue_marginal_mismatch():
     with pytest.raises(MarginalMismatch):
         glue(solve_transport(mu, dirac(LINE, [0.0]), SQ),
              solve_transport(mu, dirac(LINE, [1.0]), SQ))
+    # a second plan whose mass exceeds lam by 1e-7 moves the first plan's
+    # glued marginal by 5e-8, within numpy's default relative slack
+    m = canonicalize([[0.0], [1.0]], [0.5, 0.5], LINE)
+    plan = solve_transport(m, m, SQ)
+    heavy = dataclasses.replace(plan, coupling=plan.coupling * (1 + 1e-7))
+    with pytest.raises(MarginalMismatch, match="first plan"):
+        glue(plan, heavy)
+
+
+def test_plan_check_marginals_are_absolute():
+    m = canonicalize([[0.0], [1.0]], [0.5, 0.5], LINE)
+    plan = solve_transport(m, m, SQ)
+    plan.check(SQ.matrix(m, m))
+    coupling = plan.coupling.copy()
+    coupling[0, 0] += 1e-7  # a free cell: the objective and the duals still hold
+    with pytest.raises(CertificateViolation, match="source marginal"):
+        dataclasses.replace(plan, coupling=coupling).check(SQ.matrix(m, m))
 
 
 def test_lower_semicontinuity_surrogate():
