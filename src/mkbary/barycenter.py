@@ -13,7 +13,7 @@ Three routes, one per constraint kind; each raises ValueError on another:
   atom locations and the fixed-support LP; local certificate only.
 * ``barycenter_quantile_1d`` (``quantile_1d``): exact solution on the line
   for convex translation costs via the common refinement of quantile
-  functions.
+  functions, the N-marginal north-west-corner plan ``transport._staircase``.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .measures import (
     measure_to_json,
     merge_equal_measures,
 )
-from .transport import GAP_TOL, transport_costs
+from .transport import GAP_TOL, _staircase, transport_costs
 
 log = logging.getLogger("mkbary")
 
@@ -150,9 +150,12 @@ class Certificate:
     ``quantile_1d``: |objective - closed-form cost of the monotone coupling
     over the common quantile refinement|, the objective computed two
     independent ways.  The objective sums lambda_i J(mu_i, nu) over per-input
-    transport plans, each certified by its own potentials: north-west-corner
-    plans for problems above ``transport.MAX_BATCH_VARS`` variables (their
-    cost matrices are Monge on the line), LP plans below.
+    transport plans, each certified by its marginals and its own potentials:
+    north-west-corner plans for problems above ``transport.MAX_BATCH_VARS``
+    variables (their cost matrices are Monge on the line), LP plans below.
+    Both sides can come from the one builder ``transport._staircase``: the
+    closed form from the N-marginal plan of all inputs, the large per-input
+    plans from its two-marginal case.
     """
 
     kind: str  # lp_optimal | local_stationary | quantile_1d
@@ -527,10 +530,12 @@ def barycenter_free_support(problem: BarycenterProblem,
 def barycenter_quantile_1d(problem: BarycenterProblem) -> BarycenterResult:
     """Exact barycenter on the line via the common quantile refinement.
 
-    Each input's quantile function is piecewise constant; on the common
-    refinement of cumulative-weight breakpoints the pointwise argmin of
-    sum_i lambda_i g(F_i^{-1}(t) - m) is constant, which yields the
-    barycenter atoms directly, one ``_convex_argmin`` per segment.
+    The monotone coupling of all inputs is their N-marginal north-west-corner
+    plan, ``transport._staircase`` of their weights.  On each of its cells
+    wider than 1e-15 the pointwise argmin of sum_i lambda_i g(x_i - m) over
+    the cell's input atoms x_i is one barycenter atom, with the cell's mass,
+    placed by one ``_convex_argmin`` per cell; one ``_pair_costs`` call
+    scores all cells for the closed-form cost.
     """
     _require_kind(problem, "quantile_1d", "quantile")
     if problem.space.kind != "euclidean" or problem.space.dim != 1:
@@ -538,27 +543,17 @@ def barycenter_quantile_1d(problem: BarycenterProblem) -> BarycenterResult:
     if not problem.cost.is_convex_translation:
         raise NotConvexCost("quantile solver needs a convex translation cost")
 
-    cums = [np.cumsum(m.weights) for m, _ in problem.inputs]
-    breakpoints = np.unique(np.concatenate([[0.0, 1.0]] + cums))
-    breakpoints = breakpoints[(breakpoints > 1e-15) | (breakpoints == 0.0)]
+    idx, mass = _staircase(*[m.weights for m, _ in problem.inputs])
+    keep = mass > 1e-15
+    widths = mass[keep]
     lams = np.array([lam for _, lam in problem.inputs])
-
-    t0, t1 = breakpoints[:-1], breakpoints[1:]
-    keep = t1 - t0 > 1e-15
-    t0, t1 = t0[keep], t1[keep]
-    tm, widths = (t0 + t1) / 2.0, t1 - t0
-    # row s holds each input's atom on segment s
-    xs = np.stack([m.atoms[np.minimum(np.searchsorted(cum, tm, side="left"), m.n_atoms - 1), 0]
-                   for (m, _), cum in zip(problem.inputs, cums)], axis=1)
-
-    atoms, closed_form = [], 0.0
-    for width, x in zip(widths, xs):
-        atom = _convex_argmin(problem.cost, x[:, None], lams)
-        atoms.append(atom)
-        g = problem.cost.pair_matrix(x[:, None], [atom])[:, 0]
-        closed_form += width * float(lams @ g)
-    measure = canonicalize(np.array(atoms), widths, problem.space)
-    value = objective(measure, problem)
+    # row s holds each input's atom on cell s
+    xs = np.stack([m.atoms[i[keep], 0] for (m, _), i in zip(problem.inputs, idx)], axis=1)
+    atoms = np.array([_convex_argmin(problem.cost, x[:, None], lams) for x in xs])
+    measure = canonicalize(atoms, widths, problem.space)
+    value = objective(measure, problem)  # raises NonFinite on a cost that overflows
+    closed_form = float(widths @ (problem.cost._pair_costs(xs[:, :, None], atoms[:, None, :])
+                                  @ lams))
     return BarycenterResult(
         measure=measure,
         objective=value,

@@ -28,7 +28,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConstructionFailed, SpaceMismatch, UnboundedRatio
+from .errors import ConstructionFailed, NonFinite, SpaceMismatch, UnboundedRatio
 from .measures import DiscreteMeasure, GroundSpace, _triple_slabs, json_field, json_keys
 
 log = logging.getLogger("mkbary")
@@ -174,22 +174,37 @@ class CostSpec:
 
         Euclidean points are rows of (m, d) and (n, d) arrays, finite-space
         points are indices.  A cost kind that cannot score points of the
-        space raises ``SpaceMismatch``.
+        space raises ``SpaceMismatch``, and a cost that is not finite, as
+        |x - y|**2 overflows at |x - y| = 1e200, raises ``NonFinite`` naming
+        the cost and the first such pair.
         """
-        if space.kind == "euclidean":
-            X = np.atleast_2d(np.asarray(X, dtype=float))
-            Y = np.atleast_2d(np.asarray(Y, dtype=float))
-            if X.shape[1] != space.dim or Y.shape[1] != space.dim:
-                raise SpaceMismatch(f"points do not fit R^{space.dim}")
-            return self._pair_costs(X[:, None, :], Y[None, :, :])
-        ix = np.ix_(np.asarray(X).astype(int).ravel(), np.asarray(Y).astype(int).ravel())
-        if self.kind == "finite_matrix":
-            if self.values.shape[0] != space.n_points:
-                raise SpaceMismatch("cost matrix size disagrees with the space")
-            return self.values[ix]
-        if self.kind == "metric_power":
-            return space.rho[ix] ** self.p
-        raise SpaceMismatch(f"{self.kind} cost needs a euclidean space")
+        with np.errstate(over="ignore", invalid="ignore"):
+            if space.kind == "euclidean":
+                X = np.atleast_2d(np.asarray(X, dtype=float))
+                Y = np.atleast_2d(np.asarray(Y, dtype=float))
+                if X.shape[1] != space.dim or Y.shape[1] != space.dim:
+                    raise SpaceMismatch(f"points do not fit R^{space.dim}")
+                T = self._pair_costs(X[:, None, :], Y[None, :, :])
+            else:
+                X = np.asarray(X).astype(int).ravel()
+                Y = np.asarray(Y).astype(int).ravel()
+                if self.kind == "finite_matrix":
+                    if self.values.shape[0] != space.n_points:
+                        raise SpaceMismatch("cost matrix size disagrees with the space")
+                    T = self.values[np.ix_(X, Y)]
+                elif self.kind == "metric_power":
+                    T = space.rho[np.ix_(X, Y)] ** self.p
+                else:
+                    raise SpaceMismatch(f"{self.kind} cost needs a euclidean space")
+            total = T.sum()  # one pass, no temporary: finite unless an entry is not
+        if not math.isfinite(total):  # or unless only the sum overflowed
+            bad = np.argwhere(~np.isfinite(T))
+            if bad.size:
+                i, j = bad[0]
+                name = f"{self.kind} cost" + (f" with p = {self.p:g}" if self.p else "")
+                raise NonFinite(f"{name} is {T[i, j]} between x = {X[i].tolist()} and "
+                                f"y = {Y[j].tolist()}, not finite")
+        return T
 
     def _pair_costs(self, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
         """c(p, q) for euclidean points P and Q of shape (..., d), broadcast against

@@ -181,14 +181,14 @@ class DiscreteMeasure:
         return int(self.atoms[i])
 
     def same_as(self, other: "DiscreteMeasure", atol: float = 1e-9) -> bool:
-        """Equality up to tolerance; relies on the canonical atom order."""
+        """Equality up to absolute tolerances: ``ATOM_MERGE_TOL`` on the atoms and
+        ``atol`` on the weights.  Relies on the canonical atom order."""
         if not self.space.same_as(other.space):
             return False
         if self.atoms.shape != other.atoms.shape:
             return False
-        return np.allclose(self.atoms, other.atoms, atol=ATOM_MERGE_TOL) and np.allclose(
-            self.weights, other.weights, atol=atol
-        )
+        return (np.allclose(self.atoms, other.atoms, atol=ATOM_MERGE_TOL, rtol=0.0)
+                and np.allclose(self.weights, other.weights, atol=atol, rtol=0.0))
 
 
 def _near_pairs(pts: np.ndarray, r: float) -> np.ndarray:

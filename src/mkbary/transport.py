@@ -12,12 +12,16 @@ has a single feasible plan.  A problem with more than ``MAX_BATCH_VARS``
 variables whose cost matrix is Monge (C_ij + C_i+1,j+1 <= C_i,j+1 + C_i+1,j
 in the stored atom order, as for a convex translation cost on the line)
 takes the north-west-corner plan, which is then optimal (Hoffman 1963;
-Peyre & Cuturi 2019, section 2.6), with row potentials read off its
-staircase.  Any other problem of that size goes through the shortlist
-below, and so does a Monge problem whose plan fails its certificate, with
-one warning.  The remaining small problems are packed into block-diagonal
-LPs.  Smaller problems are not tested for the Monge property: that test
-costs more than the LPs it would save.
+Peyre & Cuturi 2019, section 2.6).  Its row and column sums are checked
+and its row potentials read off its staircase.  Any other problem of that
+size goes through the shortlist below, and so does a Monge problem whose
+plan fails these checks, with one warning.  The remaining small problems
+are packed into block-diagonal LPs.  Smaller problems are not tested for
+the Monge property: that test costs more than the LPs it would save.
+
+One builder, ``_staircase``, computes the north-west-corner plan of any
+number of marginals: the Monge route's plan, the shortlist's feasible
+start and the cells of ``barycenter.barycenter_quantile_1d``.
 
 Every transport LP is built by ``_marginal_columns``: the sparse marginal
 rows of one or more problems (two nonzeros per column, block-diagonal
@@ -229,20 +233,21 @@ def _solve_columns(problems, ks):
     return sols
 
 
-def _staircase(a: np.ndarray, b: np.ndarray):
-    """Cells ``(rows, cols)`` and masses of the north-west-corner plan of ``a`` and ``b``.
+def _staircase(*weights):
+    """Atoms ``idx`` and masses of the north-west-corner plan of N marginals.
 
-    The staircase steps down when row i runs out no later than column j, so
-    its m+n-1 cells are cut at the merged partial sums of a and b, and each
-    cell holds the mass between two consecutive cuts.
+    The cells are cut at the merged partial sums of all marginals and hold
+    the mass between two consecutive cuts: the common refinement of their
+    quantile functions, with sum n_k - N + 1 cells.  ``idx[k]`` is the atom
+    of marginal k in each cell; it steps up by one at each cut of marginal k.
     """
-    steps = np.concatenate([np.cumsum(a)[:-1], np.cumsum(b)[:-1]])
+    steps = np.concatenate([np.cumsum(w)[:-1] for w in weights])
     order = np.argsort(steps, kind="stable")
-    down = order < len(a) - 1
-    rows = np.concatenate([[0], np.cumsum(down)])
-    cols = np.concatenate([[0], np.cumsum(~down)])
-    cuts = np.concatenate([[0.0], steps[order], [a.sum()]])
-    return rows, cols, np.clip(np.diff(cuts), 0.0, None)
+    owner = np.repeat(np.arange(len(weights)), [len(w) - 1 for w in weights])[order]
+    idx = np.zeros((len(weights), order.size + 1), dtype=int)
+    np.cumsum(owner == np.arange(len(weights))[:, None], axis=1, out=idx[:, 1:])
+    cuts = np.concatenate([[0.0], steps[order], [weights[0].sum()]])
+    return idx, np.clip(np.diff(cuts), 0.0, None)
 
 
 def _is_monge(C: np.ndarray) -> bool:
@@ -269,19 +274,24 @@ def _solve_large(problems, k: int):
     """Certified solution of ``problems[k]``, a problem too large for a batch.
 
     On a Monge cost matrix the north-west-corner plan is optimal (Hoffman
-    1963), so it is certified without an LP.  Its row potentials satisfy
+    1963), so it is certified without an LP: by its row and column sums,
+    which no solver vouches for, and by its potentials.  These satisfy
     u_i + v_j = C_ij on every cell of the staircase, so u changes by the
     cost difference of each down step.  Otherwise, or when its certificate
     fails (with one warning), the shortlist solves the LP.
     """
     C, a, b = problems[k]
     if _is_monge(C):
-        rows, cols, mass = _staircase(a, b)
+        (rows, cols), mass = _staircase(a, b)
         x = np.zeros(C.shape)
         x[rows, cols] = mass
         down = np.diff(rows) > 0
         u = np.concatenate([[0.0], np.cumsum(np.diff(C[rows, cols])[down])])
         try:
+            miss = max(np.abs(x.sum(axis=1) - a).max(), np.abs(x.sum(axis=0) - b).max())
+            if miss > CHECK_TOL:  # no solver vouches for this plan's feasibility
+                raise NumericalFailure(f"transport LP block {k}: plan misses a marginal "
+                                       f"by {miss:.3e}")
             return _certify(k, x, C, a, b, *_polish(C, u))
         except NumericalFailure as exc:
             log.warning("transport LP block %d: north-west-corner plan on a Monge cost "
@@ -320,7 +330,7 @@ def _solve_shortlist(problems, k: int):
     m, n = C.shape
     costs = C.ravel()
     keep = _cheapest(C)
-    rows, cols, _ = _staircase(a, b)
+    (rows, cols), _ = _staircase(a, b)
     keep[rows, cols] = True
     model, new = None, np.flatnonzero(keep)
     for _ in range(SHORTLIST_MAX_ROUNDS):

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from mkbary import (
     ConstructionFailed,
     CostSpec,
     GroundSpace,
+    NonFinite,
     SpaceMismatch,
     UnboundedRatio,
     canonicalize,
@@ -24,6 +26,24 @@ def test_evaluate_powers():
     assert CostSpec.metric_power(2).evaluate([0.0], [3.0]) == 9.0
     assert CostSpec.norm_power(1).evaluate([0.0, 0.0], [3.0, 4.0]) == pytest.approx(5.0)
     assert CostSpec.norm_power(4).evaluate([1.0], [1.0]) == 0.0
+
+
+def test_tables_that_overflow_name_the_cost_and_the_pair():
+    far = GroundSpace.finite([[0.0, 1e200, 1.0], [1e200, 0.0, 1e200], [1.0, 1e200, 0.0]])
+    exp = CostSpec.translation(lambda u: np.expm1(np.abs(u[..., 0])))
+    holed = CostSpec.translation(lambda u: np.where(np.abs(u[..., 0]) > 100, np.nan, u[..., 0]**2))
+    cases = [(CostSpec.norm_power(2), LINE, [[0.0], [1e200]], [[1.0]],
+              "norm_power cost with p = 2 is inf between x = [1e+200] and y = [1.0]"),
+             (CostSpec.metric_power(2), far, [0, 2], [2, 1],
+              "metric_power cost with p = 2 is inf between x = 0 and y = 1"),
+             (exp, LINE, [[0.0]], [[1.0], [-800.0]],
+              "translation cost is inf between x = [0.0] and y = [-800.0]"),
+             (holed, LINE, [[0.0], [1.0]], [[50.0], [200.0]],
+              "translation cost is nan between x = [0.0] and y = [200.0]")]
+    for cost, space, X, Y, message in cases:
+        with warnings.catch_warnings(), pytest.raises(NonFinite, match=re.escape(message)):
+            warnings.simplefilter("error")  # no numpy overflow warning either
+            cost.table(space, X, Y)
 
 
 def test_cost_matrix_examples():

@@ -4,6 +4,7 @@ per-problem solves and the oracle."""
 import logging
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ import mkbary.transport as transport
 from mkbary import (
     CostSpec,
     GroundSpace,
+    NonFinite,
     NumericalFailure,
     brute_force_transport,
     canonicalize,
@@ -644,7 +646,7 @@ def test_staircase_matches_the_oracle_up_to_4x4():
     for k in range(60):
         mu, nu = _line_pair(rng, *rng.integers(1, 5, size=2), 2.0)
         cost = COSTS[k % 2]  # |x - y| and |x - y|^2
-        rows, cols, mass = transport._staircase(mu.weights, nu.weights)
+        (rows, cols), mass = transport._staircase(mu.weights, nu.weights)
         assert len(rows) == mu.n_atoms + nu.n_atoms - 1
         C = cost.matrix(mu, nu)
         oracle = brute_force_transport(mu, nu, cost)
@@ -680,18 +682,79 @@ def test_uncertified_staircase_falls_back_to_the_shortlist(monkeypatch, lp_calls
     assert abs(obj - honest) <= GAP_TOL * (1 + honest)
 
 
+def test_staircase_that_misses_a_marginal_falls_back_to_the_shortlist(monkeypatch, lp_calls,
+                                                                     caplog):
+    # atoms i and j + 1/2 under |x - y|^2: cells (20, 19) and (20, 20) both
+    # cost 1/4, so a staircase that moves row 20's mass from one to the other
+    # keeps its objective, its vertex count and its duality gap, and only its
+    # column sums show the fault
+    n = 40
+    w = np.full(n, 1.0 / n)
+    mu = canonicalize(np.arange(n, dtype=float)[:, None], w, LINE)
+    nu = canonicalize(np.arange(n, dtype=float)[:, None] + 0.5, w, LINE)
+    C, a, b = CostSpec.norm_power(2).matrix(mu, nu), mu.weights, nu.weights
+    assert transport._is_monge(C) and C[20, 19] == C[20, 20]
+    reference, _ = transport._solve_shortlist([(C, a, b)], 0)
+    real = transport._staircase
+
+    def moved(*weights):
+        (rows, cols), mass = real(*weights)
+        here = np.flatnonzero(rows == 20)
+        assert cols[here].tolist() == [19, 20] and mass[here[0]] == 0.0
+        mass = mass.copy()
+        mass[here] = mass[here[::-1]]
+        return np.stack([rows, cols]), mass
+
+    monkeypatch.setattr(transport, "_staircase", moved)
+    lp_calls.clear()
+    with caplog.at_level(logging.WARNING, logger="mkbary"):
+        [plan] = solve_transport_batch([(mu, nu)], CostSpec.norm_power(2))
+    assert lp_calls and max(lp_calls) < C.size  # the shortlist ran
+    [message] = [r.getMessage() for r in caplog.records if r.name == "mkbary"]
+    assert message.startswith("transport LP block 0: north-west-corner plan on a Monge cost "
+                              "matrix not certified (transport LP block 0: plan misses a "
+                              "marginal by 2.500e-02)")
+    np.testing.assert_array_equal(plan.coupling, reference)
+    plan.check(C)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_n_marginal_staircase_is_a_monotone_coupling(seed):
+    rng = np.random.default_rng(seed)
+    for N in range(2, 7):
+        weights = [rng.dirichlet(np.ones(k)) for k in rng.integers(1, 31, size=N)]
+        idx, mass = transport._staircase(*weights)
+        assert idx.shape == (N, sum(len(w) for w in weights) - N + 1) == (N, mass.size)
+        assert np.all(mass >= 0.0)
+        for i, w in zip(idx, weights):
+            steps = np.diff(i)
+            assert i[0] == 0 and np.all((steps == 0) | (steps == 1))
+            np.testing.assert_allclose(np.bincount(i, weights=mass, minlength=len(w)), w,
+                                       rtol=0.0, atol=1e-15)
+
+
 def test_large_costs_that_overflow_are_rejected(lp_calls):
-    # (1e200)^2 is inf: such a matrix is not taken for Monge, and the LP
-    # refuses it as it refuses any cost that is not finite
+    # (1e200)^2 is inf: the cost table names the cost and the pair, with no
+    # numpy warning, and no LP runs
     atoms = np.linspace(0.0, 1.0, 33)[:, None]
     atoms[-1] = 1e200
-    mu = canonicalize(atoms, np.full(33, 1 / 33), LINE)
-    with np.errstate(over="ignore"):
-        C = CostSpec.norm_power(2).matrix(mu, mu)
-    assert np.isinf(C).any() and not transport._is_monge(C)
-    assert not transport._is_monge(np.where(np.isinf(C), np.nan, C))
-    with pytest.raises(ValueError, match="LP costs must be finite"), np.errstate(over="ignore"):
+    w = np.full(33, 1 / 33)
+    mu = canonicalize(atoms, w, LINE)
+    with warnings.catch_warnings(), pytest.raises(
+            NonFinite, match=r"norm_power cost with p = 2 is inf between x = \[0.0\] and "
+                             r"y = \[1e\+200\], not finite"):
+        warnings.simplefilter("error")
         solve_transport_batch([(mu, mu)], CostSpec.norm_power(2))
+    assert lp_calls == []
+    # such a matrix, built by hand, is not taken for Monge, and the LP
+    # refuses it as it refuses any cost that is not finite
+    C = np.square(atoms[:-1] - atoms[:-1].T)
+    C = np.pad(C, ((0, 1), (0, 1)), constant_values=np.inf)
+    C[-1, -1] = 0.0
+    assert not transport._is_monge(C)
+    assert not transport._is_monge(np.where(np.isinf(C), np.nan, C))
+    with pytest.raises(ValueError, match="LP costs must be finite"):
+        solve_lp_batch([(C, w, w)])
     # potentials that are not finite end the polish instead of looping on NaN
     with pytest.raises(NumericalFailure, match="not finite"), np.errstate(invalid="ignore"):
         transport._polish(np.ones((3, 3)), np.array([np.inf, 0.0, 0.0]))

@@ -201,6 +201,17 @@ def test_weights_sum_exactly_one():
     assert m.weights.sum() == 1.0
 
 
+def test_same_as_tolerances_are_absolute():
+    far = dirac(LINE, [1000.0])
+    assert far.same_as(dirac(LINE, [1000.0 + 1e-13]))
+    assert not far.same_as(dirac(LINE, [1000.009]))  # within numpy's default rtol
+    even = canonicalize([[0.0], [1.0]], [0.5, 0.5], LINE)
+    assert even.same_as(canonicalize([[0.0], [1.0]], [0.5 + 5e-10, 0.5 - 5e-10], LINE))
+    uneven = canonicalize([[0.0], [1.0]], [0.500004, 0.499996], LINE)
+    assert not even.same_as(uneven)
+    assert even.same_as(uneven, atol=5e-6)
+
+
 def test_pushforward_translation():
     m = canonicalize([[0.0], [1.0]], [0.5, 0.5], LINE)
     out = pushforward(m, lambda x: x + 1.0)
