@@ -386,15 +386,15 @@ def barycenter_fixed_support(problem: BarycenterProblem, *,
     w, value, gap, w_alt, _ = _fixed_support_lp(problem.inputs, problem.cost, S,
                                                  systems=_systems)
     measure = canonicalize(S, w / w.sum(), problem.space)
-    alt = None
-    if w_alt is not None:
-        alt = canonicalize(S, w_alt / w_alt.sum(), problem.space)
+    alt = None if w_alt is None else canonicalize(S, w_alt / w_alt.sum(), problem.space)
+    if alt is not None and alt.same_as(measure):  # the two differ only on merged candidates
+        alt = None
     return BarycenterResult(
         measure=measure,
         objective=value,
         trace=((0, value),),
         certificate=Certificate(kind="lp_optimal", gap=gap),
-        multiple_optima=w_alt is not None,
+        multiple_optima=alt is not None,
         alt_measure=alt,
     )
 
@@ -405,42 +405,44 @@ def barycenter_fixed_support(problem: BarycenterProblem, *,
 
 def _convex_argmin(cost: CostSpec, points: np.ndarray, masses: np.ndarray,
                    start: Optional[np.ndarray] = None) -> np.ndarray:
-    """argmin_z sum_i masses_i g(points_i - z) for a convex translation cost.
+    """argmin_z sum_i masses[t, i] g(points[t, i] - z) of each row t of (T, n, d)
+    points and (T, n) masses, for a convex translation cost: (T, d).
 
-    ``points`` is (n, d).  The weighted mean for ``norm_power`` 2.  On the
-    line: the middle of the weighted-median interval for ``norm_power`` 1,
-    otherwise a ternary search on [min, max] until the bracket is 1e-12
-    wide.  In two or more dimensions: scipy's Powell minimizer from ``start``.
+    Entries of zero mass take no part.  The weighted mean for ``norm_power`` 2.
+    On the line: for ``norm_power`` 1 the middle of the weighted-median
+    interval between points of positive mass, else one ternary search of all
+    rows on their [min, max] until each bracket is 1e-12 wide, or four float
+    spacings of its largest point, below which it could stop shrinking.  In
+    d >= 2: scipy's Powell minimizer from ``start[t]``, one row at a time.
     """
     if cost.kind == "norm_power" and cost.p == 2.0:
-        return (masses[:, None] * points).sum(axis=0) / masses.sum()
-
-    def phi(z):
-        return masses @ cost.pair_matrix(points, [z])[:, 0]
-
-    if points.shape[1] > 1:
+        return (masses[..., None] * points).sum(axis=1) / masses.sum(axis=1)[:, None]
+    live = masses > 0
+    if points.shape[2] > 1:
         from scipy.optimize import minimize  # loads scipy.optimize, so only on this branch
 
-        res = minimize(lambda z: float(phi(z)), x0=start, method="Powell",
-                       options={"xtol": 1e-10, "ftol": 1e-12})
-        return np.asarray(res.x, dtype=float)
-    xs = points[:, 0]
+        return np.array([minimize(lambda z: float(w[on] @ cost.pair_matrix(pts[on], [z])[:, 0]),
+                                  x0=x0, method="Powell", options={"xtol": 1e-10, "ftol": 1e-12}).x
+                         for pts, w, on, x0 in zip(points, masses, live, start)])
+    xs = points[..., 0]
     if cost.kind == "norm_power" and cost.p == 1.0:
-        order = np.argsort(xs)
-        xs_s, cum = xs[order], np.cumsum(masses[order] / masses.sum())
-        idx = min(int(np.searchsorted(cum, 0.5 - 1e-15)), len(xs_s) - 1)
-        lo = xs_s[idx]
-        hi = xs_s[idx + 1] if (abs(cum[idx] - 0.5) <= 1e-15 and idx + 1 < len(xs_s)) else lo
-        return np.array([(lo + hi) / 2.0])
-    lo, hi = float(xs.min()), float(xs.max())
-    while hi - lo > 1e-12:
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if phi([m1]) <= phi([m2]):
-            hi = m2
-        else:
-            lo = m1
-    return np.array([(lo + hi) / 2.0])
+        rows, last = np.arange(len(xs)), live.sum(axis=1) - 1
+        order = np.lexsort((xs, ~live))  # the points of positive mass first, by x
+        xs_s = np.take_along_axis(xs, order, 1)
+        cum = np.cumsum(np.take_along_axis(masses, order, 1) / masses.sum(axis=1)[:, None], axis=1)
+        idx = (cum < 0.5 - 1e-15).sum(axis=1)
+        nxt = np.where(np.abs(cum[rows, idx] - 0.5) <= 1e-15, np.minimum(idx + 1, last), idx)
+        return (xs_s[rows, idx] + xs_s[rows, nxt])[:, None] / 2.0
+    lo, hi = np.where(live, xs, np.inf).min(axis=1), np.where(live, xs, -np.inf).max(axis=1)
+    tol = np.maximum(1e-12, 4.0 * np.spacing(np.maximum(np.abs(lo), np.abs(hi))))
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf phi is caught by the caller
+        while (t := np.flatnonzero(hi - lo > tol)).size:
+            m1, m2 = lo[t] + (hi[t] - lo[t]) / 3.0, hi[t] - (hi[t] - lo[t]) / 3.0
+            # phi at m1 and m2, summed by matmul as a one-row dot product would
+            c = cost._pair_costs(points[t, None], np.stack([m1, m2], axis=1)[:, :, None, None])
+            phi = (masses[t, None, None] @ np.where(live[t, None], c, 0.0)[..., None])[..., 0, 0]
+            hi[t], lo[t] = np.where(phi[:, 0] <= phi[:, 1], [m2, lo[t]], [hi[t], m1])
+    return ((lo + hi) / 2.0)[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -506,13 +508,11 @@ def barycenter_free_support(problem: BarycenterProblem,
 
         # move each candidate atom to the convex minimizer of the mass it
         # received; zero-mass atoms are dropped (cluster emptied)
-        mass = np.concatenate([lam * g for (_, lam), g in zip(problem.inputs, gammas)])
-        S_next = []
-        for kk, col in enumerate(mass.T):
-            nz = col > 1e-15
-            if nz.any():
-                S_next.append(_convex_argmin(problem.cost, pool[nz], col[nz], S[kk]))
-        S = np.unique(np.asarray(S_next, dtype=float), axis=0)
+        mass = np.concatenate([lam * g for (_, lam), g in zip(problem.inputs, gammas)]).T
+        mass[mass <= 1e-15] = 0.0
+        held = mass.any(axis=1)
+        points = np.broadcast_to(pool, (int(held.sum()), *pool.shape))
+        S = np.unique(_convex_argmin(problem.cost, points, mass[held], S[held]), axis=0)
 
     measure = canonicalize(S_solved, w / w.sum(), problem.space)
     return BarycenterResult(
@@ -533,9 +533,9 @@ def barycenter_quantile_1d(problem: BarycenterProblem) -> BarycenterResult:
     The monotone coupling of all inputs is their N-marginal north-west-corner
     plan, ``transport._staircase`` of their weights.  On each of its cells
     wider than 1e-15 the pointwise argmin of sum_i lambda_i g(x_i - m) over
-    the cell's input atoms x_i is one barycenter atom, with the cell's mass,
-    placed by one ``_convex_argmin`` per cell; one ``_pair_costs`` call
-    scores all cells for the closed-form cost.
+    the cell's input atoms x_i is one barycenter atom, with the cell's mass.
+    One ``_convex_argmin`` call places the atoms of all cells, and one
+    ``_pair_costs`` call scores all cells for the closed-form cost.
     """
     _require_kind(problem, "quantile_1d", "quantile")
     if problem.space.kind != "euclidean" or problem.space.dim != 1:
@@ -549,7 +549,7 @@ def barycenter_quantile_1d(problem: BarycenterProblem) -> BarycenterResult:
     lams = np.array([lam for _, lam in problem.inputs])
     # row s holds each input's atom on cell s
     xs = np.stack([m.atoms[i[keep], 0] for (m, _), i in zip(problem.inputs, idx)], axis=1)
-    atoms = np.array([_convex_argmin(problem.cost, x[:, None], lams) for x in xs])
+    atoms = _convex_argmin(problem.cost, xs[:, :, None], np.broadcast_to(lams, xs.shape))
     measure = canonicalize(atoms, widths, problem.space)
     value = objective(measure, problem)  # raises NonFinite on a cost that overflows
     closed_form = float(widths @ (problem.cost._pair_costs(xs[:, :, None], atoms[:, None, :])

@@ -169,6 +169,8 @@ def cmd_transport(args) -> int:
 
 def cmd_barycenter(args) -> int:
     started = time.time()
+    if args.seed is not None and args.seed < 0:
+        raise ParseError(f"--seed must be at least 0, not {args.seed}")
     problem = problem_from_json(_load_json(args.problem))
     kind = problem.constraint.kind
     method = METHODS[kind]

@@ -118,7 +118,7 @@ def test_convex_argmin_matches_a_dense_grid(seed):
     points, masses = rng.uniform(-1, 1, size=(7, 1)), rng.dirichlet(np.ones(7))
     line = np.linspace(-1, 1, 200_001)[:, None]
     for cost in (ABS, SQ, QUARTIC):
-        z = _convex_argmin(cost, points, masses)
+        z = _convex_argmin(cost, points[None], masses[None])[0]
         best, low = _grid_argmin(cost, points, masses, line)
         phi = float(masses @ cost.pair_matrix(points, [z])[:, 0])
         assert z.shape == (1,)
@@ -130,11 +130,129 @@ def test_convex_argmin_matches_a_dense_grid(seed):
     masses = rng.dirichlet(np.ones(5))
     axis = np.linspace(-1, 1, 401)
     plane = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
-    z = _convex_argmin(QUARTIC, points, masses, points[0])
+    z = _convex_argmin(QUARTIC, points[None], masses[None], points[:1])[0]
     best, low = _grid_argmin(QUARTIC, points, masses, plane)
     assert z.shape == (2,)
     assert float(masses @ QUARTIC.pair_matrix(points, [z])[:, 0]) <= low + 1e-12
     assert np.max(np.abs(z - best)) <= 2 * (axis[1] - axis[0])
+
+
+def _row_argmin(cost, points, masses, start=None):
+    """argmin_z sum_i masses_i g(points_i - z) of one (n, d) point set: the
+    one-set-per-call minimizer the stacked ``_convex_argmin`` replaced, kept
+    as the reference for its rows."""
+    if cost.kind == "norm_power" and cost.p == 2.0:
+        return (masses[:, None] * points).sum(axis=0) / masses.sum()
+
+    def phi(z):
+        return masses @ cost.pair_matrix(points, [z])[:, 0]
+
+    if points.shape[1] > 1:
+        from scipy.optimize import minimize
+
+        res = minimize(lambda z: float(phi(z)), x0=start, method="Powell",
+                       options={"xtol": 1e-10, "ftol": 1e-12})
+        return np.asarray(res.x, dtype=float)
+    xs = points[:, 0]
+    if cost.kind == "norm_power" and cost.p == 1.0:
+        order = np.argsort(xs)
+        xs_s, cum = xs[order], np.cumsum(masses[order] / masses.sum())
+        idx = min(int(np.searchsorted(cum, 0.5 - 1e-15)), len(xs_s) - 1)
+        lo = xs_s[idx]
+        hi = xs_s[idx + 1] if (abs(cum[idx] - 0.5) <= 1e-15 and idx + 1 < len(xs_s)) else lo
+        return np.array([(lo + hi) / 2.0])
+    lo, hi = float(xs.min()), float(xs.max())
+    while hi - lo > 1e-12:
+        m1 = lo + (hi - lo) / 3.0
+        m2 = hi - (hi - lo) / 3.0
+        if phi([m1]) <= phi([m2]):
+            hi = m2
+        else:
+            lo = m1
+    return np.array([(lo + hi) / 2.0])
+
+
+def _random_stack(rng, dim):
+    """12 rows of 4 to 11 points in [-1, 1]^dim, about a third of the
+    masses 0 but each row with one positive."""
+    n = int(rng.integers(4, 12))
+    points = rng.uniform(-1, 1, size=(12, n, dim))
+    masses = rng.dirichlet(np.ones(n), size=12) * (rng.random((12, n)) > 0.35)
+    masses[np.arange(12), rng.integers(n, size=12)] += 0.1
+    return points, masses
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_convex_argmin_rows_match_the_per_row_reference(seed):
+    from mkbary.barycenter import _convex_argmin
+
+    rng = np.random.default_rng(seed)
+    points, masses = _random_stack(rng, 1)
+    # half the rows put their zero-mass points at 1e100, where a cost overflows
+    points[:6][masses[:6] == 0] = 1e100
+    # a weighted-median tie at 0.5 whose next sorted point, 1.5, has no
+    # mass: the interval runs on to 3, the next point of positive mass
+    points = np.concatenate([points, np.zeros((1, points.shape[1], 1))])
+    masses = np.concatenate([masses, np.zeros((1, points.shape[1]))])
+    points[-1, :4, 0], masses[-1, :4] = [3.0, 0.0, 1.5, 1.0], [0.5, 0.25, 0.0, 0.25]
+    for cost in (ABS, SQ, CostSpec.norm_power(1.5), QUARTIC):
+        z = _convex_argmin(cost, points, masses)
+        assert z.shape == (len(points), 1)
+        for zt, pts, w in zip(z, points, masses):
+            pts, w = pts[w > 0], w[w > 0]
+            ref = _row_argmin(cost, pts, w)
+            if cost in (ABS, SQ):
+                # a mean over zero-mass entries adds in another order
+                np.testing.assert_allclose(zt, ref, rtol=0.0,
+                                           atol=0.0 if cost is ABS else 4 * np.finfo(float).eps)
+            else:
+                phi = w @ cost.pair_matrix(pts, [zt])[:, 0]
+                assert phi <= w @ cost.pair_matrix(pts, [ref])[:, 0] + 1e-12
+    assert _convex_argmin(ABS, points[-1:], masses[-1:]).tolist() == [[2.0]]
+    # in the plane the Powell rows score their positive-mass points alone
+    points, masses = _random_stack(rng, 2)
+    start = points[:, 0]
+    for cost in (ABS, QUARTIC):
+        z = _convex_argmin(cost, points, masses, start)
+        assert z.shape == (len(points), 2)
+        for zt, pts, w, x0 in zip(z, points, masses, start):
+            np.testing.assert_array_equal(zt, _row_argmin(cost, pts[w > 0], w[w > 0], x0))
+
+
+def test_ternary_search_ends_where_floats_are_sparse():
+    from mkbary.barycenter import _convex_argmin
+
+    # floats near 1e6 are 1.2e-10 apart, so a bracket cannot shrink to 1e-12
+    points = 1e6 + np.array([[[0.0], [1.0], [0.3], [2.0]]])
+    masses = np.array([[0.15, 0.15, 0.35, 0.35]])
+    z = _convex_argmin(QUARTIC, points, masses)
+    _, low = _grid_argmin(QUARTIC, points[0], masses[0], 1e6 + np.linspace(0, 2, 20_001)[:, None])
+    assert float(masses[0] @ QUARTIC.pair_matrix(points[0], z)[:, 0]) <= low + 1e-9
+
+
+def test_one_argmin_call_per_solve_and_per_iteration(monkeypatch):
+    import mkbary.barycenter as barycenter
+
+    calls = []
+    argmin = barycenter._convex_argmin
+    monkeypatch.setattr(barycenter, "_convex_argmin",
+                        lambda cost, points, masses, start=None:
+                        calls.append((points.shape, masses.shape))
+                        or argmin(cost, points, masses, start))
+    inputs = [(generate_random_measure(i, [-1.0], [1.0], 5), 1.0 + i) for i in range(3)]
+    for cost in (SQ, ABS, QUARTIC):
+        calls.clear()
+        barycenter_quantile_1d(BarycenterProblem.make(inputs, Constraint.quantile_1d(), cost))
+        assert len(calls) == 1 and calls[0][0] == (*calls[0][1], 1)
+    for space, cost in ((LINE, CostSpec.norm_power(1.5)), (PLANE, SQ)):
+        ms = [generate_random_measure(10 + i, [-1.0] * space.dim, [1.0] * space.dim, 5)
+              for i in range(3)]
+        calls.clear()
+        res = barycenter_free_support(BarycenterProblem.make([(m, 1.0) for m in ms],
+                                                             Constraint.free(3), cost))
+        # every LP but the last, which stops the run, moves the atoms once
+        assert len(res.trace) < barycenter.FREE_MAX_ITER and len(calls) == len(res.trace) - 1
+        assert all(p == (*w, space.dim) for p, w in calls)
 
 
 def test_free_support_fixed_point():
@@ -246,7 +364,7 @@ def test_quantile_cells_match_the_breakpoint_construction(monkeypatch):
     calls = []
     argmin, canon = barycenter._convex_argmin, barycenter.canonicalize
     monkeypatch.setattr(barycenter, "_convex_argmin",
-                        lambda cost, points, masses: calls.append(points[:, 0].copy())
+                        lambda cost, points, masses: calls.append(points[:, :, 0].copy())
                         or argmin(cost, points, masses))
     monkeypatch.setattr(barycenter, "canonicalize",
                         lambda atoms, weights, space: calls.append(weights.copy())
@@ -264,7 +382,7 @@ def test_quantile_cells_match_the_breakpoint_construction(monkeypatch):
         calls.clear()
         barycenter_quantile_1d(BarycenterProblem.make(inputs, Constraint.quantile_1d(), SQ))
         xs, widths = _breakpoint_cells(inputs)
-        *tuples, kept = calls
+        tuples, kept = calls  # one argmin call places every cell's atom
         np.testing.assert_array_equal(np.array(tuples), xs)
         np.testing.assert_allclose(kept, widths, rtol=0.0, atol=1e-15)
 
@@ -729,6 +847,17 @@ def test_near_duplicate_candidate_with_far_candidate_ties_cleanly(caplog):
     assert res.measure.weights.tolist() == [1.0]
     assert res.objective == pytest.approx(0.17, abs=1e-12)
     assert not res.multiple_optima
+
+
+def test_candidates_within_the_merge_tolerance_make_no_tie():
+    # 0 and 1e-13 merge on canonicalizing: LP vertices that split weight
+    # between them are one measure, not two optima
+    for seed in range(2):
+        ms = [generate_random_measure(seed * 2 + i, [-1.0], [1.0], 4) for i in range(2)]
+        prob = BarycenterProblem.make([(m, 1.0) for m in ms],
+                                      Constraint.simplex_over([[0.0], [1e-13], [1.0]]), SQ)
+        res = barycenter_fixed_support(prob)
+        assert not res.multiple_optima and res.alt_measure is None
 
 
 def _near_duplicate_problem(seed):

@@ -896,6 +896,31 @@ def test_a_negative_seed_flag_is_a_parse_error(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr() == ("", "parse error: triangle field 'seed' must be at least 0, "
                                        "not -2\n")
     assert not out.exists()
+    free = write(tmp_path / "free.json", {"inputs": [{"measure": MEASURE_01, "lambda": 1.0}],
+                                          "cost": COST_SQ, "constraint": ROUTE_CONSTRAINTS["free"]})
+    assert main(["barycenter", free, "--seed", "-1", "--out-dir", str(out)]) == 2
+    assert capsys.readouterr() == ("", "parse error: --seed must be at least 0, not -1\n")
+    assert not out.exists()
+
+
+def test_an_overflowing_quartic_cost_is_one_parse_error(tmp_path):
+    # (1e100)^4 overflows: the quantile cells' ternary search runs on past
+    # it without a numpy warning, and a cost table names the cost and a pair
+    line = {"kind": "euclidean", "dim": 1}
+    inputs = [{"measure": {"space": line, "atoms": atoms, "weights": [0.5, 0.5]}, "lambda": 0.5}
+              for atoms in ([[0.0], [1e100]], [[1.0], [2e100]])]
+    root = Path(__file__).resolve().parents[1]
+    for constraint in ({"kind": "quantile_1d"}, {"kind": "free", "k": 3}):
+        pf = write(tmp_path / "problem.json", {"inputs": inputs, "constraint": constraint,
+                                               "cost": {"kind": "norm_power", "p": 4}})
+        proc = subprocess.run([sys.executable, "-m", "mkbary", "barycenter", pf,
+                               "--out-dir", str(tmp_path / "out")],
+                              capture_output=True, text=True, timeout=120,
+                              env={"PYTHONPATH": str(root / "src")})
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("parse error: norm_power cost with p = 4 is inf ")
+        assert proc.stderr.count("\n") == 1 and "RuntimeWarning" not in proc.stderr
+
 
 def test_verify_lln_summary_counts_its_holes(tmp_path, capsys, monkeypatch):
     import mkbary.consistency as consistency
