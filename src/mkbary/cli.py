@@ -2,15 +2,17 @@
 
 Subcommands: ``transport`` (cost between two measure files), ``barycenter``
 (solve a problem file), ``verify`` (run a property suite), ``constants``
-(print growth constants for a cost file).  Every run validates its inputs
-before computing, writes primary outputs deterministically, and leaves one
-``manifest.json`` next to them.
+(print growth constants for a cost file).  ``main`` checks that
+``--out-dir`` can be written before any input is read; the subcommand
+validates its inputs before computing and writes its primary outputs
+deterministically; then ``main`` leaves one ``manifest.json`` next to them.
+A run that raises writes no manifest.
 
 Exit codes: 0 success / suite pass, 1 suite fail, 2 parse error (input
 validation, including JSON of the wrong type), 3 numerical error (a
 solver's certificate or marginal check failed, or a growth-constant
 computation hit an unbounded ratio or a failed construction), 4 usage
-error.
+error (an ``--out-dir`` or ``--plan`` that cannot be written among them).
 
 ``barycenter`` runs the route of the problem file's constraint kind;
 ``--method``, when given, must name that route, and ``--seed`` (the
@@ -82,24 +84,11 @@ def _load_json(path: str) -> dict:
     return obj
 
 
-def _write_manifest(out_dir: Path, subcommand: str, inputs: list, outputs: list,
-                    config: dict, started: float) -> None:
-    manifest = {
-        "subcommand": subcommand,
-        "inputs": [str(p) for p in inputs],
-        "outputs": [str(p) for p in outputs],
-        "config": config,
-        "versions": {
-            "mkbary": __version__,
-            "numpy": np.__version__,
-            "scipy": scipy.__version__,
-            "python": platform.python_version(),
-        },
-        "wall_time_s": time.time() - started,
-    }
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+def _write_json(path: Path, obj) -> None:
+    """``obj`` as indented JSON with sorted keys and a newline; creates the directory."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True, default=str)
         fh.write("\n")
 
 
@@ -107,14 +96,23 @@ def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
-def _check_writable(path: str) -> None:
-    """Fail before any solve if ``path`` cannot be written; creates nothing."""
+def _check_writable(flag: str, path: str) -> None:
+    """Fail before any solve if ``path`` cannot be written; creates nothing.
+
+    ``--out-dir`` may not exist yet: its nearest existing ancestor must be a
+    writable directory.  ``--plan`` must lie in an existing directory.
+    """
     target = Path(path)
-    parent = target.parent
-    if not parent.is_dir():
-        raise UsageError(f"cannot write --plan: directory {str(parent)!r} does not exist")
-    if target.is_dir() or not os.access(target if target.exists() else parent, os.W_OK):
-        raise UsageError(f"cannot write --plan: {path!r} is not writable")
+    if flag == "--out-dir":
+        # os.path.exists, unlike Path.exists, is False when a search is denied
+        while not os.path.exists(target) and target != target.parent:
+            target = target.parent
+        if not (target.is_dir() and os.access(target, os.W_OK)):
+            raise UsageError(f"cannot write {flag}: {str(target)!r} is not a writable directory")
+    elif not target.parent.is_dir():
+        raise UsageError(f"cannot write {flag}: directory {str(target.parent)!r} does not exist")
+    elif target.is_dir() or not os.access(target if target.exists() else target.parent, os.W_OK):
+        raise UsageError(f"cannot write {flag}: {path!r} is not writable")
 
 
 def _write_plan(fh, plan) -> None:
@@ -138,8 +136,7 @@ def _write_plan(fh, plan) -> None:
     fh.write("], " + fields[1:] + "\n")
 
 
-def cmd_transport(args) -> int:
-    started = time.time()
+def cmd_transport(args) -> tuple:
     mu_obj = _load_json(args.mu)
     nu_obj = _load_json(args.nu)
     mu = measure_from_json(mu_obj)
@@ -147,10 +144,10 @@ def cmd_transport(args) -> int:
     same = nu_obj.get("space") == mu_obj.get("space")
     nu = measure_from_json(nu_obj, space=mu.space if same else None)
     cost = cost_from_json(_load_json(args.cost))
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    # the plan may lie in the out dir, so the dir is made before the plan is checked
+    Path(args.out_dir).mkdir(parents=True, exist_ok=True)
     if args.plan:
-        _check_writable(args.plan)
+        _check_writable("--plan", args.plan)
     plan = solve_transport(mu, nu, cost)
     outputs = []
     if args.plan:
@@ -162,13 +159,10 @@ def cmd_transport(args) -> int:
             _write_plan(fh, plan)
         outputs.append(args.plan)
     print(_fmt(plan.objective))
-    _write_manifest(out_dir, "transport", [args.mu, args.nu, args.cost],
-                    outputs, {"plan": args.plan}, started)
-    return 0
+    return 0, [args.mu, args.nu, args.cost], outputs, {"plan": args.plan}
 
 
-def cmd_barycenter(args) -> int:
-    started = time.time()
+def cmd_barycenter(args) -> tuple:
     if args.seed is not None and args.seed < 0:
         raise ParseError(f"--seed must be at least 0, not {args.seed}")
     problem = problem_from_json(_load_json(args.problem))
@@ -188,19 +182,13 @@ def cmd_barycenter(args) -> int:
         result = barycenter_quantile_1d(problem)
     else:
         result = barycenter_fixed_support(problem)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = out_dir / "barycenter.json"
-    with open(out_path, "w") as fh:
-        json.dump(result_to_json(result), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    out_path = Path(args.out_dir) / "barycenter.json"
+    _write_json(out_path, result_to_json(result))
     print(_fmt(result.objective))
-    _write_manifest(out_dir, "barycenter", [args.problem], [out_path], config, started)
-    return 0
+    return 0, [args.problem], [out_path], config
 
 
-def cmd_verify(args) -> int:
-    started = time.time()
+def cmd_verify(args) -> tuple:
     config = _load_json(args.config) if args.config else {}
     if args.seed is not None:
         if "seed" not in DEFAULTS[args.suite]:
@@ -212,34 +200,28 @@ def cmd_verify(args) -> int:
         config["seed"] = args.seed
     result = run_suite(args.suite, config)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{result.name}.csv"
+    summary_path = out_dir / f"{result.name}_summary.json"
+    # the summary goes first: its writer makes the out dir
+    _write_json(summary_path, {"suite": result.name, "passed": result.passed,
+                               "summary": result.summary})
     with open(csv_path, "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(result.columns)
         for row in result.rows:
             wr.writerow([repr(v) if isinstance(v, float) else v for v in row])
-    summary_path = out_dir / f"{result.name}_summary.json"
-    with open(summary_path, "w") as fh:
-        json.dump({"suite": result.name, "passed": result.passed,
-                   "summary": result.summary}, fh, indent=2, sort_keys=True, default=str)
-        fh.write("\n")
     print(f"{result.name}: {'PASS' if result.passed else 'FAIL'}")
-    _write_manifest(out_dir, "verify", [args.config] if args.config else [],
-                    [csv_path, summary_path], config, started)
-    return 0 if result.passed else 1
+    inputs = [args.config] if args.config else []
+    return (0 if result.passed else 1), inputs, [csv_path, summary_path], config
 
 
-def cmd_constants(args) -> int:
-    started = time.time()
-    cost = cost_from_json(_load_json(args.cost))
-    gc = growth_constants(cost)
+def cmd_constants(args) -> tuple:
+    gc = growth_constants(cost_from_json(_load_json(args.cost)))
     print(json.dumps(
         {"A": gc.A, "B": gc.B, "q": gc.q, "q0": gc.q0, "provenance": gc.provenance},
         indent=2, sort_keys=True,
     ))
-    _write_manifest(Path(args.out_dir), "constants", [args.cost], [], {}, started)
-    return 0
+    return 0, [args.cost], [], {}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -283,10 +265,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Check ``--out-dir``, run the subcommand and, unless it raised, write its manifest."""
+    started = time.time()
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        _check_writable("--out-dir", args.out_dir)
+        code, inputs, outputs, config = args.func(args)
+        _write_json(Path(args.out_dir) / "manifest.json", {
+            "subcommand": args.command,
+            "inputs": [str(p) for p in inputs],
+            "outputs": [str(p) for p in outputs],
+            "config": config,
+            "versions": {
+                "mkbary": __version__,
+                "numpy": np.__version__,
+                "scipy": scipy.__version__,
+                "python": platform.python_version(),
+            },
+            "wall_time_s": time.time() - started,
+        })
+        return code
     except (UsageError, NotConvexCost, NotOneDimensional) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 4

@@ -174,7 +174,9 @@ def lln_experiment(
     frequencies of an earlier one reuses its barycenter.  The J(emp, rep)
     and lifted-distance LPs of every distinct draw are solved together,
     after the last barycenter, in one transport batch (see ``_solve_draws``).
-    A draw whose barycenter or transport LPs raise is a hole in the report.
+    A draw whose barycenter or transport LPs raise is a hole in the report;
+    the medians cover only the n that kept a record, and ``decay_ratio``
+    (largest over smallest such n) is None when none did.
     A repeated entry of ``n_grid`` or ``seeds`` is a ValueError, before any
     solve: it would give a second row for the same (n, seed).
     """
@@ -222,10 +224,12 @@ def lln_experiment(
             records.append((n, seed, min(sol[1] for sol in sols[:-1]), sols[-1][1]))
     records.sort(key=lambda r: (r[0], r[1]))
 
-    med_j = {n: float(np.median([r[2] for r in records if r[0] == n])) for n in n_grid}
-    med_meta = {n: float(np.median([r[3] for r in records if r[0] == n])) for n in n_grid}
-    first, last = n_grid[0], n_grid[-1]
-    ratio = med_j[last] / med_j[first] if med_j[first] > 0 else 0.0
+    ns = sorted({r[0] for r in records})
+    med_j = {n: float(np.median([r[2] for r in records if r[0] == n])) for n in ns}
+    med_meta = {n: float(np.median([r[3] for r in records if r[0] == n])) for n in ns}
+    ratio = None
+    if ns:
+        ratio = med_j[ns[-1]] / med_j[ns[0]] if med_j[ns[0]] > 0 else 0.0
     summary = {
         "median_j": med_j,
         "median_meta_j": med_meta,

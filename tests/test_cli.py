@@ -127,6 +127,27 @@ def test_transport_creates_out_dir_for_plan(tmp_path, capsys):
     assert (new_dir / "manifest.json").is_file()
 
 
+@pytest.mark.parametrize("command", ["transport", "barycenter", "verify", "constants"])
+def test_an_out_dir_that_cannot_be_written_is_a_usage_error_before_any_solve(
+        tmp_path, capsys, monkeypatch, command):
+    _no_lp(monkeypatch)
+    mu = write(tmp_path / "mu.json", MEASURE_01)
+    cost = write(tmp_path / "c.json", COST_SQ)
+    problem = write(tmp_path / "p.json", {"inputs": [{"measure": MEASURE_01, "lambda": 1.0}],
+                                          "constraint": {"kind": "quantile_1d"}, "cost": COST_SQ})
+    argv = {"transport": ["transport", mu, mu, cost, "--plan", str(tmp_path / "plan.json")],
+            "barycenter": ["barycenter", problem], "verify": ["verify", "criterion"],
+            "constants": ["constants", cost]}[command]
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    before = sorted(tmp_path.rglob("*"))
+    for out in (afile, afile / "x", afile / "x" / "y"):
+        assert main(argv + ["--out-dir", str(out)]) == 4
+        assert capsys.readouterr() == (
+            "", f"usage error: cannot write --out-dir: {str(afile)!r} is not a writable directory\n")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_transport_unwritable_plan_is_usage_error(tmp_path, capsys, monkeypatch):
     def never(*args):
         raise AssertionError("the solver ran before the plan path was checked")
@@ -757,6 +778,9 @@ def test_verify_seed_flag_has_one_home(tmp_path, capsys, monkeypatch):
     ("lln", {"seeds": [-1, 0]}, "lln field 'seeds' must be at least 0, not [-1, 0]"),
     ("lln", {"population": {"generator": {**SMALL_LLN["population"]["generator"], "seed": -1}}},
      "generator field 'seed' must be at least 0, not -1"),
+    # a norm power under 1 is no cost; it used to fail only after the p = 2 batch ran
+    ("q-triangle", {"count": 50, "powers": [2.0, 0.5]},
+     "q-triangle field 'powers' must be at least 1, not [2.0, 0.5]"),
 ])
 def test_verify_settings_that_check_nothing_are_parse_errors(tmp_path, capsys, monkeypatch,
                                                              suite, config, message):
@@ -948,3 +972,33 @@ def test_verify_lln_summary_counts_its_holes(tmp_path, capsys, monkeypatch):
     # the CSV keeps its columns and loses only the hole's row
     assert (tmp_path / "hole" / "lln.csv").read_text().splitlines() == [full[0]] + [
         row for row in full[1:] if not row.startswith("2,0,")]
+
+
+@pytest.mark.parametrize("failing", ["n16", "every"])
+def test_verify_lln_with_no_record_for_an_n_writes_strict_json(tmp_path, capsys, monkeypatch,
+                                                                recwarn, failing):
+    import mkbary.consistency as consistency
+
+    real = consistency.barycenter_fixed_support
+
+    def fails(problem, **kwargs):
+        n = sys._getframe(1).f_locals.get("n")  # the draw's n; None for the population's
+        if n == 16 or (failing == "every" and n is not None):
+            raise NumericalFailure("forced")
+        return real(problem, **kwargs)
+
+    def strict(name):
+        raise AssertionError(f"{name} is not JSON")
+
+    monkeypatch.setattr(consistency, "barycenter_fixed_support", fails)
+    cfg = write(tmp_path / "lln.json", {**SMALL_LLN, "n_grid": [4, 16]})
+    assert main(["verify", "lln", "--config", cfg, "--out-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr() == ("lln: FAIL\n", "")
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    summary = json.loads((tmp_path / "lln_summary.json").read_text(), parse_constant=strict)
+    kept = [] if failing == "every" else [4]
+    assert {(h["n"], h["seed"]) for h in summary["summary"]["holes"]} == {
+        (n, seed) for n in {4, 16} - set(kept) for seed in SMALL_LLN["seeds"]}
+    assert sorted(summary["summary"]["median_j"]) == [str(n) for n in kept]
+    assert (summary["summary"]["decay_ratio"] is None) == (not kept)
+    assert summary["passed"] is False and summary["summary"]["decay_ok"] is False

@@ -653,6 +653,25 @@ def test_staircase_matches_the_oracle_up_to_4x4():
         assert abs(mass @ C[rows, cols] - oracle) <= GAP_TOL * (1 + oracle)
 
 
+def test_staircase_is_an_oracle_for_packed_lps_on_the_line(lp_calls):
+    # at most 32 x 32 = MAX_BATCH_VARS variables, so every problem is packed
+    # into HiGHS calls and none takes the Monge route
+    rng = np.random.default_rng(28)
+    problems, stairs = [], []
+    for k in range(40):
+        mu, nu = _line_pair(rng, *rng.integers(5, 33, size=2), 1.0)
+        C = CostSpec.norm_power((1.0, 1.5, 2.0, 4.0)[k % 4]).matrix(mu, nu)
+        (rows, cols), mass = transport._staircase(mu.weights, nu.weights)
+        problems.append((C, mu.weights, nu.weights))
+        stairs.append(mass @ C[rows, cols])
+    assert max(C.size for C, _, _ in problems) <= MAX_BATCH_VARS
+    lp_calls.clear()
+    sols = solve_lp_batch(problems)
+    assert len(lp_calls) >= 2
+    for (_, obj, _, _, _), stair in zip(sols, stairs):
+        assert abs(obj - stair) <= GAP_TOL * (1 + abs(stair))
+
+
 def test_plane_problems_never_take_the_monge_route(lp_calls, caplog):
     for seed in range(5):
         mu, nu = _large_pair(40, seed)
