@@ -96,11 +96,12 @@ def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
-def _check_writable(flag: str, path: str) -> None:
+def _check_writable(flag: str, path: str, out_dir: str = ".") -> None:
     """Fail before any solve if ``path`` cannot be written; creates nothing.
 
     ``--out-dir`` may not exist yet: its nearest existing ancestor must be a
-    writable directory.  ``--plan`` must lie in an existing directory.
+    writable directory.  ``--plan`` must lie in an existing directory or in
+    ``out_dir``, which ``main`` has checked and the run makes.
     """
     target = Path(path)
     if flag == "--out-dir":
@@ -110,7 +111,9 @@ def _check_writable(flag: str, path: str) -> None:
         if not (target.is_dir() and os.access(target, os.W_OK)):
             raise UsageError(f"cannot write {flag}: {str(target)!r} is not a writable directory")
     elif not target.parent.is_dir():
-        raise UsageError(f"cannot write {flag}: directory {str(target.parent)!r} does not exist")
+        if os.path.abspath(target.parent) != os.path.abspath(out_dir):
+            raise UsageError(f"cannot write {flag}: directory {str(target.parent)!r} "
+                             "does not exist")
     elif target.is_dir() or not os.access(target if target.exists() else target.parent, os.W_OK):
         raise UsageError(f"cannot write {flag}: {path!r} is not writable")
 
@@ -144,14 +147,13 @@ def cmd_transport(args) -> tuple:
     same = nu_obj.get("space") == mu_obj.get("space")
     nu = measure_from_json(nu_obj, space=mu.space if same else None)
     cost = cost_from_json(_load_json(args.cost))
-    # the plan may lie in the out dir, so the dir is made before the plan is checked
-    Path(args.out_dir).mkdir(parents=True, exist_ok=True)
     if args.plan:
-        _check_writable("--plan", args.plan)
+        _check_writable("--plan", args.plan, args.out_dir)
     plan = solve_transport(mu, nu, cost)
     outputs = []
     if args.plan:
         try:
+            Path(args.out_dir).mkdir(parents=True, exist_ok=True)  # the plan may lie in it
             fh = open(args.plan, "w")
         except OSError as exc:
             raise UsageError(f"cannot write --plan: {exc}") from exc

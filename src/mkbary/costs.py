@@ -148,6 +148,17 @@ class CostSpec:
         return False
 
     @property
+    def is_metric(self) -> bool:
+        """Whether c is itself a metric: rho**p with p <= 1, or |x - y| on R^d.
+
+        A power p <= 1 of a metric is a metric.  The other kinds may be
+        metrics for some g or table, but that is not tested.
+        """
+        if self.kind == "metric_power":
+            return self.p <= 1.0
+        return self.kind == "norm_power" and self.p == 1.0
+
+    @property
     def is_symmetric(self) -> bool:
         if self.kind == "finite_matrix":
             return bool(np.allclose(self.values, self.values.T, atol=0.0, rtol=0.0))

@@ -7,17 +7,24 @@ marginal constraints and certifies optimality with a feasible dual pair
 enumerating every basis of the transportation polytope; it shares no code
 path with the LP and serves as the independent oracle.
 
-``solve_lp_batch`` takes four routes, in this order.  A 1xn or nx1 problem
+``solve_lp_batch`` takes five routes, in this order.  A 1xn or nx1 problem
 has a single feasible plan.  A problem with more than ``MAX_BATCH_VARS``
 variables whose cost matrix is Monge (C_ij + C_i+1,j+1 <= C_i,j+1 + C_i+1,j
 in the stored atom order, as for a convex translation cost on the line)
 takes the north-west-corner plan, which is then optimal (Hoffman 1963;
 Peyre & Cuturi 2019, section 2.6).  Its row and column sums are checked
-and its row potentials read off its staircase.  Any other problem of that
-size goes through the shortlist below, and so does a Monge problem whose
-plan fails these checks, with one warning.  The remaining small problems
-are packed into block-diagonal LPs.  Smaller problems are not tested for
-the Monge property: that test costs more than the LPs it would save.
+and its row potentials read off its staircase.  A problem of that size
+whose cost is a metric (``CostSpec.is_metric``) and whose matrix has
+zero-cost cells, the atoms the two measures share, keeps min(a_i, b_i) in
+place at each of them: the cost is then the Kantorovich-Rubinstein
+distance, which depends on mu - nu alone (Villani 2003, Theorem 1.14;
+Peyre & Cuturi 2019, section 6.1), so only the smaller problem between
+the atoms with surplus and those with deficit goes back through these
+routes.  Any other problem of that size goes through the shortlist below,
+and so does a plan of the two exact routes that fails its checks, with one
+warning.  The remaining small problems are packed into block-diagonal
+LPs.  Smaller problems are not tested for the Monge property or shared
+atoms: that test costs more than the LPs it would save.
 
 One builder, ``_staircase``, computes the north-west-corner plan of any
 number of marginals: the Monge route's plan, the shortlist's feasible
@@ -270,32 +277,74 @@ def _is_monge(C: np.ndarray) -> bool:
     return True
 
 
-def _solve_large(problems, k: int):
+def _northwest(C: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """The north-west-corner plan and its row potentials, for a Monge C.
+
+    The potentials satisfy u_i + v_j = C_ij on every cell of the staircase,
+    so u changes by the cost difference of each down step.
+    """
+    (rows, cols), mass = _staircase(a, b)
+    x = np.zeros(C.shape)
+    x[rows, cols] = mass
+    down = np.diff(rows) > 0
+    return x, np.concatenate([[0.0], np.cumsum(np.diff(C[rows, cols])[down])])
+
+
+def _shared_mass(C: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """A plan that keeps the shared mass in place, and its row potentials,
+    for a metric C.
+
+    Each zero-cost cell (i, j), a shared atom, keeps min(a_i, b_j).  The
+    rows P and columns Q with mass left over form a surplus x deficit
+    problem with no shared atom, solved by ``solve_lp_batch``; its plan is
+    scattered into P x Q, where no mass was kept.  The row potentials are
+    the c-transform u_i = min_q (C_iq - v_q) of its column potentials v.
+    """
+    rows, cols = np.nonzero(C == 0.0)  # at most one per row and column for a metric
+    kept = np.minimum(a[rows], b[cols])
+    x = np.zeros(C.shape)
+    x[rows, cols] = kept
+    left_a, left_b = a.copy(), b.copy()
+    left_a[rows] -= kept
+    left_b[cols] -= kept
+    P, Q = np.flatnonzero(left_a > 0.0), np.flatnonzero(left_b > 0.0)
+    if P.size == 0 or Q.size == 0:  # nothing to move, as when mu = nu
+        return x, np.zeros(C.shape[0])
+    [(y, _, _, v, _)] = solve_lp_batch([(C[np.ix_(P, Q)], left_a[P], left_b[Q])])
+    x[np.ix_(P, Q)] = y
+    return x, (C[:, Q] - v).min(axis=1)
+
+
+def _solve_large(problems, k: int, metric: bool):
     """Certified solution of ``problems[k]``, a problem too large for a batch.
 
     On a Monge cost matrix the north-west-corner plan is optimal (Hoffman
-    1963), so it is certified without an LP: by its row and column sums,
-    which no solver vouches for, and by its potentials.  These satisfy
-    u_i + v_j = C_ij on every cell of the staircase, so u changes by the
-    cost difference of each down step.  Otherwise, or when its certificate
-    fails (with one warning), the shortlist solves the LP.
+    1963).  On a metric cost matrix with zero-cost cells, the shared atoms,
+    some optimal plan keeps min(a_i, b_i) at each of them, since the cost
+    is the Kantorovich-Rubinstein distance and depends on mu - nu alone
+    (Villani 2003, Theorem 1.14), so only the surplus x deficit problem
+    left over needs an LP.  Either plan is certified by its row and column
+    sums, which no solver vouches for in full, and by potentials polished
+    over the full C.  Otherwise, or when that certificate fails (with one
+    warning), the shortlist solves the LP.
     """
     C, a, b = problems[k]
+    route = None
     if _is_monge(C):
-        (rows, cols), mass = _staircase(a, b)
-        x = np.zeros(C.shape)
-        x[rows, cols] = mass
-        down = np.diff(rows) > 0
-        u = np.concatenate([[0.0], np.cumsum(np.diff(C[rows, cols])[down])])
+        route, what = _northwest, "north-west-corner plan on a Monge cost matrix"
+    elif metric and (C == 0.0).any():
+        route, what = _shared_mass, "shared-mass plan on a metric cost matrix"
+    if route is not None:
         try:
+            x, u = route(C, a, b)
             miss = max(np.abs(x.sum(axis=1) - a).max(), np.abs(x.sum(axis=0) - b).max())
-            if miss > CHECK_TOL:  # no solver vouches for this plan's feasibility
+            if miss > CHECK_TOL:
                 raise NumericalFailure(f"transport LP block {k}: plan misses a marginal "
                                        f"by {miss:.3e}")
             return _certify(k, x, C, a, b, *_polish(C, u))
         except NumericalFailure as exc:
-            log.warning("transport LP block %d: north-west-corner plan on a Monge cost "
-                        "matrix not certified (%s); solving the LP", k, exc)
+            log.warning("transport LP block %d: %s not certified (%s); solving the LP",
+                        k, what, exc)
     x, u = _solve_shortlist(problems, k)
     return _certify(k, x, C, a, b, *_polish(C, u))
 
@@ -362,16 +411,20 @@ def _solve_shortlist(problems, k: int):
     return x, u
 
 
-def solve_lp_batch(problems) -> list:
+def solve_lp_batch(problems, metric: bool = False) -> list:
     """Solve independent transportation LPs given as ``(C, a, b)`` triples.
 
     Returns one ``(coupling, objective, u, v, gap)`` tuple per problem, in
-    order.  1xn and nx1 problems have a single feasible plan and skip the
-    solver.  A problem of more than ``MAX_BATCH_VARS`` variables is solved
-    alone: by its north-west-corner plan when its cost matrix is Monge,
-    else by shortlist column generation, or by its full LP when the
-    shortlist hits its round cap.  The others are packed in order into
-    block-diagonal HiGHS calls of at most ``MAX_BATCH_VARS`` variables.
+    order.  ``metric`` says that every cost matrix is a metric between the
+    atoms (see ``CostSpec.is_metric``).  1xn and nx1 problems have a single
+    feasible plan and skip the solver.  A problem of more than
+    ``MAX_BATCH_VARS`` variables is solved alone: by its north-west-corner
+    plan when its cost matrix is Monge; when the cost is a metric with
+    zero-cost cells, by keeping the shared mass in place and solving the
+    surplus x deficit problem left over by this function; else by shortlist
+    column generation, or by its full LP when the shortlist hits its round
+    cap.  The others are packed in order into block-diagonal HiGHS calls of
+    at most ``MAX_BATCH_VARS`` variables.
     Every plan is polished by a c-transform over its full cost matrix and
     certified by a vertex check and its own duality gap.  Raises
     NumericalFailure, naming the block, when the solver does not terminate
@@ -388,7 +441,7 @@ def solve_lp_batch(problems) -> list:
         elif n == 1:
             out[k] = _certify(k, a[:, None].copy(), C, a, b, C[:, 0].copy(), np.zeros(1))
         elif m * n > MAX_BATCH_VARS:
-            out[k] = _solve_large(problems, k)
+            out[k] = _solve_large(problems, k, metric)
         else:
             small.append(k)
 
@@ -409,7 +462,7 @@ def solve_transport_batch(pairs, cost: CostSpec) -> list:
     pairs = list(pairs)
     matrices = [cost.matrix(mu, nu) for mu, nu in pairs]
     sols = solve_lp_batch(
-        [(C, mu.weights, nu.weights) for C, (mu, nu) in zip(matrices, pairs)]
+        [(C, mu.weights, nu.weights) for C, (mu, nu) in zip(matrices, pairs)], cost.is_metric
     )
     return [
         TransportPlan(source=mu, target=nu, coupling=x, objective=objective,

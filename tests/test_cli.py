@@ -119,8 +119,9 @@ def test_transport_creates_out_dir_for_plan(tmp_path, capsys):
     mu = write(tmp_path / "mu.json", MEASURE_01)
     nu = write(tmp_path / "nu.json", MEASURE_12)
     cost = write(tmp_path / "c.json", COST_ABS)
-    new_dir = tmp_path / "newdir"
-    rc = main(["transport", mu, nu, cost, "--plan", str(new_dir / "plan.json"),
+    # two new levels, and the plan named by a path that is not the out dir's spelling
+    new_dir = tmp_path / "newdir" / "sub"
+    rc = main(["transport", mu, nu, cost, "--plan", str(new_dir / ".." / "sub" / "plan.json"),
                "--out-dir", str(new_dir)])
     assert rc == 0
     assert json.loads((new_dir / "plan.json").read_text())["objective"] == 1.0
@@ -163,6 +164,15 @@ def test_transport_unwritable_plan_is_usage_error(tmp_path, capsys, monkeypatch)
     assert not plan_path.parent.exists()
     rc = main(["transport", mu, mu, cost, "--plan", str(tmp_path), "--out-dir", str(tmp_path)])
     assert rc == 4
+    capsys.readouterr()
+    # a new out dir is not made when the plan is refused
+    before = sorted(tmp_path.rglob("*"))
+    for out_dir in (tmp_path / "newout", tmp_path / "newout" / "sub"):
+        rc = main(["transport", mu, mu, cost, "--plan", str(plan_path), "--out-dir", str(out_dir)])
+        assert rc == 4
+        assert capsys.readouterr().err == (f"usage error: cannot write --plan: directory "
+                                           f"{str(plan_path.parent)!r} does not exist\n")
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_transport_failed_solve_leaves_no_plan(tmp_path, capsys, monkeypatch):

@@ -237,6 +237,23 @@ def test_asymmetric_finite_matrix():
                     assert vals[i, j] <= g.A + g.B * denom + 1e-12
 
 
+@pytest.mark.parametrize("cost, metric", [
+    (CostSpec.metric_power(0.5), True),
+    (CostSpec.metric_power(1), True),
+    (CostSpec.metric_power(1.5), False),
+    (CostSpec.metric_power(2), False),
+    (CostSpec.norm_power(1), True),
+    (CostSpec.norm_power(1.5), False),
+    (CostSpec.norm_power(2), False),
+    # |x| as g is a metric, but a translation cost is never taken for one
+    (CostSpec.translation(lambda d: np.abs(d[..., 0]), dim=1), False),
+    # a table of a metric is not taken for one either
+    (CostSpec.finite_matrix([[0.0, 1.0], [1.0, 0.0]]), False),
+])
+def test_is_metric_for_each_cost_kind(cost, metric):
+    assert cost.is_metric is metric
+
+
 def test_cost_json_roundtrip():
     for c in (CostSpec.metric_power(2), CostSpec.norm_power(4),
               CostSpec.finite_matrix([[0.0, 1.0], [1.0, 0.0]])):

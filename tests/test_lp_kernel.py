@@ -737,6 +737,187 @@ def test_staircase_that_misses_a_marginal_falls_back_to_the_shortlist(monkeypatc
     plan.check(C)
 
 
+@pytest.fixture
+def shared_mass_calls(monkeypatch):
+    """The cost matrix shape of every shared-mass route taken, in order."""
+    calls = []
+    real = transport._shared_mass
+
+    def counting(C, a, b):
+        calls.append(C.shape)
+        return real(C, a, b)
+
+    monkeypatch.setattr(transport, "_shared_mass", counting)
+    return calls
+
+
+def _finite_plane(points):
+    """The finite space of ``points`` in the plane under the euclidean distance."""
+    return GroundSpace.finite(np.linalg.norm(points[:, None] - points[None, :], axis=-1))
+
+
+def _overlapping_pair(rng, pool, space, m, n, shared):
+    """mu on m and nu on n points of ``pool``, ``shared`` of them common to both."""
+    idx = rng.permutation(len(pool))
+    return (canonicalize(pool[idx[:m]], rng.dirichlet(np.ones(m)), space),
+            canonicalize(pool[idx[m - shared:m - shared + n]], rng.dirichlet(np.ones(n)), space))
+
+
+def _assert_keeps_shared_mass(x, C, a, b):
+    rows, cols = np.nonzero(C == 0.0)
+    np.testing.assert_array_equal(x[rows, cols], np.minimum(a[rows], b[cols]))
+
+
+def test_shared_mass_route_matches_the_exact_routes(monkeypatch, lp_calls, shared_mass_calls,
+                                                    caplog):
+    rng = np.random.default_rng(29)
+    points = rng.uniform(size=(200, 2))
+    finite = _finite_plane(points)
+    cases = [(finite, np.arange(200), CostSpec.metric_power(1)),
+             (finite, np.arange(200), CostSpec.metric_power(0.5)),
+             (PLANE, points, CostSpec.norm_power(1)),
+             (PLANE, points, CostSpec.metric_power(0.5))] * 3
+    for space, pool, cost in cases:
+        m, n = rng.integers(33, 97, size=2)
+        mu, nu = _overlapping_pair(rng, pool, space, m, n, rng.integers(1, min(m, n)))
+        C, a, b = cost.matrix(mu, nu), mu.weights, nu.weights
+        shared_mass_calls.clear()
+        lp_calls.clear()
+        with caplog.at_level(logging.WARNING, logger="mkbary"):
+            [plan] = solve_transport_batch([(mu, nu)], cost)
+        assert shared_mass_calls == [C.shape]
+        assert max(lp_calls, default=0) < C.size  # only the surplus x deficit LP ran
+        _assert_keeps_shared_mass(plan.coupling, C, a, b)
+        plan.check(C)
+        assert (plan.coupling > 1e-12).sum() <= m + n - 1
+        assert plan.gap <= GAP_TOL * (1 + plan.objective)
+        _, full = _full_lp(monkeypatch, C, a, b)
+        x, _ = transport._solve_shortlist([(C, a, b)], 0)
+        shortlist = float((x * C).sum())
+        for other in (full, shortlist):
+            assert abs(plan.objective - other) <= GAP_TOL * (1 + abs(other))
+    assert not caplog.records
+
+
+def test_shared_mass_route_matches_the_oracle_up_to_4x4(monkeypatch, shared_mass_calls):
+    # with the cap at 4 every problem here is large, and so is every
+    # left-over problem but a 2x2 one; some small metric matrices are
+    # Monge, and the shared-mass route is under test
+    monkeypatch.setattr(transport, "MAX_BATCH_VARS", 4)
+    monkeypatch.setattr(transport, "_is_monge", lambda C: False)
+    rng = np.random.default_rng(30)
+    points = rng.uniform(size=(8, 2))
+    finite = _finite_plane(points)
+    cases = [(finite, np.arange(8), CostSpec.metric_power(1)),
+             (finite, np.arange(8), CostSpec.metric_power(0.5)),
+             (PLANE, points, CostSpec.norm_power(1)),
+             (PLANE, points, CostSpec.metric_power(0.5))]
+    for k in range(60):
+        space, pool, cost = cases[k % 4]
+        m, n = rng.integers(2, 5), rng.integers(3, 5)
+        mu, nu = _overlapping_pair(rng, pool, space, m, n, rng.integers(1, min(m, n) + 1))
+        shared_mass_calls.clear()
+        [plan] = solve_transport_batch([(mu, nu)], cost)
+        assert shared_mass_calls == [(m, n)]
+        oracle = brute_force_transport(mu, nu, cost)
+        assert abs(plan.objective - oracle) <= GAP_TOL * (1 + oracle)
+        assert plan.gap <= GAP_TOL * (1 + plan.objective)
+
+
+def test_shared_mass_route_edges(monkeypatch, lp_calls, shared_mass_calls, caplog):
+    rng = np.random.default_rng(31)
+    n = 40
+    C = CostSpec.metric_power(1).matrix(*(2 * [canonicalize(
+        np.arange(n), np.full(n, 1.0 / n), _finite_plane(rng.uniform(size=(n, 2))))]))
+    w = rng.dirichlet(np.ones(n))
+    # mu = nu: all mass stays and no LP runs
+    with caplog.at_level(logging.WARNING, logger="mkbary"):
+        [(x, obj, _, _, gap)] = solve_lp_batch([(C, w, w)], metric=True)
+        assert lp_calls == [] and shared_mass_calls == [(n, n)]
+        np.testing.assert_array_equal(x, np.diag(w))
+        assert obj == 0.0 and gap == 0.0
+        # one surplus atom, then one deficit atom: atom 0 takes half of the
+        # mass of atoms 1..5, so the left-over problem is 1x5 or 5x1, which
+        # has a single plan and runs no LP either
+        moved = w.copy()
+        moved[1:6] /= 2
+        moved[0] += w[1:6].sum() / 2
+        for a, b in ((moved, w), (w, moved)):
+            shared_mass_calls.clear()
+            lp_calls.clear()
+            [(x, obj, _, _, gap)] = solve_lp_batch([(C, a, b)], metric=True)
+            assert lp_calls == [] and shared_mass_calls == [(n, n)]
+            _assert_keeps_shared_mass(x, C, a, b)
+            _, full = _full_lp(monkeypatch, C, a, b)
+            assert abs(obj - full) <= GAP_TOL * (1 + full)
+            assert gap <= GAP_TOL * (1 + obj)
+            assert (x > 0).sum() == n + 5
+    assert not caplog.records
+
+
+def test_costs_that_are_not_metrics_never_take_the_shared_mass_route(lp_calls,
+                                                                     shared_mass_calls, caplog):
+    rng = np.random.default_rng(32)
+    points = rng.uniform(size=(60, 2))
+    finite = _finite_plane(points)
+    cases = [(finite, np.arange(60), CostSpec.metric_power(2)),
+             (PLANE, points, CostSpec.norm_power(2)),
+             (finite, np.arange(60), CostSpec.finite_matrix(finite.rho)),
+             (PLANE, points, CostSpec.translation(lambda d: np.linalg.norm(d, axis=-1), dim=2))]
+    for space, pool, cost in cases:
+        mu, nu = _overlapping_pair(rng, pool, space, 40, 40, 20)
+        C = cost.matrix(mu, nu)
+        assert not cost.is_metric and (C == 0.0).sum() == 20
+        lp_calls.clear()
+        with caplog.at_level(logging.WARNING, logger="mkbary"):
+            [plan] = solve_transport_batch([(mu, nu)], cost)
+        assert lp_calls and max(lp_calls) < C.size  # the shortlist's kept model
+        plan.check(C)
+    assert shared_mass_calls == []
+    assert not caplog.records
+
+
+def _reduced_northwest(Cr, ar, br):
+    # feasible but not optimal in the plane, so the full plan's gap stays open
+    return transport._northwest(Cr, ar, br)[0]
+
+
+def _reduced_nothing(Cr, ar, br):
+    # moves no mass, so the full plan misses its marginals; its objective is
+    # then below the dual bound and the gap check alone would pass it
+    return np.zeros(Cr.shape)
+
+
+@pytest.mark.parametrize("reduced, failure", [
+    (_reduced_northwest, "duality gap"),
+    (_reduced_nothing, "plan misses a marginal"),
+])
+def test_uncertified_shared_mass_plan_falls_back_to_the_shortlist(monkeypatch, lp_calls, caplog,
+                                                                 reduced, failure):
+    # the surplus x deficit LP is replaced by a wrong plan
+    rng = np.random.default_rng(33)
+    mu, nu = _overlapping_pair(rng, np.arange(80), _finite_plane(rng.uniform(size=(80, 2))),
+                               40, 40, 20)
+    C, a, b = CostSpec.metric_power(1).matrix(mu, nu), mu.weights, nu.weights
+    _, honest = _full_lp(monkeypatch, C, a, b)
+    solve = transport.solve_lp_batch
+
+    def wrong(problems, metric=False):
+        [(Cr, ar, br)] = problems
+        return [(reduced(Cr, ar, br), None, None, np.zeros(Cr.shape[1]), None)]
+
+    monkeypatch.setattr(transport, "solve_lp_batch", wrong)
+    lp_calls.clear()
+    with caplog.at_level(logging.WARNING, logger="mkbary"):
+        [(x, obj, _, _, _)] = solve([(C, a, b)], metric=True)
+    assert lp_calls and max(lp_calls) < C.size  # the shortlist ran
+    [message] = [r.getMessage() for r in caplog.records if r.name == "mkbary"]
+    assert message.startswith("transport LP block 0: shared-mass plan on a metric cost matrix "
+                              f"not certified (transport LP block 0: {failure}")
+    assert abs(obj - honest) <= GAP_TOL * (1 + honest)
+    np.testing.assert_allclose(x.sum(axis=1), a, rtol=0.0, atol=1e-9)
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_n_marginal_staircase_is_a_monotone_coupling(seed):
     rng = np.random.default_rng(seed)
