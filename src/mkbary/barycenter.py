@@ -38,8 +38,8 @@ from .measures import (
     canonicalize,
     json_field,
     json_keys,
-    measure_from_json,
     measure_to_json,
+    measures_from_json,
     merge_equal_measures,
 )
 from .transport import GAP_TOL, _staircase, transport_costs
@@ -567,16 +567,21 @@ def barycenter_quantile_1d(problem: BarycenterProblem) -> BarycenterResult:
 # ---------------------------------------------------------------------------
 
 def _input_from_json(obj: dict):
+    """An input's measure object, unloaded, and its lambda."""
     json_keys(obj, ("measure", "lambda"), "input")
-    return (measure_from_json(json_field(obj, "measure", "object", "input")),
+    return (json_field(obj, "measure", "object", "input"),
             float(json_field(obj, "lambda", "number", "input")))
 
 
 def problem_from_json(obj: dict) -> BarycenterProblem:
+    """Inputs whose measures name the first one's space share its GroundSpace
+    (``measures_from_json``); the inputs' fields are checked before their measures."""
     json_keys(obj, ("inputs", "constraint", "cost"), "problem")
-    inputs = [_input_from_json(e) for e in json_field(obj, "inputs", "objects", "problem")]
+    raw, lams = zip(*[_input_from_json(e)
+                      for e in json_field(obj, "inputs", "objects", "problem")])
     return BarycenterProblem.make(
-        inputs, constraint_from_json(json_field(obj, "constraint", "object", "problem")),
+        list(zip(measures_from_json(raw), lams)),
+        constraint_from_json(json_field(obj, "constraint", "object", "problem")),
         cost_from_json(json_field(obj, "cost", "object", "problem")))
 
 

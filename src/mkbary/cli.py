@@ -14,6 +14,13 @@ solver's certificate or marginal check failed, or a growth-constant
 computation hit an unbounded ratio or a failed construction), 4 usage
 error (an ``--out-dir`` or ``--plan`` that cannot be written among them).
 
+``transport`` reads its two measure files member by member with the
+scanner ``json.loads`` uses (``_walk``).  A second file whose "space" value
+repeats the first file's text takes the first file's decoded object, so a
+shared finite space is decoded once, and ``measures_from_json`` validates it
+once.  A file that is not one well-formed JSON object is read by
+``json.loads``, whose error the parse error quotes.
+
 ``barycenter`` runs the route of the problem file's constraint kind;
 ``--method``, when given, must name that route, and ``--seed`` (the
 start of the ``free`` route's atom pick) is for that route alone.
@@ -31,6 +38,7 @@ import platform
 import sys
 import time
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 import scipy
@@ -55,7 +63,7 @@ from .errors import (
     NumericalFailure,
     UnboundedRatio,
 )
-from .measures import json_name, measure_from_json
+from .measures import json_name, measures_from_json
 from .transport import _plan_fields, solve_transport
 from .verify import DEFAULTS, SUITES, run_suite
 
@@ -82,6 +90,76 @@ def _load_json(path: str) -> dict:
     if not isinstance(obj, dict):
         raise ParseError(f"{path}: the top level must be a JSON object, not {json_name(obj)}")
     return obj
+
+
+_DECODER = json.JSONDecoder()
+_WHITESPACE = json.decoder.WHITESPACE.match
+
+
+def _walk(text: str, shared: tuple) -> Optional[tuple]:
+    """``json.loads(text)`` of a top-level object, and the raw text of its "space" value.
+
+    The members are read one at a time by the scanner ``json.loads`` uses, so
+    the object is the same, duplicate keys and escapes included.  A "space"
+    value whose text starts with ``shared[0]``, the raw text of an earlier
+    file's "space" value, is taken as its decoded ``shared[1]`` instead of
+    decoded again: a JSON value ends where its text does, and a number or
+    literal that runs on fails the separator test below.  Returns None where
+    ``text`` is not one well-formed object.
+    """
+    obj, raw = {}, ""
+    try:
+        i = _WHITESPACE(text, 0).end()
+        if text[i:i + 1] != "{":
+            return None
+        i = _WHITESPACE(text, i + 1).end()
+        while text[i:i + 1] != "}":
+            if text[i:i + 1] != '"':
+                return None
+            key, i = _DECODER.scan_once(text, i)
+            i = _WHITESPACE(text, i).end()
+            if text[i:i + 1] != ":":
+                return None
+            i = _WHITESPACE(text, i + 1).end()
+            if key == "space" and shared[0] and text.startswith(shared[0], i):
+                obj[key], end = shared[1], i + len(shared[0])
+            else:
+                obj[key], end = _DECODER.scan_once(text, i)
+            if key == "space":
+                raw = text[i:end]
+            i = _WHITESPACE(text, end).end()
+            if text[i:i + 1] == ",":
+                i = _WHITESPACE(text, i + 1).end()
+                if text[i:i + 1] != '"':  # a trailing comma
+                    return None
+            elif text[i:i + 1] != "}":
+                return None
+    except (json.JSONDecodeError, StopIteration):  # scan_once raises StopIteration on no value
+        return None
+    if _WHITESPACE(text, i + 1).end() != len(text):
+        return None
+    return obj, raw
+
+
+def _load_measure_files(paths) -> list:
+    """The JSON objects in the measure files ``paths``, read in order as by ``_load_json``.
+
+    A file that repeats the first file's "space" text is decoded once (``_walk``), and
+    ``measures_from_json`` then finds the decoded spaces equal at once.
+    """
+    objs, shared = [], ("", None)
+    for path in paths:
+        try:
+            with open(path) as fh:
+                walked = _walk(fh.read(), shared)
+        except OSError as exc:
+            raise ParseError(f"{path}: {exc}") from exc
+        # a file that is not one well-formed object: _load_json reports it
+        obj, raw = walked if walked is not None else (_load_json(path), "")
+        if not objs:
+            shared = (raw, obj.get("space"))
+        objs.append(obj)
+    return objs
 
 
 def _write_json(path: Path, obj) -> None:
@@ -140,12 +218,7 @@ def _write_plan(fh, plan) -> None:
 
 
 def cmd_transport(args) -> tuple:
-    mu_obj = _load_json(args.mu)
-    nu_obj = _load_json(args.nu)
-    mu = measure_from_json(mu_obj)
-    # two measures on one finite space validate its distance matrix once
-    same = nu_obj.get("space") == mu_obj.get("space")
-    nu = measure_from_json(nu_obj, space=mu.space if same else None)
+    mu, nu = measures_from_json(_load_measure_files([args.mu, args.nu]))
     cost = cost_from_json(_load_json(args.cost))
     if args.plan:
         _check_writable("--plan", args.plan, args.out_dir)

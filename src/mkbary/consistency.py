@@ -25,7 +25,7 @@ from .measures import (
     canonicalize,
     json_field,
     json_keys,
-    measure_from_json,
+    measures_from_json,
     merge_equal_measures,
 )
 from .transport import solve_lp_batch, solve_lp_matrix, transport_costs
@@ -317,6 +317,5 @@ def population_from_json(obj: dict) -> MetaDistribution:
                                   for key, least in (("count", 1), ("seed", 0), ("max_atoms", 1)))
         return random_population(count, seed, box[0], box[1], max_atoms)
     json_keys(obj, ("measures", "probs"), "population")
-    measures = [measure_from_json(m)
-                for m in json_field(obj, "measures", "objects", "population")]
+    measures = measures_from_json(json_field(obj, "measures", "objects", "population"))
     return MetaDistribution.make(measures, json_field(obj, "probs", "numbers", "population"))

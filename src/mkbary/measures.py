@@ -4,6 +4,11 @@ A ground space is either a euclidean space R^d or a finite metric space
 given by a distance matrix.  Measures are canonicalized at construction:
 duplicate atoms merged, zero weights dropped, weights renormalized.  All
 values are immutable and every operation is a pure function.
+
+A finite space is validated once, when it is built: its triangle check is
+one min-plus scan over the unordered pairs of points.  The loaders of
+several measures (``measures_from_json``) build the space of the first
+measure only, and give it to every later one whose decoded space equals it.
 """
 
 from __future__ import annotations
@@ -28,7 +33,8 @@ ATOM_MERGE_TOL = 1e-12
 
 
 # Byte budget of one slab of a finite-space triple scan.  A slab holds at
-# least one x layer (n*n floats, the size of the table itself).
+# least one x layer (n*n floats, the size of the table itself); the triangle
+# check sizes its blocks of x rows the same way.
 TRIANGLE_SLAB_BYTES = 4 * 2**20
 
 
@@ -50,9 +56,26 @@ def _triple_slabs(c: np.ndarray):
 
 
 def _violates_triangle(rho: np.ndarray) -> bool:
-    """Whether rho[x, y] > rho[x, z] + rho[z, y] + 1e-12 for some x, y, z."""
-    return any(np.greater(rxy, (rxz + 1e-12) + rzy).any()
-               for _, rxy, rxz, _, _, rzy in _triple_slabs(rho))
+    """Whether max(rho[x, y], rho[y, x]) > min_z (l[x, z] + l[z, y]) + 1e-12 for some x < y.
+
+    ``l = min(rho, rho.T)``, so a table symmetric only to within the
+    tolerance is checked on its hull: its longest side against its shortest
+    legs.  One min-plus scan over the unordered pairs, in blocks of x rows
+    whose (x, y, z) sums span about TRIANGLE_SLAB_BYTES; it stops at the
+    first block that violates.
+    """
+    n = rho.shape[0]
+    short = np.minimum(rho, rho.T)
+    k = max(1, TRIANGLE_SLAB_BYTES // max(1, 8 * n * n))
+    for x0 in range(0, n - 1, k):
+        x = slice(x0, x0 + k)
+        # legs[i, j] = min_z l[x0 + i, z] + l[z, x0 + 1 + j]; l is symmetric
+        legs = (short[x, None, :] + short[None, x0 + 1:, :]).min(axis=2)
+        far = np.maximum(rho[x, x0 + 1:], rho.T[x, x0 + 1:])
+        # y = x0 + 1 + j lies above x = x0 + i where j >= i
+        if np.triu(far > legs + 1e-12).any():
+            return True
+    return False
 
 
 @dataclass(frozen=True)
@@ -547,3 +570,22 @@ def measure_from_json(obj: dict, space: Optional[GroundSpace] = None) -> Discret
         space = space_from_json(json_field(obj, "space", "object", "measure"))
     return canonicalize(json_field(obj, "atoms", "numbers", "measure"),
                         json_field(obj, "weights", "numbers", "measure"), space)
+
+
+def measures_from_json(objs) -> list:
+    """Load measures in order; those whose decoded ``space`` equals the first one's share its
+    GroundSpace, so a finite space's distance matrix is validated once and ``same_as``
+    finds the shared ``rho`` at once."""
+    first = measure_from_json(objs[0])
+    shared = objs[0]["space"]
+    return [first] + [
+        measure_from_json(obj, space=first.space if _same_space(obj.get("space"), shared) else None)
+        for obj in objs[1:]]
+
+
+def _same_space(space, shared: dict) -> bool:
+    """Whether a decoded ``space`` loads as the valid ``shared`` one does.  True == 1 in
+    Python, so equal objects must also agree on the type of the integer fields: a
+    boolean "dim" or "n" is an error."""
+    return space is shared or (space == shared and all(
+        type(space.get(key)) is type(shared.get(key)) for key in ("dim", "n")))

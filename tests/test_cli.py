@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mkbary import (
@@ -237,6 +238,123 @@ def test_transport_validates_a_shared_finite_space_once(tmp_path, capsys, monkey
     assert main(["transport", mu, nu, cost, "--out-dir", str(tmp_path)]) == 2
     assert len(checks) == 3
     assert "parse error" in capsys.readouterr().err
+
+
+def test_multi_measure_loaders_validate_a_shared_finite_space_once(monkeypatch):
+    import mkbary.measures as measures
+    from mkbary.consistency import population_from_json
+
+    checks = []
+    real = measures._violates_triangle
+    monkeypatch.setattr(measures, "_violates_triangle", lambda rho: checks.append(1) or real(rho))
+    rng = np.random.default_rng(5)
+    points = rng.uniform(size=(40, 2))
+    space = {"kind": "finite", "n": 40,
+             "rho": np.linalg.norm(points[:, None] - points[None, :], axis=-1).tolist()}
+    # each measure carries its own copy of the space, as a decoded file does
+    objs = [{"space": json.loads(json.dumps(space)), "atoms": [i, i + 10, i + 20],
+             "weights": [0.25, 0.25, 0.5]} for i in range(3)]
+    problem = problem_from_json({"inputs": [{"measure": m, "lambda": 1.0} for m in objs],
+                                 "constraint": {"kind": "simplex_over", "atoms": [0, 10, 20]},
+                                 "cost": {"kind": "metric_power", "p": 1}})
+    assert len(checks) == 1 and len(problem.inputs) == 3
+    assert all(m.space is problem.inputs[0][0].space for m, _ in problem.inputs)
+    population = population_from_json({"measures": objs, "probs": [0.5, 0.25, 0.25]})
+    assert len(checks) == 2 and len(population.atoms) == 3
+    # a space that differs is decoded and validated on its own
+    objs[2]["space"]["rho"] = (2 * np.array(space["rho"])).tolist()
+    with pytest.raises(ValueError, match="share a ground space"):
+        population_from_json({"measures": objs, "probs": [0.5, 0.25, 0.25]})
+    assert len(checks) == 4
+
+
+FINITE_3 = {"kind": "finite", "n": 3, "rho": [[0.0, 1.0, 2.0], [1.0, 0.0, 1.5], [2.0, 1.5, 0.0]]}
+FINITE_MU = {"space": FINITE_3, "atoms": [0, 1], "weights": [0.5, 0.5]}
+FINITE_NU = {"space": FINITE_3, "atoms": [2], "weights": [1.0]}
+
+# formatting -> (text of a measure file, the group of formattings that write
+# its "space" value as the same text)
+FORMATTINGS = {
+    "compact": (json.dumps, "compact"),
+    "indent": (lambda obj: json.dumps(obj, indent=1), "indent"),
+    "space-last": (lambda obj: json.dumps({k: obj[k] for k in ("atoms", "weights", "space")}),
+                   "compact"),
+    # the last of two "space" members wins
+    "duplicate": (lambda obj: '{"space": {"kind": "euclidean", "dim": 9}, ' + json.dumps(obj)[1:],
+                  "compact"),
+    "escaped-key": (lambda obj: json.dumps(obj).replace('"space"', '"sp\\u0061ce"'), "compact"),
+    "whitespace": (lambda obj: json.dumps(obj, separators=(" ,\n", " :\t")), "whitespace"),
+}
+
+
+@pytest.mark.parametrize("mu_format", ["compact", "indent", "duplicate", "whitespace"])
+@pytest.mark.parametrize("nu_format", list(FORMATTINGS))
+def test_measure_files_load_as_json_loads_reads_them(tmp_path, capsys, mu_format, nu_format):
+    texts = [FORMATTINGS[mu_format][0](FINITE_MU), FORMATTINGS[nu_format][0](FINITE_NU)]
+    paths = []
+    for name, text in zip(("mu", "nu"), texts):
+        (tmp_path / f"{name}.json").write_text(text)
+        paths.append(str(tmp_path / f"{name}.json"))
+    mu_obj, nu_obj = cli._load_measure_files(paths)
+    assert mu_obj == json.loads(texts[0]) and nu_obj == json.loads(texts[1])
+    same_text = FORMATTINGS[mu_format][1] == FORMATTINGS[nu_format][1]
+    assert (nu_obj["space"] is mu_obj["space"]) == same_text
+    cost = write(tmp_path / "c.json", {"kind": "metric_power", "p": 1})
+    assert main(["transport", *paths, cost, "--out-dir", str(tmp_path)]) == 0
+    assert capsys.readouterr() == ("1.75\n", "")
+
+
+MALFORMED = {
+    "empty": "",
+    "truncated": json.dumps(FINITE_NU)[:40],
+    "trailing data": json.dumps(FINITE_NU) + " x",
+    "array": json.dumps([FINITE_NU]),
+    "bom": "\ufeff" + json.dumps(FINITE_NU),
+    "trailing comma": json.dumps(FINITE_NU)[:-1] + ", }",
+    "no value": '{"space": }',
+    "no colon": '{"space" 1}',
+}
+
+
+@pytest.mark.parametrize("which", [0, 1])
+@pytest.mark.parametrize("name", list(MALFORMED))
+def test_malformed_measure_files_are_parse_errors_as_json_loads_reports_them(
+        tmp_path, capsys, which, name):
+    paths = [tmp_path / "mu.json", tmp_path / "nu.json"]
+    paths[0].write_text(json.dumps(FINITE_MU))
+    paths[1].write_text(json.dumps(FINITE_NU))
+    paths[which].write_text(MALFORMED[name])
+    try:
+        message = f"the top level must be a JSON object, not {type(json.loads(paths[which].read_text())).__name__}"
+    except json.JSONDecodeError as exc:
+        message = str(exc)
+    message = f"{paths[which]}: {message.replace('list', 'array')}"
+    cost = write(tmp_path / "c.json", {"kind": "metric_power", "p": 1})
+    assert main(["transport", *map(str, paths), cost, "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr() == ("", f"parse error: {message}\n")
+
+
+def test_a_space_value_that_runs_on_past_the_shared_text_is_decoded(tmp_path):
+    # "12" starts with the first file's "1" but is another number
+    for text, space in [('{"space": 12}', 12), ('{"space": 1e5}', 1e5), ('{"space": 1 }', 1)]:
+        (tmp_path / "mu.json").write_text('{"space": 1}')
+        (tmp_path / "nu.json").write_text(text)
+        objs = cli._load_measure_files([str(tmp_path / "mu.json"), str(tmp_path / "nu.json")])
+        assert objs == [{"space": 1}, {"space": space}]
+
+
+@pytest.mark.parametrize("space, key", [({"kind": "euclidean", "dim": 1}, "dim"),
+                                        ({"kind": "finite", "n": 1, "rho": [[0.0]]}, "n")])
+def test_a_boolean_in_an_equal_space_is_still_a_parse_error(tmp_path, capsys, space, key):
+    # true == 1 in Python, so the second space compares equal to the first
+    atoms = [[0.0]] if key == "dim" else [0]
+    mu = write(tmp_path / "mu.json", {"space": space, "atoms": atoms, "weights": [1.0]})
+    nu = write(tmp_path / "nu.json", {"space": dict(space, **{key: True}), "atoms": atoms,
+                                      "weights": [1.0]})
+    cost = write(tmp_path / "c.json", {"kind": "metric_power", "p": 1})
+    assert main(["transport", mu, nu, cost, "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"parse error: space field {key!r} must be a number, not boolean\n")
 
 
 def test_transport_malformed_weights(tmp_path, capsys):

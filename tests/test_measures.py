@@ -414,7 +414,7 @@ def test_triangle_violation_in_last_slab_rejected(monkeypatch):
     rho = np.ones((n, n)) - np.eye(n)
     rho[0, 1] = rho[1, 0] = 2.0
     rho[0, 4] = rho[4, 0] = rho[1, 4] = rho[4, 1] = 0.5
-    # two x values per slab: slabs {0, 1}, {2, 3}, {4}
+    # blocks of two x rows: {0, 1}, {2, 3}
     monkeypatch.setattr(measures, "TRIANGLE_SLAB_BYTES", 2 * 8 * n * n)
     with pytest.raises(ValueError, match="triangle"):
         GroundSpace.finite(rho)
@@ -422,7 +422,7 @@ def test_triangle_violation_in_last_slab_rejected(monkeypatch):
     assert GroundSpace.finite(rho).n_points == n
 
     # rho(3,4) = 2 with short legs through point 0: the only violating
-    # triples (3, 4, 0) and (4, 3, 0) lie in the last of the x slabs {0, 1, 2}, {3, 4}
+    # pair (3, 4) lies in the last of the blocks of x rows {0, 1, 2}, {3}
     rho = np.ones((n, n)) - np.eye(n)
     rho[3, 4] = rho[4, 3] = 2.0
     rho[3, 0] = rho[0, 3] = rho[4, 0] = rho[0, 4] = 0.5
@@ -431,6 +431,75 @@ def test_triangle_violation_in_last_slab_rejected(monkeypatch):
         GroundSpace.finite(rho)
     rho[3, 4] = rho[4, 3] = 1.0
     assert GroundSpace.finite(rho).n_points == n
+
+
+def _violates_triangle_reference(rho):
+    """The triangle predicate of ``measures._violates_triangle``, pair by pair and leg by leg."""
+    n = len(rho)
+    short = np.minimum(rho, rho.T)
+    return any(max(rho[x, y], rho[y, x]) > min(short[x, z] + short[z, y] for z in range(n)) + 1e-12
+               for x in range(n) for y in range(x + 1, n))
+
+
+def _path_metric(weights):
+    """The shortest-path metric of a complete graph with these symmetric edge weights."""
+    d = np.array(weights, dtype=float)
+    np.fill_diagonal(d, 0.0)
+    for z in range(len(d)):
+        d = np.minimum(d, d[:, z, None] + d[None, z, :])
+    return d
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 5, None])
+def test_triangle_check_matches_a_pair_by_pair_reference(monkeypatch, rows):
+    import mkbary.measures as measures
+
+    rng = np.random.default_rng(7)
+    verdicts = set()
+    for n in range(1, 14):
+        if rows is not None:  # blocks of ``rows`` x rows, most of them not dividing n
+            monkeypatch.setattr(measures, "TRIANGLE_SLAB_BYTES", rows * 8 * n * n)
+        for _ in range(6):
+            table = rng.uniform(0.0, 1.0, size=(n, n))
+            sym = (table + table.T) * (1 - np.eye(n))
+            tables = [table, sym, _path_metric(sym)]
+            # symmetric only to within the tolerance of the symmetry check
+            tables.append(tables[-1] + np.triu(rng.uniform(0.0, 1e-12, size=(n, n)), 1))
+            for rho in tables:
+                expected = _violates_triangle_reference(rho)
+                assert measures._violates_triangle(rho) == expected
+                verdicts.add(expected)
+            # shortest paths make some triangles tight, and none is violated
+            assert not measures._violates_triangle(tables[2])
+    assert verdicts == {False, True}
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, None])
+def test_triangle_tolerance_is_added_after_the_leg_sum(monkeypatch, rows):
+    import mkbary.measures as measures
+
+    # points 0..6 on a line with dyadic spacing: every triangle through a
+    # point between x and y is tight, and the leg sums are exact
+    n = 7
+    rho = 0.25 * np.abs(np.subtract.outer(np.arange(n), np.arange(n))).astype(float)
+    if rows is not None:
+        monkeypatch.setattr(measures, "TRIANGLE_SLAB_BYTES", rows * 8 * n * n)
+    for (x, y), raise_by, violates in [((0, n - 1), 2e-12, True), ((0, n - 1), 0.5e-12, False),
+                                       ((n - 3, n - 1), 2e-12, True), ((2, 4), 0.5e-12, False)]:
+        raised = rho.copy()
+        raised[x, y] += raise_by
+        raised[y, x] += raise_by
+        assert _violates_triangle_reference(raised) == violates
+        assert measures._violates_triangle(raised) == violates
+        if violates:
+            with pytest.raises(ValueError, match="triangle"):
+                GroundSpace.finite(raised)
+        else:
+            assert GroundSpace.finite(raised).n_points == n
+        # raised in one direction only, the longer direction is the one checked
+        once = rho.copy()
+        once[y, x] += raise_by
+        assert measures._violates_triangle(once) == violates == _violates_triangle_reference(once)
 
 
 def test_thousand_point_finite_space_bounded_memory():
