@@ -2,13 +2,16 @@
 
 Three routes, one per constraint kind; each raises ValueError on another:
 
-* ``barycenter_fixed_support`` (``simplex_over``): one joint LP over
-  couplings and candidate weights; globally optimal on the simplex over a
-  candidate atom set, with a duality-gap certificate and a deterministic
-  tie-break: the optimal vertex of least graded weight sum_k k w_k over
-  the candidates, found on the optimal face cut from the gap tolerance,
-  unless the main LP's basis holds every face column and so proves the
-  face one vertex.
+* ``barycenter_fixed_support`` (``simplex_over``): globally optimal on the
+  simplex over a candidate atom set, by the smaller of two LPs with the
+  same optimum.  The multi-marginal LP over the prod n_i tuples of input
+  atoms, each priced at its cheapest candidate, solves when it has no more
+  columns than the joint LP over the K sum n_i couplings of inputs and
+  candidates; else the joint LP.  Either way the certificate is a duality
+  gap against the joint LP, and the tie-break is deterministic: the
+  optimal vertex of least graded weight sum_k k w_k over the candidates,
+  found on the optimal face cut from the gap tolerance, unless the main
+  LP's basis proves the face one vertex.
 * ``barycenter_free_support`` (``free``): alternating minimization over
   atom locations and the fixed-support LP; local certificate only.
 * ``barycenter_quantile_1d`` (``quantile_1d``): exact solution on the line
@@ -19,6 +22,7 @@ Three routes, one per constraint kind; each raises ValueError on another:
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -32,6 +36,7 @@ from .errors import (
     NumericalFailure,
 )
 from .measures import (
+    TRIANGLE_SLAB_BYTES,
     DiscreteMeasure,
     GroundSpace,
     _as_indices,
@@ -42,7 +47,7 @@ from .measures import (
     measures_from_json,
     merge_equal_measures,
 )
-from .transport import GAP_TOL, _staircase, transport_costs
+from .transport import GAP_TOL, _marginal_columns, _staircase, transport_costs
 
 log = logging.getLogger("mkbary")
 
@@ -145,7 +150,10 @@ class BarycenterProblem:
 class Certificate:
     """What backs a barycenter result.
 
-    ``lp_optimal``: the fixed-support LP's duality gap.  ``local_stationary``:
+    ``lp_optimal``: the fixed-support LP's duality gap, value minus the
+    objective of a feasible dual of the joint LP over couplings and
+    candidate weights: that LP's own duals, or, when the tuple LP solved,
+    the c-transform of its row duals (see ``_tuple_lp``).  ``local_stationary``:
     the free-support run's last objective decrease, no global claim.
     ``quantile_1d``: |objective - closed-form cost of the monotone coupling
     over the common quantile refinement|, the objective computed two
@@ -180,7 +188,7 @@ def objective(nu: DiscreteMeasure, problem: BarycenterProblem) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Fixed-support joint LP
+# Fixed-support LPs: the joint LP and the multi-marginal tuple LP
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -276,13 +284,15 @@ def _require_kind(problem: BarycenterProblem, kind: str, route: str) -> None:
 def _face_tie_break(model: lp.Model, c_vec, off_face, h, value, tol):
     """The lo/hi graded-weight LPs (minimize, then maximize h.x) on the optimal face.
 
-    ``off_face`` marks the columns cut from the face (see
-    ``_fixed_support_lp``).  Both LPs run on the main LP's own model with
-    those columns fixed to 0, each from the last run's basis.  Returns the
-    two solutions, zero off the face, or None when a run fails or its c.x
-    misses ``value`` by more than ``tol``.
+    ``off_face`` marks the columns cut from the face (see ``_joint_lp``):
+    both LPs then run on the main LP's own model with those columns fixed to
+    0, each from the last run's basis.  With ``off_face`` None the model
+    holds the face alone (see ``_tuple_lp``).  Returns the two solutions,
+    zero off the face, or None when a run fails or its c.x misses ``value``
+    by more than ``tol``.
     """
-    model.fix_to_zero(np.flatnonzero(off_face))
+    if off_face is not None:
+        model.fix_to_zero(np.flatnonzero(off_face))
     out = []
     for sign in (1.0, -1.0):
         model.set_costs(sign * h)
@@ -290,26 +300,22 @@ def _face_tie_break(model: lp.Model, c_vec, off_face, h, value, tol):
         if r.status != 0:
             return None
         x = r.x
-        x[off_face] = 0.0
+        if off_face is not None:
+            x[off_face] = 0.0
         if abs(c_vec @ x - value) > tol:
             return None
         out.append(x)
     return out
 
 
-def _fixed_support_lp(inputs, cost: CostSpec, S: np.ndarray, tie_break: bool = True,
-                      systems: Optional[dict] = None):
-    """Globally optimal candidate weights for a fixed atom set.
+def _joint_lp(inputs, cost: CostSpec, S: np.ndarray, tie_break: bool = True,
+              systems: Optional[dict] = None):
+    """``_fixed_support_lp`` by the joint LP over (coupling blocks, candidate weights).
 
-    Returns (weights, value, gap, alt_weights, gammas): alt_weights is a
-    second optimal vertex when one exists (None otherwise) and gammas are
-    the per-input coupling blocks of the reported solution.  Raises
-    NumericalFailure when the LP is not optimal, its duality gap is not
-    closed, or its duals leave a reduced cost below minus the face cut.
+    Raises NumericalFailure when the LP is not optimal, its duality gap is
+    not closed, or its duals leave a reduced cost below minus the face cut.
 
-    With ``tie_break`` the reported vertex minimizes the graded weight
-    sum_k k w_k over the optimal face, and alt_weights comes from maximizing
-    it.  For a feasible x, c.x = rhs.y + d.x with the reduced costs
+    For a feasible x, c.x = rhs.y + d.x with the reduced costs
     d = c - A^T y, and x carries mass n_inputs + 1 (each coupling and the
     weights sum to 1).  So the face cut d <= GAP_TOL (1 + |value|) /
     (n_inputs + 1) keeps every point within the gap tolerance of the
@@ -317,9 +323,8 @@ def _fixed_support_lp(inputs, cost: CostSpec, S: np.ndarray, tie_break: bool = T
     it.  When every column on the face is basic, the face is the main
     vertex alone (basic columns are linearly independent), so it is
     returned with no alternative and no face LP.  Otherwise
-    ``_face_tie_break`` solves both LPs on the main LP's model; if either
-    is rejected, the main LP's vertex is returned untie-broken and a
-    warning goes to the ``mkbary`` logger.
+    ``_face_tie_break`` solves both LPs on the main LP's model, with the
+    columns off the face fixed to 0.
 
     ``systems`` (see ``_joint_lp_system``) supplies the assembled system and
     its start basis, and keeps this run's optimal basis for the next LP of
@@ -361,15 +366,162 @@ def _fixed_support_lp(inputs, cost: CostSpec, S: np.ndarray, tie_break: bool = T
     h = np.zeros_like(c_vec)
     h[n_gamma:] = np.arange(1, K + 1, dtype=float)
     sols = _face_tie_break(model, c_vec, off_face, h, value, tol)
+    return _tie_broken(sols, (w, _split_gammas(res.x, inputs, K)), value, gap,
+                       lambda x: (_clip_dust(np.clip(x[n_gamma:], 0.0, None)),
+                                  _split_gammas(x, inputs, K)))
+
+
+def _tie_broken(sols, main, value: float, gap: float, split):
+    """The answer (weights, value, gap, alt_weights, gammas) of a face tie-break.
+
+    ``sols`` is what ``_face_tie_break`` returned, ``split(x)`` gives the
+    weights and coupling blocks of one of its solutions, and ``main`` those
+    of the main LP's vertex.  When ``sols`` is None the main vertex is
+    returned untie-broken, with a warning on the ``mkbary`` logger.
+    """
     if sols is None:
         log.warning("barycenter tie-break: face LP rejected; "
                     "returning the main LP vertex without tie-break")
-        return w, value, gap, None, _split_gammas(res.x, inputs, K)
-    x_lo, x_hi = sols
-    w_lo = _clip_dust(np.clip(x_lo[n_gamma:], 0.0, None))
-    w_hi = _clip_dust(np.clip(x_hi[n_gamma:], 0.0, None))
+        return main[0], value, gap, None, main[1]
+    (w_lo, gammas), (w_hi, _) = split(sols[0]), split(sols[1])
     alt = w_hi if np.max(np.abs(w_lo - w_hi)) > 1e-7 else None
-    return w_lo, value, gap, alt, _split_gammas(x_lo, inputs, K)
+    return w_lo, value, gap, alt, gammas
+
+
+def _tuple_slabs(tables, tuples: np.ndarray):
+    """sum_i tables[i][t_i, k] over the inputs i, for each tuple t of ``tuples``.
+
+    A tuple takes atom t_i of each input i; it is numbered in C order over
+    the inputs' atom counts ``len(tables[i])``.  Yields ``(rows, sums)`` per
+    slab of tuples, ``sums[r, k]`` the cost of tuple ``tuples[rows][r]``
+    through candidate k, added in input order.  ``sums`` and the gather it
+    adds are two buffers of TRIANGLE_SLAB_BYTES together, reused by every
+    slab, so no (tuples x candidates) array is built; a caller that keeps
+    a slab copies it.
+    """
+    sizes = [len(L) for L in tables]
+    K = tables[0].shape[1]
+    step = max(1, TRIANGLE_SLAB_BYTES // (16 * K))
+    acc = np.empty((min(step, len(tuples)), K))
+    buf = np.empty_like(acc)
+    for start in range(0, len(tuples), step):
+        atoms = np.unravel_index(tuples[start:start + step], sizes)
+        sums, gather = acc[:len(atoms[0])], buf[:len(atoms[0])]
+        np.take(tables[0], atoms[0], axis=0, out=sums, mode="clip")
+        for L, a in zip(tables[1:], atoms[1:]):
+            np.take(L, a, axis=0, out=gather, mode="clip")
+            sums += gather
+        yield slice(start, start + len(sums)), sums
+
+
+def _tuple_lp(inputs, cost: CostSpec, S: np.ndarray, tie_break: bool = True):
+    """``_fixed_support_lp`` by the multi-marginal LP over tuples of input atoms.
+
+    A tuple t takes one atom t_i of each input; its cost is
+    c(t) = min_k sum_i lambda_i C_i(t_i, k), reached at the candidate k*(t).
+    The LP min c.pi over plans pi of the inputs has the rows of
+    ``transport._marginal_columns``, sum n_i - N + 1 of them, and the
+    push-forward of its plan by k* is an optimal weight vector (Agueh &
+    Carlier 2011; Anderes, Borgwardt & Miller 2016).  The costs and k* are
+    computed in slabs of tuples (``_tuple_slabs``).  Raises NumericalFailure
+    when the LP is not optimal, its plan has more positive tuples than a
+    vertex, or its duality gap is not closed.
+
+    The gap is measured against the joint LP: the row duals u_i (0 on a
+    dropped row) give v_ik = min_j (lambda_i C_i(j, k) - u_i(j)) and
+    y0 = min_k sum_i v_ik, a feasible dual of the joint LP by construction,
+    and gap = value - (sum_i mu_i.u_i + y0).  The reduced cost of a pair
+    (t, k) is d = sum_i lambda_i C_i(t_i, k) - sum_i u_i(t_i) - y0 >= 0, and
+    a plan over pairs has mass 1, so the face d <= GAP_TOL (1 + |value|)
+    keeps every plan on it within the gap tolerance of the optimum.  When
+    every tuple on the face is basic and has one candidate there, the
+    weights are unique and no face LP runs.  Otherwise one model over the
+    face pairs runs ``_face_tie_break``.
+    """
+    sizes = tuple(m.n_atoms for m, _ in inputs)
+    K, T = len(S), math.prod(sizes)
+    tables = [lam * cost.table(m.space, m.atoms, S) for m, lam in inputs]
+    c, best = np.empty(T), np.empty(T, dtype=np.intp)
+    for rows, sums in _tuple_slabs(tables, np.arange(T)):
+        best[rows] = sums.argmin(axis=1)
+        c[rows] = sums.min(axis=1)
+    rhs = np.concatenate([inputs[0][0].weights] + [m.weights[:-1] for m, _ in inputs[1:]])
+    model = lp.Model(c, _marginal_columns([sizes], np.arange(T)), rhs)
+    res = model.run()
+    if res.status != 0:
+        raise NumericalFailure(f"barycenter LP failed: {res.message}")
+    value = float(res.fun)
+    support = int(np.count_nonzero(res.x > 1e-12))
+    if support > len(rhs):
+        raise NumericalFailure(f"barycenter LP plan has {support} positive tuples, "
+                               f"more than the {len(rhs)} of a vertex")
+    u, off = [res.duals[:sizes[0]]], sizes[0]
+    for n in sizes[1:]:
+        u.append(np.append(res.duals[off:off + n - 1], 0.0))
+        off += n - 1
+    y0 = float(np.sum([(L - ui[:, None]).min(axis=0) for L, ui in zip(tables, u)], axis=0).min())
+    dual = math.fsum(m.weights @ ui for (m, _), ui in zip(inputs, u)) + y0
+    gap = max(0.0, value - dual)
+    tol = GAP_TOL * (1.0 + abs(value))
+    if gap > tol:
+        raise NumericalFailure(f"barycenter LP gap {gap:.3e} not closed")
+
+    atoms = np.unravel_index(np.arange(T), sizes)
+
+    def split(t, k, x):
+        x = np.clip(x, 0.0, None)
+        return (_clip_dust(np.bincount(k, weights=x, minlength=K)),
+                [np.bincount(a[t] * K + k, weights=x, minlength=n * K).reshape(n, K)
+                 for a, n in zip(atoms, sizes)])
+
+    main = split(np.arange(T), best, res.x)
+    if not tie_break:
+        return main[0], value, gap, None, main[1]
+    U = np.sum([ui[a] for ui, a in zip(u, atoms)], axis=0)
+    face = np.flatnonzero(c - U - y0 <= tol)
+    pair_t, pair_k = [], []
+    for rows, sums in _tuple_slabs(tables, face):
+        sums -= U[face[rows], None]
+        sums -= y0
+        r, k = np.nonzero(sums <= tol)
+        pair_t.append(face[rows][r])
+        pair_k.append(k)
+    pair_t, pair_k = np.concatenate(pair_t), np.concatenate(pair_k)
+    if len(pair_t) == len(face) and np.isin(face, model.basic_columns()).all():
+        return main[0], value, gap, None, main[1]  # the face is the main vertex alone
+
+    pair_c = tables[0][atoms[0][pair_t], pair_k]  # added in input order, as the slabs are
+    for L, a in zip(tables[1:], atoms[1:]):
+        pair_c += L[a[pair_t], pair_k]
+    h = pair_k + 1.0
+    sols = _face_tie_break(lp.Model(h, _marginal_columns([sizes], pair_t), rhs),
+                           pair_c, None, h, value, tol)
+    return _tie_broken(sols, main, value, gap, lambda x: split(pair_t, pair_k, x))
+
+
+def _fixed_support_lp(inputs, cost: CostSpec, S: np.ndarray, tie_break: bool = True,
+                      systems: Optional[dict] = None):
+    """Globally optimal candidate weights for a fixed atom set.
+
+    Returns (weights, value, gap, alt_weights, gammas): alt_weights is a
+    second optimal vertex when one exists (None otherwise) and gammas are
+    the per-input coupling blocks of the reported solution.  With
+    ``tie_break`` the reported vertex minimizes the graded weight
+    sum_k k w_k over the optimal face, and alt_weights comes from maximizing
+    it; if either face LP is rejected, the main LP's vertex is returned
+    untie-broken and a warning goes to the ``mkbary`` logger.
+
+    Two LPs have the same optimum.  The joint LP (``_joint_lp``) has a
+    column per input atom and candidate, K sum n_i of them, plus the K
+    weights; the tuple LP (``_tuple_lp``) has a column per tuple of input
+    atoms, prod n_i of them.  The tuple LP solves when it has no more
+    columns, prod n_i <= K sum n_i; else the joint LP, the only one that
+    uses ``systems``.  Both report the gap against the joint LP's dual.
+    """
+    sizes = [m.n_atoms for m, _ in inputs]
+    if math.prod(sizes) <= len(S) * sum(sizes):
+        return _tuple_lp(inputs, cost, S, tie_break)
+    return _joint_lp(inputs, cost, S, tie_break, systems)
 
 
 def barycenter_fixed_support(problem: BarycenterProblem, *,

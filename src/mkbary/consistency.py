@@ -167,11 +167,14 @@ def lln_experiment(
     the empirical barycenter on the same constraint set, and record the
     distance to the nearest population-barycenter representative together
     with the lifted distance between the empirical and true populations.
-    Fixed seeds make the run bit-reproducible.  Each barycenter LP starts
-    from the last optimal basis of its subset of population measures, on a
-    system assembled once (see ``barycenter._joint_lp_system``).  A
-    draw depends only on its frequencies counts / n, so a draw with the
-    frequencies of an earlier one reuses its barycenter.  The J(emp, rep)
+    Fixed seeds make the run bit-reproducible.  A barycenter LP solves by
+    the tuple LP when its draw has no more tuples than joint coupling columns
+    (see ``barycenter._fixed_support_lp``), as every draw of the default
+    config does; only a joint LP starts from the last optimal basis of its
+    subset of population measures, on a system assembled once (see
+    ``barycenter._joint_lp_system``).  A draw depends only on its
+    frequencies counts / n, so a draw with the frequencies of an earlier
+    one reuses its barycenter.  The J(emp, rep)
     and lifted-distance LPs of every distinct draw are solved together,
     after the last barycenter, in one transport batch (see ``_solve_draws``).
     A draw whose barycenter or transport LPs raise is a hole in the report;
@@ -253,8 +256,9 @@ def perturbation_experiment(
     distance of the perturbed barycenter to the nearest unperturbed
     barycenter representative; with a shared direction field the lifted
     track is nondecreasing in delta on single-atom populations.  Each
-    barycenter LP starts from the last optimal basis of LPs with the same
-    atom counts and weights, on a system assembled once.
+    barycenter LP that solves as the joint LP starts from the last optimal
+    basis of LPs with the same atom counts and weights, on a system
+    assembled once.
     """
     if population.space.kind != "euclidean":
         raise ValueError("perturbation harness needs a euclidean space")

@@ -410,21 +410,59 @@ def mixture(mu0: DiscreteMeasure, mu1: DiscreteMeasure, t: float) -> DiscreteMea
 def merge_equal_measures(pairs) -> list:
     """Merge the (measure, weight) pairs whose measures are ``same_as``.
 
-    A pair equal to one already kept adds its weight to that one, so the
-    first of each group keeps its place.  Every measure must share the
-    first one's ground space.  Takes O(n^2) comparisons.
+    A pair equal to one already kept adds its weight to the first kept one
+    it equals, so the first of each group keeps its place.  Every measure
+    must share the first one's ground space.
+
+    Only measures with the same atom count and nearby keys are compared, so
+    a family of distinct measures takes O(n log n) steps.  The key is
+    s = sum_j w_j sum_c x_jc.  Between two ``same_as`` measures a and b it
+    moves by at most r_a + r_b, with r = d ATOM_MERGE_TOL sum_j |w_j| +
+    1e-9 sum_jc |x_jc| (the weight tolerance), and each computed key is off
+    by at most (n + d) eps sum_jc |w_j x_jc|; a measure's radius is the sum
+    of the two, and a measure is compared with the kept ones of its atom
+    count whose keys lie within twice its radius plus the largest radius of
+    that count.  A key or radius that overflows widens the window to all of
+    its count.
     """
     space = pairs[0][0].space
-    merged: list = []
-    for m, w in pairs:
+    for m, _ in pairs:
         if not m.space.same_as(space):
             raise ValueError("all measures must share a ground space")
-        for idx, (m2, w2) in enumerate(merged):
-            if m.same_as(m2):
-                merged[idx] = (m2, w2 + w)
+    counts = np.array([m.n_atoms for m, _ in pairs])
+    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    x = np.concatenate([m.atoms.reshape(m.n_atoms, -1) for m, _ in pairs]).astype(float)
+    w = np.concatenate([m.weights for m, _ in pairs])
+    with np.errstate(over="ignore", invalid="ignore"):
+        keys = np.add.reduceat(w * x.sum(axis=1), starts)
+        ax = np.abs(x).sum(axis=1)
+        radii = (x.shape[1] * ATOM_MERGE_TOL * np.add.reduceat(np.abs(w), starts)
+                 + 1e-9 * np.add.reduceat(ax, starts)
+                 + (counts + x.shape[1]) * np.finfo(float).eps
+                 * np.add.reduceat(np.abs(w) * ax, starts))
+        order = np.lexsort((keys, counts))
+        lo, hi = np.empty(len(pairs), dtype=int), np.empty(len(pairs), dtype=int)
+        ends = np.append(np.flatnonzero(np.diff(counts[order])) + 1, len(pairs))
+        for first, end in zip(np.append(0, ends[:-1]), ends):
+            members = order[first:end]
+            near = keys[members]
+            reach = 2.0 * (radii[members] + radii[members].max())
+            wide = ~np.isfinite(near - reach) | ~np.isfinite(near + reach)
+            lo[members] = np.where(wide, first,
+                                   first + np.searchsorted(near, near - reach, "left"))
+            hi[members] = np.where(wide, end, first + np.searchsorted(near, near + reach, "right"))
+    order, lo, hi = order.tolist(), lo.tolist(), hi.tolist()
+    slot = [-1] * len(pairs)  # where each kept pair sits in ``merged``
+    merged: list = []
+    for i, (m, wt) in enumerate(pairs):
+        for j in sorted(j for j in order[lo[i]:hi[i]] if slot[j] >= 0):
+            if m.same_as(pairs[j][0]):
+                m2, w2 = merged[slot[j]]
+                merged[slot[j]] = (m2, w2 + wt)
                 break
         else:
-            merged.append((m, w))
+            slot[i] = len(merged)
+            merged.append((m, wt))
     return merged
 
 

@@ -135,23 +135,40 @@ class TransportPlan:
 def _marginal_columns(shapes, cols: np.ndarray) -> lp.CSC:
     """Block-diagonal marginal rows of the problems ``shapes`` on flat columns ``cols``.
 
-    The variables are numbered one problem after another.  Each m x n block
-    has m + n - 1 rows (all row sums, the first n-1 column sums), and its
-    column k = i*n + j holds a 1 in the block's row i and, unless j = n-1,
-    a 1 in its row m + j.  ``cols`` must be increasing.
+    Every problem has the same number N of marginals, and its variables are
+    the cells of its n_1 x ... x n_N array in C order, numbered one problem
+    after another.  Each block has n_1 + sum_{i>=2} (n_i - 1) rows: every
+    sum of marginal 1, then the first n_i - 1 sums of each later marginal.
+    A column unravels to one atom a_i per marginal and holds a 1 in each of
+    those rows it meets, rows ascending.  Transport is N = 2: an m x n block
+    has m + n - 1 rows, and its column k = i*n + j holds a 1 in the block's
+    row i and, unless j = n-1, in its row m + j.  ``cols`` may come in any
+    order and repeat a column.
     """
-    m, n = np.array(shapes).T
-    var_off = np.concatenate([[0], np.cumsum(m * n)])
-    row_off = np.concatenate([[0], np.cumsum(m + n - 1)])
+    shapes = np.array(shapes).reshape(len(shapes), -1)
+    var_off = np.concatenate([[0], np.cumsum(shapes.prod(axis=1))])
+    row_off = np.concatenate([[0], np.cumsum(shapes.sum(axis=1) - shapes.shape[1] + 1)])
     block = np.searchsorted(var_off, cols, side="right") - 1
-    i, j = np.divmod(cols - var_off[block], n[block])
-    has_col_row = j < n[block] - 1
+    # the atoms of the later marginals, last first; what is left is marginal 1's
+    atom, later = cols - var_off[block], []
+    for i in range(shapes.shape[1] - 1, 0, -1):
+        atom, a = np.divmod(atom, shapes[block, i])
+        later.append((a, shapes[block, i] - 1))
+    later.reverse()
+    has_row = [a < last for a, last in later]
+    n_rows = np.ones(len(cols), dtype=np.intp)
+    for has in has_row:
+        n_rows += has
     indptr = np.zeros(len(cols) + 1, dtype=np.int32)
-    np.cumsum(1 + has_col_row, out=indptr[1:])
+    np.cumsum(n_rows, out=indptr[1:])
     indices = np.empty(indptr[-1], dtype=np.int32)
     first = indptr[:-1]
-    indices[first] = row_off[block] + i
-    indices[first[has_col_row] + 1] = (row_off[block] + m[block] + j)[has_col_row]
+    indices[first] = row_off[block] + atom
+    row, at = row_off[block] + shapes[block, 0], first + 1
+    for i, ((a, last), has) in enumerate(zip(later, has_row)):
+        indices[at[has]] = (row + a)[has]
+        if i + 1 < len(later):
+            row, at = row + last, at + has
     return lp.CSC(np.ones(len(indices)), indices, indptr, (int(row_off[-1]), len(cols)))
 
 

@@ -579,7 +579,7 @@ def test_tie_break_fallbacks_are_logged(monkeypatch, caplog):
     flip = pushforward(m, lambda x: x * np.array([-1.0, 1.0]))
     grid = np.array([[x, y] for x in np.linspace(-1, 1, 4) for y in np.linspace(-1, 1, 4)])
     prob = BarycenterProblem.make([(m, 1.0), (flip, 1.0)], Constraint.simplex_over(grid), ABS)
-    untied = barycenter._fixed_support_lp(prob.inputs, prob.cost, grid, tie_break=False)
+    untied = barycenter._joint_lp(prob.inputs, prob.cost, grid, tie_break=False)
     rows, cols = barycenter._joint_lp_system(prob.inputs, prob.cost, grid)[1].A.shape
     real = lp.Model._run_once
     rejected = ("barycenter tie-break: face LP rejected; returning the main LP vertex "
@@ -608,7 +608,7 @@ def test_tie_break_fallbacks_are_logged(monkeypatch, caplog):
         caplog.clear()
         with caplog.at_level("WARNING", logger="mkbary"), monkeypatch.context() as mp:
             mp.setattr(lp.Model, "_run_once", spoiled_after_main)
-            got = barycenter._fixed_support_lp(prob.inputs, prob.cost, grid)
+            got = barycenter._joint_lp(prob.inputs, prob.cost, grid)
         assert len(calls) == runs  # the main LP, the rejected face run and any re-run
         assert got[0].tolist() == untied[0].tolist() and got[3] is None
         assert [r.getMessage() for r in caplog.records if r.name == "mkbary"] == messages
@@ -703,11 +703,11 @@ def _counted_face_runs(monkeypatch):
     return calls
 
 
-def _solve_both_routes(monkeypatch, problems):
-    """Each problem by ``_fixed_support_lp`` as it is, and with the face
-    route forced by a basis that names no column; one systems dict per route."""
+def _solve_both_routes(monkeypatch, problems, tuples=False):
+    """Each problem by ``_joint_lp`` (or ``_tuple_lp``) as it is, and with the
+    face route forced by a basis that names no column; one systems dict per route."""
     from mkbary import lp
-    from mkbary.barycenter import _fixed_support_lp
+    from mkbary.barycenter import _joint_lp, _tuple_lp
 
     routes = []
     for forced in (False, True):
@@ -715,7 +715,8 @@ def _solve_both_routes(monkeypatch, problems):
         with monkeypatch.context() as mp:
             if forced:
                 mp.setattr(lp.Model, "basic_columns", lambda self: np.empty(0, dtype=np.int32))
-            routes.append([_fixed_support_lp(p.inputs, p.cost, p.constraint.atoms, systems=systems)
+            routes.append([_tuple_lp(p.inputs, p.cost, p.constraint.atoms) if tuples else
+                           _joint_lp(p.inputs, p.cost, p.constraint.atoms, systems=systems)
                            for p in problems])
     return routes
 
@@ -759,7 +760,7 @@ def _statuses(basis):
 
 def test_failed_warm_run_is_rerun_cold_once(monkeypatch, caplog):
     from mkbary import lp
-    from mkbary.barycenter import _fixed_support_lp, _joint_lp_system
+    from mkbary.barycenter import _joint_lp, _joint_lp_system
 
     population = [generate_random_measure(1400 + i, [0, 0], [1, 1], 4) for i in range(2)]
     grid = np.array([[x, y] for x in np.linspace(0, 1, 5) for y in np.linspace(0, 1, 5)])
@@ -767,11 +768,11 @@ def test_failed_warm_run_is_rerun_cold_once(monkeypatch, caplog):
                                             Constraint.simplex_over(grid), SQ)
                      for lams in ([0.3, 0.7], [0.6, 0.4]))
     systems = {}
-    _fixed_support_lp(first.inputs, SQ, grid, systems=systems)
+    _joint_lp(first.inputs, SQ, grid, systems=systems)
     assert len(systems) == 1
     [system] = systems.values()
     stale = system.basis
-    want = _fixed_support_lp(second.inputs, SQ, grid)
+    want = _joint_lp(second.inputs, SQ, grid)
     c, fresh = _joint_lp_system(second.inputs, SQ, grid)
     A = fresh.A
     cold = lp.Model(c, A, fresh.rhs)
@@ -787,7 +788,7 @@ def test_failed_warm_run_is_rerun_cold_once(monkeypatch, caplog):
     caplog.clear()
     with caplog.at_level("WARNING", logger="mkbary"), monkeypatch.context() as mp:
         mp.setattr(lp.Model, "_run_once", fails_first)
-        got = _fixed_support_lp(second.inputs, SQ, grid, systems=systems)
+        got = _joint_lp(second.inputs, SQ, grid, systems=systems)
     assert [r.getMessage() for r in caplog.records if r.name == "mkbary"] == [
         f"LP of {A.shape[0]} rows and {A.shape[1]} columns: warm run not optimal "
         "(Iteration limit reached); re-running it cold"]
@@ -802,7 +803,7 @@ def test_failed_warm_run_is_rerun_cold_once(monkeypatch, caplog):
 
 def test_dual_infeasible_main_run_raises(monkeypatch):
     from mkbary import NumericalFailure, lp
-    from mkbary.barycenter import _fixed_support_lp
+    from mkbary.barycenter import _joint_lp
 
     prob = two_dirac_problem(Constraint.simplex_over([[0.0], [0.5], [1.0]]))
     S = prob.constraint.atoms
@@ -824,7 +825,7 @@ def test_dual_infeasible_main_run_raises(monkeypatch):
     with monkeypatch.context() as mp:
         mp.setattr(lp.Model, "_run_once", shifted_main_run)
         with pytest.raises(NumericalFailure, match="duals not feasible: reduced cost -1.000e-06"):
-            _fixed_support_lp(prob.inputs, SQ, S)
+            _joint_lp(prob.inputs, SQ, S)
     assert len(runs) == 1  # raised before any face run
 
 
@@ -913,3 +914,289 @@ def test_every_certificate_kind_means_what_it_says(monkeypatch):
     monkeypatch.setattr(barycenter, "objective", lambda nu, problem: real(nu, problem) + 0.5)
     q = barycenter_quantile_1d(BarycenterProblem.make(inputs, Constraint.quantile_1d(), SQ))
     assert q.certificate.gap == pytest.approx(0.5, abs=1e-12)
+
+
+def _route_instances(seed, half_grid=False):
+    """A random fixed-support problem and its candidates: 1 to 4 inputs of 1
+    to 5 atoms, on a 1-D or 2-D euclidean grid under |.| or |.|^2 or on a
+    finite space of points of the plane under rho = l1 distance.  With
+    ``half_grid`` the euclidean atoms are rounded to multiples of 1/2."""
+    rng = np.random.default_rng(2000 + seed)
+    n_inputs = int(rng.integers(1, 5))
+    if seed % 3 == 2:
+        pts = np.unique(rng.integers(0, 4, (8, 2)) + rng.random((8, 2)) * (seed % 2), axis=0)
+        space = GroundSpace.finite(np.abs(pts[:, None] - pts[None]).sum(axis=-1))
+        cost = CostSpec.metric_power(1)
+        S = np.sort(rng.choice(len(pts), int(rng.integers(1, len(pts) + 1)), replace=False))
+        inputs = []
+        for _ in range(n_inputs):
+            n = int(rng.integers(1, min(5, len(pts)) + 1))
+            inputs.append((canonicalize(rng.choice(len(pts), n, replace=False),
+                                        rng.dirichlet(np.ones(n)), space), rng.random() + 0.1))
+        return BarycenterProblem.make(inputs, Constraint.simplex_over(S[:, None]), cost), S
+    d = 1 + seed % 3
+    cost = (ABS, SQ)[int(rng.integers(2))]
+    axis = np.linspace(-1.0, 1.0, int(rng.integers(2, 8 if d == 1 else 4)))
+    S = np.stack([g.ravel() for g in np.meshgrid(*[axis] * d, indexing="ij")], axis=-1)
+    inputs = []
+    for _ in range(n_inputs):
+        n = int(rng.integers(1, 6))
+        atoms = rng.uniform(-1.0, 1.0, (n, d))
+        if half_grid:
+            atoms = np.round(2.0 * atoms) / 2.0
+        inputs.append((canonicalize(atoms, rng.dirichlet(np.ones(n)), GroundSpace.euclidean(d)),
+                       rng.random() + 0.1))
+    return BarycenterProblem.make(inputs, Constraint.simplex_over(S), cost), S
+
+
+def _both_lp_routes(prob, S, tie_break=True):
+    from mkbary.barycenter import _joint_lp, _tuple_lp
+
+    return (_tuple_lp(prob.inputs, prob.cost, S, tie_break),
+            _joint_lp(prob.inputs, prob.cost, S, tie_break))
+
+
+def test_tuple_route_matches_the_joint_route():
+    from mkbary.transport import GAP_TOL
+
+    problems = [_route_instances(seed) for seed in range(300)]
+    problems += [(p, p.constraint.atoms) for p in _tie_instances()]
+    n_tied = 0
+    for prob, S in problems:
+        got, want = _both_lp_routes(prob, S)
+        assert abs(got[1] - want[1]) <= GAP_TOL * (1.0 + abs(want[1]))
+        assert 0.0 <= got[2] <= GAP_TOL * (1.0 + abs(got[1]))
+        np.testing.assert_allclose(got[0], want[0], rtol=0, atol=1e-12)
+        assert (got[3] is None) == (want[3] is None)
+        if got[3] is not None:
+            n_tied += 1
+            np.testing.assert_allclose(got[3], want[3], rtol=0, atol=1e-12)
+        # the coupling blocks have the inputs and the weights as marginals
+        for (m, _), g in zip(prob.inputs, got[4]):
+            np.testing.assert_allclose(g.sum(axis=1), m.weights, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(g.sum(axis=0), got[0], rtol=0, atol=1e-9)
+        untied = _both_lp_routes(prob, S, tie_break=False)
+        assert abs(untied[0][1] - want[1]) <= GAP_TOL * (1.0 + abs(want[1]))
+        assert untied[0][3] is None
+    assert n_tied >= 10  # the instances do exercise ties
+
+
+def test_routes_agree_on_the_graded_weight_where_it_leaves_a_tie():
+    # atoms on the half grid make optimal faces along which the graded
+    # weight sum_k (k + 1) w_k is constant, so the two routes may stop at
+    # different optimal vertices; the value, the least and largest graded
+    # weight and the multiple-optima flag still agree
+    from mkbary.transport import GAP_TOL
+
+    for seed in range(150):
+        prob, S = _route_instances(seed, half_grid=True)
+        got, want = _both_lp_routes(prob, S)
+        h = np.arange(1, len(S) + 1)
+        assert abs(got[1] - want[1]) <= GAP_TOL * (1.0 + abs(want[1]))
+        assert abs(h @ got[0] - h @ want[0]) <= 1e-12 * len(S)
+        assert (got[3] is None) == (want[3] is None)
+        if got[3] is not None:
+            assert abs(h @ got[3] - h @ want[3]) <= 1e-12 * len(S)
+
+
+def _counted_routes(monkeypatch):
+    """Count the calls of each LP route; returns the dict of their lists."""
+    from mkbary import barycenter
+
+    calls = {"tuple": [], "joint": []}
+    for name, real in (("tuple", barycenter._tuple_lp), ("joint", barycenter._joint_lp)):
+        def counting(inputs, *args, _real=real, _calls=calls[name]):
+            _calls.append([m.n_atoms for m, _ in inputs])
+            return _real(inputs, *args)
+        monkeypatch.setattr(barycenter, f"_{name}_lp", counting)
+    return calls
+
+
+def test_the_smaller_lp_solves():
+    # prod n_i = K sum n_i takes the tuple LP, one tuple more the joint LP
+    line = np.linspace(0.0, 1.0, 12)
+    S = np.array([[0.25], [0.75]])
+
+    def solve(sizes):
+        inputs = [(canonicalize(line[:n, None] + 0.01 * i, np.full(n, 1.0 / n), LINE), 1.0)
+                  for i, n in enumerate(sizes)]
+        return barycenter_fixed_support(
+            BarycenterProblem.make(inputs, Constraint.simplex_over(S), SQ))
+
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _counted_routes(mp)
+        tuple_side, joint_side = solve((4, 4)), solve((3, 7))
+    assert calls == {"tuple": [[4, 4]], "joint": [[3, 7]]}
+    assert 4 * 4 == len(S) * (4 + 4) and 3 * 7 == len(S) * (3 + 7) + 1
+    for res in (tuple_side, joint_side):
+        assert res.certificate.kind == "lp_optimal" and res.certificate.gap <= 1e-9
+
+
+def test_grid_jobs_take_the_tuple_route(monkeypatch):
+    # four inputs of six atoms on 9 x 9 and 17 x 17 grids, the shape of the
+    # benchmark's fixed-grid jobs: 1296 tuples against K * 24 couplings
+    rng = np.random.default_rng(7)
+    inputs = [(canonicalize(rng.uniform(size=(6, 2)), rng.dirichlet(np.ones(6)), PLANE), lam)
+              for lam in rng.dirichlet(np.full(4, 4.0))]
+    calls = _counted_routes(monkeypatch)
+    for k in (9, 17):
+        axis = np.linspace(0.0, 1.0, k)
+        grid = np.stack([g.ravel() for g in np.meshgrid(axis, axis, indexing="ij")], axis=-1)
+        res = barycenter_fixed_support(BarycenterProblem.make(inputs, Constraint.simplex_over(grid),
+                                                              SQ))
+        assert abs(objective(res.measure, BarycenterProblem.make(
+            inputs, Constraint.simplex_over(grid), SQ)) - res.objective) <= 1e-9
+    assert calls == {"tuple": [[6] * 4] * 2, "joint": []}
+    # a fifth input makes 7776 tuples against 81 * 30 couplings: the joint LP
+    five = inputs + [(canonicalize(rng.uniform(size=(6, 2)), np.full(6, 1 / 6), PLANE), 0.2)]
+    barycenter_fixed_support(BarycenterProblem.make(five, Constraint.simplex_over(grid[::4]), SQ))
+    assert calls["joint"] == [[6] * 5]
+
+
+def test_tuple_one_vertex_shortcut_matches_the_face_route(monkeypatch):
+    population = [generate_random_measure(1300 + i, [0, 0], [1, 1], 5) for i in range(3)]
+    grid = np.array([[x, y] for x in np.linspace(0, 1, 7) for y in np.linspace(0, 1, 7)])
+    problems = list(_draws(population, grid, 24, 3))
+    faces = _counted_face_runs(monkeypatch)
+    certified, face_route = _solve_both_routes(monkeypatch, problems, tuples=True)
+    # every draw's face is its main vertex: no face LP ran until it was forced
+    assert len(faces) == len(problems)
+    for got, want in zip(certified, face_route):
+        np.testing.assert_allclose(got[0], want[0], rtol=0, atol=1e-12)
+        assert got[1] == want[1] and got[2] == want[2]
+        assert got[3] is None and want[3] is None
+
+
+def test_tuple_one_vertex_shortcut_never_hides_a_tie(monkeypatch):
+    problems = list(_tie_instances())
+    faces = _counted_face_runs(monkeypatch)
+    certified, face_route = _solve_both_routes(monkeypatch, problems, tuples=True)
+    runs = len(faces) - len(problems)
+    tied = [want[3] is not None for want in face_route]
+    assert sum(tied) >= 3 and runs >= sum(tied)
+    for got, want, tie in zip(certified, face_route, tied):
+        np.testing.assert_allclose(got[0], want[0], rtol=0, atol=1e-12)
+        assert (got[3] is not None) == tie
+        if tie:
+            np.testing.assert_allclose(got[3], want[3], rtol=0, atol=1e-12)
+
+
+def test_tuple_tie_break_fallbacks_are_logged(monkeypatch, caplog):
+    from mkbary import barycenter, lp
+
+    prob = next(p for p in _tie_instances() if p.cost is ABS and p.space.dim == 2)
+    S = prob.constraint.atoms
+    untied = barycenter._tuple_lp(prob.inputs, prob.cost, S, tie_break=False)
+    real = lp.Model._run_once
+    rejected = ("barycenter tie-break: face LP rejected; returning the main LP vertex "
+                "without tie-break")
+    # the face LPs run on a new model of the face pairs, whose first run is
+    # cold: a failed one is not re-run, and either spoiled run is rejected
+    for spoil in (lambda res: res._replace(x=2.0 * res.x),
+                  lambda res: res._replace(status=2, message="forced")):
+        calls = []
+
+        def spoiled_after_main(model):
+            res = real(model)
+            calls.append(res)
+            return spoil(res) if len(calls) > 1 else res
+
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="mkbary"), monkeypatch.context() as mp:
+            mp.setattr(lp.Model, "_run_once", spoiled_after_main)
+            got = barycenter._tuple_lp(prob.inputs, prob.cost, S)
+        assert len(calls) == 2  # the main LP and the rejected face run
+        assert got[0].tolist() == untied[0].tolist() and got[3] is None
+        assert [r.getMessage() for r in caplog.records if r.name == "mkbary"] == [rejected]
+
+
+def test_tuple_gap_is_measured_after_the_c_transform(monkeypatch):
+    from mkbary import NumericalFailure, lp
+    from mkbary.barycenter import _tuple_lp
+    from mkbary.transport import GAP_TOL
+
+    ms = [generate_random_measure(1500 + i, [-1.0], [1.0], 5) for i in range(3)]
+    ms = [m for m in ms if m.n_atoms > 1][:2]
+    S = np.linspace(-1.0, 1.0, 9)[:, None]
+    prob = BarycenterProblem.make([(m, 1.0) for m in ms], Constraint.simplex_over(S), SQ)
+    n0 = prob.inputs[0][0].n_atoms
+    want = _tuple_lp(prob.inputs, SQ, S)
+    real_run = lp.Model._run_once
+
+    def shifted(shift):
+        runs = []
+
+        def run(model):
+            res = real_run(model)
+            runs.append(res)
+            if len(runs) > 1:
+                return res
+            duals = res.duals.copy()
+            duals[:n0] += shift
+            return res._replace(duals=duals)
+        return runs, run
+
+    # a shift of every dual of the first input moves sum_i mu_i.u_i and y0 by
+    # opposite amounts: the duals stay optimal and the gap closed
+    for delta in (1e-6, -0.25, 3.0):
+        runs, run = shifted(delta)
+        with monkeypatch.context() as mp:
+            mp.setattr(lp.Model, "_run_once", run)
+            got = _tuple_lp(prob.inputs, SQ, S)
+        assert got[1] == want[1] and got[2] <= GAP_TOL * (1.0 + abs(got[1]))
+        np.testing.assert_allclose(got[0], want[0], rtol=0, atol=1e-12)
+    # raising one dual by 10 lowers y0 by about 10 and raises mu.u by less
+    one = np.zeros(n0)
+    one[0] = 10.0
+    runs, run = shifted(one)
+    with monkeypatch.context() as mp:
+        mp.setattr(lp.Model, "_run_once", run)
+        with pytest.raises(NumericalFailure, match="barycenter LP gap .* not closed"):
+            _tuple_lp(prob.inputs, SQ, S)
+    assert len(runs) == 1  # raised before any face run
+
+
+def test_tuple_costs_stay_within_their_slabs(monkeypatch):
+    # 4 inputs of 6 atoms on a 33 x 33 grid: 1296 tuples x 1089 candidates,
+    # 11.3 MB as one table.  The slab buffers take TRIANGLE_SLAB_BYTES
+    # together, and everything else (the cost tables, the tuple costs, the
+    # LP's arrays) under 1 MiB
+    import tracemalloc
+
+    from mkbary import barycenter
+
+    rng = np.random.default_rng(11)
+    inputs = [(canonicalize(rng.uniform(size=(6, 2)), rng.dirichlet(np.ones(6)), PLANE), lam)
+              for lam in rng.dirichlet(np.ones(4))]
+    axis = np.linspace(0.0, 1.0, 33)
+    grid = np.stack([g.ravel() for g in np.meshgrid(axis, axis, indexing="ij")], axis=-1)
+    prob = BarycenterProblem.make(inputs, Constraint.simplex_over(grid), SQ)
+    assert 8 * 6**4 * len(grid) > 11e6
+    values = []
+    for budget in (barycenter.TRIANGLE_SLAB_BYTES, 2**18):
+        monkeypatch.setattr(barycenter, "TRIANGLE_SLAB_BYTES", budget)
+        tracemalloc.start()
+        try:
+            values.append(barycenter._tuple_lp(prob.inputs, SQ, grid)[1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget + 2**20, (budget, peak)
+    assert values[0] == values[1]
+
+
+def test_tuple_plan_with_more_positive_tuples_than_a_vertex_raises(monkeypatch):
+    # the product plan of the inputs is feasible, with every tuple positive
+    from mkbary import NumericalFailure, lp
+    from mkbary.barycenter import _tuple_lp
+
+    ms = [canonicalize([[0.0], [0.5], [1.0]], [0.2, 0.3, 0.5], LINE),
+          canonicalize([[0.25], [2.0]], [0.6, 0.4], LINE)]
+    S = np.linspace(0.0, 2.0, 5)[:, None]
+    prob = BarycenterProblem.make([(m, 1.0) for m in ms], Constraint.simplex_over(S), SQ)
+    product = np.outer(*[m.weights for m, _ in prob.inputs]).ravel()
+    real_run = lp.Model._run_once
+    monkeypatch.setattr(lp.Model, "_run_once", lambda model: real_run(model)._replace(x=product))
+    with pytest.raises(NumericalFailure, match="plan has 6 positive tuples, more than the 4 of a "
+                                               "vertex"):
+        _tuple_lp(prob.inputs, SQ, S)

@@ -271,3 +271,29 @@ def test_lln_runs_its_barycenter_lps_and_one_packed_transport_batch(monkeypatch)
     sizes = [C.size for C, _, _ in batches[0] if min(C.shape) > 1]
     blocks = transport._pack(sizes, transport.MAX_BATCH_VARS)
     assert runs.count("J") == len(blocks) < len(distinct)
+
+
+def test_default_lln_and_perturb_take_the_tuple_route(monkeypatch):
+    # every barycenter LP of the default `verify lln` and `verify perturb`
+    # has fewer tuples than joint coupling columns
+    import mkbary.barycenter as barycenter
+    import mkbary.consistency as consistency
+    from mkbary.verify import run_suite
+
+    calls = {"solver": 0, "tuple": 0, "joint": 0}
+
+    def counted(name, fn):
+        def run(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return run
+
+    monkeypatch.setattr(consistency, "barycenter_fixed_support",
+                        counted("solver", consistency.barycenter_fixed_support))
+    for name in ("tuple", "joint"):
+        monkeypatch.setattr(barycenter, f"_{name}_lp",
+                            counted(name, getattr(barycenter, f"_{name}_lp")))
+    assert run_suite("lln").passed
+    assert calls == {"solver": 53, "tuple": 53, "joint": 0}
+    assert run_suite("perturb").passed
+    assert calls["joint"] == 0 and calls["tuple"] == calls["solver"] > 53

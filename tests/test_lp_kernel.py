@@ -399,6 +399,77 @@ def test_marginal_columns_match_dense_block_diagonal_rows():
             np.testing.assert_array_equal(to_scipy(A).toarray(), dense[:, cols])
 
 
+def _dense_n_marginal_rows(sizes):
+    """The rows of one block, by a loop over its cells: all sums of marginal 1,
+    then the first n_i - 1 sums of each later marginal."""
+    ends = sizes[0] + np.concatenate([[0], np.cumsum(np.subtract(sizes[1:], 1))]).astype(int)
+    dense = np.zeros((ends[-1], int(np.prod(sizes))))
+    for col, atoms in enumerate(np.ndindex(*sizes)):
+        dense[atoms[0], col] = 1.0
+        for i in range(1, len(sizes)):
+            if atoms[i] < sizes[i] - 1:
+                dense[ends[i - 1] + atoms[i], col] = 1.0
+    return dense
+
+
+def test_three_marginal_block_matches_a_dense_matrix():
+    # (2, 3, 4): 2 + 2 + 3 rows; cell (a, b, c) is column 12 a + 4 b + c
+    dense = np.zeros((7, 24))
+    for a in range(2):
+        for b in range(3):
+            for c in range(4):
+                col = 12 * a + 4 * b + c
+                dense[a, col] = 1.0
+                if b < 2:
+                    dense[2 + b, col] = 1.0
+                if c < 3:
+                    dense[4 + c, col] = 1.0
+    np.testing.assert_array_equal(to_scipy(_marginal_columns([(2, 3, 4)], np.arange(24))).toarray(),
+                                  dense)
+    np.testing.assert_array_equal(_dense_n_marginal_rows((2, 3, 4)), dense)
+    rng = np.random.default_rng(9)
+    for n_marginals in (1, 3, 4):
+        for _ in range(15):
+            shapes = [tuple(int(v) for v in rng.integers(1, 5, size=n_marginals))
+                      for _ in range(rng.integers(1, 4))]
+            dense = sparse.block_diag([_dense_n_marginal_rows(s) for s in shapes]).toarray()
+            # columns in any order, some repeated, as the face pairs of a tuple LP
+            cols = rng.integers(0, dense.shape[1], size=2 * dense.shape[1])
+            A = _marginal_columns(shapes, cols)
+            assert A.shape == (dense.shape[0], len(cols))
+            for j in range(len(cols)):  # rows ascending in every column
+                assert np.all(np.diff(A.indices[A.indptr[j]:A.indptr[j + 1]]) > 0)
+            np.testing.assert_array_equal(to_scipy(A).toarray(), dense[:, cols])
+
+
+def test_two_marginal_blocks_keep_their_csc_arrays():
+    # the two-marginal formula the N-marginal builder generalizes, byte for byte
+    def two_marginal(shapes, cols):
+        m, n = np.array(shapes).T
+        var_off = np.concatenate([[0], np.cumsum(m * n)])
+        row_off = np.concatenate([[0], np.cumsum(m + n - 1)])
+        block = np.searchsorted(var_off, cols, side="right") - 1
+        i, j = np.divmod(cols - var_off[block], n[block])
+        has_col_row = j < n[block] - 1
+        indptr = np.zeros(len(cols) + 1, dtype=np.int32)
+        np.cumsum(1 + has_col_row, out=indptr[1:])
+        indices = np.empty(indptr[-1], dtype=np.int32)
+        indices[indptr[:-1]] = row_off[block] + i
+        indices[indptr[:-1][has_col_row] + 1] = (row_off[block] + m[block] + j)[has_col_row]
+        return np.ones(len(indices)), indices, indptr, (int(row_off[-1]), len(cols))
+
+    rng = np.random.default_rng(10)
+    for _ in range(200):
+        shapes = [tuple(int(v) for v in rng.integers(1, 9, size=2))
+                  for _ in range(rng.integers(1, 6))]
+        total = sum(m * n for m, n in shapes)
+        for cols in (np.arange(total), np.flatnonzero(rng.uniform(size=total) < 0.4)):
+            got, want = _marginal_columns(shapes, cols), two_marginal(shapes, cols)
+            for a, b in zip(got[:3], want[:3]):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            assert got.shape == want[3]
+
+
 def test_pack_respects_the_cap():
     assert _pack([], 10) == []
     assert _pack([4, 4, 4, 20, 3, 3], 10) == [[0, 1], [2], [3], [4, 5]]

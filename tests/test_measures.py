@@ -530,3 +530,108 @@ def test_same_as_skips_the_comparison_for_a_shared_rho(monkeypatch):
     assert first.same_as(copy)
     assert not first.same_as(GroundSpace.finite(2 * rho))
     assert not first.same_as(GroundSpace.finite(rho + 4e-6 * (rho > 0)))
+
+
+def _quadratic_merge(pairs):
+    """Every pair against every kept one, in order: the reference merge."""
+    space = pairs[0][0].space
+    merged = []
+    for m, w in pairs:
+        if not m.space.same_as(space):
+            raise ValueError("all measures must share a ground space")
+        for idx, (m2, w2) in enumerate(merged):
+            if m.same_as(m2):
+                merged[idx] = (m2, w2 + w)
+                break
+        else:
+            merged.append((m, w))
+    return merged
+
+
+def _near_equal_family(rng, space, count):
+    """Measures of a few bases, copies of them whose atoms move by up to
+    1.5 ATOM_MERGE_TOL and weights by up to 1.5e-9, so that some copies are
+    ``same_as`` their base and some are not, in random order."""
+    from mkbary.measures import ATOM_MERGE_TOL
+
+    bases = []
+    for _ in range(rng.integers(1, 6)):
+        n = int(rng.integers(1, 5))
+        if space.kind == "finite":
+            atoms = rng.choice(space.n_points, n, replace=False)
+        else:
+            atoms = rng.uniform(-2.0, 2.0, (n, space.dim)) * 10.0 ** rng.integers(-1, 3)
+        bases.append((atoms, rng.dirichlet(np.ones(n))))
+    family = []
+    for _ in range(count):
+        atoms, weights = bases[rng.integers(len(bases))]
+        if space.kind == "euclidean" and rng.random() < 0.7:
+            atoms = atoms + rng.uniform(-1.5, 1.5, atoms.shape) * ATOM_MERGE_TOL
+        if rng.random() < 0.7:
+            weights = weights + rng.uniform(-1.5e-9, 1.5e-9, weights.shape)
+            weights = weights / weights.sum()
+        family.append((canonicalize(atoms, weights, space),
+                       float(rng.random())))
+    return family
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_merge_equal_measures_matches_the_quadratic_merge(seed):
+    from mkbary.measures import merge_equal_measures
+
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(size=(6, 2))
+    spaces = [LINE, GroundSpace.euclidean(3),
+              GroundSpace.finite(np.linalg.norm(pts[:, None] - pts[None], axis=-1))]
+    for space in spaces:
+        for _ in range(20):
+            family = _near_equal_family(rng, space, int(rng.integers(1, 40)))
+            got, want = merge_equal_measures(family), _quadratic_merge(family)
+            assert [m for m, _ in got] == [m for m, _ in want]  # the same kept objects
+            assert all(a is b for (a, _), (b, _) in zip(got, want))
+            assert [w for _, w in got] == [w for _, w in want]  # summed in the same order
+
+
+def test_merge_equal_measures_compares_distinct_measures_near_linearly(monkeypatch):
+    from mkbary.measures import DiscreteMeasure, merge_equal_measures
+
+    rng = np.random.default_rng(0)
+    family = [(canonicalize(rng.uniform(-1.0, 1.0, (6, 1)), rng.dirichlet(np.ones(6)), LINE), 1.0)
+              for _ in range(512)]
+    real, calls = DiscreteMeasure.same_as, []
+
+    def counted(self, other, atol=1e-9):
+        calls.append(1)
+        return real(self, other, atol)
+
+    monkeypatch.setattr(DiscreteMeasure, "same_as", counted)
+    assert len(merge_equal_measures(family)) == 512
+    # the quadratic merge made 512 * 511 / 2 comparisons here
+    assert len(calls) < 512
+    with pytest.raises(ValueError, match="share a ground space"):
+        merge_equal_measures(family + [(dirac(GroundSpace.euclidean(2), [0.0, 0.0]), 1.0)])
+
+
+def test_merge_equal_measures_with_keys_that_overflow():
+    # coordinates near the largest float: the key sum_j w_j sum_c x_jc of big,
+    # near and low is inf, so they are compared with every measure of their
+    # atom count, and no overflow warns
+    import warnings
+
+    from mkbary.measures import merge_equal_measures
+
+    plane = GroundSpace.euclidean(2)
+    big = canonicalize([[1e308, 1e308]], [1.0], plane)
+    near = canonicalize([[1e308, 1e308]], [1.0], plane)
+    low = canonicalize([[9e307, 9e307]], [1.0], plane)
+    mixed = canonicalize([[1e308, 5e307]], [1.0], plane)
+    for family in ([(low, 0.1), (big, 0.2), (mixed, 0.3), (near, 0.4)],
+                   [(big, 0.1), (dirac(plane, [0.0, 0.0]), 0.2), (near, 0.3), (low, 0.4)]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = merge_equal_measures(family)
+        want = _quadratic_merge(family)
+        assert [m for m, _ in got] == [m for m, _ in want]
+        assert all(a is b for (a, _), (b, _) in zip(got, want))
+        assert [w for _, w in got] == [w for _, w in want]
+        assert sum(m is big for m, _ in got) == 1 and all(m is not near for m, _ in got)
