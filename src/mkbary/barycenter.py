@@ -40,6 +40,7 @@ from .measures import (
     DiscreteMeasure,
     GroundSpace,
     _as_indices,
+    _merge_plan,
     canonicalize,
     json_field,
     json_keys,
@@ -193,13 +194,35 @@ def objective(nu: DiscreteMeasure, problem: BarycenterProblem) -> float:
 
 @dataclass
 class _System:
-    """The constraint side of a joint LP, and the last optimal basis of a model of it."""
+    """The constraint side of a fixed-support LP, and the last optimal basis of a model of it.
+
+    ``n_gamma`` and ``K`` split a joint LP's columns into couplings and
+    weights; ``atoms`` holds, per input, the atom each tuple of a tuple LP
+    takes (``np.unravel_index`` over the tuple numbers).
+    """
 
     A: lp.CSC
     rhs: np.ndarray
-    n_gamma: int
-    K: int
+    n_gamma: int = 0
+    K: int = 0
+    atoms: tuple = ()
     basis: object = None
+
+
+def _kept(systems: Optional[dict], key, build):
+    """``systems[key]``, made by ``build()`` on its first use; with no ``systems``, ``build()``."""
+    if systems is None:
+        return build()
+    found = systems.get(key)
+    if found is None:
+        found = systems[key] = build()
+    return found
+
+
+def _system_key(route: str, inputs, S: np.ndarray):
+    """What fixes a fixed-support LP's rows: the inputs' atom counts and weights
+    and the candidate set, in a key space of each route's own."""
+    return route, tuple((m.n_atoms, m.weights.tobytes()) for m, _ in inputs), S.shape, S.tobytes()
 
 
 def _joint_lp_rows(inputs, K: int) -> _System:
@@ -230,28 +253,25 @@ def _joint_lp_rows(inputs, K: int) -> _System:
     data = np.concatenate([np.ones(2 * n_gamma),
                            np.tile(np.append(np.full(n_ties, -1.0), 1.0), K)])
     A = lp.CSC(data, indices, indptr, (r + 1, n_gamma + K))
-    return _System(A, np.concatenate(rhs + [[1.0]]), n_gamma, K)
+    return _System(A, np.concatenate(rhs + [[1.0]]), n_gamma=n_gamma, K=K)
 
 
 def _joint_lp_system(inputs, cost: CostSpec, S: np.ndarray, systems: Optional[dict] = None):
     """The joint LP's costs and its ``_System`` (see ``_joint_lp_rows``).
 
     The costs are lambda_i times input i's cost table on the candidates,
-    then 0 for every weight.  ``systems`` holds the ``_System`` of each
-    constraint system one experiment run has met, keyed by the inputs' atom
-    counts and weights and the candidate set: A and rhs are assembled once,
-    and the last optimal basis is kept, so that a later LP of the same
-    system, which differs only in its costs, starts warm.  It keeps bases
-    rather than models: a model takes about a kilobyte per column.  With no
-    ``systems``, the system is assembled afresh.
+    then 0 for every weight.  ``systems`` holds what one experiment run
+    keeps between its LPs: the ``_System`` of each constraint system of
+    either route (see ``_tuple_lp_system``), keyed by ``_system_key``, and
+    each candidate set's merge plan (see ``barycenter_fixed_support``).  A
+    and rhs are assembled once, and the last optimal basis is kept, so that
+    a later LP of the same system, which differs only in its costs, starts
+    warm.  It keeps bases rather than models: a model takes about a
+    kilobyte per column.  With no ``systems``, the system is assembled
+    afresh.
     """
     K = len(S)
-    key = (tuple((m.n_atoms, m.weights.tobytes()) for m, _ in inputs), S.shape, S.tobytes())
-    system = None if systems is None else systems.get(key)
-    if system is None:
-        system = _joint_lp_rows(inputs, K)
-        if systems is not None:
-            systems[key] = system
+    system = _kept(systems, _system_key("joint", inputs, S), lambda: _joint_lp_rows(inputs, K))
     c = np.concatenate([lam * cost.table(m.space, m.atoms, S).ravel() for m, lam in inputs]
                        + [np.zeros(K)])
     return c, system
@@ -414,7 +434,35 @@ def _tuple_slabs(tables, tuples: np.ndarray):
         yield slice(start, start + len(sums)), sums
 
 
-def _tuple_lp(inputs, cost: CostSpec, S: np.ndarray, tie_break: bool = True):
+def _tuple_lp_system(inputs, cost: CostSpec, S: np.ndarray, systems: Optional[dict] = None):
+    """The tuple LP's cost tables, costs, cheapest candidates and ``_System``.
+
+    The tables are lambda_i times input i's cost table on the candidates;
+    tuple t costs c(t) = min_k sum_i of them, reached at best(t) = k*(t),
+    computed in slabs (``_tuple_slabs``) for every LP.  The rows are
+    ``transport._marginal_columns`` of all tuples, with the inputs' weights,
+    less the last of each after the first, as rhs.  ``systems`` keeps the
+    ``_System`` under ``_system_key("tuple", ...)``, as ``_joint_lp_system``
+    keeps the joint LP's.
+    """
+    sizes = tuple(m.n_atoms for m, _ in inputs)
+    T = math.prod(sizes)
+    tables = [lam * cost.table(m.space, m.atoms, S) for m, lam in inputs]
+    c, best = np.empty(T), np.empty(T, dtype=np.intp)
+    for rows, sums in _tuple_slabs(tables, np.arange(T)):
+        best[rows] = sums.argmin(axis=1)
+        c[rows] = sums.min(axis=1)
+
+    def rows():
+        rhs = np.concatenate([inputs[0][0].weights] + [m.weights[:-1] for m, _ in inputs[1:]])
+        return _System(_marginal_columns([sizes], np.arange(T)), rhs,
+                       atoms=np.unravel_index(np.arange(T), sizes))
+
+    return tables, c, best, _kept(systems, _system_key("tuple", inputs, S), rows)
+
+
+def _tuple_lp(inputs, cost: CostSpec, S: np.ndarray, tie_break: bool = True,
+              systems: Optional[dict] = None):
     """``_fixed_support_lp`` by the multi-marginal LP over tuples of input atoms.
 
     A tuple t takes one atom t_i of each input; its cost is
@@ -437,19 +485,20 @@ def _tuple_lp(inputs, cost: CostSpec, S: np.ndarray, tie_break: bool = True):
     every tuple on the face is basic and has one candidate there, the
     weights are unique and no face LP runs.  Otherwise one model over the
     face pairs runs ``_face_tie_break``.
+
+    ``systems`` (see ``_tuple_lp_system``) supplies the assembled system and
+    its start basis, and keeps this run's optimal basis, as in ``_joint_lp``.
     """
     sizes = tuple(m.n_atoms for m, _ in inputs)
     K, T = len(S), math.prod(sizes)
-    tables = [lam * cost.table(m.space, m.atoms, S) for m, lam in inputs]
-    c, best = np.empty(T), np.empty(T, dtype=np.intp)
-    for rows, sums in _tuple_slabs(tables, np.arange(T)):
-        best[rows] = sums.argmin(axis=1)
-        c[rows] = sums.min(axis=1)
-    rhs = np.concatenate([inputs[0][0].weights] + [m.weights[:-1] for m, _ in inputs[1:]])
-    model = lp.Model(c, _marginal_columns([sizes], np.arange(T)), rhs)
+    tables, c, best, system = _tuple_lp_system(inputs, cost, S, systems)
+    rhs, atoms = system.rhs, system.atoms
+    model = lp.Model(c, system.A, rhs, system.basis)
     res = model.run()
     if res.status != 0:
         raise NumericalFailure(f"barycenter LP failed: {res.message}")
+    if systems is not None:
+        system.basis = model.basis()
     value = float(res.fun)
     support = int(np.count_nonzero(res.x > 1e-12))
     if support > len(rhs):
@@ -465,8 +514,6 @@ def _tuple_lp(inputs, cost: CostSpec, S: np.ndarray, tie_break: bool = True):
     tol = GAP_TOL * (1.0 + abs(value))
     if gap > tol:
         raise NumericalFailure(f"barycenter LP gap {gap:.3e} not closed")
-
-    atoms = np.unravel_index(np.arange(T), sizes)
 
     def split(t, k, x):
         x = np.clip(x, 0.0, None)
@@ -515,12 +562,14 @@ def _fixed_support_lp(inputs, cost: CostSpec, S: np.ndarray, tie_break: bool = T
     column per input atom and candidate, K sum n_i of them, plus the K
     weights; the tuple LP (``_tuple_lp``) has a column per tuple of input
     atoms, prod n_i of them.  The tuple LP solves when it has no more
-    columns, prod n_i <= K sum n_i; else the joint LP, the only one that
-    uses ``systems``.  Both report the gap against the joint LP's dual.
+    columns, prod n_i <= K sum n_i; else the joint LP.  Both keep their
+    systems and bases in ``systems`` (see ``_joint_lp_system``), each
+    route under keys of its own, and both report the gap against the joint
+    LP's dual.
     """
     sizes = [m.n_atoms for m, _ in inputs]
     if math.prod(sizes) <= len(S) * sum(sizes):
-        return _tuple_lp(inputs, cost, S, tie_break)
+        return _tuple_lp(inputs, cost, S, tie_break, systems)
     return _joint_lp(inputs, cost, S, tie_break, systems)
 
 
@@ -528,17 +577,22 @@ def barycenter_fixed_support(problem: BarycenterProblem, *,
                              _systems: Optional[dict] = None) -> BarycenterResult:
     """Solve the barycenter LP on the simplex over the candidate atoms.
 
-    ``_systems`` holds the constraint systems of one experiment run (see
-    ``_joint_lp_system``); it is not part of the public interface.
+    ``_systems`` holds what one experiment run keeps between its LPs (see
+    ``_joint_lp_system``); it is not part of the public interface.  The
+    weights are canonicalized on the candidates by one merge plan
+    (``measures._merge_plan``), made once per candidate set and space kind
+    and kept in ``_systems``.
     """
     _require_kind(problem, "simplex_over", "fixed-support")
-    S = problem.constraint.atoms
-    if problem.space.kind == "finite":
-        S = _as_indices(problem.space, S.reshape(-1))
+    S, space = problem.constraint.atoms, problem.space
+    if space.kind == "finite":
+        S = _as_indices(space, S.reshape(-1))
     w, value, gap, w_alt, _ = _fixed_support_lp(problem.inputs, problem.cost, S,
                                                  systems=_systems)
-    measure = canonicalize(S, w / w.sum(), problem.space)
-    alt = None if w_alt is None else canonicalize(S, w_alt / w_alt.sum(), problem.space)
+    plan = _kept(_systems, ("merge", space.kind, S.shape, S.tobytes()),
+                 lambda: _merge_plan(space, S))
+    measure = canonicalize(S, w / w.sum(), space, plan=plan)
+    alt = None if w_alt is None else canonicalize(S, w_alt / w_alt.sum(), space, plan=plan)
     if alt is not None and alt.same_as(measure):  # the two differ only on merged candidates
         alt = None
     return BarycenterResult(

@@ -154,6 +154,16 @@ def _solve_draws(pending: dict) -> dict:
     return out
 
 
+def _distinct(suite: str, name: str, values: list) -> list:
+    """``values``, checked to repeat no entry: a repeat would give a second
+    row for the same setting.  Raises ValueError naming the repeats."""
+    repeated = sorted({v for v in values if values.count(v) > 1})
+    if repeated:
+        raise ValueError(f"{suite} field {name!r} repeats {repeated}; "
+                         "each entry must be distinct")
+    return values
+
+
 def lln_experiment(
     population: MetaDistribution,
     n_grid,
@@ -170,8 +180,10 @@ def lln_experiment(
     Fixed seeds make the run bit-reproducible.  A barycenter LP solves by
     the tuple LP when its draw has no more tuples than joint coupling columns
     (see ``barycenter._fixed_support_lp``), as every draw of the default
-    config does; only a joint LP starts from the last optimal basis of its
-    subset of population measures, on a system assembled once (see
+    config does, else by the joint LP.  Either way an LP on a subset of
+    population measures met before starts from the last optimal basis of
+    that subset, on a system assembled once, and the weights of every
+    barycenter are canonicalized on the candidates by one merge plan (see
     ``barycenter._joint_lp_system``).  A draw depends only on its
     frequencies counts / n, so a draw with the frequencies of an earlier
     one reuses its barycenter.  The J(emp, rep)
@@ -183,13 +195,8 @@ def lln_experiment(
     A repeated entry of ``n_grid`` or ``seeds`` is a ValueError, before any
     solve: it would give a second row for the same (n, seed).
     """
-    n_grid = sorted(int(n) for n in n_grid)
-    seeds = list(seeds)
-    for name, values in (("n_grid", n_grid), ("seeds", seeds)):
-        repeated = sorted({v for v in values if values.count(v) > 1})
-        if repeated:
-            raise ValueError(f"lln field {name!r} repeats {repeated}; "
-                             "each entry must be distinct")
+    n_grid = _distinct("lln", "n_grid", sorted(int(n) for n in n_grid))
+    seeds = _distinct("lln", "seeds", list(seeds))
     systems = {}
     pop_result, reps = _population_barycenter(population, constraint, cost, systems)
     K = len(population.atoms)
@@ -255,14 +262,16 @@ def perturbation_experiment(
     Tracks the lifted distance to the unperturbed population and the
     distance of the perturbed barycenter to the nearest unperturbed
     barycenter representative; with a shared direction field the lifted
-    track is nondecreasing in delta on single-atom populations.  Each
-    barycenter LP that solves as the joint LP starts from the last optimal
-    basis of LPs with the same atom counts and weights, on a system
-    assembled once.
+    track is nondecreasing in delta on single-atom populations.  The
+    deltas are solved, judged and recorded in increasing order; a repeated
+    delta is a ValueError, before any solve.  A barycenter LP, by either
+    route, starts from the last optimal basis of the LPs with the same atom
+    counts and weights, on a system assembled once, and the candidates'
+    merge plan is made once (see ``barycenter._joint_lp_system``).
     """
     if population.space.kind != "euclidean":
         raise ValueError("perturbation harness needs a euclidean space")
-    deltas = [float(d) for d in deltas]
+    deltas = _distinct("perturb", "deltas", sorted(float(d) for d in deltas))
     systems = {}
     pop_result, reps = _population_barycenter(population, constraint, cost, systems)
     rng = np.random.default_rng(seed)
@@ -286,7 +295,7 @@ def perturbation_experiment(
     # largest delta up to which the barycenter stays USC_EPS-close: recorded,
     # never claimed universal
     usc_threshold = 0.0
-    for delta, _, j_bar in sorted(rows):
+    for delta, _, j_bar in rows:
         if j_bar <= USC_EPS:
             usc_threshold = delta
         else:

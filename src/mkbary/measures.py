@@ -14,7 +14,7 @@ measure only, and give it to every later one whose decoded space equals it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -257,14 +257,31 @@ def _near_pairs(pts: np.ndarray, r: float) -> np.ndarray:
     return np.stack([np.minimum(i, j), np.maximum(i, j)], axis=1)
 
 
-def _sort_and_merge(space: GroundSpace, atoms: np.ndarray, weights: np.ndarray):
-    """Sort atoms lexicographically and merge duplicates by weight addition.
+class _MergePlan(NamedTuple):
+    """How ``_sort_and_merge`` maps n raw atoms to canonical ones (see ``_merge_plan``).
+
+    ``order`` sorts the raw atoms; in that order the ``keep`` mask marks
+    the kept atoms (None when none merge), ``merged`` lists the positions
+    of the others and ``into`` the kept index each adds its weight to.
+    ``atoms`` holds the kept atoms, sorted.
+    """
+
+    order: np.ndarray
+    keep: Optional[np.ndarray]
+    merged: Optional[np.ndarray]
+    into: Optional[np.ndarray]
+    atoms: np.ndarray
+
+
+def _merge_plan(space: GroundSpace, atoms: np.ndarray) -> _MergePlan:
+    """Sort atoms lexicographically and find the duplicates that merge.
 
     Walking in that order, an atom within ATOM_MERGE_TOL (sup-norm) of an
     atom already kept merges into the first such one, neighbour in the
     order or not; finite-space atoms merge when equal.  No two kept atoms
-    are within the tolerance.  Merged weights are added in sorted order.
-    ``weights`` may also be a matrix; the rows of merged atoms are added.
+    are within the tolerance.  The plan depends on the atoms alone, so a
+    caller that canonicalizes many weight vectors on one atom set makes it
+    once (see ``canonicalize``).
     """
     if space.kind == "euclidean":
         order = np.lexsort(atoms.T[::-1])
@@ -273,13 +290,12 @@ def _sort_and_merge(space: GroundSpace, atoms: np.ndarray, weights: np.ndarray):
         order = np.argsort(atoms, kind="stable")
         tol = 0
     atoms = atoms[order]
-    weights = weights[order]
     n = len(atoms)
     pts = atoms.reshape(n, -1)
     # atoms within the tolerance have leading coordinates within twice the
     # tolerance (twice, so that rounding in a subtraction drops no pair)
     if not np.any(np.diff(pts[:, 0]) <= 2 * tol):
-        return atoms, weights
+        return _MergePlan(order, None, None, None, atoms)
     # equal atoms are neighbours: each starts out owned by the first of its run
     head = np.ones(n, dtype=bool)
     head[1:] = np.any(pts[1:] != pts[:-1], axis=1)
@@ -297,18 +313,42 @@ def _sort_and_merge(space: GroundSpace, atoms: np.ndarray, weights: np.ndarray):
         owner = owner[owner]
     keep = owner == np.arange(n)
     merged = np.flatnonzero(~keep)
-    out = weights[keep]
-    np.add.at(out, np.cumsum(keep)[owner[merged]] - 1, weights[merged])
-    return atoms[keep], out
+    return _MergePlan(order, keep, merged, np.cumsum(keep)[owner[merged]] - 1, atoms[keep])
 
 
-def canonicalize(raw_atoms, raw_weights, space: GroundSpace) -> DiscreteMeasure:
+def _merge_weights(plan: _MergePlan, weights: np.ndarray) -> np.ndarray:
+    """The weights of ``plan``'s kept atoms: each adds the weights merged into it,
+    in sorted order.  ``weights`` may also be a matrix; the rows of merged
+    atoms are added.  Raises ValueError when ``weights`` has another length
+    than the atoms the plan was made from."""
+    if len(weights) != len(plan.order):
+        raise ValueError(f"a merge plan of {len(plan.order)} atoms applied to "
+                         f"{len(weights)} weights")
+    weights = weights[plan.order]
+    if plan.keep is None:
+        return weights
+    out = weights[plan.keep]
+    np.add.at(out, plan.into, weights[plan.merged])
+    return out
+
+
+def _sort_and_merge(space: GroundSpace, atoms: np.ndarray, weights: np.ndarray):
+    """Sort atoms lexicographically and merge duplicates by weight addition
+    (``_merge_plan``, then ``_merge_weights``): the kept atoms and their weights."""
+    plan = _merge_plan(space, atoms)
+    return plan.atoms, _merge_weights(plan, weights)
+
+
+def canonicalize(raw_atoms, raw_weights, space: GroundSpace, *,
+                 plan: Optional[_MergePlan] = None) -> DiscreteMeasure:
     """Build a canonical measure from raw atom/weight lists.
 
     Admits weights that are finite, nonnegative and sum to 1 within 1e-9,
     and euclidean atoms with finite coordinates; merges duplicate atoms
     (1e-12 coordinate tolerance), drops zero weights and renormalizes so the
-    weights sum to exactly 1.
+    weights sum to exactly 1.  ``plan``, the ``_merge_plan`` of these very
+    atoms, skips their sort and merge search and gives the same bits; a
+    plan made from another number of atoms is a ValueError.
     """
     weights = np.array(raw_weights, dtype=float).reshape(-1)
     if weights.size == 0:
@@ -340,7 +380,9 @@ def canonicalize(raw_atoms, raw_weights, space: GroundSpace) -> DiscreteMeasure:
     if len(atoms) != len(weights):
         raise ValueError("atoms and weights must have equal length")
 
-    atoms, weights = _sort_and_merge(space, atoms.copy(), weights.copy())
+    if plan is None:
+        plan = _merge_plan(space, atoms)
+    atoms, weights = plan.atoms, _merge_weights(plan, weights)
     mask = weights > 0
     if not mask.any():
         raise EmptySupport("all weights are zero")

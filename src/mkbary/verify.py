@@ -74,7 +74,7 @@ DEFAULTS = {
 _INTEGER_ARRAYS = {"n_grid", "seeds", "escape_n"}
 # the least value a setting, or every entry of an array setting, may take
 _FLOORS = {"seed": 0, "seeds": 0, "count": 1, "max_atoms": 1, "q": 1, "n_grid": 1,
-           "escape_n": 1, "powers": 1}
+           "escape_n": 1, "powers": 1, "deltas": 0}
 
 
 def _settings(suite: str, config: dict) -> dict:

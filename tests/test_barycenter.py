@@ -688,6 +688,62 @@ def test_kept_systems_are_assembled_once_with_the_same_costs():
     assert len(systems) < len(problems)
 
 
+def _on_candidates(S, measure):
+    """``measure``'s weights on the candidate rows of ``S`` it sits on, 0 elsewhere."""
+    dense = np.zeros(len(S))
+    if measure is not None:
+        dense[[int(np.flatnonzero((S == a).all(axis=1))[0]) for a in measure.atoms]] = measure.weights
+    return dense
+
+
+def test_warm_tuple_route_matches_runs_without_systems(monkeypatch):
+    # lln-style draws share tuple systems; one systems dict for all of them
+    # must give what each draw gives alone and cold, with each system's rows
+    # assembled once and every later LP of it started from a basis.  The tie
+    # instances, each solved twice, put a tie-break behind a warm start
+    from mkbary import barycenter, lp
+    from mkbary.transport import GAP_TOL
+
+    population = [generate_random_measure(1300 + i, [0, 0], [1, 1], 5) for i in range(3)]
+    grid = np.array([[x, y] for x in np.linspace(0, 1, 7) for y in np.linspace(0, 1, 7)])
+    problems = list(_draws(population, grid, 24, 3)) + [p for p in _tie_instances()
+                                                        for _ in range(2)]
+    built, starts = [], []
+    real_system, real_init = barycenter._System, lp.Model.__init__
+
+    def counted_system(*args, **kwargs):
+        built.append(real_system(*args, **kwargs))
+        return built[-1]
+
+    def recorded_init(model, c, A, rhs, start=None):
+        starts.append((A, start))
+        real_init(model, c, A, rhs, start)
+
+    systems = {}
+    calls = _counted_routes(monkeypatch)
+    with monkeypatch.context() as mp:
+        mp.setattr(barycenter, "_System", counted_system)
+        mp.setattr(lp.Model, "__init__", recorded_init)
+        warm = [barycenter_fixed_support(p, _systems=systems) for p in problems]
+    cold = [barycenter_fixed_support(p) for p in problems]
+    assert calls["joint"] == [] and len(calls["tuple"]) == 2 * len(problems)
+    kept = [system for key, system in systems.items() if key[0] == "tuple"]
+    assert len(kept) == len(built) < len(problems) // 2
+    assert all(any(system is b for b in built) for system in kept)
+    # per system, the first main LP ran cold and every later one from a basis
+    runs = [[start is not None for A, start in starts if A is system.A] for system in kept]
+    assert sum(map(len, runs)) == len(problems)
+    assert all(not r[0] and all(r[1:]) for r in runs)
+    for prob, got, want in zip(problems, warm, cold):
+        S = prob.constraint.atoms
+        assert abs(got.objective - want.objective) <= GAP_TOL * (1.0 + abs(want.objective))
+        assert got.multiple_optima == want.multiple_optima
+        for a, b in ((got.measure, want.measure), (got.alt_measure, want.alt_measure)):
+            np.testing.assert_allclose(_on_candidates(S, a), _on_candidates(S, b),
+                                       rtol=0, atol=1e-12)
+    assert sum(r.multiple_optima for r in warm) >= 3
+
+
 def _counted_face_runs(monkeypatch):
     """Count the calls of ``_face_tie_break``; returns the list it appends to."""
     from mkbary import barycenter
@@ -758,22 +814,33 @@ def _statuses(basis):
     return list(basis.col_status), list(basis.row_status)
 
 
-def test_failed_warm_run_is_rerun_cold_once(monkeypatch, caplog):
-    from mkbary import lp
-    from mkbary.barycenter import _joint_lp, _joint_lp_system
+def _assert_failed_warm_run_is_rerun_cold_once(monkeypatch, caplog, route, seed):
+    """A warm main run of ``route`` ("joint" or "tuple") stopped at an
+    iteration limit: one warning, a cold re-run of the same model, the cold
+    answer, and the cold run's basis kept for the system.  The population
+    drawn from ``seed`` has other optimal bases for the two weightings."""
+    from mkbary import barycenter, lp
 
-    population = [generate_random_measure(1400 + i, [0, 0], [1, 1], 4) for i in range(2)]
+    population = [generate_random_measure(seed + i, [0, 0], [1, 1], 4) for i in range(2)]
     grid = np.array([[x, y] for x in np.linspace(0, 1, 5) for y in np.linspace(0, 1, 5)])
     first, second = (BarycenterProblem.make(list(zip(population, lams)),
                                             Constraint.simplex_over(grid), SQ)
                      for lams in ([0.3, 0.7], [0.6, 0.4]))
+    solve = getattr(barycenter, f"_{route}_lp")
+
+    def costs_and_system(inputs):
+        if route == "joint":
+            return barycenter._joint_lp_system(inputs, SQ, grid)
+        _, c, _, system = barycenter._tuple_lp_system(inputs, SQ, grid)
+        return c, system
+
     systems = {}
-    _joint_lp(first.inputs, SQ, grid, systems=systems)
+    solve(first.inputs, SQ, grid, systems=systems)
     assert len(systems) == 1
     [system] = systems.values()
     stale = system.basis
-    want = _joint_lp(second.inputs, SQ, grid)
-    c, fresh = _joint_lp_system(second.inputs, SQ, grid)
+    want = solve(second.inputs, SQ, grid)
+    c, fresh = costs_and_system(second.inputs)
     A = fresh.A
     cold = lp.Model(c, A, fresh.rhs)
     assert cold.run().status == 0
@@ -788,7 +855,7 @@ def test_failed_warm_run_is_rerun_cold_once(monkeypatch, caplog):
     caplog.clear()
     with caplog.at_level("WARNING", logger="mkbary"), monkeypatch.context() as mp:
         mp.setattr(lp.Model, "_run_once", fails_first)
-        got = _joint_lp(second.inputs, SQ, grid, systems=systems)
+        got = solve(second.inputs, SQ, grid, systems=systems)
     assert [r.getMessage() for r in caplog.records if r.name == "mkbary"] == [
         f"LP of {A.shape[0]} rows and {A.shape[1]} columns: warm run not optimal "
         "(Iteration limit reached); re-running it cold"]
@@ -799,6 +866,14 @@ def test_failed_warm_run_is_rerun_cold_once(monkeypatch, caplog):
     # so the failed warm run and its cold re-run of the same model are all
     assert _statuses(system.basis) == _statuses(cold.basis()) != _statuses(stale)
     assert len(models) == 2 and all(model is models[0] for model in models)
+
+
+def test_failed_warm_run_is_rerun_cold_once(monkeypatch, caplog):
+    _assert_failed_warm_run_is_rerun_cold_once(monkeypatch, caplog, "joint", 1400)
+
+
+def test_failed_warm_tuple_run_is_rerun_cold_once(monkeypatch, caplog):
+    _assert_failed_warm_run_is_rerun_cold_once(monkeypatch, caplog, "tuple", 1411)
 
 
 def test_dual_infeasible_main_run_raises(monkeypatch):

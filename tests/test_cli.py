@@ -833,6 +833,21 @@ def test_verify_lln_and_perturb_cli(tmp_path, capsys):
     assert (tmp_path / "perturb.csv").exists()
 
 
+def test_verify_perturb_judges_deltas_in_increasing_order(tmp_path, capsys):
+    # the zero-delta and monotone checks used to read the deltas in config
+    # order, so this list failed `monotone_meta` where the sorted one passes
+    outputs = []
+    for name, deltas in (("sorted", [0.0, 0.01, 0.05, 0.1]), ("unsorted", [0.1, 0.0, 0.05, 0.01])):
+        cfg = write(tmp_path / f"{name}.json", {"deltas": deltas})
+        out = tmp_path / name
+        assert main(["verify", "perturb", "--config", cfg, "--out-dir", str(out)]) == 0
+        assert capsys.readouterr().out.startswith("perturb: PASS")
+        rows = (out / "perturb.csv").read_text().splitlines()[1:]
+        assert [float(row.split(",")[0]) for row in rows] == [0.0, 0.01, 0.05, 0.1]
+        outputs.append([(out / f).read_bytes() for f in ("perturb.csv", "perturb_summary.json")])
+    assert outputs[0] == outputs[1]
+
+
 def test_verify_lln_rejects_a_top_level_seed(tmp_path, capsys):
     # lln draws from ``seeds``; a ``seed`` it would ignore is a parse error in
     # the config and a usage error as ``--seed``
@@ -909,6 +924,8 @@ def test_verify_seed_flag_has_one_home(tmp_path, capsys, monkeypatch):
     # a norm power under 1 is no cost; it used to fail only after the p = 2 batch ran
     ("q-triangle", {"count": 50, "powers": [2.0, 0.5]},
      "q-triangle field 'powers' must be at least 1, not [2.0, 0.5]"),
+    ("perturb", {"deltas": [0.05, -0.01]},
+     "perturb field 'deltas' must be at least 0, not [0.05, -0.01]"),
 ])
 def test_verify_settings_that_check_nothing_are_parse_errors(tmp_path, capsys, monkeypatch,
                                                              suite, config, message):
@@ -1023,6 +1040,9 @@ BROKEN_RULES = [
      "lln field 'n_grid' repeats [2]; each entry must be distinct"),
     ("lln", {**SMALL_LLN, "seeds": [0, 1, 2, 1, 0]},
      "lln field 'seeds' repeats [0, 1]; each entry must be distinct"),
+    # a repeated delta, which would write two rows for one delta
+    ("perturb", {**SMALL_PERTURB, "deltas": [0.05, 0.0, 0.05]},
+     "perturb field 'deltas' repeats [0.05]; each entry must be distinct"),
 ]
 
 

@@ -149,6 +149,54 @@ def test_near_pairs_stay_linear_on_a_chain():
     assert owners.tolist() == want
 
 
+def _merge_plan_cases():
+    """(space, atoms) pairs: chains and clusters of near duplicates within
+    ATOM_MERGE_TOL, exact duplicates, sets with nothing to merge, and
+    finite-space index lists with repeats."""
+    from mkbary.measures import ATOM_MERGE_TOL
+
+    rng = np.random.default_rng(23)
+    tol = ATOM_MERGE_TOL
+    for d in (1, 2, 3):
+        space = GroundSpace.euclidean(d)
+        yield space, rng.uniform(size=(30, d))
+        centres = rng.uniform(-1, 1, size=(5, d))
+        yield space, (centres[rng.integers(0, 5, size=40)]
+                      + rng.integers(-15, 16, size=(40, d)) * tol / 10)
+        yield space, rng.permutation(np.cumsum(np.full((25, d), 0.9 * tol), axis=0))
+        yield space, rng.permutation(np.repeat(rng.uniform(size=(6, d)), 3, axis=0))
+    points = rng.uniform(size=(7, 2))
+    finite = GroundSpace.finite(np.linalg.norm(points[:, None] - points[None, :], axis=-1))
+    yield finite, rng.permutation(7)
+    yield finite, rng.integers(0, 7, size=20)
+
+
+def test_a_kept_merge_plan_gives_the_same_bits():
+    from mkbary.measures import _merge_plan, _merge_weights, _sort_and_merge
+
+    rng = np.random.default_rng(29)
+    for space, atoms in _merge_plan_cases():
+        n = len(atoms)
+        plan = _merge_plan(space, atoms)
+        # one plan serves every weight vector on these atoms, zero weights too
+        for zeros in (0, 1, n // 2):
+            w = rng.dirichlet(np.ones(n))
+            w[rng.permutation(n)[:zeros]] = 0.0
+            w /= w.sum()
+            got, want = canonicalize(atoms, w, space, plan=plan), canonicalize(atoms, w, space)
+            assert got.atoms.tobytes() == want.atoms.tobytes()
+            assert got.weights.tobytes() == want.weights.tobytes()
+        W = rng.uniform(size=(n, 3))
+        want_atoms, want_W = _sort_and_merge(space, atoms.copy(), W.copy())
+        assert plan.atoms.tobytes() == want_atoms.tobytes()
+        assert _merge_weights(plan, W).tobytes() == want_W.tobytes()
+        # a plan of n atoms applied to n - 1 atoms or weights
+        with pytest.raises(ValueError, match=f"a merge plan of {n} atoms applied to {n - 1}"):
+            canonicalize(atoms[1:], np.full(n - 1, 1.0 / (n - 1)), space, plan=plan)
+        with pytest.raises(ValueError, match=f"a merge plan of {n} atoms applied to {n - 1}"):
+            _merge_weights(plan, W[1:])
+
+
 def test_canonicalize_identity():
     m = canonicalize([[0.0]], [1.0], LINE)
     assert m.atoms.ravel().tolist() == [0.0]
