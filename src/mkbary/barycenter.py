@@ -136,6 +136,13 @@ class BarycenterProblem:
         if not inputs:
             raise ValueError("need at least one input measure")
         lams = np.array([float(l) for _, l in inputs])
+        running = 0.0
+        for i, lam in enumerate(lams.tolist()):
+            if not math.isfinite(lam):
+                raise ValueError(f"inputs[{i}] lambda must be finite, not {lam}")
+            running += lam  # a Python float overflows to inf with no numpy warning
+            if not math.isfinite(running):
+                raise ValueError(f"input weights overflow when summed, at inputs[{i}] lambda {lam}")
         if np.any(lams <= 0):
             raise ValueError("input weights must be positive")
         lams = lams / lams.sum()
@@ -153,8 +160,8 @@ class Certificate:
 
     ``lp_optimal``: the fixed-support LP's duality gap, value minus the
     objective of a feasible dual of the joint LP over couplings and
-    candidate weights: that LP's own duals, or, when the tuple LP solved,
-    the c-transform of its row duals (see ``_tuple_lp``).  ``local_stationary``:
+    candidate weights, the c-transform of the inputs' marginal row duals
+    on either LP route (see ``_certified_run``).  ``local_stationary``:
     the free-support run's last objective decrease, no global claim.
     ``quantile_1d``: |objective - closed-form cost of the monotone coupling
     over the common quantile refinement|, the objective computed two
@@ -196,13 +203,16 @@ def objective(nu: DiscreteMeasure, problem: BarycenterProblem) -> float:
 class _System:
     """The constraint side of a fixed-support LP, and the last optimal basis of a model of it.
 
-    ``n_gamma`` and ``K`` split a joint LP's columns into couplings and
-    weights; ``atoms`` holds, per input, the atom each tuple of a tuple LP
-    takes (``np.unravel_index`` over the tuple numbers).
+    ``u_rows`` holds each input's marginal rows, ``len(rhs)`` for a dropped
+    one, whose dual reads as 0.  ``n_gamma`` and ``K`` split a joint LP's
+    columns into couplings and weights; ``atoms`` holds, per input, the
+    atom each tuple of a tuple LP takes (``np.unravel_index`` over the
+    tuple numbers).
     """
 
     A: lp.CSC
     rhs: np.ndarray
+    u_rows: tuple
     n_gamma: int = 0
     K: int = 0
     atoms: tuple = ()
@@ -236,13 +246,14 @@ def _joint_lp_rows(inputs, K: int) -> _System:
     1 in the last row.
     """
     n_gamma = K * sum(m.n_atoms for m, _ in inputs)
-    gamma_rows, tie_rows, rhs = [], [], []
+    gamma_rows, tie_rows, u_rows, rhs = [], [], [], []
     r = 0
     for m, _ in inputs:
         sz = m.n_atoms
         gamma_rows.append(np.stack([r + np.repeat(np.arange(sz), K),
                                     r + sz + np.tile(np.arange(K), sz)], axis=1).ravel())
         tie_rows.append(r + sz + np.arange(K))
+        u_rows.append(r + np.arange(sz))
         rhs += [m.weights, np.zeros(K)]
         r += sz + K
     w_rows = np.stack(tie_rows + [np.full(K, r)], axis=1).ravel()
@@ -253,7 +264,7 @@ def _joint_lp_rows(inputs, K: int) -> _System:
     data = np.concatenate([np.ones(2 * n_gamma),
                            np.tile(np.append(np.full(n_ties, -1.0), 1.0), K)])
     A = lp.CSC(data, indices, indptr, (r + 1, n_gamma + K))
-    return _System(A, np.concatenate(rhs + [[1.0]]), n_gamma=n_gamma, K=K)
+    return _System(A, np.concatenate(rhs + [[1.0]]), tuple(u_rows), n_gamma=n_gamma, K=K)
 
 
 def _joint_lp_system(inputs, cost: CostSpec, S: np.ndarray, systems: Optional[dict] = None):
@@ -277,12 +288,10 @@ def _joint_lp_system(inputs, cost: CostSpec, S: np.ndarray, systems: Optional[di
     return c, system
 
 
-def _split_gammas(x: np.ndarray, inputs, K: int):
-    blocks, off = [], 0
-    for m, _ in inputs:
-        blocks.append(np.clip(x[off : off + m.n_atoms * K], 0.0, None).reshape(m.n_atoms, K))
-        off += m.n_atoms * K
-    return blocks
+def _blocks(x: np.ndarray, inputs, K: int):
+    """The coupling blocks of a joint LP vector ``x``: input i's n_i x K block, as a view."""
+    ends = np.cumsum([m.n_atoms * K for m, _ in inputs])
+    return [b.reshape(-1, K) for b in np.split(x[:ends[-1]], ends[:-1])]
 
 
 # candidate weights below this share of the largest (or of 1) are LP dust
@@ -301,50 +310,83 @@ def _require_kind(problem: BarycenterProblem, kind: str, route: str) -> None:
                          f"not {problem.constraint.kind}")
 
 
-def _face_tie_break(model: lp.Model, c_vec, off_face, h, value, tol):
-    """The lo/hi graded-weight LPs (minimize, then maximize h.x) on the optimal face.
+def _certified_run(c: np.ndarray, system: _System, inputs, tables, systems: Optional[dict]):
+    """Run the main LP of either fixed-support route and certify it against the joint LP.
+
+    The model is ``lp.Model(c, A, rhs)`` started from ``system.basis``; its
+    optimal basis is kept there when ``systems`` is given.  ``tables`` are
+    lambda_i C_i, input i's costs on the candidates.  The duals u_i of the
+    inputs' marginal rows (``system.u_rows``) give
+    v_ik = min_j (lambda_i C_i(j, k) - u_i(j)) and y0 = min_k sum_i v_ik, a
+    feasible dual of the joint LP by construction, whatever u is, and
+    gap = value - (sum_i mu_i.u_i + y0).  Raises NumericalFailure when the
+    run is not optimal or the gap exceeds GAP_TOL (1 + |value|).  Returns
+    the model, the run, its value, the gap, that tolerance, the u_i and y0.
+    """
+    model = lp.Model(c, system.A, system.rhs, system.basis)
+    res = model.run()
+    if res.status != 0:
+        raise NumericalFailure(f"barycenter LP failed: {res.message}")
+    if systems is not None:
+        system.basis = model.basis()
+    value = float(res.fun)
+    duals = np.append(res.duals, 0.0)
+    u = [duals[rows] for rows in system.u_rows]
+    y0 = float(np.sum([(L - ui[:, None]).min(axis=0) for L, ui in zip(tables, u)], axis=0).min())
+    gap = max(0.0, value - (math.fsum(m.weights @ ui for (m, _), ui in zip(inputs, u)) + y0))
+    tol = GAP_TOL * (1.0 + abs(value))
+    if gap > tol:
+        raise NumericalFailure(f"barycenter LP gap {gap:.3e} not closed")
+    return model, res, value, gap, tol, u, y0
+
+
+def _face_tie_break(model: lp.Model, c_vec, off_face, h, value, gap, tol, main, split):
+    """The answer (weights, value, gap, alt_weights, gammas) of the lo/hi
+    graded-weight LPs (minimize, then maximize h.x) on the optimal face.
 
     ``off_face`` marks the columns cut from the face (see ``_joint_lp``):
     both LPs then run on the main LP's own model with those columns fixed to
     0, each from the last run's basis.  With ``off_face`` None the model
-    holds the face alone (see ``_tuple_lp``).  Returns the two solutions,
-    zero off the face, or None when a run fails or its c.x misses ``value``
-    by more than ``tol``.
+    holds the face alone (see ``_tuple_lp``).  ``split(x)`` gives the
+    weights and coupling blocks of a solution, ``main`` those of the main
+    LP's vertex, which is returned untie-broken, with a warning on the
+    ``mkbary`` logger, when a run fails or its c.x misses ``value`` by more
+    than ``tol``.
     """
     if off_face is not None:
         model.fix_to_zero(np.flatnonzero(off_face))
-    out = []
+    sols = []
     for sign in (1.0, -1.0):
         model.set_costs(sign * h)
         r = model.run()
-        if r.status != 0:
-            return None
-        x = r.x
-        if off_face is not None:
-            x[off_face] = 0.0
-        if abs(c_vec @ x - value) > tol:
-            return None
-        out.append(x)
-    return out
+        if r.status == 0 and off_face is not None:
+            r.x[off_face] = 0.0
+        if r.status != 0 or abs(c_vec @ r.x - value) > tol:
+            log.warning("barycenter tie-break: face LP rejected; "
+                        "returning the main LP vertex without tie-break")
+            return main[0], value, gap, None, main[1]
+        sols.append(r.x)
+    (w_lo, gammas), (w_hi, _) = map(split, sols)
+    alt = w_hi if np.max(np.abs(w_lo - w_hi)) > 1e-7 else None
+    return w_lo, value, gap, alt, gammas
 
 
 def _joint_lp(inputs, cost: CostSpec, S: np.ndarray, tie_break: bool = True,
               systems: Optional[dict] = None):
     """``_fixed_support_lp`` by the joint LP over (coupling blocks, candidate weights).
 
-    Raises NumericalFailure when the LP is not optimal, its duality gap is
-    not closed, or its duals leave a reduced cost below minus the face cut.
-
-    For a feasible x, c.x = rhs.y + d.x with the reduced costs
-    d = c - A^T y, and x carries mass n_inputs + 1 (each coupling and the
-    weights sum to 1).  So the face cut d <= GAP_TOL (1 + |value|) /
-    (n_inputs + 1) keeps every point within the gap tolerance of the
-    optimum, and complementary slackness says the optimal vertices live on
-    it.  When every column on the face is basic, the face is the main
-    vertex alone (basic columns are linearly independent), so it is
-    returned with no alternative and no face LP.  Otherwise
-    ``_face_tie_break`` solves both LPs on the main LP's model, with the
-    columns off the face fixed to 0.
+    ``_certified_run`` runs and certifies it, its cost tables views of the
+    cost vector c.  The face is cut from the raw reduced costs d = c - A^T y
+    of the run's duals y, since the c-transformed duals make every unused
+    candidate tight.  A feasible x has c.x = rhs.y + d.x and mass
+    n_inputs + 1 (each coupling and the weights sum to 1), so the face cut
+    d <= GAP_TOL (1 + |value|) / (n_inputs + 1) keeps every point within
+    the gap tolerance of rhs.y, and complementary slackness says the
+    optimal vertices live on it.  When every column on the face is basic,
+    the face is the main vertex alone (basic columns are linearly
+    independent), so it is returned with no alternative and no face LP.
+    Otherwise ``_face_tie_break`` solves both LPs on the main LP's model,
+    with the columns off the face fixed to 0.
 
     ``systems`` (see ``_joint_lp_system``) supplies the assembled system and
     its start basis, and keeps this run's optimal basis for the next LP of
@@ -353,59 +395,25 @@ def _joint_lp(inputs, cost: CostSpec, S: np.ndarray, tie_break: bool = True,
     tie-break runs on are those of the run whose answer is returned.
     """
     c_vec, system = _joint_lp_system(inputs, cost, S, systems)
-    A, rhs, n_gamma, K = system.A, system.rhs, system.n_gamma, system.K
-    model = lp.Model(c_vec, A, rhs, system.basis)
-    res = model.run()
-    if res.status != 0:
-        raise NumericalFailure(f"barycenter LP failed: {res.message}")
-    if systems is not None:
-        system.basis = model.basis()
-    value = float(res.fun)
-    dual = float(rhs @ res.duals)
-    gap = max(0.0, value - dual)
-    tol = GAP_TOL * (1.0 + abs(value))
-    if gap > tol:
-        raise NumericalFailure(f"barycenter LP gap {gap:.3e} not closed")
-    # rhs.y bounds the optimum from below only when y is dual feasible: a
-    # feasible x, of mass n_inputs + 1, has c.x >= rhs.y + (n_inputs + 1) min d,
-    # so reduced costs down to minus the face cut cost at most the gap tolerance
-    d = c_vec - A.rmatvec(res.duals)
-    cut = tol / (len(inputs) + 1)
-    if d.min() < -cut:
-        raise NumericalFailure(f"barycenter LP duals not feasible: reduced cost {d.min():.3e}")
-    w = _clip_dust(np.clip(res.x[n_gamma:], 0.0, None))
-    off_face = d > cut
-    if tie_break:
-        basic = np.zeros(len(d), dtype=bool)
-        basic[model.basic_columns()] = True
-        # every face column basic: the face is the main vertex alone
-        tie_break = not (basic | off_face).all()
-    if not tie_break:
-        return w, value, gap, None, _split_gammas(res.x, inputs, K)
+    n_gamma, K = system.n_gamma, system.K
+    model, res, value, gap, tol, _, _ = _certified_run(c_vec, system, inputs,
+                                                       _blocks(c_vec, inputs, K), systems)
 
+    def split(x):
+        return (_clip_dust(np.clip(x[n_gamma:], 0.0, None)),
+                [np.clip(b, 0.0, None) for b in _blocks(x, inputs, K)])
+
+    main = split(res.x)
+    if not tie_break:
+        return main[0], value, gap, None, main[1]
+    off_face = c_vec - system.A.rmatvec(res.duals) > tol / (len(inputs) + 1)
+    nonbasic_on_face = ~off_face
+    nonbasic_on_face[model.basic_columns()] = False
+    if not nonbasic_on_face.any():  # the face is the main vertex alone
+        return main[0], value, gap, None, main[1]
     h = np.zeros_like(c_vec)
     h[n_gamma:] = np.arange(1, K + 1, dtype=float)
-    sols = _face_tie_break(model, c_vec, off_face, h, value, tol)
-    return _tie_broken(sols, (w, _split_gammas(res.x, inputs, K)), value, gap,
-                       lambda x: (_clip_dust(np.clip(x[n_gamma:], 0.0, None)),
-                                  _split_gammas(x, inputs, K)))
-
-
-def _tie_broken(sols, main, value: float, gap: float, split):
-    """The answer (weights, value, gap, alt_weights, gammas) of a face tie-break.
-
-    ``sols`` is what ``_face_tie_break`` returned, ``split(x)`` gives the
-    weights and coupling blocks of one of its solutions, and ``main`` those
-    of the main LP's vertex.  When ``sols`` is None the main vertex is
-    returned untie-broken, with a warning on the ``mkbary`` logger.
-    """
-    if sols is None:
-        log.warning("barycenter tie-break: face LP rejected; "
-                    "returning the main LP vertex without tie-break")
-        return main[0], value, gap, None, main[1]
-    (w_lo, gammas), (w_hi, _) = split(sols[0]), split(sols[1])
-    alt = w_hi if np.max(np.abs(w_lo - w_hi)) > 1e-7 else None
-    return w_lo, value, gap, alt, gammas
+    return _face_tie_break(model, c_vec, off_face, h, value, gap, tol, main, split)
 
 
 def _tuple_slabs(tables, tuples: np.ndarray):
@@ -455,7 +463,11 @@ def _tuple_lp_system(inputs, cost: CostSpec, S: np.ndarray, systems: Optional[di
 
     def rows():
         rhs = np.concatenate([inputs[0][0].weights] + [m.weights[:-1] for m, _ in inputs[1:]])
-        return _System(_marginal_columns([sizes], np.arange(T)), rhs,
+        u_rows, off = [np.arange(sizes[0])], sizes[0]
+        for n in sizes[1:]:  # the dropped last row of each input after the first reads as 0
+            u_rows.append(np.append(np.arange(off, off + n - 1), len(rhs)))
+            off += n - 1
+        return _System(_marginal_columns([sizes], np.arange(T)), rhs, tuple(u_rows),
                        atoms=np.unravel_index(np.arange(T), sizes))
 
     return tables, c, best, _kept(systems, _system_key("tuple", inputs, S), rows)
@@ -471,15 +483,13 @@ def _tuple_lp(inputs, cost: CostSpec, S: np.ndarray, tie_break: bool = True,
     ``transport._marginal_columns``, sum n_i - N + 1 of them, and the
     push-forward of its plan by k* is an optimal weight vector (Agueh &
     Carlier 2011; Anderes, Borgwardt & Miller 2016).  The costs and k* are
-    computed in slabs of tuples (``_tuple_slabs``).  Raises NumericalFailure
-    when the LP is not optimal, its plan has more positive tuples than a
-    vertex, or its duality gap is not closed.
+    computed in slabs of tuples (``_tuple_slabs``).  ``_certified_run``
+    runs and certifies the LP, and a plan with more positive tuples than a
+    vertex raises NumericalFailure.
 
-    The gap is measured against the joint LP: the row duals u_i (0 on a
-    dropped row) give v_ik = min_j (lambda_i C_i(j, k) - u_i(j)) and
-    y0 = min_k sum_i v_ik, a feasible dual of the joint LP by construction,
-    and gap = value - (sum_i mu_i.u_i + y0).  The reduced cost of a pair
-    (t, k) is d = sum_i lambda_i C_i(t_i, k) - sum_i u_i(t_i) - y0 >= 0, and
+    With the row duals u_i (0 on a dropped row) and y0 of ``_certified_run``,
+    the reduced cost of a pair (t, k) is
+    d = sum_i lambda_i C_i(t_i, k) - sum_i u_i(t_i) - y0 >= 0, and
     a plan over pairs has mass 1, so the face d <= GAP_TOL (1 + |value|)
     keeps every plan on it within the gap tolerance of the optimum.  When
     every tuple on the face is basic and has one candidate there, the
@@ -493,27 +503,11 @@ def _tuple_lp(inputs, cost: CostSpec, S: np.ndarray, tie_break: bool = True,
     K, T = len(S), math.prod(sizes)
     tables, c, best, system = _tuple_lp_system(inputs, cost, S, systems)
     rhs, atoms = system.rhs, system.atoms
-    model = lp.Model(c, system.A, rhs, system.basis)
-    res = model.run()
-    if res.status != 0:
-        raise NumericalFailure(f"barycenter LP failed: {res.message}")
-    if systems is not None:
-        system.basis = model.basis()
-    value = float(res.fun)
+    model, res, value, gap, tol, u, y0 = _certified_run(c, system, inputs, tables, systems)
     support = int(np.count_nonzero(res.x > 1e-12))
     if support > len(rhs):
         raise NumericalFailure(f"barycenter LP plan has {support} positive tuples, "
                                f"more than the {len(rhs)} of a vertex")
-    u, off = [res.duals[:sizes[0]]], sizes[0]
-    for n in sizes[1:]:
-        u.append(np.append(res.duals[off:off + n - 1], 0.0))
-        off += n - 1
-    y0 = float(np.sum([(L - ui[:, None]).min(axis=0) for L, ui in zip(tables, u)], axis=0).min())
-    dual = math.fsum(m.weights @ ui for (m, _), ui in zip(inputs, u)) + y0
-    gap = max(0.0, value - dual)
-    tol = GAP_TOL * (1.0 + abs(value))
-    if gap > tol:
-        raise NumericalFailure(f"barycenter LP gap {gap:.3e} not closed")
 
     def split(t, k, x):
         x = np.clip(x, 0.0, None)
@@ -541,22 +535,23 @@ def _tuple_lp(inputs, cost: CostSpec, S: np.ndarray, tie_break: bool = True,
     for L, a in zip(tables[1:], atoms[1:]):
         pair_c += L[a[pair_t], pair_k]
     h = pair_k + 1.0
-    sols = _face_tie_break(lp.Model(h, _marginal_columns([sizes], pair_t), rhs),
-                           pair_c, None, h, value, tol)
-    return _tie_broken(sols, main, value, gap, lambda x: split(pair_t, pair_k, x))
+    return _face_tie_break(lp.Model(h, _marginal_columns([sizes], pair_t), rhs), pair_c, None,
+                           h, value, gap, tol, main, lambda x: split(pair_t, pair_k, x))
 
 
 def _fixed_support_lp(inputs, cost: CostSpec, S: np.ndarray, tie_break: bool = True,
                       systems: Optional[dict] = None):
     """Globally optimal candidate weights for a fixed atom set.
 
-    Returns (weights, value, gap, alt_weights, gammas): alt_weights is a
-    second optimal vertex when one exists (None otherwise) and gammas are
-    the per-input coupling blocks of the reported solution.  With
-    ``tie_break`` the reported vertex minimizes the graded weight
-    sum_k k w_k over the optimal face, and alt_weights comes from maximizing
-    it; if either face LP is rejected, the main LP's vertex is returned
-    untie-broken and a warning goes to the ``mkbary`` logger.
+    Returns (weights, value, gap, alt_weights, gammas); gammas are the
+    per-input coupling blocks of the reported solution.  With ``tie_break``
+    the reported vertex minimizes the graded weight sum_k k w_k over the
+    optimal face, and alt_weights are the weights of one that maximizes it,
+    None when they agree: then no other optimal vertex has another graded
+    weight, but one of the same graded weight can exist, and which is
+    reported depends on the route.  If either face LP is rejected, the main
+    LP's vertex is returned untie-broken and a warning goes to the
+    ``mkbary`` logger.
 
     Two LPs have the same optimum.  The joint LP (``_joint_lp``) has a
     column per input atom and candidate, K sum n_i of them, plus the K
@@ -564,8 +559,8 @@ def _fixed_support_lp(inputs, cost: CostSpec, S: np.ndarray, tie_break: bool = T
     atoms, prod n_i of them.  The tuple LP solves when it has no more
     columns, prod n_i <= K sum n_i; else the joint LP.  Both keep their
     systems and bases in ``systems`` (see ``_joint_lp_system``), each
-    route under keys of its own, and both report the gap against the joint
-    LP's dual.
+    route under keys of its own, and both are certified against the joint
+    LP's dual by ``_certified_run``.
     """
     sizes = [m.n_atoms for m, _ in inputs]
     if math.prod(sizes) <= len(S) * sum(sizes):

@@ -71,6 +71,9 @@ def halton_sample(n: int, d: int, lo, hi) -> np.ndarray:
 def _check_declared(declared: Optional[dict], b_floor: float = 1.0) -> Optional[dict]:
     if declared is None:
         return None
+    for key in ("A", "B", "q", "q0"):
+        if key in declared and not math.isfinite(float(declared[key])):
+            raise ValueError(f"declared {key} must be finite, not {declared[key]!r}")
     if float(declared.get("A", 0.0)) < 0:
         raise ValueError("declared A must be nonnegative")
     if float(declared["B"]) < b_floor:
@@ -95,6 +98,8 @@ class CostSpec:
     # -- constructors ---------------------------------------------------------
     @staticmethod
     def metric_power(p: float, declared: Optional[dict] = None) -> "CostSpec":
+        if not math.isfinite(p):  # json reads NaN, which fails no comparison, and Infinity
+            raise ValueError(f"metric power p must be finite, not {p!r}")
         if p <= 0:
             raise ValueError("metric power p must be positive")
         declared = _check_declared(declared, b_floor=0.5 if p < 1 else 1.0)
@@ -102,6 +107,8 @@ class CostSpec:
 
     @staticmethod
     def norm_power(p: float, declared: Optional[dict] = None) -> "CostSpec":
+        if not math.isfinite(p):
+            raise ValueError(f"norm power p must be finite, not {p!r}")
         if p < 1:
             raise ValueError("norm power requires p >= 1")
         return CostSpec(kind="norm_power", p=float(p), declared=_check_declared(declared))

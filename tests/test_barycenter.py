@@ -495,6 +495,20 @@ def test_problem_weights_normalized():
         BarycenterProblem.make([(D0, -1.0)], Constraint.quantile_1d(), SQ)
 
 
+def test_problem_weights_must_be_finite_and_sum_finitely():
+    for lams, message in [((np.nan, 1.0, 1.0), r"inputs\[0\] lambda must be finite, not nan"),
+                          ((1.0, -np.inf, 1.0), r"inputs\[1\] lambda must be finite, not -inf"),
+                          ((1e308, 1.0, 1e308), r"input weights overflow when summed, at "
+                                                r"inputs\[2\] lambda 1e\+308")]:
+        with pytest.raises(ValueError, match=message):
+            BarycenterProblem.make(list(zip((D0, D1, dirac(LINE, [2.0])), lams)),
+                                   Constraint.quantile_1d(), SQ)
+    # finite weights near the largest float normalize as they always did
+    lams = np.array([1e308, 3e307])
+    prob = BarycenterProblem.make(list(zip((D0, D1), lams)), Constraint.quantile_1d(), SQ)
+    assert [lam for _, lam in prob.inputs] == (lams / lams.sum()).tolist()
+
+
 def test_problem_files_take_every_constraint_kind():
     from mkbary.barycenter import problem_from_json
     from mkbary.measures import measure_to_json
@@ -876,34 +890,6 @@ def test_failed_warm_tuple_run_is_rerun_cold_once(monkeypatch, caplog):
     _assert_failed_warm_run_is_rerun_cold_once(monkeypatch, caplog, "tuple", 1411)
 
 
-def test_dual_infeasible_main_run_raises(monkeypatch):
-    from mkbary import NumericalFailure, lp
-    from mkbary.barycenter import _joint_lp
-
-    prob = two_dirac_problem(Constraint.simplex_over([[0.0], [0.5], [1.0]]))
-    S = prob.constraint.atoms
-    n0, K = prob.inputs[0][0].n_atoms, len(S)
-    real_run = lp.Model._run_once
-    runs = []
-
-    def shifted_main_run(model):
-        # the first input's tie rows have rhs 0, so rhs.y and the gap stay as
-        # they are, while each of its basic couplings gets reduced cost -1e-6
-        res = real_run(model)
-        runs.append(res)
-        if len(runs) > 1:
-            return res
-        duals = res.duals.copy()
-        duals[n0:n0 + K] += 1e-6
-        return res._replace(duals=duals)
-
-    with monkeypatch.context() as mp:
-        mp.setattr(lp.Model, "_run_once", shifted_main_run)
-        with pytest.raises(NumericalFailure, match="duals not feasible: reduced cost -1.000e-06"):
-            _joint_lp(prob.inputs, SQ, S)
-    assert len(runs) == 1  # raised before any face run
-
-
 def _mkbary_messages(caplog, solve):
     caplog.clear()
     with caplog.at_level("WARNING", logger="mkbary"):
@@ -1041,6 +1027,10 @@ def test_tuple_route_matches_the_joint_route():
         got, want = _both_lp_routes(prob, S)
         assert abs(got[1] - want[1]) <= GAP_TOL * (1.0 + abs(want[1]))
         assert 0.0 <= got[2] <= GAP_TOL * (1.0 + abs(got[1]))
+        # each gap bounds the LP value: value - gap, a feasible dual's objective,
+        # lies below the other route's value up to rounding
+        for a, b in ((got, want), (want, got)):
+            assert a[1] - a[2] <= b[1] + 1e-14 * (1.0 + abs(b[1]))
         np.testing.assert_allclose(got[0], want[0], rtol=0, atol=1e-12)
         assert (got[3] is None) == (want[3] is None)
         if got[3] is not None:
@@ -1185,9 +1175,31 @@ def test_tuple_tie_break_fallbacks_are_logged(monkeypatch, caplog):
         assert [r.getMessage() for r in caplog.records if r.name == "mkbary"] == [rejected]
 
 
-def test_tuple_gap_is_measured_after_the_c_transform(monkeypatch):
-    from mkbary import NumericalFailure, lp
-    from mkbary.barycenter import _tuple_lp
+def _shifted_main_run(monkeypatch, rows, shift):
+    """Patch ``lp.Model._run_once`` so that the first run's row duals ``rows``
+    come back raised by ``shift``; returns the list of runs it appends to."""
+    from mkbary import lp
+
+    real_run, runs = lp.Model._run_once, []
+
+    def run(model):
+        res = real_run(model)
+        runs.append(res)
+        if len(runs) > 1:
+            return res
+        duals = res.duals.copy()
+        duals[rows] += shift
+        return res._replace(duals=duals)
+
+    monkeypatch.setattr(lp.Model, "_run_once", run)
+    return runs
+
+
+def _assert_gap_is_measured_after_the_c_transform(monkeypatch, route):
+    """Both routes (``route`` "tuple" or "joint") take their gap from the
+    c-transform of their marginal row duals, so only a change that moves
+    the c-transformed dual objective opens it."""
+    from mkbary import NumericalFailure, barycenter
     from mkbary.transport import GAP_TOL
 
     ms = [generate_random_measure(1500 + i, [-1.0], [1.0], 5) for i in range(3)]
@@ -1195,40 +1207,51 @@ def test_tuple_gap_is_measured_after_the_c_transform(monkeypatch):
     S = np.linspace(-1.0, 1.0, 9)[:, None]
     prob = BarycenterProblem.make([(m, 1.0) for m in ms], Constraint.simplex_over(S), SQ)
     n0 = prob.inputs[0][0].n_atoms
-    want = _tuple_lp(prob.inputs, SQ, S)
-    real_run = lp.Model._run_once
+    solve = getattr(barycenter, f"_{route}_lp")
+    # the joint face is cut from the raw reduced costs, which a shift of one
+    # input's marginal duals alone moves, so that route's shifts run untied
+    tie_break = route == "tuple"
+    want = solve(prob.inputs, SQ, S, tie_break)
 
-    def shifted(shift):
-        runs = []
-
-        def run(model):
-            res = real_run(model)
-            runs.append(res)
-            if len(runs) > 1:
-                return res
-            duals = res.duals.copy()
-            duals[:n0] += shift
-            return res._replace(duals=duals)
-        return runs, run
-
-    # a shift of every dual of the first input moves sum_i mu_i.u_i and y0 by
-    # opposite amounts: the duals stay optimal and the gap closed
+    # a shift of every marginal dual of the first input moves sum_i mu_i.u_i
+    # and y0 by opposite amounts: the duals stay optimal and the gap closed
     for delta in (1e-6, -0.25, 3.0):
-        runs, run = shifted(delta)
         with monkeypatch.context() as mp:
-            mp.setattr(lp.Model, "_run_once", run)
-            got = _tuple_lp(prob.inputs, SQ, S)
+            _shifted_main_run(mp, slice(0, n0), delta)
+            got = solve(prob.inputs, SQ, S, tie_break)
         assert got[1] == want[1] and got[2] <= GAP_TOL * (1.0 + abs(got[1]))
         np.testing.assert_allclose(got[0], want[0], rtol=0, atol=1e-12)
     # raising one dual by 10 lowers y0 by about 10 and raises mu.u by less
     one = np.zeros(n0)
     one[0] = 10.0
-    runs, run = shifted(one)
     with monkeypatch.context() as mp:
-        mp.setattr(lp.Model, "_run_once", run)
+        runs = _shifted_main_run(mp, slice(0, n0), one)
         with pytest.raises(NumericalFailure, match="barycenter LP gap .* not closed"):
-            _tuple_lp(prob.inputs, SQ, S)
+            solve(prob.inputs, SQ, S)
     assert len(runs) == 1  # raised before any face run
+
+
+def test_tuple_gap_is_measured_after_the_c_transform(monkeypatch):
+    _assert_gap_is_measured_after_the_c_transform(monkeypatch, "tuple")
+
+
+def test_joint_gap_is_measured_after_the_c_transform(monkeypatch):
+    from mkbary.barycenter import _joint_lp
+
+    _assert_gap_is_measured_after_the_c_transform(monkeypatch, "joint")
+    # the first input's tie rows have rhs 0 and no part in the c-transform:
+    # raising their duals by 1e-6, which leaves each of its basic couplings
+    # a raw reduced cost of -1e-6, changes neither the answer nor its gap
+    prob = two_dirac_problem(Constraint.simplex_over([[0.0], [0.5], [1.0]]))
+    S = prob.constraint.atoms
+    n0, K = prob.inputs[0][0].n_atoms, len(S)
+    want = _joint_lp(prob.inputs, SQ, S)
+    with monkeypatch.context() as mp:
+        runs = _shifted_main_run(mp, slice(n0, n0 + K), 1e-6)
+        got = _joint_lp(prob.inputs, SQ, S)
+    assert got[0].tolist() == want[0].tolist() and got[1:4] == want[1:4]
+    assert [g.tolist() for g in got[4]] == [g.tolist() for g in want[4]]
+    assert len(runs) == 1  # the face is still the main vertex alone
 
 
 def test_tuple_costs_stay_within_their_slabs(monkeypatch):

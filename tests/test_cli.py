@@ -685,6 +685,48 @@ def test_transport_rejects_a_nan_table(tmp_path, capsys):
     assert capsys.readouterr() == ("", "parse error: distance matrix entries must be finite\n")
 
 
+def test_non_finite_cost_parameters_are_parse_errors(tmp_path, capsys):
+    # json reads NaN and Infinity, which no comparison of p or of a declared
+    # constant rejected: p = Infinity priced every pair of these atoms, all
+    # less than 1 apart, at 0, so the transport printed 0; p = NaN gave the
+    # analytic constants of some p, and a NaN B NaN constants
+    mu = write(tmp_path / "mu.json", {**MEASURE_01, "atoms": [[0.0], [0.5]]})
+    nu = write(tmp_path / "nu.json", {**MEASURE_01, "atoms": [[0.25], [0.75]]})
+    nan, inf = float("nan"), float("inf")  # json.dumps writes them as NaN and Infinity
+    cases = [(["transport", mu, nu], {"kind": "norm_power", "p": inf},
+              "norm power p must be finite, not inf"),
+             (["constants"], {"kind": "metric_power", "p": nan},
+              "metric power p must be finite, not nan"),
+             (["constants"], {"kind": "norm_power", "p": -inf},
+              "norm power p must be finite, not -inf")]
+    for key, bad in (("A", inf), ("B", nan), ("q", inf), ("q0", -inf)):
+        declared = {"A": 0.0, "B": 2.0, "q": 6.0, "q0": 2.0, key: bad}
+        cases.append((["constants"], {**COST_SQ, "declared_constants": declared},
+                      f"declared {key} must be finite, not {bad}"))
+    for argv, cost, message in cases:
+        out = tmp_path / "out"
+        assert main(argv + [write(tmp_path / "c.json", cost), "--out-dir", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"parse error: {message}\n")
+
+
+def test_non_finite_or_overflowing_lambdas_are_parse_errors(tmp_path, capsys):
+    # a NaN or infinite lambda used to reach the LP as a cost and fail there
+    # as "LP costs must be finite"; two lambdas of 1e308 overflowed their
+    # sum, and the normalized weights failed as atom coordinates
+    nan, inf = float("nan"), float("inf")
+    for lams, message in [((1.0, nan), "inputs[1] lambda must be finite, not nan"),
+                          ((inf, 1.0), "inputs[0] lambda must be finite, not inf"),
+                          ((1e308, 1e308), "input weights overflow when summed, at inputs[1] "
+                                           "lambda 1e+308")]:
+        for constraint in ROUTE_CONSTRAINTS.values():
+            problem = write(tmp_path / "p.json", {
+                "inputs": [{"measure": m, "lambda": lam}
+                           for m, lam in zip((MEASURE_01, MEASURE_12), lams)],
+                "constraint": constraint, "cost": COST_SQ})
+            assert main(["barycenter", problem, "--out-dir", str(tmp_path / "out")]) == 2
+            assert capsys.readouterr() == ("", f"parse error: {message}\n")
+
+
 def test_unbounded_ratio_is_numerical_error(tmp_path, capsys):
     # c(0,1) > 0 while the whole path through z=2 costs nothing
     cost = write(tmp_path / "c.json", {"kind": "finite_matrix", "values": [

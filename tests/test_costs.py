@@ -115,6 +115,26 @@ def test_growth_constants_declared():
     assert g.q == 7.0 and g.provenance == "declared"
 
 
+def test_non_finite_cost_parameters_are_rejected():
+    # NaN fails every comparison, so no floor on p or on a constant catches it
+    nan, inf = float("nan"), float("inf")
+    for make, message in [
+        (lambda: CostSpec.metric_power(inf), "metric power p must be finite, not inf"),
+        (lambda: CostSpec.norm_power(nan), "norm power p must be finite, not nan"),
+        (lambda: CostSpec.norm_power(2, declared={"B": 2.0, "q0": nan}),
+         "declared q0 must be finite, not nan"),
+        (lambda: CostSpec.metric_power(0.5, declared={"A": inf, "B": 1.0}),
+         "declared A must be finite, not inf"),
+        (lambda: CostSpec.finite_matrix([[0.0, 1.0], [1.0, 0.0]], declared={"B": -inf}),
+         "declared B must be finite, not -inf"),
+        (lambda: CostSpec.translation(lambda u: (u ** 2).sum(axis=-1),
+                                      declared={"B": 2.0, "q": inf}),
+         "declared q must be finite, not inf"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make()
+
+
 def test_growth_constants_custom_sampled():
     c = CostSpec.translation(lambda u: u[..., 0] ** 2, convex=True, dim=1)
     g = growth_constants(c)
