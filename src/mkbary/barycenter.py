@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -133,6 +133,13 @@ class BarycenterProblem:
 
     @staticmethod
     def make(inputs, constraint: Constraint, cost: CostSpec) -> "BarycenterProblem":
+        """Check the lambdas (finite, positive, with a finite sum) and that every
+        measure shares the first one's ground space, and normalize the lambdas
+        to sum to 1.  The inputs are kept as given, in order: a measure given
+        twice stays two inputs, whose LP has the optimum of the merged one.
+        Families are merged where they enter, by ``problem_from_json`` and
+        ``consistency.MetaDistribution.make``.
+        """
         if not inputs:
             raise ValueError("need at least one input measure")
         lams = np.array([float(l) for _, l in inputs])
@@ -145,9 +152,12 @@ class BarycenterProblem:
                 raise ValueError(f"input weights overflow when summed, at inputs[{i}] lambda {lam}")
         if np.any(lams <= 0):
             raise ValueError("input weights must be positive")
+        space = inputs[0][0].space
+        if not all(m.space.same_as(space) for m, _ in inputs):
+            raise ValueError("all measures must share a ground space")
         lams = lams / lams.sum()
-        merged = merge_equal_measures([(m, lam) for (m, _), lam in zip(inputs, lams)])
-        return BarycenterProblem(inputs=tuple(merged), constraint=constraint, cost=cost)
+        return BarycenterProblem(inputs=tuple((m, lam) for (m, _), lam in zip(inputs, lams)),
+                                 constraint=constraint, cost=cost)
 
     @property
     def space(self) -> GroundSpace:
@@ -776,14 +786,19 @@ def _input_from_json(obj: dict):
 
 def problem_from_json(obj: dict) -> BarycenterProblem:
     """Inputs whose measures name the first one's space share its GroundSpace
-    (``measures_from_json``); the inputs' fields are checked before their measures."""
+    (``measures_from_json``); the inputs' fields are checked before their measures.
+
+    Inputs whose measures are ``same_as`` merge into the first of them, with
+    the sum of their lambdas as ``BarycenterProblem.make`` normalized them.
+    """
     json_keys(obj, ("inputs", "constraint", "cost"), "problem")
     raw, lams = zip(*[_input_from_json(e)
                       for e in json_field(obj, "inputs", "objects", "problem")])
-    return BarycenterProblem.make(
+    problem = BarycenterProblem.make(
         list(zip(measures_from_json(raw), lams)),
         constraint_from_json(json_field(obj, "constraint", "object", "problem")),
         cost_from_json(json_field(obj, "cost", "object", "problem")))
+    return replace(problem, inputs=tuple(merge_equal_measures(list(problem.inputs))))
 
 
 def result_to_json(result: BarycenterResult) -> dict:

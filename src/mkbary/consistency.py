@@ -13,6 +13,7 @@ fixed direction field scaled by delta so both tracks are deterministic.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,13 +43,24 @@ class MetaDistribution:
 
     @staticmethod
     def make(measures, probs) -> "MetaDistribution":
+        """One probability per measure, each finite and positive, summing to 1
+        within 1e-9.  Measures that are ``same_as`` merge into the first of
+        them, with the sum of their probabilities, renormalized."""
         if len(measures) == 0:
             raise ValueError("need at least one atom measure")
         p = np.array(probs, dtype=float)
+        if p.ndim != 1:
+            raise ValueError("probs must be a flat array of numbers")
+        if len(p) != len(measures):
+            raise ValueError(f"measures and probs differ in count: {len(measures)} measures, "
+                             f"{len(p)} probs")
+        for i, pi in enumerate(p.tolist()):
+            if not math.isfinite(pi):
+                raise ValueError(f"probs[{i}] must be finite, not {pi}")
         if np.any(p <= 0):
             raise ValueError("probabilities must be positive")
         if abs(p.sum() - 1.0) > 1e-9:
-            raise ValueError(f"probabilities sum to {p.sum()!r}")
+            raise ValueError(f"probabilities sum to {float(p.sum())!r}")
         ms, ps = zip(*merge_equal_measures(list(zip(measures, p))))
         ps = np.array(ps)
         return MetaDistribution(atoms=tuple(ms), probs=ps / ps.sum())
@@ -177,10 +189,13 @@ def lln_experiment(
     the empirical barycenter on the same constraint set, and record the
     distance to the nearest population-barycenter representative together
     with the lifted distance between the empirical and true populations.
-    Fixed seeds make the run bit-reproducible.  A barycenter LP solves by
-    the tuple LP when its draw has no more tuples than joint coupling columns
-    (see ``barycenter._fixed_support_lp``), as every draw of the default
-    config does, else by the joint LP.  Either way an LP on a subset of
+    Fixed seeds make the run bit-reproducible.  The population's measures
+    were merged once, by ``MetaDistribution.make``, so a draw's inputs, the
+    distinct measures it hit with their frequencies, go to
+    ``BarycenterProblem.make`` as they are, with no merge.  A barycenter LP
+    solves by the tuple LP when its draw has no more tuples than joint
+    coupling columns (see ``barycenter._fixed_support_lp``), as every draw
+    of the default config does, else by the joint LP.  Either way an LP on a subset of
     population measures met before starts from the last optimal basis of
     that subset, on a system assembled once, and the weights of every
     barycenter are canonicalized on the candidates by one merge plan (see

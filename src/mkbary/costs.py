@@ -260,8 +260,9 @@ class GrowthConstants:
     provenance: str  # analytic | declared | sampled_lower_bound
 
 
-def _q_from_B(B: float) -> tuple[float, float]:
-    q0 = math.log(2.0 * B) / math.log(2.0)
+def _q_from_B(B: float, q0: Optional[float] = None) -> tuple[float, float]:
+    """(q, q0): q0 = log2(2B) unless given, and q = max(3B, q0, 1)."""
+    q0 = math.log(2.0 * B) / math.log(2.0) if q0 is None else float(q0)
     q = max(3.0 * B, q0, 1.0)
     return q, q0
 
@@ -319,7 +320,9 @@ def growth_constants(cost: CostSpec, cap: float = RATIO_CAP) -> GrowthConstants:
     p < 1); finite tables are enumerated exactly, slab by slab; custom g is
     sampled on DEFAULT_GRID_SIZE Halton pairs (u, v) plus the pairs (u, u),
     as the largest g(u + v) / (g(u) + g(v)) over denominators above 1e-15,
-    and flagged ``sampled_lower_bound``.
+    and flagged ``sampled_lower_bound``.  Declared constants come first:
+    each declared one stands, an undeclared q0 is log2(2B), and an
+    undeclared q is max(3B, q0, 1).
     """
     if cost.declared is not None:
         A = float(cost.declared.get("A", 0.0))
@@ -327,8 +330,8 @@ def growth_constants(cost: CostSpec, cap: float = RATIO_CAP) -> GrowthConstants:
         if "q" in cost.declared:
             q = float(cost.declared["q"])
             q0 = float(cost.declared.get("q0", math.log(max(2.0 * B, 1e-300)) / math.log(2.0)))
-        else:
-            q, q0 = _q_from_B(B)
+        else:  # a declared q0 stands, and q follows from it and B
+            q, q0 = _q_from_B(B, cost.declared.get("q0"))
         return GrowthConstants(A=A, B=B, q=q, q0=q0, provenance="declared")
 
     if cost.kind in ("metric_power", "norm_power"):

@@ -509,6 +509,70 @@ def test_problem_weights_must_be_finite_and_sum_finitely():
     assert [lam for _, lam in prob.inputs] == (lams / lams.sum()).tolist()
 
 
+def test_make_keeps_its_inputs_as_given():
+    # families are merged where they enter (problem files, populations), so
+    # make keeps a repeated measure, and an equal copy of one, as inputs of their own
+    copy = dirac(LINE, [0.0])
+    family = [(D1, 3.0), (D0, 1.0), (copy, 2.0), (D1, 0.5)]
+    prob = BarycenterProblem.make(family, Constraint.quantile_1d(), SQ)
+    assert len(prob.inputs) == len(family)
+    assert all(m is given for (m, _), (given, _) in zip(prob.inputs, family))
+    lams = np.array([lam for _, lam in family])
+    assert [lam for _, lam in prob.inputs] == (lams / lams.sum()).tolist()
+    with pytest.raises(ValueError, match="share a ground space"):
+        BarycenterProblem.make([(D0, 1.0), (dirac(PLANE, [0.0, 0.0]), 1.0)],
+                               Constraint.quantile_1d(), SQ)
+
+
+def test_problem_files_merge_a_repeated_measure():
+    from mkbary.barycenter import problem_from_json
+    from mkbary.measures import measure_to_json
+
+    a, b = (generate_random_measure(s, [0, 0], [1, 1], 4) for s in (31, 32))
+    lams = np.array([0.1, 0.7, 0.3])
+    prob = problem_from_json({
+        "inputs": [{"measure": measure_to_json(m), "lambda": lam}
+                   for m, lam in zip((a, b, a), lams.tolist())],
+        "constraint": {"kind": "free", "k": 2}, "cost": {"kind": "norm_power", "p": 2}})
+    norm = lams / lams.sum()
+    assert [m.same_as(want) for (m, _), want in zip(prob.inputs, (a, b))] == [True, True]
+    # the repeat's normalized lambda adds to the first's, bit for bit
+    assert [lam for _, lam in prob.inputs] == [norm[0] + norm[2], norm[1]]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_a_repeated_measure_reaches_the_merged_optimum(seed):
+    # make keeps a repeat as two inputs: both fixed-support routes and the
+    # quantile route must reach the optimum of the merged problem
+    from dataclasses import replace
+
+    from mkbary.barycenter import _joint_lp, _tuple_lp
+    from mkbary.measures import merge_equal_measures
+    from mkbary.transport import GAP_TOL
+
+    prob, S = _route_instances(seed)
+    m, lam = prob.inputs[seed % len(prob.inputs)]
+    repeated = BarycenterProblem.make([*prob.inputs, (canonicalize(m.atoms, m.weights, m.space),
+                                                      2.0 * lam)], prob.constraint, prob.cost)
+    merged = replace(repeated, inputs=tuple(merge_equal_measures(list(repeated.inputs))))
+    assert len(merged.inputs) == len(repeated.inputs) - 1
+    for route in (_tuple_lp, _joint_lp):
+        value = route(repeated.inputs, prob.cost, S)[1]
+        want = route(merged.inputs, prob.cost, S)[1]
+        assert abs(value - want) <= GAP_TOL * (1.0 + abs(want)), route.__name__
+
+    rng = np.random.default_rng(3000 + seed)
+    line = [canonicalize(rng.uniform(-1, 1, (n, 1)), rng.dirichlet(np.ones(n)), LINE)
+            for n in rng.integers(1, 6, 3)]
+    family = [(mu, rng.random() + 0.1) for mu in line] + [(line[0], 0.4)]
+    cost = (ABS, SQ, QUARTIC)[seed % 3]
+    repeated = BarycenterProblem.make(family, Constraint.quantile_1d(), cost)
+    merged = replace(repeated, inputs=tuple(merge_equal_measures(list(repeated.inputs))))
+    want = barycenter_quantile_1d(merged).objective
+    assert (abs(barycenter_quantile_1d(repeated).objective - want)
+            <= GAP_TOL * (1.0 + abs(want)))
+
+
 def test_problem_files_take_every_constraint_kind():
     from mkbary.barycenter import problem_from_json
     from mkbary.measures import measure_to_json

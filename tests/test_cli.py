@@ -630,6 +630,17 @@ def test_constants_output(tmp_path, capsys):
     assert out == {"A": 0.0, "B": 2.0, "q": 6.0, "q0": 2.0, "provenance": "analytic"}
 
 
+def test_a_declared_q0_without_q_is_used(tmp_path, capsys):
+    # the declared q0 used to be read only next to a declared q, so this
+    # printed q0 2.0, the one derived from B, as declared
+    for declared, q, q0 in (({"B": 2, "q0": 5}, 6.0, 5.0), ({"B": 1, "q0": 4}, 4.0, 4.0)):
+        cost = write(tmp_path / "c.json", {**COST_SQ, "declared_constants": declared})
+        assert main(["constants", cost, "--out-dir", str(tmp_path)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out == {"A": 0.0, "B": float(declared["B"]), "q": q, "q0": q0,
+                       "provenance": "declared"}
+
+
 def test_transport_with_an_infinite_cost_is_parse_error(tmp_path, capsys):
     space = {"kind": "finite", "n": 3, "rho": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}
     mu = write(tmp_path / "mu.json", {"space": space, "atoms": [0, 1], "weights": [0.5, 0.5]})
@@ -875,6 +886,30 @@ def test_verify_lln_and_perturb_cli(tmp_path, capsys):
     assert (tmp_path / "perturb.csv").exists()
 
 
+def test_each_population_is_merged_once_where_it_enters(tmp_path, capsys, monkeypatch):
+    # a population is merged by MetaDistribution.make, and the barycenter
+    # problems built from its measures are not merged again: lln merges its
+    # population alone (it used to merge 54 times, once more per barycenter),
+    # perturb its population and the jittered one of each of its 4 deltas
+    # (it used to merge 10 times)
+    import mkbary.barycenter as barycenter
+    import mkbary.consistency as consistency
+    import mkbary.measures as measures
+
+    real, calls = measures.merge_equal_measures, []
+
+    def counted(pairs):
+        calls.append(len(pairs))
+        return real(pairs)
+
+    for module in (barycenter, consistency, measures):
+        monkeypatch.setattr(module, "merge_equal_measures", counted)
+    for suite, want in (("lln", [4]), ("perturb", [1] * 5)):
+        calls.clear()
+        assert main(["verify", suite, "--out-dir", str(tmp_path)]) == 0
+        assert calls == want, suite
+
+
 def test_verify_perturb_judges_deltas_in_increasing_order(tmp_path, capsys):
     # the zero-delta and monotone checks used to read the deltas in config
     # order, so this list failed `monotone_meta` where the sorted one passes
@@ -1021,6 +1056,9 @@ def test_finite_indices_that_are_not_points_are_parse_errors(tmp_path, capsys, m
 
 
 GENERATOR = SMALL_LLN["population"]["generator"]
+# population measures in the plane of the SMALL_LLN and SMALL_PERTURB grids
+POINT_A = {"space": {"kind": "euclidean", "dim": 2}, "atoms": [[0.2, 0.3]], "weights": [1.0]}
+POINT_B = {**POINT_A, "atoms": [[0.7, 0.6]]}
 PROBLEM = {"inputs": [{"measure": MEASURE_01, "lambda": 1.0}],
            "constraint": {"kind": "free", "k": 1}, "cost": COST_SQ}
 
@@ -1085,6 +1123,23 @@ BROKEN_RULES = [
     # a repeated delta, which would write two rows for one delta
     ("perturb", {**SMALL_PERTURB, "deltas": [0.05, 0.0, 0.05]},
      "perturb field 'deltas' repeats [0.05]; each entry must be distinct"),
+    # population probs that are not one finite probability per measure: a
+    # short list used to drop the measures past its end, and a long one its
+    # own tail; a NaN passed every check and failed later as an input lambda
+    ("lln", {**SMALL_LLN, "population": {"measures": [POINT_A, POINT_B], "probs": [1.0]}},
+     "measures and probs differ in count: 2 measures, 1 probs"),
+    ("perturb", {**SMALL_PERTURB, "population": {"measures": [POINT_A], "probs": [0.6, 0.4]}},
+     "measures and probs differ in count: 1 measures, 2 probs"),
+    ("lln", {**SMALL_LLN, "population": {"measures": [POINT_A, POINT_B],
+                                         "probs": [float("nan"), 1.0]}},
+     "probs[0] must be finite, not nan"),
+    ("perturb", {**SMALL_PERTURB, "population": {"measures": [POINT_A, POINT_B],
+                                                 "probs": [0.5, float("inf")]}},
+     "probs[1] must be finite, not inf"),
+    ("lln", {**SMALL_LLN, "population": {"measures": [POINT_A, POINT_B], "probs": [0.5, 0.6]}},
+     "probabilities sum to 1.1"),
+    ("perturb", {**SMALL_PERTURB, "population": {"measures": [POINT_A], "probs": [[1.0]]}},
+     "probs must be a flat array of numbers"),
 ]
 
 
